@@ -388,11 +388,16 @@ def _verify_object(ctx: BlockContext, mode: ConfigMode, key: bytes,
     micro-domain, regardless of which coordinate inside it was sampled.
     """
     grid = ctx.grid
+    # an unknown key is a caller bug, not a failed verification: locate
+    # outside the handler for untrusted bytes
+    per_cell = mode in (ConfigMode.VANILLA, ConfigMode.BATCHED_SINGLE)
+    if per_cell:
+        row, col = _locate_cell(ctx, key)
+    else:
+        band, md = _locate_group(ctx, key)
     try:
-        if mode in (ConfigMode.VANILLA, ConfigMode.BATCHED_SINGLE):
+        if per_cell:
             cell = BaselineCell.from_bytes(obj)
-            # locate the coordinate this key covers
-            row, col = _locate_cell(ctx, key)
             z = grid.row_domain.points[col]
             value = scalar_from_bytes(cell.data)
             proof = OpeningProof.from_bytes(cell.proof)
@@ -403,7 +408,6 @@ def _verify_object(ctx: BlockContext, mode: ConfigMode, key: bytes,
             rho = derive_rho(ctx.srs, [opening])
             return verify_batch_independent(ctx.srs, [opening], rho,
                                             counters=counters)
-        band, md = _locate_group(ctx, key)
         if mode is ConfigMode.GROUPED_ONLY:
             block, cells = _grouped_only_decode(obj)
             if block != group_block(ctx, band, md):

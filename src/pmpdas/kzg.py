@@ -221,19 +221,24 @@ def verify_batch_independent(srs: SRS, openings, rho: int,
     if not openings:
         raise KzgError("cannot batch-verify an empty opening list")
     rho %= SCALAR_MODULUS
-    g = G1Point.generator()
-    g2 = G2Point.generator()
-    left = G1Point.identity()
-    proofs_acc = G1Point.identity()
+    # left = sum_i w_i*cm_i - (sum_i w_i*v_i)*g + sum_i (w_i*z_i)*pi_i and
+    # proofs = sum_i w_i*pi_i for w_i = rho^i, as two multi-scalar products
+    cms, proofs, weights, zw = [], [], [], []
+    value_sum = 0
     weight = 1
     for cm, z, value, proof in openings:
-        term = cm.point - g * (value % SCALAR_MODULUS) + \
-            proof.witness * (z % SCALAR_MODULUS)
-        left = left + term * weight
-        proofs_acc = proofs_acc + proof.witness * weight
+        cms.append(cm.point)
+        proofs.append(proof.witness)
+        weights.append(weight)
+        zw.append(weight * z % SCALAR_MODULUS)
+        value_sum = (value_sum + weight * value) % SCALAR_MODULUS
         if counters is not None:
             counters.g1_scalar_mults += 4
         weight = weight * rho % SCALAR_MODULUS
+    left = g1_msm(cms + [G1Point.generator()] + proofs,
+                  weights + [-value_sum % SCALAR_MODULUS] + zw)
+    proofs_acc = g1_msm(proofs, weights)
     if counters is not None:
         counters.pairings += 2
-    return pairing_check([(left, g2), (-proofs_acc, srs.g2_powers[1])])
+    return pairing_check([(left, G2Point.generator()),
+                          (-proofs_acc, srs.g2_powers[1])])

@@ -180,11 +180,11 @@ def verify_shared(srs: SRS, group: OpenedGroup, proof: AggregatedProof,
 
     c_combined = g1_msm([cm.point for cm in group.commitments], weights)
     r_commit = commit(srs, r_combined, counters=counters, slots=g)
-    # subtraction-side normalization: one explicit scalar multiplication
-    neg_r = r_commit.point * (SCALAR_MODULUS - 1)
+    # the cost model charges the k-point combination plus one scalar
+    # multiplication for negating R
     if counters is not None:
         counters.g1_scalar_mults += k + 1
-    lhs = c_combined + neg_r
+    lhs = c_combined - r_commit.point
 
     z2 = srs.cached_z_commitment(md, counters=counters)
     if counters is not None:

@@ -8,9 +8,11 @@ from helpers import shared_srs
 from pmpdas.dasnet import (
     BlockContext, ConfigMode, DasNetError, ExperimentConfig,
     ExperimentSession, SimDht, Status, build_objects, effective_samples,
-    make_sampling_plan, publish, required_samples, sample_and_verify,
+    _verify_object, make_sampling_plan, publish, required_samples,
+    sample_and_verify,
 )
 from pmpdas.grid import Coordinate, GridDims, build_grid
+from pmpdas.kzg import OpCounters
 
 
 def _context(seed=80):
@@ -205,6 +207,16 @@ def test_truncated_object_is_a_verify_failure_not_a_crash():
     plan = make_sampling_plan(6, CTX.grid.dims, 4)
     outcome = sample_and_verify(plan, ConfigMode.PMP, dht, CTX)
     assert outcome.count(Status.VERIFY_FAILED) == 4
+
+
+def test_unknown_key_raises_instead_of_failing_verification():
+    # a key the block does not define is a caller bug, never a quiet
+    # VERIFY_FAILED, even when the object bytes are well formed
+    unknown = b"\x00" * 32
+    for mode in ConfigMode:
+        obj = next(iter(build_objects(CTX, mode).values()))
+        with pytest.raises(DasNetError):
+            _verify_object(CTX, mode, unknown, obj, OpCounters())
 
 
 # ---------------------------------------------------------------------------

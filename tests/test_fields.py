@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from pmpdas import fields as F
 
 
@@ -63,3 +65,35 @@ def test_final_exponentiation_lands_in_r_torsion():
         y = F.final_exponentiation(_rand_fp12(rng))
         assert F.fp12_pow(y, F.R) == F.FP12_ONE
         assert y != F.FP12_ONE  # random input is not in the kernel
+
+
+def _tower_as_poly(a, sympy, X, domain):
+    """Image of a tower element in Fp[X]/(X^12 - 2X^6 + 2) under w -> X,
+    so v = X^2 and u = X^6 - 1."""
+    terms = 0
+    for j, half in enumerate(a):  # coefficient of w^j
+        for i, (c0, c1) in enumerate(half):  # coefficient of v^i
+            terms += (c0 + c1 * (X**6 - 1)) * X**(2 * i + j)
+    return sympy.Poly(terms, X, domain=domain)
+
+
+def test_tower_matches_polynomial_quotient_ring():
+    # the u^2 = -1, v^3 = 1 + u, w^2 = v tower is Fp[X]/(X^12 - 2X^6 + 2):
+    # u = w^6 - 1 and u^2 + 1 = w^12 - 2w^6 + 2
+    sympy = pytest.importorskip("sympy")
+    X = sympy.symbols("X")
+    domain = sympy.GF(F.P)
+    modulus = sympy.Poly(X**12 - 2 * X**6 + 2, X, domain=domain)
+
+    def image(a):
+        return _tower_as_poly(a, sympy, X, domain)
+
+    rng = random.Random(7)
+    for _ in range(5):
+        a, b = _rand_fp12(rng), _rand_fp12(rng)
+        assert image(F.fp12_mul(a, b)) == (image(a) * image(b)).rem(modulus)
+        # a unitary element: the easy part of the final exponentiation
+        f = F.fp12_mul(F.fp12_conj(a), F.fp12_inv(a))
+        f = F.fp12_mul(F.fp12_frobenius_n(f, 2), f)
+        assert image(F.fp12_cyclotomic_sqr(f)) == \
+            (image(f) * image(f)).rem(modulus)
