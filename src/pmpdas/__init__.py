@@ -9,8 +9,8 @@ sampling workflow (`dasnet`), and the CLI (`cli`).
 
 from .curve import CurveError, G1Point, G2Point, g1_msm, g2_msm, pairing_check
 from .field_poly import (
-    SCALAR_MODULUS, EvaluationDomain, FieldPolyError, MicroDomain,
-    NonCanonicalScalar, Polynomial, div_rem, evaluate_on_domain, interpolate,
+    SCALAR_MODULUS, EvaluationDomain, FieldPolyError, NonCanonicalScalar,
+    Polynomial, div_rem, evaluate_on_domain, interpolate,
     roots_of_unity_domain, scalar_from_bytes, scalar_to_bytes, vanishing_poly,
 )
 from .kzg import (
@@ -27,14 +27,16 @@ from .grid import (
     partition_micro_domains,
 )
 from .wire import (
-    BaselineCell, CountMismatch, GCellBlock, MCell, NonCanonicalScalarEncoding,
-    StorageReport, TruncatedInput, WireError, storage_report,
+    BaselineCell, CountMismatch, GCellBlock, GroupedCells, MCell,
+    NonCanonicalScalarEncoding, StorageReport, TruncatedInput, WireError,
+    storage_report,
 )
 from .dasnet import (
     BlockContext, ConfigMode, DasNetError, ExperimentConfig,
     ExperimentSession, RetrievalOutcome, SamplingPlan, SimDht, Status,
-    build_objects, effective_samples, make_sampling_plan, publish,
-    required_samples, run_experiment, sample_and_verify,
+    build_objects, effective_samples, make_sampling_plan, object_location,
+    publish, required_samples, run_experiment, sample_and_verify,
+    verify_object,
 )
 
 __version__ = "0.1.0"

@@ -23,15 +23,11 @@ import os
 import random
 import sys
 
-from . import dasnet, grid as grid_mod, wire
+from . import dasnet, grid as grid_mod
 from .dasnet import (
-    BlockContext, ConfigMode, ExperimentConfig, ExperimentSession,
-    group_block, group_transcript,
+    BlockContext, ConfigMode, ExperimentConfig, ExperimentSession, group_block,
 )
 from .kzg import gen
-from .multiproof import (
-    AggregatedProof, OpenedGroup, derive_gamma, verify_shared,
-)
 from .wire import (
     WireError, decode_fixture, decode_grid, decode_srs, encode_fixture,
     encode_grid, encode_srs, storage_report,
@@ -239,18 +235,9 @@ def cmd_verify(args) -> int:
     for payload, ((b, m), band, md) in zip(mcells, groups):
         group_id = f"band {b}, group {m}"
         try:
-            mcell = wire.MCell.from_bytes(payload)
-            ok = mcell.block == group_block(ctx, band, md)
-            if ok:
-                g = md.size
-                values = [mcell.scalars[i * g:(i + 1) * g]
-                          for i in range(len(band))]
-                opened = OpenedGroup(
-                    [grid.row_commitments[r] for r in band], values, md)
-                gamma = derive_gamma(group_transcript(ctx, band, md))
-                proof = AggregatedProof.from_bytes(mcell.proof)
-                ok = verify_shared(srs, opened, proof, gamma)
-        except ValueError as exc:
+            ok = dasnet.verify_object(ctx, ConfigMode.PMP,
+                                      group_block(ctx, band, md), payload)
+        except dasnet.DECODE_ERRORS as exc:
             print(f"verification failed at {group_id}: {exc}",
                   file=sys.stderr)
             return EXIT_VERIFY_FAILED

@@ -18,7 +18,8 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .field_poly import scalar_to_bytes, scalar_from_bytes
+from .curve import CurveError
+from .field_poly import EvaluationDomain, scalar_to_bytes, scalar_from_bytes
 from .kzg import (
     SRS, OpCounters, OpeningProof, derive_rho, open_single,
     verify_batch_independent, verify_single,
@@ -28,10 +29,12 @@ from .multiproof import (
     verify_shared,
 )
 from .grid import (
-    Coordinate, DataGrid, coordinate_to_group, iter_groups,
+    Coordinate, DataGrid, band_rows, coordinate_to_group, iter_groups,
     partition_micro_domains,
 )
-from .wire import PROOF_BYTES, BaselineCell, GCellBlock, MCell, TruncatedInput
+from .wire import (
+    PROOF_BYTES, BaselineCell, GCellBlock, GroupedCells, MCell, WireError,
+)
 
 
 class DasNetError(ValueError):
@@ -59,6 +62,10 @@ class Status(enum.Enum):
 
 
 GROUPED_MODES = (ConfigMode.GROUPED_ONLY, ConfigMode.PMP)
+
+# What malformed object bytes from an untrusted store raise; every other
+# exception out of verification is a bug and propagates.
+DECODE_ERRORS = (WireError, CurveError)
 
 
 # ---------------------------------------------------------------------------
@@ -199,27 +206,6 @@ def group_transcript(ctx: BlockContext, band: range, md) -> Transcript:
     )
 
 
-def _grouped_only_encode(block: GCellBlock, cells) -> bytes:
-    out = bytearray()
-    out += block.to_bytes()
-    out += len(cells).to_bytes(4, "little")
-    for cell in cells:
-        out += cell.to_bytes()
-    return bytes(out)
-
-
-def _grouped_only_decode(data: bytes):
-    if len(data) < 20:
-        raise TruncatedInput("grouped object truncated")
-    block = GCellBlock.from_bytes(data[:16])
-    count = int.from_bytes(data[16:20], "little")
-    if len(data) != 20 + count * 80:
-        raise TruncatedInput("grouped object payload truncated")
-    cells = [BaselineCell.from_bytes(data[20 + i * 80:20 + (i + 1) * 80])
-             for i in range(count)]
-    return block, cells
-
-
 @dataclass
 class PublishResult:
     objects: dict  # key -> object bytes
@@ -257,7 +243,7 @@ def build_objects(ctx: BlockContext, mode: ConfigMode) -> dict:
                     value, proof = open_single(ctx.srs, poly, z)
                     cells.append(BaselineCell(proof.to_bytes(),
                                               scalar_to_bytes(value)))
-            objects[key] = _grouped_only_encode(block, cells)
+            objects[key] = GroupedCells(block, cells).to_bytes()
         else:
             transcript = group_transcript(ctx, band, md)
             gamma = derive_gamma(transcript)
@@ -380,99 +366,77 @@ class VerificationCache:
         return hit
 
 
-def _verify_object(ctx: BlockContext, mode: ConfigMode, key: bytes,
-                   obj: bytes, counters: OpCounters) -> bool:
-    """Full cryptographic verification of one fetched object.
+def object_location(ctx: BlockContext, mode: ConfigMode,
+                    coord: Coordinate) -> GCellBlock:
+    """Region of the object that covers `coord`: the cell itself for the
+    per-cell arms, its whole group for the grouped ones."""
+    g, k = (ctx.group_size, ctx.rows_per_group) if mode in GROUPED_MODES \
+        else (1, 1)
+    b, m = coordinate_to_group(coord, g, k, dims=ctx.grid.dims)
+    band = band_rows(ctx.grid, b, k)
+    ctx.grid.check_bounds(Coordinate(band.stop - 1, (m + 1) * g - 1))
+    return GCellBlock(band.start, band.stop, m * g, (m + 1) * g)
+
+
+def verify_object(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
+                  obj: bytes, counters: OpCounters | None = None) -> bool:
+    """Full cryptographic verification of the object stored for
+    `location`, the region `object_location` gives.
 
     Grouped objects are verified against the entire transported
     micro-domain, regardless of which coordinate inside it was sampled.
+    Malformed bytes raise one of DECODE_ERRORS; a location that is not
+    an object of this block raises GridError or DasNetError.
     """
-    grid = ctx.grid
-    # an unknown key is a caller bug, not a failed verification: locate
-    # outside the handler for untrusted bytes
-    per_cell = mode in (ConfigMode.VANILLA, ConfigMode.BATCHED_SINGLE)
-    if per_cell:
-        row, col = _locate_cell(ctx, key)
-    else:
-        band, md = _locate_group(ctx, key)
-    try:
-        if per_cell:
-            cell = BaselineCell.from_bytes(obj)
-            z = grid.row_domain.points[col]
-            value = scalar_from_bytes(cell.data)
-            proof = OpeningProof.from_bytes(cell.proof)
-            if mode is ConfigMode.VANILLA:
-                return verify_single(ctx.srs, ctx.commitments[row], z, value,
-                                     proof, counters=counters)
-            opening = (ctx.commitments[row], z, value, proof)
-            rho = derive_rho(ctx.srs, [opening])
-            return verify_batch_independent(ctx.srs, [opening], rho,
-                                            counters=counters)
-        if mode is ConfigMode.GROUPED_ONLY:
-            block, cells = _grouped_only_decode(obj)
-            if block != group_block(ctx, band, md):
-                return False
-            openings = []
-            idx = 0
-            for r in band:
-                for c in range(md.offset, md.offset + md.size):
-                    cell = cells[idx]
-                    idx += 1
-                    openings.append((
-                        ctx.commitments[r],
-                        grid.row_domain.points[c],
-                        scalar_from_bytes(cell.data),
-                        OpeningProof.from_bytes(cell.proof),
-                    ))
-            rho = derive_rho(ctx.srs, openings)
-            return verify_batch_independent(ctx.srs, openings, rho,
-                                            counters=counters)
+    corner = Coordinate(location.rows_start, location.cols_start)
+    if location != object_location(ctx, mode, corner):
+        raise DasNetError(f"{location} is not a {mode.value} object region")
+    band = range(location.rows_start, location.rows_end)
+    md = EvaluationDomain(
+        ctx.grid.row_domain.points[location.cols_start:location.cols_end],
+        offset=location.cols_start)
+    if mode is ConfigMode.PMP:
         mcell = MCell.from_bytes(obj)
-        if mcell.block != group_block(ctx, band, md):
+        if mcell.block != location:
             return False
-        k = len(band)
         g = md.size
-        values = [mcell.scalars[i * g:(i + 1) * g] for i in range(k)]
+        values = [mcell.scalars[i * g:(i + 1) * g] for i in range(len(band))]
         group = OpenedGroup([ctx.commitments[r] for r in band], values, md)
-        transcript = group_transcript(ctx, band, md)
-        gamma = derive_gamma(transcript)
+        gamma = derive_gamma(group_transcript(ctx, band, md))
         proof = AggregatedProof.from_bytes(mcell.proof)
         return verify_shared(ctx.srs, group, proof, gamma, counters=counters)
-    except ValueError:
-        # malformed bytes from an untrusted store count as failed verification
+    if mode is ConfigMode.GROUPED_ONLY:
+        grouped = GroupedCells.from_bytes(obj)
+        if grouped.block != location:
+            return False
+        cells = grouped.cells
+    else:
+        cells = [BaselineCell.from_bytes(obj)]
+    points = ((r, z) for r in band for z in md)
+    openings = [(ctx.commitments[r], z, scalar_from_bytes(cell.data),
+                 OpeningProof.from_bytes(cell.proof))
+                for (r, z), cell in zip(points, cells, strict=True)]
+    if mode is ConfigMode.VANILLA:
+        return verify_single(ctx.srs, *openings[0], counters=counters)
+    rho = derive_rho(ctx.srs, openings)
+    return verify_batch_independent(ctx.srs, openings, rho, counters=counters)
+
+
+def _verify_fetched(ctx: BlockContext, mode: ConfigMode, coord: Coordinate,
+                    obj: bytes, counters: OpCounters) -> bool:
+    location = object_location(ctx, mode, coord)
+    try:
+        return verify_object(ctx, mode, location, obj, counters)
+    except DECODE_ERRORS:
+        # malformed bytes from an untrusted store fail verification
         return False
-
-
-def _locate_cell(ctx: BlockContext, key: bytes):
-    dims = ctx.grid.dims
-    for r in range(dims.rows):
-        for c in range(dims.extended_cols):
-            if cell_key(ctx.block_id, r, c) == key:
-                return r, c
-    raise DasNetError("unknown cell key")
-
-
-def _locate_group(ctx: BlockContext, key: bytes):
-    for (b, m), band, md in iter_groups(ctx.grid, ctx.group_size,
-                                        ctx.rows_per_group):
-        if group_key(ctx.block_id, b, m) == key:
-            return band, md
-    raise DasNetError("unknown group key")
-
-
-def _key_for(ctx: BlockContext, mode: ConfigMode, coord: Coordinate) -> bytes:
-    if mode in (ConfigMode.VANILLA, ConfigMode.BATCHED_SINGLE):
-        return cell_key(ctx.block_id, coord.row, coord.col)
-    band, group_index = coordinate_to_group(
-        coord, ctx.group_size, ctx.rows_per_group, dims=ctx.grid.dims)
-    return group_key(ctx.block_id, band, group_index)
 
 
 def sample_and_verify(plan: SamplingPlan, mode: ConfigMode, dht: SimDht,
                       ctx: BlockContext, retry_budget: int = 3,
                       cache: VerificationCache | None = None) -> RetrievalOutcome:
-    """Fetch and verify every planned coordinate; failures are recorded,
-    never raised."""
+    """Fetch and verify every planned coordinate; fetch and verification
+    failures are recorded, internal errors raised."""
     if cache is None:
         cache = VerificationCache()
     statuses = {}
@@ -481,11 +445,11 @@ def sample_and_verify(plan: SamplingPlan, mode: ConfigMode, dht: SimDht,
     counters = OpCounters()
     g_effective = ctx.group_size if mode in GROUPED_MODES else 1
     for coord in plan.coordinates:
-        key = _key_for(ctx, mode, coord)
-        if mode in GROUPED_MODES:
-            groups_touched.add(key)
-        else:
-            groups_touched.add(_key_for(ctx, ConfigMode.PMP, coord))
+        group = coordinate_to_group(coord, ctx.group_size, ctx.rows_per_group,
+                                    dims=ctx.grid.dims)
+        groups_touched.add(group)
+        key = group_key(ctx.block_id, *group) if mode in GROUPED_MODES \
+            else cell_key(ctx.block_id, coord.row, coord.col)
         obj, attempts = dht.get_with_retries(key, retry_budget)
         retries += attempts - 1
         if obj is None:
@@ -493,8 +457,8 @@ def sample_and_verify(plan: SamplingPlan, mode: ConfigMode, dht: SimDht,
             continue
         ok, used = cache.check(
             (mode, key, hashlib.sha256(obj).digest()),
-            lambda c, _key=key, _obj=obj: _verify_object(ctx, mode, _key,
-                                                         _obj, c))
+            lambda c, _coord=coord, _obj=obj: _verify_fetched(
+                ctx, mode, _coord, _obj, c))
         counters.merge(used)
         statuses[coord] = Status.VERIFIED if ok else Status.VERIFY_FAILED
     return RetrievalOutcome(

@@ -161,49 +161,33 @@ def div_rem(num: Polynomial, den: Polynomial):
 
 @dataclass(frozen=True)
 class EvaluationDomain:
-    """An ordered list of distinct evaluation points."""
+    """An ordered, nonempty list of distinct evaluation points.
+
+    A micro-domain is a contiguous block cut out of a parent domain;
+    `offset` is the index of its first point there (0 for a parent).
+    """
 
     points: tuple
+    offset: int = 0
 
-    def __init__(self, points):
+    def __init__(self, points, offset=0):
         pts = tuple(p % SCALAR_MODULUS for p in points)
+        if not pts:
+            raise FieldPolyError("evaluation domain must be nonempty")
         if len(set(pts)) != len(pts):
             raise FieldPolyError("evaluation domain points must be distinct")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "offset", int(offset))
+
+    @property
+    def size(self) -> int:
+        return len(self.points)
 
     def __len__(self):
         return len(self.points)
 
     def __iter__(self):
         return iter(self.points)
-
-
-@dataclass(frozen=True)
-class MicroDomain:
-    """A contiguous g-point block of a parent evaluation domain."""
-
-    points: tuple
-    size: int
-    offset: int  # index of the first point within the parent domain
-
-    def __init__(self, points, offset=0):
-        pts = tuple(p % SCALAR_MODULUS for p in points)
-        if not pts:
-            raise FieldPolyError("micro-domain must be nonempty")
-        if len(set(pts)) != len(pts):
-            raise FieldPolyError("micro-domain points must be distinct")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "size", len(pts))
-        object.__setattr__(self, "offset", int(offset))
-
-    def __len__(self):
-        return self.size
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def as_domain(self) -> EvaluationDomain:
-        return EvaluationDomain(self.points)
 
 
 def vanishing_poly(domain) -> Polynomial:

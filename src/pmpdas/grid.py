@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field_poly import (
-    EvaluationDomain, MicroDomain, evaluate_on_domain, interpolate,
-    roots_of_unity_domain,
+    EvaluationDomain, evaluate_on_domain, interpolate, roots_of_unity_domain,
 )
 from .kzg import SRS, Commitment, commit
 from .multiproof import OpenedGroup
@@ -135,7 +134,8 @@ def partition_micro_domains(row_domain: EvaluationDomain, g: int):
     n = len(row_domain)
     if g < 1 or n % g != 0:
         raise GridError(f"group size {g} does not divide domain size {n}")
-    return [MicroDomain(row_domain.points[j * g:(j + 1) * g], offset=j * g)
+    return [EvaluationDomain(row_domain.points[j * g:(j + 1) * g],
+                             offset=j * g)
             for j in range(n // g)]
 
 
@@ -159,7 +159,7 @@ def band_rows(grid: DataGrid, band_index: int, rows_per_group: int) -> range:
 
 
 def build_opened_group(grid: DataGrid, band: range,
-                       md: MicroDomain) -> OpenedGroup:
+                       md: EvaluationDomain) -> OpenedGroup:
     """Full evaluation vectors of every band row on one micro-domain."""
     if band.start < 0 or band.stop > grid.dims.rows or len(band) == 0:
         raise GridError("row band outside the grid")

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .curve import G1Point, G2Point, g1_msm, pairing_check
 from .field_poly import (
-    SCALAR_MODULUS, Polynomial, div_rem, interpolate, scalar_to_bytes,
-    vanishing_poly, MicroDomain,
+    SCALAR_MODULUS, EvaluationDomain, Polynomial, div_rem, interpolate,
+    scalar_to_bytes, vanishing_poly,
 )
 from .kzg import SRS, OpCounters, commit
 
@@ -47,7 +47,7 @@ class OpenedGroup:
 
     commitments: tuple
     values: tuple  # k rows, each of exactly micro_domain.size scalars
-    micro_domain: MicroDomain
+    micro_domain: EvaluationDomain
 
     def __init__(self, commitments, values, micro_domain):
         commitments = tuple(commitments)
@@ -73,7 +73,7 @@ class Transcript:
 
     srs_id: bytes
     commitments: tuple
-    micro_domain: MicroDomain
+    micro_domain: EvaluationDomain
     coords: tuple  # ((row, col), ...) as 32-bit pairs
     gcell_block: "GCellBlock"
     domain_tag: bytes = TRANSCRIPT_TAG
@@ -123,7 +123,7 @@ def _gamma_powers(gamma: int, k: int):
     return powers
 
 
-def open_shared(srs: SRS, polys, micro_domain: MicroDomain, gamma: int,
+def open_shared(srs: SRS, polys, micro_domain: EvaluationDomain, gamma: int,
                 counters: OpCounters | None = None) -> AggregatedProof:
     """Aggregated opening over one shared micro-domain.
 

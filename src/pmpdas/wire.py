@@ -7,6 +7,7 @@ All integers are little-endian. Layouts:
 * GCellBlock:   rows_start, rows_end, cols_start, cols_end as u32 (16 bytes);
                 row/col ranges are half-open [start, end)
 * MCell:        proof[48] || GCellBlock[16] || count u32 || count * scalar[32]
+* GroupedCells: GCellBlock[16] || count u32 || count * BaselineCell[80]
 
 Fixture files: magic "PMPD", version 0x01, then tagged sections
 (4-byte ASCII tag, u32 length, payload).
@@ -177,6 +178,44 @@ class MCell:
                               header + (i + 1) * SCALAR_BYTES])
             for i in range(count)]
         return MCell(proof, block, tuple(scalars))
+
+
+@dataclass(frozen=True)
+class GroupedCells:
+    """Grouped transport without aggregation: one BaselineCell per entry
+    of a block region, in row-major order."""
+
+    block: GCellBlock
+    cells: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "cells", tuple(self.cells))
+        if len(self.cells) != self.block.n_rows * self.block.n_cols:
+            raise CountMismatch(
+                f"cell count {len(self.cells)} does not cover the "
+                f"{self.block.n_rows}x{self.block.n_cols} block region")
+
+    def to_bytes(self) -> bytes:
+        return self.block.to_bytes() + len(self.cells).to_bytes(4, "little") \
+            + b"".join(cell.to_bytes() for cell in self.cells)
+
+    @staticmethod
+    def from_bytes(data: bytes) -> "GroupedCells":
+        header = GCELL_BLOCK_BYTES + 4
+        if len(data) < header:
+            raise TruncatedInput("grouped cells header truncated")
+        block = GCellBlock.from_bytes(data[:GCELL_BLOCK_BYTES])
+        count = int.from_bytes(data[GCELL_BLOCK_BYTES:header], "little")
+        if count != block.n_rows * block.n_cols:
+            raise CountMismatch("count does not match the block region")
+        expected_len = header + BASELINE_CELL_BYTES * count
+        if len(data) < expected_len:
+            raise TruncatedInput("grouped cells payload truncated")
+        if len(data) > expected_len:
+            raise WireError("trailing bytes after grouped cells payload")
+        return GroupedCells(block, [
+            BaselineCell.from_bytes(data[i:i + BASELINE_CELL_BYTES])
+            for i in range(header, expected_len, BASELINE_CELL_BYTES)])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pmpdas.dasnet import (
     make_sampling_plan, required_samples,
 )
 from pmpdas.field_poly import (
-    SCALAR_MODULUS, MicroDomain, Polynomial, div_rem, vanishing_poly,
+    SCALAR_MODULUS, EvaluationDomain, Polynomial, div_rem, vanishing_poly,
 )
 from pmpdas.grid import (
     GridDims, build_grid, build_opened_group, partition_micro_domains,
@@ -46,7 +46,7 @@ def _random_micro_domain(rng, g):
     points = set()
     while len(points) < g:
         points.add(rand_scalar(rng))
-    return MicroDomain(sorted(points), offset=0)
+    return EvaluationDomain(sorted(points), offset=0)
 
 
 def _oracle_witness(polys, md, gamma):
@@ -183,7 +183,7 @@ def test_criterion_04_reduction_to_single_point_kzg():
         value, single_proof = open_single(srs, p, z)
         if i % 2:
             value = (value + rng.randrange(1, 1000)) % SCALAR_MODULUS
-        md = MicroDomain((z,), offset=0)
+        md = EvaluationDomain((z,), offset=0)
         group = OpenedGroup([cm], [[value]], md)
         agg = open_shared(srs, [p], md, gamma=1)
         multi = verify_shared(srs, group, agg, gamma=1)

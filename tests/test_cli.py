@@ -1,11 +1,21 @@
 """Command-line driver: exit codes, determinism, and fixture round trips."""
 
+import hashlib
 import json
 
 import pytest
 
-from pmpdas import cli
+from pmpdas import cli, dasnet
+from pmpdas.multiproof import MultiproofError
 from pmpdas.wire import decode_fixture, encode_fixture
+
+# sha256 of command outputs, recorded at commit 4e41ff2 (before the light
+# client and `verify` shared one verification path). A change here means
+# published bytes or ablation results changed.
+PROVED_FIXTURE_SHA256 = \
+    "0a80e7892bd172ba0284351684f3ad4f00a68f074333438689026c74e193e132"
+DEFAULT_ABLATION_SEED_1_CSV_SHA256 = \
+    "b977a717f3736b610c7fe29e69e5f8a16c9e27e890040fa57f4961745b9d16f0"
 
 
 def run_cli(args):
@@ -124,6 +134,52 @@ def test_verify_detects_permuted_header_commitments(tmp_path, capsys):
     open(permuted, "wb").write(encode_fixture(swapped))
     assert run_cli(["verify", "--fixture", permuted]) == 1
     assert "verification failed" in capsys.readouterr().err
+
+
+def _proved_fixture(tmp_path):
+    fx, fxp = str(tmp_path / "fx.bin"), str(tmp_path / "fxp.bin")
+    assert run_cli(["gen-fixture", "--output", fx,
+                    "--rows", "2", "--cols", "4"]) == 0
+    assert run_cli(["prove", "--fixture", fx, "--output", fxp,
+                    "--group", "4"]) == 0
+    return fxp
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_proved_fixture_bytes_are_pinned(tmp_path):
+    assert _sha256(_proved_fixture(tmp_path)) == PROVED_FIXTURE_SHA256
+
+
+def test_default_ablation_bytes_are_pinned(tmp_path, monkeypatch):
+    out = str(tmp_path / "ablation.csv")
+    monkeypatch.setenv("PMP_SEED", "1")
+    assert run_cli(["ablation", "--output", out]) == 0
+    assert _sha256(out) == DEFAULT_ABLATION_SEED_1_CSV_SHA256
+
+
+def test_verify_reports_undecodable_object(tmp_path, capsys):
+    blob = bytearray(open(_proved_fixture(tmp_path), "rb").read())
+    blob[-1] = 0xFF  # top byte of the last scalar: above the field modulus
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes(blob))
+    assert run_cli(["verify", "--fixture", str(bad)]) == 1
+    assert "band 1, group 1: scalar encoding" in capsys.readouterr().err
+
+
+def test_verify_internal_error_raises_instead_of_failing(tmp_path,
+                                                         monkeypatch):
+    fxp = _proved_fixture(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise MultiproofError("internal fault")
+
+    monkeypatch.setattr(dasnet, "verify_shared", broken)
+    with pytest.raises(MultiproofError):
+        run_cli(["verify", "--fixture", fxp])
 
 
 def test_verify_missing_sections(tmp_path, capsys):

@@ -1,18 +1,25 @@
 """Simulated store, sampling plans, publication arms, and experiments."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import shared_srs
+from pmpdas import dasnet
+from pmpdas.curve import CurveError
 from pmpdas.dasnet import (
     BlockContext, ConfigMode, DasNetError, ExperimentConfig,
-    ExperimentSession, SimDht, Status, build_objects, effective_samples,
-    _verify_object, make_sampling_plan, publish, required_samples,
-    sample_and_verify,
+    ExperimentSession, SimDht, Status, build_objects, cell_key,
+    effective_samples, group_key, make_sampling_plan, object_location,
+    publish, required_samples, sample_and_verify, verify_object,
 )
-from pmpdas.grid import Coordinate, GridDims, build_grid
-from pmpdas.kzg import OpCounters
+from pmpdas.grid import Coordinate, GridDims, GridError, build_grid
+from pmpdas.kzg import KzgError
+from pmpdas.multiproof import MultiproofError
+from pmpdas.wire import GCellBlock, WireError
 
 
 def _context(seed=80):
@@ -209,14 +216,105 @@ def test_truncated_object_is_a_verify_failure_not_a_crash():
     assert outcome.count(Status.VERIFY_FAILED) == 4
 
 
-def test_unknown_key_raises_instead_of_failing_verification():
-    # a key the block does not define is a caller bug, never a quiet
-    # VERIFY_FAILED, even when the object bytes are well formed
-    unknown = b"\x00" * 32
+@pytest.mark.parametrize("tamper", ["short", "extra"])
+def test_miscounted_grouped_object_is_a_verify_failure(tamper):
+    # a consistently re-encoded grouped-only object with one cell fewer
+    # (or more) than its block region must fail, neither crash the
+    # client nor verify
+    dht = SimDht(10, 3)
+    publish(CTX, ConfigMode.GROUPED_ONLY, dht)
+    for store in dht.stores:
+        for key in store:
+            blob = store[key]
+            count = int.from_bytes(blob[16:20], "little")
+            if tamper == "short":
+                count, cells = count - 1, blob[20:-80]
+            else:
+                count, cells = count + 1, blob[20:] + blob[-80:]
+            store[key] = blob[:16] + count.to_bytes(4, "little") + cells
+    plan = make_sampling_plan(6, CTX.grid.dims, 4)
+    outcome = sample_and_verify(plan, ConfigMode.GROUPED_ONLY, dht, CTX)
+    assert outcome.count(Status.VERIFY_FAILED) == 4
+
+
+@pytest.mark.parametrize("name, error, modes", [
+    ("verify_single", KzgError, (ConfigMode.VANILLA,)),
+    ("verify_batch_independent", KzgError,
+     (ConfigMode.BATCHED_SINGLE, ConfigMode.GROUPED_ONLY)),
+    ("verify_shared", MultiproofError, (ConfigMode.PMP,)),
+])
+def test_internal_error_raises_instead_of_failing_verification(
+        monkeypatch, name, error, modes):
+    def broken(*args, **kwargs):
+        raise error("internal fault")
+
+    monkeypatch.setattr(dasnet, name, broken)
+    plan = make_sampling_plan(3, CTX.grid.dims, 2)
+    for mode in modes:
+        dht = SimDht(10, 3)
+        publish(CTX, mode, dht)
+        with pytest.raises(error):
+            sample_and_verify(plan, mode, dht, CTX)
+
+
+@functools.lru_cache(maxsize=None)
+def _honest_object(mode):
+    """Location and published bytes of the object covering cell (0, 0)."""
+    key = group_key(CTX.block_id, 0, 0) if mode in dasnet.GROUPED_MODES \
+        else cell_key(CTX.block_id, 0, 0)
+    return (object_location(CTX, mode, Coordinate(0, 0)),
+            build_objects(CTX, mode)[key])
+
+
+def _assert_rejected(mode, data):
+    """Untrusted bytes may only fail to decode or fail verification."""
+    location = _honest_object(mode)[0]
+    try:
+        ok = verify_object(CTX, mode, location, data)
+    except (WireError, CurveError):
+        return
+    assert ok is False
+
+
+def test_bad_location_raises_instead_of_failing_verification():
+    # a region that is not an object of the block is a caller bug, never a
+    # quiet VERIFY_FAILED, even when the object bytes are well formed
+    outside = GCellBlock(CTX.grid.dims.rows, CTX.grid.dims.rows + 1, 0, 1)
+    not_an_object = GCellBlock(0, 1, 0, 2)  # neither a cell nor a group
     for mode in ConfigMode:
-        obj = next(iter(build_objects(CTX, mode).values()))
+        obj = _honest_object(mode)[1]
+        with pytest.raises(GridError):
+            verify_object(CTX, mode, outside, obj)
         with pytest.raises(DasNetError):
-            _verify_object(CTX, mode, unknown, obj, OpCounters())
+            verify_object(CTX, mode, not_an_object, obj)
+
+
+def test_honest_objects_verify_at_their_location():
+    for mode in ConfigMode:
+        location, obj = _honest_object(mode)
+        assert verify_object(CTX, mode, location, obj) is True
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(ConfigMode), data=st.binary(max_size=400))
+def test_verify_object_rejects_arbitrary_bytes(mode, data):
+    _assert_rejected(mode, data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mode=st.sampled_from(ConfigMode), position=st.integers(0, 10 ** 6),
+       flip=st.integers(1, 255), truncate=st.booleans())
+def test_verify_object_rejects_damaged_objects(mode, position, flip,
+                                               truncate):
+    honest = _honest_object(mode)[1]
+    position %= len(honest)
+    if truncate:
+        data = honest[:position]
+    else:
+        blob = bytearray(honest)
+        blob[position] ^= flip
+        data = bytes(blob)
+    _assert_rejected(mode, data)
 
 
 # ---------------------------------------------------------------------------

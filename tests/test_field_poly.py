@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmpdas.field_poly import (
-    NEG_INF, SCALAR_MODULUS, EvaluationDomain, FieldPolyError, MicroDomain,
+    NEG_INF, SCALAR_MODULUS, EvaluationDomain, FieldPolyError,
     NonCanonicalScalar, Polynomial, div_rem, evaluate_on_domain, interpolate,
     root_of_unity, roots_of_unity_domain, scalar_from_bytes, scalar_inv,
     scalar_to_bytes, vanishing_poly,
@@ -113,10 +113,10 @@ def test_domains_require_distinct_points():
     with pytest.raises(FieldPolyError):
         EvaluationDomain((1, 2, 1))
     with pytest.raises(FieldPolyError):
-        MicroDomain((4, 4))
+        EvaluationDomain((4, 4))
     with pytest.raises(FieldPolyError):
-        MicroDomain(())
-    md = MicroDomain((9, 10), offset=4)
+        EvaluationDomain(())
+    md = EvaluationDomain((9, 10), offset=4)
     assert md.size == 2 and md.offset == 4
 
 

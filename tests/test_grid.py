@@ -120,8 +120,7 @@ def test_build_opened_group():
                             tuple(grid.cells[1][4:8]))
     with pytest.raises(GridError):
         build_opened_group(grid, range(0, 3), mds[0])
-    from pmpdas.field_poly import MicroDomain
-    foreign = MicroDomain((100, 101, 102, 103), offset=0)
+    foreign = EvaluationDomain((100, 101, 102, 103), offset=0)
     with pytest.raises(GridError):
         build_opened_group(grid, range(0, 2), foreign)
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from helpers import ORACLE_SECRET, g1_at, oracle_commit, rand_poly, shared_srs
-from pmpdas.field_poly import SCALAR_MODULUS, MicroDomain, Polynomial
+from pmpdas.field_poly import SCALAR_MODULUS, EvaluationDomain, Polynomial
 from pmpdas.kzg import (
     Commitment, KzgError, OpCounters, OpeningProof, commit, derive_rho, gen,
     open_single, verify_batch_independent, verify_single,
@@ -138,7 +138,7 @@ def test_derive_rho_binds_every_component():
 
 def test_cached_z_commitment_cost():
     srs = gen(D, 777)  # private SRS so the cache starts cold
-    md = MicroDomain((1, 2, 3), offset=0)
+    md = EvaluationDomain((1, 2, 3), offset=0)
     counters = OpCounters()
     first = srs.cached_z_commitment(md, counters=counters)
     assert counters.g2_scalar_mults == md.size + 1

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import ORACLE_SECRET, g1_at, rand_poly, rand_scalar, shared_srs
 from pmpdas.field_poly import (
-    SCALAR_MODULUS, MicroDomain, Polynomial, div_rem, vanishing_poly,
+    SCALAR_MODULUS, EvaluationDomain, Polynomial, div_rem, vanishing_poly,
 )
 from pmpdas.kzg import OpCounters, commit, gen, open_single, verify_single
 from pmpdas.multiproof import (
@@ -24,7 +24,7 @@ def _instance(rng, k, g, d=D):
     points = set()
     while len(points) < g:
         points.add(rand_scalar(rng))
-    md = MicroDomain(sorted(points), offset=0)
+    md = EvaluationDomain(sorted(points), offset=0)
     commitments = [commit(srs, p) for p in polys]
     values = [[p.evaluate(z) for z in md] for p in polys]
     group = OpenedGroup(commitments, values, md)
@@ -109,7 +109,7 @@ def test_transcript_binds_every_component():
         Transcript(srs.srs_id, tuple(reversed(transcript.commitments)), md,
                    transcript.coords, transcript.gcell_block),
         Transcript(srs.srs_id, transcript.commitments,
-                   MicroDomain([(z + 1) % SCALAR_MODULUS for z in md]),
+                   EvaluationDomain([(z + 1) % SCALAR_MODULUS for z in md]),
                    transcript.coords, transcript.gcell_block),
         Transcript(srs.srs_id, transcript.commitments, md,
                    transcript.coords[:-1] + ((9, 9),),
@@ -147,7 +147,7 @@ def test_operation_counters_match_cost_model():
     d = 12
     srs = gen(d, 424242)  # private SRS: vanishing commitment cache is cold
     polys = [rand_poly(rng, rng.randrange(d + 1)) for _ in range(k)]
-    md = MicroDomain(range(1, g + 1), offset=0)
+    md = EvaluationDomain(range(1, g + 1), offset=0)
     commitments = [commit(srs, p) for p in polys]
     values = [[p.evaluate(z) for z in md] for p in polys]
     group = OpenedGroup(commitments, values, md)
@@ -178,7 +178,7 @@ def test_shared_point_reduces_to_single_opening():
     for _ in range(10):
         p = rand_poly(rng, D)
         z = rand_scalar(rng)
-        md = MicroDomain((z,), offset=0)
+        md = EvaluationDomain((z,), offset=0)
         cm = commit(srs, p)
         value, single_proof = open_single(srs, p, z)
         tampered = rng.random() < 0.5

@@ -5,11 +5,12 @@ import random
 import pytest
 
 from helpers import shared_srs
-from pmpdas.field_poly import SCALAR_MODULUS
+from pmpdas.field_poly import SCALAR_MODULUS, scalar_to_bytes
 from pmpdas.grid import GridDims, build_grid
 from pmpdas.wire import (
-    BASELINE_CELL_BYTES, BaselineCell, CountMismatch, GCellBlock, MCell,
-    NonCanonicalScalarEncoding, TruncatedInput, WireError, decode_fixture,
+    BASELINE_CELL_BYTES, BaselineCell, CountMismatch, GCellBlock, GroupedCells,
+    MCell, NonCanonicalScalarEncoding, TruncatedInput, WireError,
+    decode_fixture,
     decode_grid, decode_srs, encode_fixture, encode_grid, encode_srs,
     storage_report,
 )
@@ -87,6 +88,54 @@ def test_mcell_rejects_malformed_bytes():
         MCell.from_bytes(bad)
     with pytest.raises(WireError):
         MCell(b"\x00" * 48, GCellBlock(0, 0, 0, 0), ())
+
+
+def _rand_grouped(rng, n_rows=2, n_cols=3):
+    r0, c0 = rng.randrange(100), rng.randrange(100)
+    block = GCellBlock(r0, r0 + n_rows, c0, c0 + n_cols)
+    cells = [BaselineCell(bytes(rng.randrange(256) for _ in range(48)),
+                          scalar_to_bytes(rng.randrange(SCALAR_MODULUS)))
+             for _ in range(n_rows * n_cols)]
+    return GroupedCells(block, cells)
+
+
+def _grouped_bytes(block, cells):
+    """The layout by hand: block, u32 count, then the cells."""
+    return block.to_bytes() + len(cells).to_bytes(4, "little") + \
+        b"".join(cell.to_bytes() for cell in cells)
+
+
+def test_grouped_cells_round_trip():
+    rng = random.Random(72)
+    for _ in range(20):
+        grouped = _rand_grouped(rng, rng.randrange(1, 4), rng.randrange(1, 6))
+        blob = grouped.to_bytes()
+        assert blob == _grouped_bytes(grouped.block, grouped.cells)
+        assert len(blob) == 16 + 4 + 80 * len(grouped.cells)
+        assert GroupedCells.from_bytes(blob) == grouped
+    with pytest.raises(TruncatedInput):
+        GroupedCells.from_bytes(blob[:19])
+    with pytest.raises(TruncatedInput):
+        GroupedCells.from_bytes(blob[:-1])
+    with pytest.raises(CountMismatch):
+        GroupedCells(grouped.block, grouped.cells[:-1])
+
+
+def test_grouped_cells_short_count_rejected():
+    grouped = _rand_grouped(random.Random(73))
+    # a consistent encoding of one cell fewer than the block region holds
+    with pytest.raises(CountMismatch):
+        GroupedCells.from_bytes(
+            _grouped_bytes(grouped.block, grouped.cells[:-1]))
+
+
+def test_grouped_cells_extra_cell_rejected():
+    grouped = _rand_grouped(random.Random(74))
+    extra = grouped.cells + grouped.cells[-1:]
+    with pytest.raises(CountMismatch):
+        GroupedCells.from_bytes(_grouped_bytes(grouped.block, extra))
+    with pytest.raises(WireError):
+        GroupedCells.from_bytes(grouped.to_bytes() + extra[-1].to_bytes())
 
 
 def test_storage_report_reference_numbers():
