@@ -187,17 +187,22 @@ def cmd_gen_fixture(args) -> int:
 
 
 def _prove_params(args) -> bytes:
+    for flag, value in (("--group", args.group),
+                        ("--rows-per-group", args.rows_per_group)):
+        if not 1 <= value < 1 << 32:
+            raise CliError(f"{flag} must be between 1 and 2^32 - 1")
     return args.group.to_bytes(4, "little") + \
         args.rows_per_group.to_bytes(4, "little")
 
 
 def cmd_prove(args) -> int:
+    params = _prove_params(args)
     by_tag = _fixture_sections(_load_fixture(args.fixture))
     srs, grid = _decode_context(by_tag)
     ctx = BlockContext(b"fixture", grid, srs, args.group, args.rows_per_group)
     sections = [("SRS1", _require_section(by_tag, "SRS1")),
                 ("GRID", _require_section(by_tag, "GRID")),
-                ("PRMS", _prove_params(args))]
+                ("PRMS", params)]
     try:
         objects = dasnet.build_objects(ctx, ConfigMode.PMP)
     except (grid_mod.GridError, ValueError) as exc:

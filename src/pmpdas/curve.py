@@ -242,6 +242,117 @@ def _g1_msm(points, scalars):
     return acc
 
 
+# ---------------------------------------------------------------------------
+# Fixed-base multi-scalar multiplication
+#
+# For bases that never change (the SRS powers, the generator) each point
+# gets a table of its affine multiples 1..2^(w-1) once. A scalar is then
+# written in signed w-bit digits, so a negative digit reads the same table
+# with y negated, and every addition is a mixed Jacobian + affine one
+# (Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992; Moeller, SAC
+# 2001). The doublings are shared by all terms, as in `_g1_msm`.
+
+_FB_WINDOW = 8
+_FB_HALF = 1 << (_FB_WINDOW - 1)
+_FB_MASK = (1 << _FB_WINDOW) - 1
+
+
+def _g1_add_affine(pt, q):
+    """pt + q for a Jacobian pt and an affine q = (x, y) (madd-2007-bl)."""
+    x1, y1, z1 = pt
+    x2, y2 = q
+    if z1 == 0:
+        return (x2, y2, 1)
+    z1z1 = z1 * z1 % P
+    h = (x2 * z1z1 - x1) % P
+    r = 2 * (y2 * z1 * z1z1 - y1) % P
+    if h == 0:
+        if r == 0:
+            return _g1_double((x2, y2, 1))
+        return _INF1
+    hh = h * h % P
+    i = 4 * hh
+    j = h * i % P
+    v = x1 * i % P
+    x3 = (r * r - j - 2 * v) % P
+    y3 = (r * (v - x3) - 2 * y1 * j) % P
+    z3 = 2 * z1 * h % P
+    return (x3, y3, z3)
+
+
+def _g1_batch_to_affine(points):
+    """Affine forms of non-identity Jacobian points, with one inversion."""
+    prefix = []
+    acc = 1
+    for _, _, z in points:
+        prefix.append(acc)
+        acc = acc * z % P
+    if acc == 0:
+        raise CurveError("cannot normalise the point at infinity")
+    inv = pow(acc, -1, P)
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, y, z = points[i]
+        zi = inv * prefix[i] % P
+        inv = inv * z % P
+        zi2 = zi * zi % P
+        out[i] = (x * zi2 % P, y * zi2 * zi % P)
+    return tuple(out)
+
+
+def _signed_digits(k):
+    """Digits d_i in [-2^(w-1), 2^(w-1)] with k = sum d_i * 2^(w*i), least
+    significant first."""
+    digits = []
+    while k:
+        d = k & _FB_MASK
+        k >>= _FB_WINDOW
+        if d > _FB_HALF:
+            d -= 1 << _FB_WINDOW
+            k += 1
+        digits.append(d)
+    return digits
+
+
+def g1_fixed_base_table(point) -> tuple:
+    """Affine multiples 1*point .. 2^(w-1)*point for `g1_fixed_base_msm`;
+    empty for the identity, whose terms the MSM skips."""
+    aff = _g1_to_affine(point.raw)
+    if aff is None:
+        return ()
+    multiples = [aff + (1,), _g1_double(aff + (1,))]
+    for _ in range(_FB_HALF - 2):
+        multiples.append(_g1_add_affine(multiples[-1], aff))
+    return _g1_batch_to_affine(multiples)
+
+
+def g1_fixed_base_msm(tables, scalars) -> "G1Point":
+    """Sum of scalar*point over the points whose `g1_fixed_base_table`s are
+    given; scalars are reduced mod r and zip stops at the shorter input."""
+    terms = []
+    for tbl, s in zip(tables, scalars):
+        s %= R
+        if s and tbl:
+            terms.append((tbl, _signed_digits(s)))
+    if not terms:
+        return G1Point(_INF1)
+    nwin = max(len(digits) for _, digits in terms)
+    for _, digits in terms:
+        digits.extend([0] * (nwin - len(digits)))
+    acc = _INF1
+    for i in range(nwin - 1, -1, -1):
+        for _ in range(_FB_WINDOW):
+            acc = _g1_double(acc)
+        for tbl, digits in terms:
+            d = digits[i]
+            if d > 0:
+                acc = _g1_add_affine(acc, tbl[d - 1])
+            elif d < 0:
+                x, y = tbl[-d - 1]
+                acc = _g1_add_affine(acc, (x, P - y))
+    return G1Point(acc)
+
+
 def _g2_msm(points, scalars):
     pairs = [(p, s % R) for p, s in zip(points, scalars)
              if s % R and not fp2_is_zero(p[2])]

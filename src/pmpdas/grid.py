@@ -174,6 +174,8 @@ def build_opened_group(grid: DataGrid, band: range,
 
 def iter_groups(grid: DataGrid, g: int, rows_per_group: int = 1):
     """Yield ((band_index, md_index), band, micro-domain) over the grid."""
+    if rows_per_group < 1:
+        raise GridError("rows-per-group must be positive")
     mds = partition_micro_domains(grid.row_domain, g)
     n_bands = (grid.dims.rows + rows_per_group - 1) // rows_per_group
     for b in range(n_bands):

@@ -8,11 +8,15 @@ scalar field. The SRS object itself never stores the secret.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 from dataclasses import dataclass
 
-from .curve import CurveError, G1Point, G2Point, g1_msm, g2_msm, pairing_check
+from .curve import (
+    CurveError, G1Point, G2Point, g1_fixed_base_msm, g1_fixed_base_table,
+    g1_msm, g2_msm, pairing_check,
+)
 from .field_poly import (
     SCALAR_MODULUS, Polynomial, scalar_to_bytes, vanishing_poly, div_rem,
 )
@@ -96,6 +100,33 @@ class SRS:
         self.srs_id = h.digest()
         self._z_cache = {}
         self._z_lock = threading.Lock()
+        self._g1_tables = ()
+        self._x_minus_z = {}
+
+    def g1_tables(self, n: int) -> tuple:
+        """Fixed-base tables of (at least) the first n G1 powers.
+
+        Tables are built on first use and only for the prefix of powers
+        some commitment has needed so far.
+        """
+        tables = self._g1_tables
+        if len(tables) < n:
+            with self._z_lock:
+                tables = self._g1_tables
+                if len(tables) < n:
+                    tables += tuple(g1_fixed_base_table(pt) for pt in
+                                    self.g1_powers[len(tables):n])
+                    self._g1_tables = tables
+        return tables
+
+    def x_minus_z(self, z: int) -> G2Point:
+        """[x - z]_2, memoized by z mod r."""
+        z %= SCALAR_MODULUS
+        hit = self._x_minus_z.get(z)
+        if hit is None:
+            hit = self._x_minus_z.setdefault(
+                z, self.g2_powers[1] - G2Point.generator() * z)
+        return hit
 
     def cached_z_commitment(self, micro_domain, counters: OpCounters | None = None) -> G2Point:
         """[Z_md(x)]_2, memoized by micro-domain digest.
@@ -159,7 +190,9 @@ def commit(srs: SRS, p: Polynomial, counters: OpCounters | None = None,
     coeffs = p.padded(n)
     if counters is not None:
         counters.g1_scalar_mults += n
-    return Commitment(g1_msm(srs.g1_powers[:n], coeffs))
+    # the zero padding up to `slots` adds nothing, so it needs no tables
+    return Commitment(g1_fixed_base_msm(srs.g1_tables(len(p.coeffs)),
+                                        coeffs))
 
 
 def open_single(srs: SRS, p: Polynomial, z: int,
@@ -178,15 +211,18 @@ def verify_single(srs: SRS, cm: Commitment, z: int, value: int,
     """Pairing check e(cm - [value]_1, g2) == e(proof, [x - z]_2)."""
     if not isinstance(cm.point, G1Point) or not isinstance(proof.witness, G1Point):
         raise CurveError("malformed group element")
-    g = G1Point.generator()
-    g2 = G2Point.generator()
-    lhs = cm.point - g * (value % SCALAR_MODULUS)
-    x_minus_z = srs.g2_powers[1] - g2 * (z % SCALAR_MODULUS)
+    lhs = cm.point - g1_fixed_base_msm(_generator_tables(), (value,))
     if counters is not None:
         counters.g1_scalar_mults += 1
         counters.g2_scalar_mults += 1
         counters.pairings += 2
-    return pairing_check([(lhs, g2), (-proof.witness, x_minus_z)])
+    return pairing_check([(lhs, G2Point.generator()),
+                          (-proof.witness, srs.x_minus_z(z))])
+
+
+@functools.cache
+def _generator_tables() -> tuple:
+    return (g1_fixed_base_table(G1Point.generator()),)
 
 
 def derive_rho(srs: SRS, openings) -> int:

@@ -4,8 +4,9 @@ primitives, kept as differential-test oracles.
 Each function is the plain textbook form of a primitive that `pmpdas`
 computes faster: the affine Miller loop with one inversion per step, the
 final exponentiation with generic Fp12 squarings, the G1 subgroup check as
-multiplication by r, and batched KZG verification with one scalar
-multiplication per term.
+multiplication by r, a G1 multi-scalar multiplication as a sum of ladders,
+and single and batched KZG verification with one scalar multiplication per
+term.
 """
 
 from pmpdas.curve import (
@@ -146,7 +147,27 @@ def g1_in_subgroup(pt: G1Point) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Batched KZG verification
+# G1 multi-scalar multiplication
+
+def g1_msm(points, scalars) -> G1Point:
+    """Sum of one double-and-add ladder per term."""
+    acc = G1Point.identity()
+    for pt, s in zip(points, scalars):
+        acc = acc + G1Point(_g1_mul_unreduced(pt.raw, s % R))
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# KZG verification
+
+def verify_single(srs, cm, z: int, value: int, proof) -> bool:
+    """e(cm - [value]_1, g2) == e(proof, [x]_2 - z*g2) with both scalar
+    multiplications done as ladders."""
+    g2 = G2Point.generator()
+    lhs = cm.point - G1Point.generator() * (value % SCALAR_MODULUS)
+    x_minus_z = srs.g2_powers[1] - g2 * (z % SCALAR_MODULUS)
+    return multi_pairing([(lhs, g2), (-proof.witness, x_minus_z)]) == FP12_ONE
+
 
 def verify_batch_independent(srs, openings, rho: int) -> bool:
     """rho-weighted sums of e(cm - [v]_1 + z*pi, g2) == e(pi, [x]_2),

@@ -187,3 +187,25 @@ def test_verify_missing_sections(tmp_path, capsys):
     path.write_bytes(encode_fixture([]))
     assert run_cli(["verify", "--fixture", str(path)]) == 2
     assert run_cli(["verify", "--fixture", str(tmp_path / "nope.bin")]) == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_prove_rejects_rows_per_group_below_one(tmp_path, capsys, value):
+    fx = str(tmp_path / "fx.bin")
+    assert run_cli(["gen-fixture", "--output", fx,
+                    "--rows", "2", "--cols", "4"]) == 0
+    assert run_cli(["prove", "--fixture", fx, "--output",
+                    str(tmp_path / "fxp.bin"), "--group", "4",
+                    "--rows-per-group", value]) == 2
+    assert "error: --rows-per-group" in capsys.readouterr().err
+
+
+def test_verify_rejects_zero_rows_per_group(tmp_path, capsys):
+    sections = decode_fixture(open(_proved_fixture(tmp_path), "rb").read())
+    sections = [(tag, (4).to_bytes(4, "little") + bytes(4))
+                if tag == "PRMS" else (tag, payload)
+                for tag, payload in sections]
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(encode_fixture(sections))
+    assert run_cli(["verify", "--fixture", str(bad)]) == 2
+    assert "error: rows-per-group" in capsys.readouterr().err

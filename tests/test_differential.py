@@ -1,17 +1,23 @@
 """The optimised verification primitives against the straightforward
 implementations in `oracles`."""
 
+import functools
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from helpers import rand_poly, shared_srs
 from pmpdas import fields as F
 from pmpdas.curve import (
-    G1Point, G2Point, _g1_add, _g1_mul_unreduced, multi_pairing,
+    G1Point, G2Point, _g1_add, _g1_mul_unreduced, g1_fixed_base_msm,
+    g1_fixed_base_table, g1_msm, multi_pairing,
 )
-from pmpdas.field_poly import SCALAR_MODULUS
+from pmpdas.field_poly import SCALAR_MODULUS, Polynomial
 from pmpdas.kzg import (
-    OpeningProof, commit, derive_rho, open_single, verify_batch_independent,
+    Commitment, OpCounters, OpeningProof, commit, derive_rho, open_single,
+    verify_batch_independent, verify_single,
 )
 
 # G1 cofactor: #E(Fp) = H1 * r
@@ -139,3 +145,126 @@ def test_batch_verifier_matches_oracle():
         expected = oracles.verify_batch_independent(srs, case, rho)
         assert verify_batch_independent(srs, case, rho) == expected, i
         assert expected == (i < 2), i
+
+
+# ---------------------------------------------------------------------------
+# Fixed-base MSM
+
+MSM_SRS_DEGREE = 31  # 32 powers, the publish SRS
+
+# Reduction edge cases, and scalars whose every window is all ones, which
+# recode to a negative digit and carry into the window above the top one.
+special_scalars = st.one_of(
+    st.sampled_from([0, 1, 2, F.R - 1, F.R, F.R + 1, 5 * F.R + 3, -1, -F.R,
+                     -(F.R + 2), 1 << 254]),
+    st.integers(1, 256).map(lambda bits: (1 << bits) - 1),
+    st.integers(1, 256).map(lambda bits: F.R - (1 << bits) + 1),
+)
+scalars = st.one_of(special_scalars, st.integers(-2 * F.R, 3 * F.R))
+
+
+def _assert_msm_matches(points, tables, ks):
+    got = g1_fixed_base_msm(tables, ks)
+    assert got == g1_msm(points, ks)
+    assert got == oracles.g1_msm(points, ks)
+    assert got.to_bytes() == oracles.g1_msm(points, ks).to_bytes()
+
+
+@given(st.lists(scalars, min_size=1, max_size=MSM_SRS_DEGREE + 1))
+@settings(max_examples=25, deadline=None)
+def test_fixed_base_msm_over_srs_prefixes(ks):
+    srs = shared_srs(MSM_SRS_DEGREE)
+    n = len(ks)
+    _assert_msm_matches(srs.g1_powers[:n], srs.g1_tables(n), ks)
+
+
+@functools.cache
+def _base_pool():
+    """(point, table) for two SRS powers, the negated generator and the
+    identity, so draws repeat bases and cancel terms."""
+    g = G1Point.generator()
+    return tuple((pt, g1_fixed_base_table(pt)) for pt in
+                 (g, shared_srs(MSM_SRS_DEGREE).g1_powers[1], -g,
+                  G1Point.identity()))
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), scalars),
+                min_size=1, max_size=8))
+@settings(max_examples=25, deadline=None)
+def test_fixed_base_msm_with_repeated_and_identity_bases(terms):
+    pool = _base_pool()
+    points = [pool[i][0] for i, _ in terms]
+    tables = [pool[i][1] for i, _ in terms]
+    _assert_msm_matches(points, tables, [k for _, k in terms])
+
+
+def test_fixed_base_msm_edge_cases():
+    g = G1Point.generator()
+    (_, tg), _, (_, tneg), (_, tinf) = _base_pool()
+    assert tinf == ()
+    five = g1_fixed_base_table(g * 5)
+    cases = [
+        ([], [], []),
+        ([g], [tg], [0]),
+        ([g], [tg], [F.R]),
+        ([G1Point.identity()], [tinf], [7]),
+        ([g, g], [tg, tg], [1, 1]),  # the mixed add meets P + P
+        ([g, -g], [tg, tneg], [1, 1]),  # and P + (-P)
+        ([g * 5, g * 5], [five, five], [1, 1]),
+        ([g, g], [tg, tg], [3, F.R - 3]),
+        ([g], [tg], [(1 << 8) - 1]),
+    ]
+    for points, tables, ks in cases:
+        _assert_msm_matches(points, tables, ks)
+    assert g1_fixed_base_msm([tg, tg], [1, 1]) == g * 2
+    assert g1_fixed_base_msm([tg, tneg], [1, 1]).is_identity()
+
+
+polys_and_slots = st.integers(0, MSM_SRS_DEGREE + 1).flatmap(
+    lambda n: st.tuples(st.lists(st.integers(0, F.R - 1), min_size=n,
+                                 max_size=n),
+                        st.integers(n, MSM_SRS_DEGREE + 1)))
+
+
+@given(polys_and_slots)
+@settings(max_examples=20, deadline=None)
+def test_commit_matches_variable_base_msm(poly_and_slots):
+    coeffs, slots = poly_and_slots
+    srs = shared_srs(MSM_SRS_DEGREE)
+    p = Polynomial(coeffs)
+    counters = OpCounters()
+    cm = commit(srs, p, counters=counters, slots=slots)
+    expected = g1_msm(srs.g1_powers[:slots], p.padded(slots))
+    assert cm.point == expected
+    assert cm.to_bytes() == expected.to_bytes()
+    assert counters.g1_scalar_mults == slots
+
+
+# ---------------------------------------------------------------------------
+# Single KZG verification
+
+def test_verify_single_matches_oracle():
+    rng = random.Random(106)
+    srs = shared_srs(7)
+    zs = [rng.randrange(SCALAR_MODULUS) for _ in range(3)]
+    for trial in range(8):
+        p = rand_poly(rng, 7)
+        z = zs[trial % 3]  # repeated points are served from the memo
+        value, proof = open_single(srs, p, z)
+        cm = commit(srs, p)
+        cases = [(cm, z, value, proof),
+                 (cm, z, (value + rng.randrange(1, SCALAR_MODULUS))
+                  % SCALAR_MODULUS, proof),
+                 (cm, z, value - SCALAR_MODULUS, proof)]
+        if trial == 0:
+            cases += [(cm, (z + 1) % SCALAR_MODULUS, value, proof),
+                      (Commitment(G1Point.identity()), z, 0,
+                       OpeningProof(G1Point.identity()))]
+        for case in cases:
+            counters = OpCounters()
+            verdict = verify_single(srs, *case, counters=counters)
+            assert verdict == oracles.verify_single(srs, *case), trial
+            assert counters.as_dict() == {"g1_mults": 1, "g2_mults": 1,
+                                          "pairings": 2, "interpolations": 0}
+        assert [verify_single(srs, *c) for c in cases[:3]] == \
+            [True, False, True]

@@ -138,6 +138,13 @@ def test_iter_groups_covers_grid_once():
     assert len(covered) == grid.dims.extended_cells
 
 
+@pytest.mark.parametrize("rows_per_group", [0, -1])
+def test_iter_groups_rejects_rows_per_group_below_one(rows_per_group):
+    _, grid = _grid()
+    with pytest.raises(GridError):
+        list(iter_groups(grid, 4, rows_per_group))
+
+
 def test_cell_lookup_bounds():
     _, grid = _grid()
     assert grid.cell(Coordinate(1, 7)) == grid.cells[1][7]

@@ -1,15 +1,20 @@
 """Commitment scheme: setup, openings, batching, and cost accounting."""
 
 import random
+import sys
+import threading
 
 import pytest
 
 from helpers import ORACLE_SECRET, g1_at, oracle_commit, rand_poly, shared_srs
+from pmpdas import kzg
+from pmpdas.curve import g1_msm
 from pmpdas.field_poly import SCALAR_MODULUS, EvaluationDomain, Polynomial
 from pmpdas.kzg import (
     Commitment, KzgError, OpCounters, OpeningProof, commit, derive_rho, gen,
     open_single, verify_batch_independent, verify_single,
 )
+from pmpdas.wire import decode_srs, encode_srs
 
 D = 8
 
@@ -146,6 +151,73 @@ def test_cached_z_commitment_cost():
     again = srs.cached_z_commitment(md, counters=counters)
     assert counters.g2_scalar_mults == 0
     assert first == again
+
+
+def test_fixed_base_tables_cover_only_the_prefix_used(monkeypatch):
+    built = []
+    real = kzg.g1_fixed_base_table
+
+    def counting(pt):
+        built.append(pt)
+        return real(pt)
+
+    monkeypatch.setattr(kzg, "g1_fixed_base_table", counting)
+    srs = gen(D, 778)  # private SRS so no table exists yet
+    assert srs.g1_tables(0) == ()
+    p = rand_poly(random.Random(37), 2)
+    first = commit(srs, p)
+    assert built == list(srs.g1_powers[:3])
+    assert len(srs.g1_tables(0)) == 3
+    assert commit(srs, p) == first
+    commit(srs, Polynomial((4, 5)), slots=D + 1)  # zero padding needs none
+    open_single(srs, p, 11)
+    assert len(built) == 3
+    commit(srs, rand_poly(random.Random(38), 5))
+    assert built == list(srs.g1_powers[:6])
+
+
+def test_concurrent_commits_build_each_table_once(monkeypatch):
+    built = []
+    real = kzg.g1_fixed_base_table
+
+    def counting(pt):
+        built.append(pt.to_bytes())
+        return real(pt)
+
+    monkeypatch.setattr(kzg, "g1_fixed_base_table", counting)
+    rng = random.Random(40)
+    srs = gen(D, 780)
+    polys = [rand_poly(rng, degree) for degree in (1, 3, 5, D)] * 2
+    expected = [g1_msm(srs.g1_powers, p.coeffs) for p in polys]
+    got = [None] * len(polys)
+
+    def work(i):
+        got[i] = commit(srs, polys[i]).point
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(len(polys))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
+    assert sorted(built) == sorted(pt.to_bytes() for pt in srs.g1_powers)
+
+
+def test_decoded_srs_commits_identically():
+    rng = random.Random(39)
+    srs = gen(D, 779)
+    back = decode_srs(encode_srs(srs))
+    for degree in (0, 3, D):
+        p = rand_poly(rng, degree)
+        assert commit(back, p).to_bytes() == commit(srs, p).to_bytes()
+    assert back.g1_tables(0) == srs.g1_tables(0)
 
 
 def test_commitment_and_proof_serialization():
