@@ -34,9 +34,9 @@ from .wire import (
 from .dasnet import (
     BlockContext, ConfigMode, DasNetError, ExperimentConfig,
     ExperimentSession, RetrievalOutcome, SamplingPlan, SimDht, Status,
-    build_objects, effective_samples, make_sampling_plan, object_location,
-    publish, required_samples, run_experiment, sample_and_verify,
-    verify_object,
+    build_objects, effective_samples, make_sampling_plan, object_key,
+    object_location, object_regions, publish, required_samples,
+    run_experiment, sample_and_verify, verify_object,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ import sys
 
 from . import dasnet, grid as grid_mod
 from .dasnet import (
-    BlockContext, ConfigMode, ExperimentConfig, ExperimentSession, group_block,
+    BlockContext, ConfigMode, ExperimentConfig, ExperimentSession,
 )
 from .kzg import gen
 from .wire import (
@@ -207,10 +207,7 @@ def cmd_prove(args) -> int:
         objects = dasnet.build_objects(ctx, ConfigMode.PMP)
     except (grid_mod.GridError, ValueError) as exc:
         raise CliError(str(exc))
-    for (b, m), band, md in grid_mod.iter_groups(grid, args.group,
-                                                 args.rows_per_group):
-        key = dasnet.group_key(ctx.block_id, b, m)
-        sections.append(("MCEL", objects[key]))
+    sections.extend(("MCEL", obj) for obj in objects.values())
     try:
         with open(args.output, "wb") as fh:
             fh.write(encode_fixture(sections))
@@ -230,18 +227,18 @@ def cmd_verify(args) -> int:
     mcells = by_tag.get("MCEL", [])
     ctx = BlockContext(b"fixture", grid, srs, group_size, rows_per_group)
     try:
-        groups = list(grid_mod.iter_groups(grid, group_size, rows_per_group))
+        regions = dasnet.object_regions(ctx, ConfigMode.PMP)
     except grid_mod.GridError as exc:
         raise CliError(str(exc))
-    if len(mcells) != len(groups):
+    if len(mcells) != len(regions):
         raise CliError(
             f"fixture holds {len(mcells)} proof objects for "
-            f"{len(groups)} groups")
-    for payload, ((b, m), band, md) in zip(mcells, groups):
-        group_id = f"band {b}, group {m}"
+            f"{len(regions)} groups")
+    for payload, region in zip(mcells, regions):
+        group_id = (f"band {region.rows_start // rows_per_group}, "
+                    f"group {region.cols_start // group_size}")
         try:
-            ok = dasnet.verify_object(ctx, ConfigMode.PMP,
-                                      group_block(ctx, band, md), payload)
+            ok = dasnet.verify_object(ctx, ConfigMode.PMP, region, payload)
         except dasnet.DECODE_ERRORS as exc:
             print(f"verification failed at {group_id}: {exc}",
                   file=sys.stderr)
@@ -249,7 +246,7 @@ def cmd_verify(args) -> int:
         if not ok:
             print(f"verification failed at {group_id}", file=sys.stderr)
             return EXIT_VERIFY_FAILED
-    print(f"verified {len(groups)} groups")
+    print(f"verified {len(regions)} groups")
     return EXIT_OK
 
 

@@ -29,7 +29,7 @@ from .multiproof import (
     verify_shared,
 )
 from .grid import (
-    Coordinate, DataGrid, band_rows, coordinate_to_group, iter_groups,
+    Coordinate, DataGrid, coordinate_to_group, iter_groups,
     partition_micro_domains,
 )
 from .wire import (
@@ -182,27 +182,54 @@ def cell_key(block_id: bytes, row: int, col: int) -> bytes:
         + col.to_bytes(4, "big")).digest()
 
 
-def group_key(block_id: bytes, band: int, group_index: int) -> bytes:
+def _object_shape(ctx: BlockContext, mode: ConfigMode):
+    """(columns, rows) of one object: a cell, or a g x k group."""
+    if mode in GROUPED_MODES:
+        return ctx.group_size, ctx.rows_per_group
+    return 1, 1
+
+
+def object_regions(ctx: BlockContext, mode: ConfigMode) -> list:
+    """Regions of the arm's stored objects in publication (row-major) order."""
+    g, k = _object_shape(ctx, mode)
+    return [GCellBlock(band.start, band.stop, md.offset, md.offset + md.size)
+            for _, band, md in iter_groups(ctx.grid, g, k)]
+
+
+def object_location(ctx: BlockContext, mode: ConfigMode,
+                    coord: Coordinate) -> GCellBlock:
+    """Region of the object that covers `coord`: the cell itself for the
+    per-cell arms, its whole group for the grouped ones."""
+    g, k = _object_shape(ctx, mode)
+    b, m = coordinate_to_group(coord, g, k, dims=ctx.grid.dims)
+    ctx.grid.check_bounds(Coordinate(coord.row, (m + 1) * g - 1))
+    return GCellBlock(b * k, min(b * k + k, ctx.grid.dims.rows),
+                      m * g, (m + 1) * g)
+
+
+def object_key(ctx: BlockContext, mode: ConfigMode,
+               coord: Coordinate) -> bytes:
+    """DHT key of the object that covers `coord` (not bounds-checked)."""
+    if mode not in GROUPED_MODES:
+        return cell_key(ctx.block_id, coord.row, coord.col)
+    g, k = _object_shape(ctx, mode)
     return hashlib.sha256(
-        block_id + b"|group|" + band.to_bytes(4, "big")
-        + group_index.to_bytes(4, "big")).digest()
+        ctx.block_id + b"|group|" + (coord.row // k).to_bytes(4, "big")
+        + (coord.col // g).to_bytes(4, "big")).digest()
 
 
-def group_block(ctx: BlockContext, band: range, md) -> GCellBlock:
-    return GCellBlock(band.start, band.stop,
-                      md.offset, md.offset + md.size)
-
-
-def group_transcript(ctx: BlockContext, band: range, md) -> Transcript:
-    block = group_block(ctx, band, md)
-    coords = tuple((r, c) for r in band
-                   for c in range(md.offset, md.offset + md.size))
+def group_transcript(ctx: BlockContext, region: GCellBlock) -> Transcript:
+    """Transcript of a grouped object, with its commitments and domain."""
+    band = range(region.rows_start, region.rows_end)
     return Transcript(
         srs_id=ctx.srs.srs_id,
         commitments=tuple(ctx.commitments[r] for r in band),
-        micro_domain=md,
-        coords=coords,
-        gcell_block=block,
+        micro_domain=EvaluationDomain(
+            ctx.grid.row_domain.points[region.cols_start:region.cols_end],
+            offset=region.cols_start),
+        coords=tuple((r, c) for r in band
+                     for c in range(region.cols_start, region.cols_end)),
+        gcell_block=region,
     )
 
 
@@ -218,41 +245,32 @@ class PublishResult:
 def build_objects(ctx: BlockContext, mode: ConfigMode) -> dict:
     """The key->bytes object set one fat client would publish."""
     grid = ctx.grid
-    dims = grid.dims
     objects = {}
-    if mode in (ConfigMode.VANILLA, ConfigMode.BATCHED_SINGLE):
-        for r in range(dims.rows):
-            poly = grid.row_polys[r]
-            for c in range(dims.extended_cols):
-                z = grid.row_domain.points[c]
-                value, proof = open_single(ctx.srs, poly, z)
-                assert value == grid.cells[r][c]
-                cell = BaselineCell(proof.to_bytes(), scalar_to_bytes(value))
-                objects[cell_key(ctx.block_id, r, c)] = cell.to_bytes()
-        return objects
-    for (b, m), band, md in iter_groups(grid, ctx.group_size,
-                                        ctx.rows_per_group):
-        block = group_block(ctx, band, md)
-        key = group_key(ctx.block_id, b, m)
-        if mode is ConfigMode.GROUPED_ONLY:
-            cells = []
-            for r in band:
-                poly = grid.row_polys[r]
-                for c in range(md.offset, md.offset + md.size):
-                    z = grid.row_domain.points[c]
-                    value, proof = open_single(ctx.srs, poly, z)
-                    cells.append(BaselineCell(proof.to_bytes(),
-                                              scalar_to_bytes(value)))
-            objects[key] = GroupedCells(block, cells).to_bytes()
-        else:
-            transcript = group_transcript(ctx, band, md)
-            gamma = derive_gamma(transcript)
+    for region in object_regions(ctx, mode):
+        key = object_key(ctx, mode,
+                         Coordinate(region.rows_start, region.cols_start))
+        band = range(region.rows_start, region.rows_end)
+        cols = range(region.cols_start, region.cols_end)
+        if mode is ConfigMode.PMP:
+            transcript = group_transcript(ctx, region)
             proof = open_shared(ctx.srs, [grid.row_polys[r] for r in band],
-                                md, gamma)
-            scalars = tuple(grid.cells[r][c] for r in band
-                            for c in range(md.offset, md.offset + md.size))
-            mcell = MCell(proof.to_bytes(), block, scalars)
-            objects[key] = mcell.to_bytes()
+                                transcript.micro_domain,
+                                derive_gamma(transcript))
+            scalars = tuple(grid.cells[r][c] for r in band for c in cols)
+            objects[key] = MCell(proof.to_bytes(), region, scalars).to_bytes()
+            continue
+        cells = []
+        for r in band:
+            for c in cols:
+                value, proof = open_single(ctx.srs, grid.row_polys[r],
+                                           grid.row_domain.points[c])
+                assert value == grid.cells[r][c]
+                cells.append(BaselineCell(proof.to_bytes(),
+                                          scalar_to_bytes(value)))
+        if mode is ConfigMode.GROUPED_ONLY:
+            objects[key] = GroupedCells(region, cells).to_bytes()
+        else:
+            objects[key] = cells[0].to_bytes()
     return objects
 
 
@@ -261,16 +279,16 @@ def publish(ctx: BlockContext, mode: ConfigMode, dht: SimDht,
     """Republish the block's retrieval objects into the DHT."""
     if objects is None:
         objects = build_objects(ctx, mode)
-    proof_per_object = PROOF_BYTES
+    proofs = len(objects)
     if mode is ConfigMode.GROUPED_ONLY:
-        proof_per_object = PROOF_BYTES * ctx.group_size * ctx.rows_per_group
+        proofs = sum(map(GroupedCells.encoded_count, objects.values()))
     replicas = {}
     for key in sorted(objects):
         replicas[key] = dht.put(key, objects[key])
     return PublishResult(
         objects=objects,
         object_count=len(objects),
-        proof_bytes=proof_per_object * len(objects),
+        proof_bytes=PROOF_BYTES * proofs,
         object_bytes=sum(len(v) for v in objects.values()),
         replicas_placed=replicas,
     )
@@ -366,18 +384,6 @@ class VerificationCache:
         return hit
 
 
-def object_location(ctx: BlockContext, mode: ConfigMode,
-                    coord: Coordinate) -> GCellBlock:
-    """Region of the object that covers `coord`: the cell itself for the
-    per-cell arms, its whole group for the grouped ones."""
-    g, k = (ctx.group_size, ctx.rows_per_group) if mode in GROUPED_MODES \
-        else (1, 1)
-    b, m = coordinate_to_group(coord, g, k, dims=ctx.grid.dims)
-    band = band_rows(ctx.grid, b, k)
-    ctx.grid.check_bounds(Coordinate(band.stop - 1, (m + 1) * g - 1))
-    return GCellBlock(band.start, band.stop, m * g, (m + 1) * g)
-
-
 def verify_object(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
                   obj: bytes, counters: OpCounters | None = None) -> bool:
     """Full cryptographic verification of the object stored for
@@ -392,19 +398,18 @@ def verify_object(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
     if location != object_location(ctx, mode, corner):
         raise DasNetError(f"{location} is not a {mode.value} object region")
     band = range(location.rows_start, location.rows_end)
-    md = EvaluationDomain(
-        ctx.grid.row_domain.points[location.cols_start:location.cols_end],
-        offset=location.cols_start)
     if mode is ConfigMode.PMP:
         mcell = MCell.from_bytes(obj)
         if mcell.block != location:
             return False
-        g = md.size
+        g = location.n_cols
         values = [mcell.scalars[i * g:(i + 1) * g] for i in range(len(band))]
-        group = OpenedGroup([ctx.commitments[r] for r in band], values, md)
-        gamma = derive_gamma(group_transcript(ctx, band, md))
+        transcript = group_transcript(ctx, location)
+        group = OpenedGroup(transcript.commitments, values,
+                            transcript.micro_domain)
         proof = AggregatedProof.from_bytes(mcell.proof)
-        return verify_shared(ctx.srs, group, proof, gamma, counters=counters)
+        return verify_shared(ctx.srs, group, proof, derive_gamma(transcript),
+                             counters=counters)
     if mode is ConfigMode.GROUPED_ONLY:
         grouped = GroupedCells.from_bytes(obj)
         if grouped.block != location:
@@ -412,7 +417,8 @@ def verify_object(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
         cells = grouped.cells
     else:
         cells = [BaselineCell.from_bytes(obj)]
-    points = ((r, z) for r in band for z in md)
+    zs = ctx.grid.row_domain.points[location.cols_start:location.cols_end]
+    points = ((r, z) for r in band for z in zs)
     openings = [(ctx.commitments[r], z, scalar_from_bytes(cell.data),
                  OpeningProof.from_bytes(cell.proof))
                 for (r, z), cell in zip(points, cells, strict=True)]
@@ -443,13 +449,11 @@ def sample_and_verify(plan: SamplingPlan, mode: ConfigMode, dht: SimDht,
     retries = 0
     groups_touched = set()
     counters = OpCounters()
-    g_effective = ctx.group_size if mode in GROUPED_MODES else 1
+    g_effective, _ = _object_shape(ctx, mode)
     for coord in plan.coordinates:
-        group = coordinate_to_group(coord, ctx.group_size, ctx.rows_per_group,
-                                    dims=ctx.grid.dims)
-        groups_touched.add(group)
-        key = group_key(ctx.block_id, *group) if mode in GROUPED_MODES \
-            else cell_key(ctx.block_id, coord.row, coord.col)
+        groups_touched.add(coordinate_to_group(
+            coord, ctx.group_size, ctx.rows_per_group, dims=ctx.grid.dims))
+        key = object_key(ctx, mode, coord)
         obj, attempts = dht.get_with_retries(key, retry_budget)
         retries += attempts - 1
         if obj is None:
@@ -528,6 +532,8 @@ class ExperimentConfig:
                                   for v in value.split(","))
             else:
                 raise DasNetError(f"unknown config key {key!r}")
+        if cfg.retry_budget < 0:
+            raise DasNetError("retry_budget must be non-negative")
         return cfg
 
 
@@ -536,8 +542,10 @@ def _parse_seeds(value: str) -> tuple:
     for part in value.split(","):
         part = part.strip()
         if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in part.split("-", 1))
+            if hi < lo:
+                raise DasNetError(f"empty seed range {part!r}")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(part))
     return tuple(out)
@@ -589,11 +597,6 @@ class ExperimentSession:
         outcome = sample_and_verify(plan, mode, dht, self.ctx,
                                     retry_budget=cfg.retry_budget,
                                     cache=self.cache)
-        report_g = cfg.group_size * cfg.rows_per_group
-        entries = self.ctx.grid.dims.extended_cells
-        amortized = entries * 80 if mode in (
-            ConfigMode.VANILLA, ConfigMode.BATCHED_SINGLE) else \
-            (entries // report_g) * (32 * report_g + 48)
         return {
             "mode": mode.value,
             "seed": seed,
@@ -602,7 +605,6 @@ class ExperimentSession:
             "objects_stored": result.object_count,
             "proof_bytes": result.proof_bytes,
             "object_bytes": result.object_bytes,
-            "amortized_object_bytes": amortized,
             "hit_rate": outcome.hit_rate,
             "verified": outcome.count(Status.VERIFIED),
             "verify_failures": outcome.count(Status.VERIFY_FAILED),

@@ -23,7 +23,6 @@ FP2_ZERO = (0, 0)
 FP2_ONE = (1, 0)
 FP6_ZERO = (FP2_ZERO, FP2_ZERO, FP2_ZERO)
 FP6_ONE = (FP2_ONE, FP2_ZERO, FP2_ZERO)
-FP12_ZERO = (FP6_ZERO, FP6_ZERO)
 FP12_ONE = (FP6_ONE, FP6_ZERO)
 
 
@@ -153,10 +152,6 @@ def fp6_sqr(a):
 
 def fp6_mul_by_v(a):
     return (fp2_mul_by_xi(a[2]), a[0], a[1])
-
-
-def fp6_scalar_fp2(a, s):
-    return (fp2_mul(a[0], s), fp2_mul(a[1], s), fp2_mul(a[2], s))
 
 
 def fp6_inv(a):

@@ -114,19 +114,20 @@ def build_grid(data: bytes, dims: GridDims, srs: SRS,
     if dims.cols - 1 > srs.degree_bound:
         raise GridError("row polynomial degree exceeds the SRS bound")
     scalars = bytes_to_scalars(data, dims.rows * dims.cols)
-    base_points = EvaluationDomain(row_domain.points[: dims.cols])
-    cells = []
-    polys = []
-    commitments = []
-    for r in range(dims.rows):
-        row_data = scalars[r * dims.cols:(r + 1) * dims.cols]
-        poly = interpolate(base_points, row_data)
-        extended = evaluate_on_domain(poly, row_domain)
-        assert extended[: dims.cols] == row_data
-        cells.append(extended)
-        polys.append(poly)
-        commitments.append(commit(srs, poly))
+    polys, cells = extend_rows(
+        row_domain, dims.cols,
+        [scalars[r * dims.cols:(r + 1) * dims.cols] for r in range(dims.rows)])
+    commitments = [commit(srs, poly) for poly in polys]
     return DataGrid(dims, cells, row_domain, polys, commitments)
+
+
+def extend_rows(row_domain: EvaluationDomain, cols: int, rows):
+    """Systematic Reed-Solomon extension: interpolate the first `cols`
+    values of each row over the first `cols` domain points, then evaluate
+    over the whole row domain. Returns (row polynomials, extended rows)."""
+    base_points = EvaluationDomain(row_domain.points[:cols])
+    polys = [interpolate(base_points, row[:cols]) for row in rows]
+    return polys, [evaluate_on_domain(poly, row_domain) for poly in polys]
 
 
 def partition_micro_domains(row_domain: EvaluationDomain, g: int):
@@ -150,14 +151,6 @@ def coordinate_to_group(coord: Coordinate, g: int, rows_per_group: int = 1,
     return (coord.row // rows_per_group, coord.col // g)
 
 
-def band_rows(grid: DataGrid, band_index: int, rows_per_group: int) -> range:
-    start = band_index * rows_per_group
-    stop = min(start + rows_per_group, grid.dims.rows)
-    if start >= grid.dims.rows:
-        raise GridError("row band outside the grid")
-    return range(start, stop)
-
-
 def build_opened_group(grid: DataGrid, band: range,
                        md: EvaluationDomain) -> OpenedGroup:
     """Full evaluation vectors of every band row on one micro-domain."""
@@ -177,8 +170,8 @@ def iter_groups(grid: DataGrid, g: int, rows_per_group: int = 1):
     if rows_per_group < 1:
         raise GridError("rows-per-group must be positive")
     mds = partition_micro_domains(grid.row_domain, g)
-    n_bands = (grid.dims.rows + rows_per_group - 1) // rows_per_group
-    for b in range(n_bands):
-        band = band_rows(grid, b, rows_per_group)
+    rows = grid.dims.rows
+    for b, start in enumerate(range(0, rows, rows_per_group)):
+        band = range(start, min(start + rows_per_group, rows))
         for m, md in enumerate(mds):
             yield (b, m), band, md

@@ -200,12 +200,18 @@ class GroupedCells:
             + b"".join(cell.to_bytes() for cell in self.cells)
 
     @staticmethod
+    def encoded_count(data: bytes) -> int:
+        """The cell count an encoding declares, read without decoding."""
+        return int.from_bytes(
+            data[GCELL_BLOCK_BYTES:GCELL_BLOCK_BYTES + 4], "little")
+
+    @staticmethod
     def from_bytes(data: bytes) -> "GroupedCells":
         header = GCELL_BLOCK_BYTES + 4
         if len(data) < header:
             raise TruncatedInput("grouped cells header truncated")
         block = GCellBlock.from_bytes(data[:GCELL_BLOCK_BYTES])
-        count = int.from_bytes(data[GCELL_BLOCK_BYTES:header], "little")
+        count = GroupedCells.encoded_count(data)
         if count != block.n_rows * block.n_cols:
             raise CountMismatch("count does not match the block region")
         expected_len = header + BASELINE_CELL_BYTES * count
@@ -365,8 +371,8 @@ def encode_grid(grid) -> bytes:
 
 
 def decode_grid(data: bytes, srs):
-    from .field_poly import EvaluationDomain, interpolate
-    from .grid import DataGrid, GridDims
+    from .field_poly import EvaluationDomain
+    from .grid import DataGrid, GridDims, extend_rows
     from .kzg import Commitment
     from .curve import G1Point
     if len(data) < 12:
@@ -396,6 +402,8 @@ def decode_grid(data: bytes, srs):
     for _ in range(rows):
         commitments.append(Commitment(G1Point.from_bytes(data[pos:pos + 48])))
         pos += 48
-    base = EvaluationDomain(domain_pts[:cols])
-    polys = [interpolate(base, row[:cols]) for row in cells]
+    polys, extended = extend_rows(row_domain, cols, cells)
+    if extended != cells:
+        raise WireError("grid rows are not Reed-Solomon codewords of their "
+                        "first columns")
     return DataGrid(dims, cells, row_domain, polys, commitments)

@@ -90,9 +90,10 @@ def test_ablation_json_and_seed_override(tmp_path, monkeypatch):
 
 def test_ablation_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("rows=two\n")
-    assert run_cli(["ablation", "--config", str(bad)]) == 2
-    assert "bad config" in capsys.readouterr().err
+    for text in ("rows=two\n", "seeds=5-3\n", "retry_budget=-1\n"):
+        bad.write_text(text)
+        assert run_cli(["ablation", "--config", str(bad)]) == 2, text
+        assert "bad config" in capsys.readouterr().err
 
 
 def test_fixture_prove_verify_round_trip(tmp_path, capsys):
@@ -187,6 +188,27 @@ def test_verify_missing_sections(tmp_path, capsys):
     path.write_bytes(encode_fixture([]))
     assert run_cli(["verify", "--fixture", str(path)]) == 2
     assert run_cli(["verify", "--fixture", str(tmp_path / "nope.bin")]) == 2
+
+
+@pytest.mark.parametrize("command", ["prove", "verify"])
+def test_grid_that_is_not_a_codeword_is_malformed(tmp_path, capsys, command):
+    sections = decode_fixture(open(_proved_fixture(tmp_path), "rb").read())
+    damaged = []
+    for tag, payload in sections:
+        if tag == "GRID":
+            # row 0, column 4: the first extended cell of the 2x4 grid,
+            # after the 12-byte dimensions and the 8 domain points
+            pos = 12 + 8 * 32 + 4 * 32
+            payload = payload[:pos] + bytes([payload[pos] ^ 0x01]) \
+                + payload[pos + 1:]
+        damaged.append((tag, payload))
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(encode_fixture(damaged))
+    args = [command, "--fixture", str(bad)]
+    if command == "prove":
+        args += ["--output", str(tmp_path / "out.bin")]
+    assert run_cli(args) == 2
+    assert "malformed fixture" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

@@ -12,9 +12,9 @@ from pmpdas import dasnet
 from pmpdas.curve import CurveError
 from pmpdas.dasnet import (
     BlockContext, ConfigMode, DasNetError, ExperimentConfig,
-    ExperimentSession, SimDht, Status, build_objects, cell_key,
-    effective_samples, group_key, make_sampling_plan, object_location,
-    publish, required_samples, sample_and_verify, verify_object,
+    ExperimentSession, SimDht, Status, build_objects, effective_samples,
+    make_sampling_plan, object_key, object_location, object_regions, publish,
+    required_samples, sample_and_verify, verify_object,
 )
 from pmpdas.grid import Coordinate, GridDims, GridError, build_grid
 from pmpdas.kzg import KzgError
@@ -22,15 +22,23 @@ from pmpdas.multiproof import MultiproofError
 from pmpdas.wire import GCellBlock, WireError
 
 
-def _context(seed=80):
+def _context(rows=2, group_size=4, rows_per_group=1, seed=80):
     rng = random.Random(seed)
-    dims = GridDims(2, 4, 2)
+    dims = GridDims(rows, 4, 2)
     data = bytes(rng.randrange(256) for _ in range(dims.data_capacity_bytes))
     grid = build_grid(data, dims, shared_srs(7))
-    return BlockContext(b"test-block", grid, shared_srs(7), group_size=4)
+    return BlockContext(b"test-block", grid, shared_srs(7), group_size,
+                        rows_per_group)
 
 
 CTX = _context()
+# Object geometries: the default, a last row band shorter than the others
+# (3 rows in bands of 2), and groups of 2 columns by 2 rows.
+GEOMETRIES = {
+    "default": CTX,
+    "short_band": _context(rows=3, rows_per_group=2),
+    "k2_g2": _context(rows=4, group_size=2, rows_per_group=2),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +266,14 @@ def test_internal_error_raises_instead_of_failing_verification(
 
 
 @functools.lru_cache(maxsize=None)
-def _honest_object(mode):
-    """Location and published bytes of the object covering cell (0, 0)."""
-    key = group_key(CTX.block_id, 0, 0) if mode in dasnet.GROUPED_MODES \
-        else cell_key(CTX.block_id, 0, 0)
-    return (object_location(CTX, mode, Coordinate(0, 0)),
-            build_objects(CTX, mode)[key])
+def _published(ctx, mode):
+    return build_objects(ctx, mode)
+
+
+def _honest_object(mode, ctx=CTX, coord=Coordinate(0, 0)):
+    """Location and published bytes of the object covering `coord`."""
+    return (object_location(ctx, mode, coord),
+            _published(ctx, mode)[object_key(ctx, mode, coord)])
 
 
 def _assert_rejected(mode, data):
@@ -289,10 +299,55 @@ def test_bad_location_raises_instead_of_failing_verification():
             verify_object(CTX, mode, not_an_object, obj)
 
 
-def test_honest_objects_verify_at_their_location():
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_honest_objects_verify_at_their_location(geometry):
+    ctx = GEOMETRIES[geometry]
+    dims = ctx.grid.dims
+    last = Coordinate(dims.rows - 1, dims.extended_cols - 1)
     for mode in ConfigMode:
-        location, obj = _honest_object(mode)
-        assert verify_object(CTX, mode, location, obj) is True
+        for coord in (Coordinate(0, 0), last):
+            location, obj = _honest_object(mode, ctx, coord)
+            assert verify_object(ctx, mode, location, obj) is True
+
+
+def _cells(region):
+    return [Coordinate(r, c) for r in range(region.rows_start, region.rows_end)
+            for c in range(region.cols_start, region.cols_end)]
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_object_regions_tile_the_grid_once(geometry):
+    ctx = GEOMETRIES[geometry]
+    dims = ctx.grid.dims
+    grid_cells = _cells(GCellBlock(0, dims.rows, 0, dims.extended_cols))
+    for mode in ConfigMode:
+        covered = [c for region in object_regions(ctx, mode)
+                   for c in _cells(region)]
+        assert len(covered) == len(grid_cells), mode
+        assert set(covered) == set(grid_cells), mode
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_object_location_and_key_agree_with_the_regions(geometry):
+    ctx = GEOMETRIES[geometry]
+    dims = ctx.grid.dims
+    for mode in ConfigMode:
+        regions = object_regions(ctx, mode)
+        for coord in _cells(GCellBlock(0, dims.rows, 0, dims.extended_cols)):
+            location = object_location(ctx, mode, coord)
+            assert location in regions and coord in _cells(location)
+            corner = Coordinate(location.rows_start, location.cols_start)
+            assert object_key(ctx, mode, coord) == \
+                object_key(ctx, mode, corner)
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_region_corner_keys_are_the_published_keys(geometry):
+    ctx = GEOMETRIES[geometry]
+    for mode in ConfigMode:
+        keys = [object_key(ctx, mode, Coordinate(r.rows_start, r.cols_start))
+                for r in object_regions(ctx, mode)]
+        assert keys == list(_published(ctx, mode)), mode
 
 
 @settings(max_examples=60, deadline=None)
@@ -331,6 +386,13 @@ def test_experiment_run_is_deterministic():
     a = ExperimentSession(cfg).run(ConfigMode.PMP, 0.3, 2)
     b = ExperimentSession(cfg).run(ConfigMode.PMP, 0.3, 2)
     assert a == b
+
+
+def test_grouped_proof_bytes_count_the_proofs_of_a_short_band():
+    # 3 rows in bands of 2: objects of the last band hold g proofs, not g*k
+    session = ExperimentSession(ExperimentConfig(rows=3, rows_per_group=2))
+    row = session.run(ConfigMode.GROUPED_ONLY, 0.0, 1)
+    assert row["proof_bytes"] == 48 * session.ctx.grid.dims.extended_cells
 
 
 def test_experiment_zero_churn_full_hit_rate():
@@ -377,3 +439,6 @@ def test_config_parsing(tmp_path):
         ExperimentConfig.from_file(bad)
     with pytest.raises(DasNetError):
         ConfigMode.parse("bogus")
+    for pairs in ({"seeds": "5-3"}, {"retry_budget": "-1"}):
+        with pytest.raises(DasNetError):
+            ExperimentConfig.from_pairs(pairs)
