@@ -33,8 +33,8 @@ from .wire import (
 )
 from .dasnet import (
     BlockContext, ConfigMode, DasNetError, ExperimentConfig,
-    ExperimentSession, RetrievalOutcome, SamplingPlan, SimDht, Status,
-    build_objects, effective_samples, make_sampling_plan, object_key,
+    ExperimentSession, Rendezvous, RetrievalOutcome, SamplingPlan, SimDht,
+    Status, build_objects, effective_samples, make_sampling_plan, object_key,
     object_location, object_regions, publish, required_samples,
     run_experiment, sample_and_verify, verify_object,
 )

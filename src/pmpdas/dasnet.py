@@ -71,6 +71,32 @@ DECODE_ERRORS = (WireError, CurveError)
 # ---------------------------------------------------------------------------
 # Simulated DHT
 
+class Rendezvous:
+    """Rendezvous (highest-random-weight) order of peers for each key.
+
+    A key's order sorts the peers by SHA-256(key || peer), so it is a pure
+    function of the key and the peer count. One instance can therefore
+    serve every SimDht of that peer count; it ranks each key once and
+    memoises the order for the instance's lifetime.
+    """
+
+    def __init__(self, n_peers: int):
+        if n_peers < 1:
+            raise DasNetError("need at least one peer")
+        self.n_peers = n_peers
+        self._memo = {}  # key -> tuple of peers in rendezvous order
+
+    def ranked(self, key: bytes) -> tuple:
+        order = self._memo.get(key)
+        if order is None:
+            order = tuple(sorted(
+                range(self.n_peers),
+                key=lambda p: hashlib.sha256(
+                    key + p.to_bytes(4, "big")).digest()))
+            self._memo[key] = order
+        return order
+
+
 class SimDht:
     """Replicated key->bytes store with per-peer liveness flags.
 
@@ -78,24 +104,27 @@ class SimDht:
     peers by hash(key || peer)), so identical key/object sets always land
     identically regardless of put order or mode. An optional per-peer
     capacity models put-rate pressure: once a peer is full, later puts
-    land on fewer than `replication_factor` replicas.
+    land on fewer than `replication_factor` replicas. The peer order
+    comes from `rendezvous`, which DHTs of the same peer count may share.
     """
 
     def __init__(self, n_peers: int, replication_factor: int = 5,
-                 peer_capacity: int | None = None):
+                 peer_capacity: int | None = None,
+                 rendezvous: Rendezvous | None = None):
         if n_peers < 1 or replication_factor < 1:
             raise DasNetError("need at least one peer and one replica")
+        if rendezvous is None:
+            rendezvous = Rendezvous(n_peers)
+        elif rendezvous.n_peers != n_peers:
+            raise DasNetError(
+                f"rendezvous order is for {rendezvous.n_peers} peers, "
+                f"not {n_peers}")
         self.n_peers = n_peers
         self.replication_factor = replication_factor
         self.peer_capacity = peer_capacity
+        self.rendezvous = rendezvous
         self.alive = [True] * n_peers
         self.stores = [dict() for _ in range(n_peers)]
-
-    def _ranked_peers(self, key: bytes):
-        return sorted(
-            range(self.n_peers),
-            key=lambda p: hashlib.sha256(
-                key + p.to_bytes(4, "big")).digest())
 
     def put(self, key: bytes, obj: bytes) -> int:
         """Store on up to replication_factor rendezvous peers; returns the
@@ -105,7 +134,7 @@ class SimDht:
         trying down the rendezvous ranking until at least one peer accepts,
         so every stored object has one replica or more.
         """
-        ranked = self._ranked_peers(key)
+        ranked = self.rendezvous.ranked(key)
         placed = 0
         for peer in ranked:
             if placed == self.replication_factor:
@@ -123,7 +152,8 @@ class SimDht:
 
     def replica_peers(self, key: bytes):
         """Peers holding the key, in rendezvous (client lookup) order."""
-        return [p for p in self._ranked_peers(key) if key in self.stores[p]]
+        return [p for p in self.rendezvous.ranked(key)
+                if key in self.stores[p]]
 
     def get(self, key: bytes):
         """Object bytes iff at least one live replica holds the key."""
@@ -534,6 +564,8 @@ class ExperimentConfig:
                 raise DasNetError(f"unknown config key {key!r}")
         if cfg.retry_budget < 0:
             raise DasNetError("retry_budget must be non-negative")
+        if cfg.samples < 0:
+            raise DasNetError("samples must be non-negative")
         return cfg
 
 
@@ -559,11 +591,13 @@ def _deterministic_block_data(cfg: ExperimentConfig) -> bytes:
 
 class ExperimentSession:
     """Shared state across ablation runs: one SRS, one grid per config,
-    prebuilt object sets per mode, and the verification cache."""
+    prebuilt object sets per mode, the verification cache, and the
+    rendezvous order every run's DHT reads."""
 
     def __init__(self, cfg: ExperimentConfig, srs: SRS | None = None):
         from .kzg import gen
         self.cfg = cfg
+        self.rendezvous = Rendezvous(cfg.peers)
         d = max(cfg.cols * cfg.extension - 1, cfg.group_size + 1, 2)
         if srs is None:
             secret = int.from_bytes(
@@ -589,7 +623,8 @@ class ExperimentSession:
 
     def run(self, mode: ConfigMode, churn: float, seed: int) -> dict:
         cfg = self.cfg
-        dht = SimDht(cfg.peers, cfg.replication, cfg.peer_capacity)
+        dht = SimDht(cfg.peers, cfg.replication, cfg.peer_capacity,
+                     rendezvous=self.rendezvous)
         result = publish(self.ctx, mode, dht,
                          objects=self.objects_for(mode))
         dht.kill_fraction(churn, seed)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .field_poly import (
     EvaluationDomain, evaluate_on_domain, interpolate, roots_of_unity_domain,
 )
-from .kzg import SRS, Commitment, commit
+from .kzg import SRS, commit
 from .multiproof import OpenedGroup
 
 CHUNK_BYTES = 31

@@ -5,9 +5,11 @@ Each function is the plain textbook form of a primitive that `pmpdas`
 computes faster: the affine Miller loop with one inversion per step, the
 final exponentiation with generic Fp12 squarings, the G1 subgroup check as
 multiplication by r, a G1 multi-scalar multiplication as a sum of ladders,
-and single and batched KZG verification with one scalar multiplication per
-term.
+single and batched KZG verification with one scalar multiplication per
+term, and the DHT's rendezvous peer order sorted afresh on every call.
 """
+
+import hashlib
 
 from pmpdas.curve import (
     G1Point, G2Point, _g1_mul_unreduced, _g1_to_affine, _g2_to_affine,
@@ -188,3 +190,14 @@ def verify_batch_independent(srs, openings, rho: int) -> bool:
         weight = weight * rho % SCALAR_MODULUS
     return multi_pairing([(left, g2),
                           (-proofs_acc, srs.g2_powers[1])]) == FP12_ONE
+
+
+# ---------------------------------------------------------------------------
+# DHT placement
+
+def ranked_peers(key: bytes, n_peers: int) -> list:
+    """Peers 0..n_peers-1 sorted by SHA-256(key || peer as 4 big-endian
+    bytes): the rendezvous order, recomputed without a memo."""
+    return sorted(
+        range(n_peers),
+        key=lambda p: hashlib.sha256(key + p.to_bytes(4, "big")).digest())

@@ -90,10 +90,18 @@ def test_ablation_json_and_seed_override(tmp_path, monkeypatch):
 
 def test_ablation_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    for text in ("rows=two\n", "seeds=5-3\n", "retry_budget=-1\n"):
+    for text in ("rows=two\n", "seeds=5-3\n", "retry_budget=-1\n",
+                 "samples=-1\n"):
         bad.write_text(text)
         assert run_cli(["ablation", "--config", str(bad)]) == 2, text
         assert "bad config" in capsys.readouterr().err
+
+
+def test_ablation_without_peers_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "nopeers.cfg"
+    cfg.write_text("peers=0\n")
+    assert run_cli(["ablation", "--config", str(cfg)]) == 2
+    assert "peer" in capsys.readouterr().err
 
 
 def test_fixture_prove_verify_round_trip(tmp_path, capsys):

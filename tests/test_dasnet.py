@@ -12,9 +12,10 @@ from pmpdas import dasnet
 from pmpdas.curve import CurveError
 from pmpdas.dasnet import (
     BlockContext, ConfigMode, DasNetError, ExperimentConfig,
-    ExperimentSession, SimDht, Status, build_objects, effective_samples,
-    make_sampling_plan, object_key, object_location, object_regions, publish,
-    required_samples, sample_and_verify, verify_object,
+    ExperimentSession, Rendezvous, SimDht, Status, build_objects,
+    effective_samples, make_sampling_plan, object_key, object_location,
+    object_regions, publish, required_samples, sample_and_verify,
+    verify_object,
 )
 from pmpdas.grid import Coordinate, GridDims, GridError, build_grid
 from pmpdas.kzg import KzgError
@@ -105,6 +106,40 @@ def test_churn_kills_a_seeded_prefix():
     assert dead_set(0.4, 2) != large or dead_set(0.4, 3) != large
     with pytest.raises(DasNetError):
         dead_set(1.0, 1)
+
+
+def _dht_trace(dht, keys, churn, seed):
+    """Everything a DHT's callers can observe, over one put/kill/get cycle."""
+    placed = [dht.put(key, b"obj-" + key) for key in keys]
+    replicas = [dht.replica_peers(key) for key in keys]
+    dead = dht.kill_fraction(churn, seed)
+    gets = [dht.get(key) for key in keys]
+    retries = [dht.get_with_retries(key, budget)
+               for key in keys for budget in range(4)]
+    return placed, replicas, dead, gets, retries, dht.stores
+
+
+@pytest.mark.parametrize("capacity", [None, 1])
+def test_shared_rendezvous_behaves_like_fresh_dhts(capacity):
+    # later DHTs see keys the shared order already ranked, in new orders
+    shared = Rendezvous(8)
+    runs = [([b"k%d" % i for i in range(6)], 0.0, 1),
+            ([b"k%d" % i for i in range(12)][::-1], 0.3, 2),
+            ([b"k%d" % i for i in range(3, 15)], 0.5, 3),
+            ([b"k%d" % i for i in range(15)][::-1], 0.3, 4)]
+    for keys, churn, seed in runs:
+        trace = _dht_trace(SimDht(8, 3, capacity), keys, churn, seed)
+        reused = SimDht(8, 3, capacity, rendezvous=shared)
+        assert _dht_trace(reused, keys, churn, seed) == trace
+        if capacity == 1:  # eight one-slot peers shed replicas
+            assert min(trace[0]) < 3
+
+
+def test_rendezvous_peer_count_must_match():
+    with pytest.raises(DasNetError):
+        SimDht(8, 3, rendezvous=Rendezvous(9))
+    with pytest.raises(DasNetError):
+        Rendezvous(0)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +421,27 @@ def test_experiment_run_is_deterministic():
     a = ExperimentSession(cfg).run(ConfigMode.PMP, 0.3, 2)
     b = ExperimentSession(cfg).run(ConfigMode.PMP, 0.3, 2)
     assert a == b
+
+
+def test_session_rows_do_not_depend_on_run_order():
+    cfg = _small_config()
+    runs = [(mode, churn, seed) for mode in cfg.modes
+            for churn in cfg.churn for seed in cfg.seeds]
+    session = ExperimentSession(cfg)
+    reversed_rows = {run: session.run(*run) for run in reversed(runs)}
+    fresh_rows = {run: ExperimentSession(cfg, srs=session.srs).run(*run)
+                  for run in runs}
+    assert reversed_rows == fresh_rows
+
+
+def test_session_ranks_each_object_key_once():
+    cfg = _small_config()
+    session = ExperimentSession(cfg)
+    for mode in ConfigMode:
+        for churn in cfg.churn:
+            session.run(mode, churn, 1)
+    keys = {key for mode in ConfigMode for key in session.objects_for(mode)}
+    assert set(session.rendezvous._memo) == keys
 
 
 def test_grouped_proof_bytes_count_the_proofs_of_a_short_band():

@@ -1,5 +1,5 @@
-"""The optimised verification primitives against the straightforward
-implementations in `oracles`."""
+"""The optimised verification primitives and the memoised DHT placement
+against the straightforward implementations in `oracles`."""
 
 import functools
 import random
@@ -14,6 +14,7 @@ from pmpdas.curve import (
     G1Point, G2Point, _g1_add, _g1_mul_unreduced, g1_fixed_base_msm,
     g1_fixed_base_table, g1_msm, multi_pairing,
 )
+from pmpdas.dasnet import Rendezvous
 from pmpdas.field_poly import SCALAR_MODULUS, Polynomial
 from pmpdas.kzg import (
     Commitment, OpCounters, OpeningProof, commit, derive_rho, open_single,
@@ -268,3 +269,20 @@ def test_verify_single_matches_oracle():
                                           "pairings": 2, "interpolations": 0}
         assert [verify_single(srs, *c) for c in cases[:3]] == \
             [True, False, True]
+
+
+# ---------------------------------------------------------------------------
+# Rendezvous order
+
+@given(st.integers(1, 64),
+       st.lists(st.binary(max_size=40), min_size=1, max_size=6, unique=True),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_rendezvous_matches_sorted_oracle(n_peers, pool, data):
+    # keys repeat, so later lookups are answered from the memo
+    keys = data.draw(st.lists(st.sampled_from(pool), min_size=len(pool),
+                              max_size=3 * len(pool)))
+    rendezvous = Rendezvous(n_peers)
+    for key in keys + pool:
+        assert list(rendezvous.ranked(key)) == \
+            oracles.ranked_peers(key, n_peers)
