@@ -14,12 +14,12 @@ from .field_poly import (
     roots_of_unity_domain, scalar_from_bytes, scalar_to_bytes, vanishing_poly,
 )
 from .kzg import (
-    SRS, Commitment, KzgError, OpCounters, OpeningProof, commit, derive_rho,
-    gen, open_single, verify_batch_independent, verify_single,
+    SRS, KzgError, OpCounters, commit, derive_rho, gen, open_single,
+    verify_batch_independent, verify_single,
 )
 from .multiproof import (
-    AggregatedProof, MultiproofError, OpenedGroup, Transcript, derive_gamma,
-    open_generic, open_shared, verify_shared,
+    MultiproofError, OpenedGroup, Transcript, derive_gamma, open_generic,
+    open_shared, verify_shared,
 )
 from .grid import (
     Coordinate, DataGrid, GridDims, GridError, build_grid, build_opened_group,

@@ -29,8 +29,9 @@ from .dasnet import (
 )
 from .kzg import gen
 from .wire import (
-    WireError, decode_fixture, decode_grid, decode_srs, encode_fixture,
-    encode_grid, encode_srs, storage_report,
+    WireError, decode_fixture, decode_grid, decode_prove_params, decode_srs,
+    encode_fixture, encode_grid, encode_prove_params, encode_srs,
+    storage_report,
 )
 
 EXIT_OK = 0
@@ -149,7 +150,7 @@ def _decode_context(by_tag: dict):
     try:
         srs = decode_srs(_require_section(by_tag, "SRS1"))
         grid = decode_grid(_require_section(by_tag, "GRID"), srs)
-    except (WireError, ValueError) as exc:
+    except dasnet.DECODE_ERRORS as exc:
         raise CliError(f"malformed fixture: {exc}")
     return srs, grid
 
@@ -191,8 +192,7 @@ def _prove_params(args) -> bytes:
                         ("--rows-per-group", args.rows_per_group)):
         if not 1 <= value < 1 << 32:
             raise CliError(f"{flag} must be between 1 and 2^32 - 1")
-    return args.group.to_bytes(4, "little") + \
-        args.rows_per_group.to_bytes(4, "little")
+    return encode_prove_params(args.group, args.rows_per_group)
 
 
 def cmd_prove(args) -> int:
@@ -219,11 +219,11 @@ def cmd_prove(args) -> int:
 def cmd_verify(args) -> int:
     by_tag = _fixture_sections(_load_fixture(args.fixture))
     srs, grid = _decode_context(by_tag)
-    params = _require_section(by_tag, "PRMS")
-    if len(params) != 8:
-        raise CliError("malformed proof parameters section")
-    group_size = int.from_bytes(params[:4], "little")
-    rows_per_group = int.from_bytes(params[4:8], "little")
+    try:
+        group_size, rows_per_group = decode_prove_params(
+            _require_section(by_tag, "PRMS"))
+    except WireError as exc:
+        raise CliError(f"malformed fixture: {exc}")
     mcells = by_tag.get("MCEL", [])
     ctx = BlockContext(b"fixture", grid, srs, group_size, rows_per_group)
     try:

@@ -1,8 +1,11 @@
 """BLS12-381 group arithmetic, compressed serialization, and the pairing.
 
 G1 lives on y^2 = x^3 + 4 over Fp, G2 on y^2 = x^3 + 4(1+u) over Fp2.
-Points are kept in Jacobian coordinates as plain tuples; the public
-:class:`G1Point` / :class:`G2Point` wrappers are thin and immutable.
+Points are kept in Jacobian coordinates as plain tuples. One immutable
+point base holds the point API and the compressed-encoding frame;
+:class:`G1Point` and :class:`G2Point` supply only their Jacobian formulas,
+their x-coordinate codec and their subgroup test. Both groups share one
+double-and-add ladder and one interleaved-window MSM.
 
 Serialization follows the common 48/96-byte compressed convention:
 big-endian x with flag bits in the three high bits of the first byte
@@ -89,22 +92,6 @@ def _g1_neg(pt):
     return (pt[0], -pt[1] % P, pt[2])
 
 
-def _g1_mul(pt, k):
-    # reducing mod R assumes a subgroup point; membership tests must use
-    # the unreduced ladder below instead
-    return _g1_mul_unreduced(pt, k % R)
-
-
-def _g1_mul_unreduced(pt, k):
-    result = _INF1
-    while k:
-        if k & 1:
-            result = _g1_add(result, pt)
-        pt = _g1_double(pt)
-        k >>= 1
-    return result
-
-
 def _g1_to_affine(pt):
     x, y, z = pt
     if z == 0:
@@ -177,20 +164,6 @@ def _g2_neg(pt):
     return (pt[0], fp2_neg(pt[1]), pt[2])
 
 
-def _g2_mul(pt, k):
-    return _g2_mul_unreduced(pt, k % R)
-
-
-def _g2_mul_unreduced(pt, k):
-    result = _INF2
-    while k:
-        if k & 1:
-            result = _g2_add(result, pt)
-        pt = _g2_double(pt)
-        k >>= 1
-    return result
-
-
 def _g2_to_affine(pt):
     x, y, z = pt
     if fp2_is_zero(z):
@@ -200,46 +173,45 @@ def _g2_to_affine(pt):
     return (fp2_mul(x, zi2), fp2_mul(fp2_mul(y, zi2), zi))
 
 
-def _g2_eq(p1, p2):
-    if fp2_is_zero(p1[2]) or fp2_is_zero(p2[2]):
-        return fp2_is_zero(p1[2]) and fp2_is_zero(p2[2])
-    a1 = _g2_to_affine(p1)
-    a2 = _g2_to_affine(p2)
-    return a1 == a2
-
-
 # ---------------------------------------------------------------------------
 # Multi-scalar multiplication (interleaved 4-bit windows)
 
 _WINDOW = 4
 
 
-def _g1_msm(points, scalars):
-    """Sum of scalar*point over Jacobian G1 tuples."""
-    pairs = [(p, s % R) for p, s in zip(points, scalars) if s % R and p[2] != 0]
+def _msm(group, points, scalars):
+    """Sum of scalar*point over points of one group, as a `group` point;
+    scalars are reduced mod r and zip stops at the shorter input.
+
+    Each term gets a table of its multiples 0..15; the doublings between
+    windows are shared by all terms.
+    """
+    add, double, inf = group._add, group._double, group._INF
+    pairs = [(p.raw, s % R) for p, s in zip(points, scalars)
+             if s % R and not p.is_identity()]
     if not pairs:
-        return _INF1
+        return group(inf)
     if len(pairs) == 1:
-        return _g1_mul(pairs[0][0], pairs[0][1])
+        return group(group._ladder(*pairs[0]))
     tables = []
     for p, s in pairs:
-        tbl = [_INF1, p]
+        tbl = [inf, p]
         for _ in range(2, 1 << _WINDOW):
-            tbl.append(_g1_add(tbl[-1], p))
+            tbl.append(add(tbl[-1], p))
         tables.append((tbl, s))
     nbits = max(s.bit_length() for _, s in pairs)
     nwin = (nbits + _WINDOW - 1) // _WINDOW
-    acc = _INF1
+    acc = inf
     for w in range(nwin - 1, -1, -1):
         if w != nwin - 1:
             for _ in range(_WINDOW):
-                acc = _g1_double(acc)
+                acc = double(acc)
         shift = w * _WINDOW
         for tbl, s in tables:
             digit = (s >> shift) & ((1 << _WINDOW) - 1)
             if digit:
-                acc = _g1_add(acc, tbl[digit])
-    return acc
+                acc = add(acc, tbl[digit])
+    return group(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +222,7 @@ def _g1_msm(points, scalars):
 # written in signed w-bit digits, so a negative digit reads the same table
 # with y negated, and every addition is a mixed Jacobian + affine one
 # (Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992; Moeller, SAC
-# 2001). The doublings are shared by all terms, as in `_g1_msm`.
+# 2001). The doublings are shared by all terms, as in `_msm`.
 
 _FB_WINDOW = 8
 _FB_HALF = 1 << (_FB_WINDOW - 1)
@@ -351,17 +323,6 @@ def g1_fixed_base_msm(tables, scalars) -> "G1Point":
                 x, y = tbl[-d - 1]
                 acc = _g1_add_affine(acc, (x, P - y))
     return G1Point(acc)
-
-
-def _g2_msm(points, scalars):
-    pairs = [(p, s % R) for p, s in zip(points, scalars)
-             if s % R and not fp2_is_zero(p[2])]
-    if not pairs:
-        return _INF2
-    acc = _INF2
-    for p, s in pairs:
-        acc = _g2_add(acc, _g2_mul(p, s))
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +451,18 @@ def pairing_check(pairs):
 
 
 # ---------------------------------------------------------------------------
-# Public point wrappers
+# Points
 
-class G1Point:
-    """Immutable point in the G1 prime-order subgroup."""
+class _Point:
+    """Immutable point of a prime-order subgroup.
+
+    A group subclass supplies its Jacobian formulas (`_add`, `_double`,
+    `_neg`, `_to_affine`, optionally a faster `_eq`), its x-coordinate
+    codec (`_x_to_bytes`, `_x_from_bytes`, `_y_from_x`, `_y_is_largest`),
+    optionally a faster `in_subgroup`, and the constants `_INF` (Jacobian
+    infinity), `_ONE` (the coordinate field's one), `_BYTES` (the
+    compressed length) and `_GEN`.
+    """
 
     __slots__ = ("raw",)
 
@@ -501,78 +470,137 @@ class G1Point:
         object.__setattr__(self, "raw", raw)
 
     def __setattr__(self, *a):
-        raise AttributeError("G1Point is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def identity() -> "G1Point":
-        return G1Point(_INF1)
+    @classmethod
+    def identity(cls):
+        return cls(cls._INF)
 
-    @staticmethod
-    def generator() -> "G1Point":
-        return _G1_GEN
+    @classmethod
+    def generator(cls):
+        return cls._GEN
 
     def is_identity(self) -> bool:
-        return self.raw[2] == 0
+        return self.raw[2] == self._INF[2]
 
-    def __add__(self, other: "G1Point") -> "G1Point":
-        return G1Point(_g1_add(self.raw, other.raw))
+    def __add__(self, other):
+        return type(self)(self._add(self.raw, other.raw))
 
-    def __sub__(self, other: "G1Point") -> "G1Point":
-        return G1Point(_g1_add(self.raw, _g1_neg(other.raw)))
+    def __sub__(self, other):
+        return type(self)(self._add(self.raw, self._neg(other.raw)))
 
-    def __neg__(self) -> "G1Point":
-        return G1Point(_g1_neg(self.raw))
+    def __neg__(self):
+        return type(self)(self._neg(self.raw))
 
-    def __mul__(self, k: int) -> "G1Point":
-        return G1Point(_g1_mul(self.raw, k))
+    def __mul__(self, k: int):
+        # reducing mod r assumes a subgroup point; membership tests call
+        # the unreduced `_ladder` instead
+        return type(self)(self._ladder(self.raw, k % R))
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, G1Point) and _g1_eq(self.raw, other.raw)
+        return isinstance(other, type(self)) and \
+            self._eq(self.raw, other.raw)
 
     def __hash__(self):
         return hash(self.to_bytes())
 
     def __repr__(self):
-        return f"G1Point({self.to_bytes().hex()})"
+        return f"{type(self).__name__}({self.to_bytes().hex()})"
+
+    @classmethod
+    def _eq(cls, p1, p2):
+        return cls._to_affine(p1) == cls._to_affine(p2)
+
+    @classmethod
+    def _ladder(cls, raw, k):
+        """k * raw for a Jacobian tuple and any k >= 0, by double-and-add."""
+        add, double = cls._add, cls._double
+        result = cls._INF
+        while k:
+            if k & 1:
+                result = add(result, raw)
+            raw = double(raw)
+            k >>= 1
+        return result
+
+    def in_subgroup(self) -> bool:
+        """r * P == O, by the ladder over all 255 bits of r."""
+        return type(self)(self._ladder(self.raw, R)).is_identity()
 
     def to_bytes(self) -> bytes:
-        aff = _g1_to_affine(self.raw)
+        aff = self._to_affine(self.raw)
         if aff is None:
-            return bytes([0xC0]) + b"\x00" * 47
+            return b"\xc0" + bytes(self._BYTES - 1)
         x, y = aff
-        flags = 0x80
-        if y > P - y:
-            flags |= 0x20
-        out = bytearray(x.to_bytes(48, "big"))
-        out[0] |= flags
+        out = bytearray(self._x_to_bytes(x))
+        out[0] |= 0xA0 if self._y_is_largest(y) else 0x80
         return bytes(out)
+
+    @classmethod
+    def from_bytes(cls, data: bytes, subgroup_check: bool = True):
+        name = cls.__name__[:2]
+        if len(data) != cls._BYTES:
+            raise CurveError(f"{name} encoding must be {cls._BYTES} bytes, "
+                             f"got {len(data)}")
+        flags = data[0]
+        if not flags & 0x80:
+            raise CurveError(f"uncompressed {name} encodings are not supported")
+        if flags & 0x40:
+            if flags != 0xC0 or any(data[1:]):
+                raise CurveError(f"malformed {name} infinity encoding")
+            return cls.identity()
+        x = cls._x_from_bytes(bytes([flags & 0x1F]) + data[1:])
+        if x is None:
+            raise CurveError(f"{name} x coordinate not canonical")
+        y = cls._y_from_x(x)
+        if y is None:
+            raise CurveError(f"{name} x coordinate is not on the curve")
+        pt = cls((x, y, cls._ONE))
+        if cls._y_is_largest(y) != bool(flags & 0x20):
+            pt = -pt
+        if subgroup_check and not pt.in_subgroup():
+            raise CurveError(f"{name} point not in the prime-order subgroup")
+        return pt
+
+
+class G1Point(_Point):
+    """Immutable point in the G1 prime-order subgroup."""
+
+    __slots__ = ()
+    _INF, _ONE, _BYTES = _INF1, 1, 48
+    _add = staticmethod(_g1_add)
+    _double = staticmethod(_g1_double)
+    _neg = staticmethod(_g1_neg)
+    _eq = staticmethod(_g1_eq)
+    _to_affine = staticmethod(_g1_to_affine)
+
+    @staticmethod
+    def _x_to_bytes(x):
+        return x.to_bytes(48, "big")
+
+    @staticmethod
+    def _x_from_bytes(data):
+        x = int.from_bytes(data, "big")
+        return x if x < P else None
+
+    @staticmethod
+    def _y_from_x(x):
+        y2 = (x * x * x + _B1) % P
+        y = pow(y2, (P + 1) // 4, P)
+        return y if y * y % P == y2 else None
+
+    @staticmethod
+    def _y_is_largest(y):
+        return y > P - y
+
+    # bench/tracing.py wraps these through vars(G1Point), so they stay here
+    __mul__ = __rmul__ = _Point.__mul__
 
     @staticmethod
     def from_bytes(data: bytes, subgroup_check: bool = True) -> "G1Point":
-        if len(data) != 48:
-            raise CurveError(f"G1 encoding must be 48 bytes, got {len(data)}")
-        flags = data[0]
-        if not flags & 0x80:
-            raise CurveError("uncompressed G1 encodings are not supported")
-        if flags & 0x40:
-            if flags != 0xC0 or any(data[1:]):
-                raise CurveError("malformed G1 infinity encoding")
-            return G1Point.identity()
-        x = int.from_bytes(bytes([flags & 0x1F]) + data[1:], "big")
-        if x >= P:
-            raise CurveError("G1 x coordinate not canonical")
-        y2 = (x * x * x + _B1) % P
-        y = pow(y2, (P + 1) // 4, P)
-        if y * y % P != y2:
-            raise CurveError("G1 x coordinate is not on the curve")
-        if (y > P - y) != bool(flags & 0x20):
-            y = P - y
-        pt = G1Point((x, y, 1))
-        if subgroup_check and not pt.in_subgroup():
-            raise CurveError("G1 point not in the prime-order subgroup")
-        return pt
+        return super(G1Point, G1Point).from_bytes(data, subgroup_check)
 
     def in_subgroup(self) -> bool:
         """phi(P) == -x^2 * P for the endomorphism phi(x, y) = (beta*x, y).
@@ -582,112 +610,54 @@ class G1Point:
         """
         x, y, z = self.raw
         return _g1_eq((x * _BETA % P, y, z),
-                      _g1_neg(_g1_mul_unreduced(self.raw, _X_SQUARED)))
+                      _g1_neg(self._ladder(self.raw, _X_SQUARED)))
 
 
-class G2Point:
+class G2Point(_Point):
     """Immutable point in the G2 prime-order subgroup."""
 
-    __slots__ = ("raw",)
-
-    def __init__(self, raw):
-        object.__setattr__(self, "raw", raw)
-
-    def __setattr__(self, *a):
-        raise AttributeError("G2Point is immutable")
-
-    @staticmethod
-    def identity() -> "G2Point":
-        return G2Point(_INF2)
+    __slots__ = ()
+    _INF, _ONE, _BYTES = _INF2, FP2_ONE, 96
+    _add = staticmethod(_g2_add)
+    _double = staticmethod(_g2_double)
+    _neg = staticmethod(_g2_neg)
+    _to_affine = staticmethod(_g2_to_affine)
 
     @staticmethod
-    def generator() -> "G2Point":
-        return _G2_GEN
-
-    def is_identity(self) -> bool:
-        return fp2_is_zero(self.raw[2])
-
-    def __add__(self, other: "G2Point") -> "G2Point":
-        return G2Point(_g2_add(self.raw, other.raw))
-
-    def __sub__(self, other: "G2Point") -> "G2Point":
-        return G2Point(_g2_add(self.raw, _g2_neg(other.raw)))
-
-    def __neg__(self) -> "G2Point":
-        return G2Point(_g2_neg(self.raw))
-
-    def __mul__(self, k: int) -> "G2Point":
-        return G2Point(_g2_mul(self.raw, k))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, G2Point) and _g2_eq(self.raw, other.raw)
-
-    def __hash__(self):
-        return hash(self.to_bytes())
-
-    def __repr__(self):
-        return f"G2Point({self.to_bytes().hex()})"
-
-    def to_bytes(self) -> bytes:
-        aff = _g2_to_affine(self.raw)
-        if aff is None:
-            return bytes([0xC0]) + b"\x00" * 95
-        (x0, x1), y = aff
-        flags = 0x80
-        if fp2_lexicographically_largest(y):
-            flags |= 0x20
-        out = bytearray(x1.to_bytes(48, "big") + x0.to_bytes(48, "big"))
-        out[0] |= flags
-        return bytes(out)
+    def _x_to_bytes(x):
+        x0, x1 = x
+        return x1.to_bytes(48, "big") + x0.to_bytes(48, "big")
 
     @staticmethod
-    def from_bytes(data: bytes, subgroup_check: bool = True) -> "G2Point":
-        if len(data) != 96:
-            raise CurveError(f"G2 encoding must be 96 bytes, got {len(data)}")
-        flags = data[0]
-        if not flags & 0x80:
-            raise CurveError("uncompressed G2 encodings are not supported")
-        if flags & 0x40:
-            if flags != 0xC0 or any(data[1:]):
-                raise CurveError("malformed G2 infinity encoding")
-            return G2Point.identity()
-        x1 = int.from_bytes(bytes([flags & 0x1F]) + data[1:48], "big")
+    def _x_from_bytes(data):
+        x1 = int.from_bytes(data[:48], "big")
         x0 = int.from_bytes(data[48:], "big")
-        if x0 >= P or x1 >= P:
-            raise CurveError("G2 x coordinate not canonical")
-        x = (x0, x1)
-        y = fp2_sqrt(fp2_add(fp2_mul(fp2_sqr(x), x), _B2))
-        if y is None:
-            raise CurveError("G2 x coordinate is not on the curve")
-        if fp2_lexicographically_largest(y) != bool(flags & 0x20):
-            y = fp2_neg(y)
-        pt = G2Point((x, y, FP2_ONE))
-        if subgroup_check and not pt.in_subgroup():
-            raise CurveError("G2 point not in the prime-order subgroup")
-        return pt
+        return (x0, x1) if x0 < P and x1 < P else None
 
-    def in_subgroup(self) -> bool:
-        return fp2_is_zero(_g2_mul_unreduced(self.raw, R)[2])
+    @staticmethod
+    def _y_from_x(x):
+        return fp2_sqrt(fp2_add(fp2_mul(fp2_sqr(x), x), _B2))
+
+    _y_is_largest = staticmethod(fp2_lexicographically_largest)
 
 
 def g1_msm(points, scalars) -> G1Point:
     """Multi-scalar multiplication over G1Point wrappers."""
-    return G1Point(_g1_msm([p.raw for p in points], list(scalars)))
+    return _msm(G1Point, points, scalars)
 
 
 def g2_msm(points, scalars) -> G2Point:
-    return G2Point(_g2_msm([p.raw for p in points], list(scalars)))
+    """Multi-scalar multiplication over G2Point wrappers."""
+    return _msm(G2Point, points, scalars)
 
 
-_G1_GEN = G1Point((
+G1Point._GEN = G1Point((
     0x17F1D3A73197D7942695638C4FA9AC0FC3688C4F9774B905A14E3A3F171BAC586C55E83FF97A1AEFFB3AF00ADB22C6BB,
     0x08B3F481E3AAA0F1A09E30ED741D8AE4FCF5E095D5D00AF600DB18CB2C04B3EDD03CC744A2888AE40CAA232946C5E7E1,
     1,
 ))
 
-_G2_GEN = G2Point((
+G2Point._GEN = G2Point((
     (0x024AA2B2F08F0A91260805272DC51051C6E47AD4FA403B02B4510B647AE3D1770BAC0326A805BBEFD48056C8C121BDB8,
      0x13E02B6052719F607DACD3A088274F65596BD0D09920B61AB5DA61BBDC7F5049334CF11213945D57E5AC7D055D042B7E),
     (0x0CE5D527727D6E118CC9CDC6DA2E351AADFD9BAA8CBDD3A76D429A695160D12C923AC9CC3BACA289E193548608B82801,

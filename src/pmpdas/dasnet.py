@@ -18,15 +18,14 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .curve import CurveError
+from .curve import CurveError, G1Point
 from .field_poly import EvaluationDomain, scalar_to_bytes, scalar_from_bytes
 from .kzg import (
-    SRS, OpCounters, OpeningProof, derive_rho, open_single,
-    verify_batch_independent, verify_single,
+    SRS, OpCounters, derive_rho, open_single, verify_batch_independent,
+    verify_single,
 )
 from .multiproof import (
-    AggregatedProof, OpenedGroup, Transcript, derive_gamma, open_shared,
-    verify_shared,
+    OpenedGroup, Transcript, derive_gamma, open_shared, verify_shared,
 )
 from .grid import (
     Coordinate, DataGrid, coordinate_to_group, iter_groups,
@@ -437,7 +436,7 @@ def verify_object(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
         transcript = group_transcript(ctx, location)
         group = OpenedGroup(transcript.commitments, values,
                             transcript.micro_domain)
-        proof = AggregatedProof.from_bytes(mcell.proof)
+        proof = G1Point.from_bytes(mcell.proof)
         return verify_shared(ctx.srs, group, proof, derive_gamma(transcript),
                              counters=counters)
     if mode is ConfigMode.GROUPED_ONLY:
@@ -450,7 +449,7 @@ def verify_object(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
     zs = ctx.grid.row_domain.points[location.cols_start:location.cols_end]
     points = ((r, z) for r in band for z in zs)
     openings = [(ctx.commitments[r], z, scalar_from_bytes(cell.data),
-                 OpeningProof.from_bytes(cell.proof))
+                 G1Point.from_bytes(cell.proof))
                 for (r, z), cell in zip(points, cells, strict=True)]
     if mode is ConfigMode.VANILLA:
         return verify_single(ctx.srs, *openings[0], counters=counters)

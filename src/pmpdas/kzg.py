@@ -59,30 +59,6 @@ class OpCounters:
         }
 
 
-@dataclass(frozen=True)
-class Commitment:
-    point: G1Point
-
-    def to_bytes(self) -> bytes:
-        return self.point.to_bytes()
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "Commitment":
-        return Commitment(G1Point.from_bytes(data))
-
-
-@dataclass(frozen=True)
-class OpeningProof:
-    witness: G1Point
-
-    def to_bytes(self) -> bytes:
-        return self.witness.to_bytes()
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "OpeningProof":
-        return OpeningProof(G1Point.from_bytes(data))
-
-
 class SRS:
     """Structured reference string: powers of a secret in both groups."""
 
@@ -176,7 +152,7 @@ def gen(d: int, secret: int) -> SRS:
 
 
 def commit(srs: SRS, p: Polynomial, counters: OpCounters | None = None,
-           slots: int | None = None) -> Commitment:
+           slots: int | None = None) -> G1Point:
     """Commit to p via multi-scalar multiplication over the SRS powers.
 
     `slots` fixes the dense coefficient count used for cost accounting
@@ -191,8 +167,7 @@ def commit(srs: SRS, p: Polynomial, counters: OpCounters | None = None,
     if counters is not None:
         counters.g1_scalar_mults += n
     # the zero padding up to `slots` adds nothing, so it needs no tables
-    return Commitment(g1_fixed_base_msm(srs.g1_tables(len(p.coeffs)),
-                                        coeffs))
+    return g1_fixed_base_msm(srs.g1_tables(len(p.coeffs)), coeffs)
 
 
 def open_single(srs: SRS, p: Polynomial, z: int,
@@ -202,22 +177,21 @@ def open_single(srs: SRS, p: Polynomial, z: int,
     quotient, rem = div_rem(p - Polynomial.constant(value),
                             Polynomial((-z % SCALAR_MODULUS, 1)))
     assert rem.is_zero()
-    proof = OpeningProof(commit(srs, quotient, counters=counters).point)
-    return value, proof
+    return value, commit(srs, quotient, counters=counters)
 
 
-def verify_single(srs: SRS, cm: Commitment, z: int, value: int,
-                  proof: OpeningProof, counters: OpCounters | None = None) -> bool:
+def verify_single(srs: SRS, cm: G1Point, z: int, value: int,
+                  proof: G1Point, counters: OpCounters | None = None) -> bool:
     """Pairing check e(cm - [value]_1, g2) == e(proof, [x - z]_2)."""
-    if not isinstance(cm.point, G1Point) or not isinstance(proof.witness, G1Point):
+    if not isinstance(cm, G1Point) or not isinstance(proof, G1Point):
         raise CurveError("malformed group element")
-    lhs = cm.point - g1_fixed_base_msm(_generator_tables(), (value,))
+    lhs = cm - g1_fixed_base_msm(_generator_tables(), (value,))
     if counters is not None:
         counters.g1_scalar_mults += 1
         counters.g2_scalar_mults += 1
         counters.pairings += 2
     return pairing_check([(lhs, G2Point.generator()),
-                          (-proof.witness, srs.x_minus_z(z))])
+                          (-proof, srs.x_minus_z(z))])
 
 
 @functools.cache
@@ -263,8 +237,8 @@ def verify_batch_independent(srs: SRS, openings, rho: int,
     value_sum = 0
     weight = 1
     for cm, z, value, proof in openings:
-        cms.append(cm.point)
-        proofs.append(proof.witness)
+        cms.append(cm)
+        proofs.append(proof)
         weights.append(weight)
         zw.append(weight * z % SCALAR_MODULUS)
         value_sum = (value_sum + weight * value) % SCALAR_MODULUS

@@ -27,20 +27,6 @@ class MultiproofError(ValueError):
 
 
 @dataclass(frozen=True)
-class AggregatedProof:
-    """Commitment to the aggregated quotient polynomial."""
-
-    witness: G1Point
-
-    def to_bytes(self) -> bytes:
-        return self.witness.to_bytes()
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "AggregatedProof":
-        return AggregatedProof(G1Point.from_bytes(data))
-
-
-@dataclass(frozen=True)
 class OpenedGroup:
     """Commitments plus the full evaluation vector of each one on a shared
     micro-domain; the transported unit a verifier checks in one shot."""
@@ -124,7 +110,7 @@ def _gamma_powers(gamma: int, k: int):
 
 
 def open_shared(srs: SRS, polys, micro_domain: EvaluationDomain, gamma: int,
-                counters: OpCounters | None = None) -> AggregatedProof:
+                counters: OpCounters | None = None) -> G1Point:
     """Aggregated opening over one shared micro-domain.
 
     Commits the quotient of the gamma-weighted polynomial sum by the
@@ -148,19 +134,18 @@ def open_shared(srs: SRS, polys, micro_domain: EvaluationDomain, gamma: int,
             raise MultiproofError("polynomial degree exceeds the SRS bound")
         combined = combined + p.scale(w)
     quotient, _ = div_rem(combined, vanishing_poly(micro_domain))
-    cm = commit(srs, quotient, counters=counters, slots=d + 1 - g)
-    return AggregatedProof(cm.point)
+    return commit(srs, quotient, counters=counters, slots=d + 1 - g)
 
 
-def verify_shared(srs: SRS, group: OpenedGroup, proof: AggregatedProof,
+def verify_shared(srs: SRS, group: OpenedGroup, proof: G1Point,
                   gamma: int, counters: OpCounters | None = None) -> bool:
     """Single aggregated pairing check for a whole opened group.
 
     Interpolates the gamma-combined value rows in one pass, then checks
-    e(C - R, g2) == e(witness, [Z_md(x)]_2) with C the gamma-combination
+    e(C - R, g2) == e(proof, [Z_md(x)]_2) with C the gamma-combination
     of the commitments and R the commitment to the combined interpolant.
     """
-    if not isinstance(proof.witness, G1Point):
+    if not isinstance(proof, G1Point):
         raise MultiproofError("malformed aggregated proof")
     gamma %= SCALAR_MODULUS
     if gamma == 0:
@@ -178,23 +163,23 @@ def verify_shared(srs: SRS, group: OpenedGroup, proof: AggregatedProof,
     if counters is not None:
         counters.interpolations += 1
 
-    c_combined = g1_msm([cm.point for cm in group.commitments], weights)
+    c_combined = g1_msm(group.commitments, weights)
     r_commit = commit(srs, r_combined, counters=counters, slots=g)
     # the cost model charges the k-point combination plus one scalar
     # multiplication for negating R
     if counters is not None:
         counters.g1_scalar_mults += k + 1
-    lhs = c_combined - r_commit.point
+    lhs = c_combined - r_commit
 
     z2 = srs.cached_z_commitment(md, counters=counters)
     if counters is not None:
         counters.pairings += 2
     return pairing_check([(lhs, G2Point.generator()),
-                          (-proof.witness, z2)])
+                          (-proof, z2)])
 
 
 def open_generic(srs: SRS, polys, opened_sets, values, gamma: int,
-                 counters: OpCounters | None = None) -> AggregatedProof:
+                 counters: OpCounters | None = None) -> G1Point:
     """General multi-set aggregated opening; cross-check oracle for the
     shared-point specialization.
 
@@ -223,4 +208,4 @@ def open_generic(srs: SRS, polys, opened_sets, values, gamma: int,
             raise MultiproofError(
                 "claimed values do not match the polynomial on its opened set")
         h = h + q_i.scale(w)
-    return AggregatedProof(commit(srs, h, counters=counters).point)
+    return commit(srs, h, counters=counters)

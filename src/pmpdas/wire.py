@@ -10,7 +10,8 @@ All integers are little-endian. Layouts:
 * GroupedCells: GCellBlock[16] || count u32 || count * BaselineCell[80]
 
 Fixture files: magic "PMPD", version 0x01, then tagged sections
-(4-byte ASCII tag, u32 length, payload).
+(4-byte ASCII tag, u32 length, payload). The PRMS section is the group
+size and the rows per group as two u32s.
 """
 
 from __future__ import annotations
@@ -313,7 +314,10 @@ def decode_fixture(data: bytes):
     while pos < len(data):
         if pos + 8 > len(data):
             raise TruncatedInput("fixture section header truncated")
-        tag = data[pos:pos + 4].decode("ascii")
+        try:
+            tag = data[pos:pos + 4].decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise WireError("fixture section tags must be ASCII") from exc
         length = int.from_bytes(data[pos + 4:pos + 8], "little")
         pos += 8
         if pos + length > len(data):
@@ -321,6 +325,19 @@ def decode_fixture(data: bytes):
         sections.append((tag, data[pos:pos + length]))
         pos += length
     return sections
+
+
+def encode_prove_params(group_size: int, rows_per_group: int) -> bytes:
+    return group_size.to_bytes(4, "little") + \
+        rows_per_group.to_bytes(4, "little")
+
+
+def decode_prove_params(data: bytes):
+    """(group size, rows per group) from a PRMS section."""
+    if len(data) != 8:
+        raise WireError("proof parameters section must be 8 bytes")
+    return (int.from_bytes(data[:4], "little"),
+            int.from_bytes(data[4:], "little"))
 
 
 def encode_srs(srs) -> bytes:
@@ -339,6 +356,8 @@ def decode_srs(data: bytes):
     if len(data) < 4:
         raise TruncatedInput("SRS section truncated")
     d = int.from_bytes(data[:4], "little")
+    if d < 1:
+        raise WireError("SRS degree bound must be at least 1")
     n = d + 1
     need = 4 + n * 48 + n * 96
     if len(data) != need:
@@ -372,15 +391,17 @@ def encode_grid(grid) -> bytes:
 
 def decode_grid(data: bytes, srs):
     from .field_poly import EvaluationDomain
-    from .grid import DataGrid, GridDims, extend_rows
-    from .kzg import Commitment
+    from .grid import DataGrid, GridDims, GridError, extend_rows
     from .curve import G1Point
     if len(data) < 12:
         raise TruncatedInput("grid section truncated")
     rows = int.from_bytes(data[:4], "little")
     cols = int.from_bytes(data[4:8], "little")
     ext = int.from_bytes(data[8:12], "little")
-    dims = GridDims(rows, cols, ext)
+    try:
+        dims = GridDims(rows, cols, ext)
+    except GridError as exc:
+        raise WireError(str(exc)) from exc
     width = dims.extended_cols
     need = 12 + width * 32 + rows * width * 32 + rows * 48
     if len(data) != need:
@@ -390,7 +411,10 @@ def decode_grid(data: bytes, srs):
     for _ in range(width):
         domain_pts.append(_read_scalar(data[pos:pos + 32]))
         pos += 32
-    row_domain = EvaluationDomain(domain_pts)
+    try:
+        row_domain = EvaluationDomain(domain_pts)
+    except field_poly.FieldPolyError as exc:
+        raise WireError(str(exc)) from exc
     cells = []
     for _ in range(rows):
         row = []
@@ -400,7 +424,7 @@ def decode_grid(data: bytes, srs):
         cells.append(row)
     commitments = []
     for _ in range(rows):
-        commitments.append(Commitment(G1Point.from_bytes(data[pos:pos + 48])))
+        commitments.append(G1Point.from_bytes(data[pos:pos + 48]))
         pos += 48
     polys, extended = extend_rows(row_domain, cols, cells)
     if extended != cells:

@@ -4,16 +4,14 @@ primitives, kept as differential-test oracles.
 Each function is the plain textbook form of a primitive that `pmpdas`
 computes faster: the affine Miller loop with one inversion per step, the
 final exponentiation with generic Fp12 squarings, the G1 subgroup check as
-multiplication by r, a G1 multi-scalar multiplication as a sum of ladders,
-single and batched KZG verification with one scalar multiplication per
+multiplication by r, G1 and G2 multi-scalar multiplications as sums of
+ladders, single and batched KZG verification with one scalar multiplication per
 term, and the DHT's rendezvous peer order sorted afresh on every call.
 """
 
 import hashlib
 
-from pmpdas.curve import (
-    G1Point, G2Point, _g1_mul_unreduced, _g1_to_affine, _g2_to_affine,
-)
+from pmpdas.curve import G1Point, G2Point, _g1_to_affine, _g2_to_affine
 from pmpdas.field_poly import SCALAR_MODULUS
 from pmpdas.fields import (
     BLS_X, FP2_ZERO, FP12_ONE, P, R,
@@ -145,17 +143,25 @@ def multi_pairing(pairs):
 
 def g1_in_subgroup(pt: G1Point) -> bool:
     """r * P == O by the unreduced 255-bit ladder."""
-    return _g1_mul_unreduced(pt.raw, R)[2] == 0
+    return G1Point._ladder(pt.raw, R)[2] == 0
 
 
 # ---------------------------------------------------------------------------
-# G1 multi-scalar multiplication
+# Multi-scalar multiplication
 
 def g1_msm(points, scalars) -> G1Point:
     """Sum of one double-and-add ladder per term."""
     acc = G1Point.identity()
     for pt, s in zip(points, scalars):
-        acc = acc + G1Point(_g1_mul_unreduced(pt.raw, s % R))
+        acc = acc + G1Point(G1Point._ladder(pt.raw, s % R))
+    return acc
+
+
+def g2_msm(points, scalars) -> G2Point:
+    """Sum of one double-and-add ladder per term."""
+    acc = G2Point.identity()
+    for pt, s in zip(points, scalars):
+        acc = acc + G2Point(G2Point._ladder(pt.raw, s % R))
     return acc
 
 
@@ -166,9 +172,9 @@ def verify_single(srs, cm, z: int, value: int, proof) -> bool:
     """e(cm - [value]_1, g2) == e(proof, [x]_2 - z*g2) with both scalar
     multiplications done as ladders."""
     g2 = G2Point.generator()
-    lhs = cm.point - G1Point.generator() * (value % SCALAR_MODULUS)
+    lhs = cm - G1Point.generator() * (value % SCALAR_MODULUS)
     x_minus_z = srs.g2_powers[1] - g2 * (z % SCALAR_MODULUS)
-    return multi_pairing([(lhs, g2), (-proof.witness, x_minus_z)]) == FP12_ONE
+    return multi_pairing([(lhs, g2), (-proof, x_minus_z)]) == FP12_ONE
 
 
 def verify_batch_independent(srs, openings, rho: int) -> bool:
@@ -183,10 +189,9 @@ def verify_batch_independent(srs, openings, rho: int) -> bool:
     proofs_acc = G1Point.identity()
     weight = 1
     for cm, z, value, proof in openings:
-        term = cm.point - g * (value % SCALAR_MODULUS) + \
-            proof.witness * (z % SCALAR_MODULUS)
+        term = cm - g * (value % SCALAR_MODULUS) + proof * (z % SCALAR_MODULUS)
         left = left + term * weight
-        proofs_acc = proofs_acc + proof.witness * weight
+        proofs_acc = proofs_acc + proof * weight
         weight = weight * rho % SCALAR_MODULUS
     return multi_pairing([(left, g2),
                           (-proofs_acc, srs.g2_powers[1])]) == FP12_ONE

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from pmpdas import cli, dasnet
+from pmpdas import cli, dasnet, grid
+from pmpdas.kzg import KzgError
 from pmpdas.multiproof import MultiproofError
 from pmpdas.wire import decode_fixture, encode_fixture
 
@@ -216,6 +217,60 @@ def test_grid_that_is_not_a_codeword_is_malformed(tmp_path, capsys, command):
     if command == "prove":
         args += ["--output", str(tmp_path / "out.bin")]
     assert run_cli(args) == 2
+    assert "malformed fixture" in capsys.readouterr().err
+
+
+def _degree_0_srs(payload):
+    # the first G1 and the first G2 power under degree bound 0
+    g2 = 4 + 48 * (int.from_bytes(payload[:4], "little") + 1)
+    return (0).to_bytes(4, "little") + payload[4:52] + payload[g2:g2 + 96]
+
+
+def _repeated_domain_point(payload):
+    # the second of the 8 domain points, after the 12-byte dimensions,
+    # becomes a copy of the first
+    return payload[:44] + payload[12:44] + payload[76:]
+
+
+FIXTURE_DAMAGE = {
+    "degree-0-srs": ("SRS1", _degree_0_srs),
+    "zero-rows": ("GRID", lambda payload: bytes(4) + payload[4:]),
+    "extension-1": ("GRID", lambda payload: payload[:8]
+                    + (1).to_bytes(4, "little") + payload[12:]),
+    "repeated-domain-point": ("GRID", _repeated_domain_point),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(FIXTURE_DAMAGE))
+def test_undecodable_srs_or_grid_is_malformed(tmp_path, capsys, damage):
+    target, edit = FIXTURE_DAMAGE[damage]
+    sections = decode_fixture(open(_proved_fixture(tmp_path), "rb").read())
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(encode_fixture(
+        [(tag, edit(payload) if tag == target else payload)
+         for tag, payload in sections]))
+    assert run_cli(["verify", "--fixture", str(bad)]) == 2
+    assert "malformed fixture" in capsys.readouterr().err
+
+
+def test_internal_error_while_decoding_grid_raises(tmp_path, monkeypatch):
+    fxp = _proved_fixture(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise KzgError("internal fault")
+
+    monkeypatch.setattr(grid, "extend_rows", broken)
+    with pytest.raises(KzgError):
+        run_cli(["verify", "--fixture", fxp])
+
+
+def test_verify_rejects_short_params_section(tmp_path, capsys):
+    sections = decode_fixture(open(_proved_fixture(tmp_path), "rb").read())
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(encode_fixture(
+        [(tag, payload[:7] if tag == "PRMS" else payload)
+         for tag, payload in sections]))
+    assert run_cli(["verify", "--fixture", str(bad)]) == 2
     assert "malformed fixture" in capsys.readouterr().err
 
 

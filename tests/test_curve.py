@@ -8,7 +8,9 @@ from pmpdas.curve import (
     CurveError, G1Point, G2Point, g1_msm, g2_msm, multi_pairing, pairing,
     pairing_check,
 )
-from pmpdas.fields import FP12_ONE, P, R, fp12_pow
+from pmpdas.fields import (
+    FP12_ONE, P, R, fp2_add, fp2_mul, fp2_sqr, fp2_sqrt, fp12_pow,
+)
 
 # Standard compressed encodings of the subgroup generators.
 G1_GEN_HEX = (
@@ -60,36 +62,84 @@ def test_scalar_multiplication_by_group_order():
     assert G2Point.generator() * R == G2Point.identity()
 
 
-@pytest.mark.parametrize("bad", [
-    b"",
-    b"\x00" * 48,                      # compression flag unset
-    b"\xc0" + b"\x01" + b"\x00" * 46,  # nonzero tail on infinity
-    b"\xe0" + b"\x00" * 47,            # infinity with sign flag set
-    b"\xff" * 48,                      # x >= p after masking
-])
-def test_invalid_g1_encodings_rejected(bad):
-    with pytest.raises(CurveError):
-        G1Point.from_bytes(bad)
+def _encode(group, x, flags=0x80):
+    """x big-endian (c1 before c0 in Fp2) with `flags` in the top bits."""
+    if group is G1Point:
+        body = x.to_bytes(48, "big")
+    else:
+        body = x[1].to_bytes(48, "big") + x[0].to_bytes(48, "big")
+    return bytes([body[0] | flags]) + body[1:]
+
+
+def _small_xs(group):
+    return range(1, 200) if group is G1Point else \
+        ((x0, 1) for x0 in range(200))
+
+
+def _y(group, x):
+    """A y on the group's curve for x, or None."""
+    if group is G1Point:
+        y2 = (pow(x, 3, P) + 4) % P
+        y = pow(y2, (P + 1) // 4, P)
+        return y if y * y % P == y2 else None
+    return fp2_sqrt(fp2_add(fp2_mul(fp2_sqr(x), x), (4, 4)))
+
+
+def _largest(group, y):
+    if group is G1Point:
+        return y > P - y
+    y0, y1 = y
+    return y1 > P - y1 if y1 else y0 > P - y0
+
+
+def _bad_encodings(group):
+    n = 48 if group is G1Point else 96
+    off_curve = next(x for x in _small_xs(group) if _y(group, x) is None)
+    cases = [
+        ("empty", b"", "encoding must be"),
+        ("short", b"\xc0" + bytes(n - 2), "encoding must be"),
+        ("long", b"\xc0" + bytes(n), "encoding must be"),
+        ("uncompressed", bytes(n), "uncompressed"),
+        ("infinity-tail", b"\xc0\x01" + bytes(n - 2), "infinity"),
+        ("infinity-sign", b"\xe0" + bytes(n - 1), "infinity"),
+        ("all-ones", b"\xff" * n, "infinity"),
+        ("x-all-ones", b"\x9f" + b"\xff" * (n - 1), "not canonical"),
+        ("off-curve", _encode(group, off_curve), "not on the curve"),
+    ]
+    if group is G1Point:
+        cases.append(("x-is-p", _encode(group, P), "not canonical"))
+    else:
+        cases += [("x0-is-p", _encode(group, (P, 0)), "not canonical"),
+                  ("x1-is-p", _encode(group, (0, P)), "not canonical")]
+    return [pytest.param(group, bad, match,
+                         id=f"{group.__name__[:2]}-{name}")
+            for name, bad, match in cases]
+
+
+@pytest.mark.parametrize("group, bad, match",
+                         _bad_encodings(G1Point) + _bad_encodings(G2Point))
+def test_invalid_encodings_rejected(group, bad, match):
+    with pytest.raises(CurveError, match=match):
+        group.from_bytes(bad)
 
 
 def test_non_subgroup_point_rejected():
-    # find an on-curve x whose point is (overwhelmingly) outside the
-    # r-torsion subgroup, then check deserialization refuses it
-    for x in range(2, 200):
-        y2 = (pow(x, 3, P) + 4) % P
-        y = pow(y2, (P + 1) // 4, P)
-        if y * y % P != y2:
-            continue
-        flags = 0x80 | (0x20 if y > P - y else 0)
-        blob = bytes([flags | (x >> 376 & 0x1F)]) + \
-            (x & (1 << 376) - 1).to_bytes(47, "big")
-        candidate = G1Point.from_bytes(blob, subgroup_check=False)
-        if candidate.in_subgroup():
-            continue
-        with pytest.raises(CurveError):
-            G1Point.from_bytes(blob)
-        return
-    pytest.fail("no non-subgroup point found in range")
+    # in each group, find an on-curve x whose point is (overwhelmingly)
+    # outside the r-torsion subgroup, then check deserialization refuses it
+    for group in (G1Point, G2Point):
+        for x in _small_xs(group):
+            y = _y(group, x)
+            if y is None:
+                continue
+            blob = _encode(group, x, 0xA0 if _largest(group, y) else 0x80)
+            candidate = group.from_bytes(blob, subgroup_check=False)
+            assert candidate.to_bytes() == blob
+            if not candidate.in_subgroup():
+                break
+        else:
+            pytest.fail(f"no non-subgroup {group.__name__} found in range")
+        with pytest.raises(CurveError, match="subgroup"):
+            group.from_bytes(blob)
 
 
 def test_msm_matches_naive_sum():

@@ -4,21 +4,21 @@ against the straightforward implementations in `oracles`."""
 import functools
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from helpers import rand_poly, shared_srs
 from pmpdas import fields as F
 from pmpdas.curve import (
-    G1Point, G2Point, _g1_add, _g1_mul_unreduced, g1_fixed_base_msm,
-    g1_fixed_base_table, g1_msm, multi_pairing,
+    G1Point, G2Point, _g1_add, g1_fixed_base_msm, g1_fixed_base_table,
+    g1_msm, g2_msm, multi_pairing,
 )
 from pmpdas.dasnet import Rendezvous
 from pmpdas.field_poly import SCALAR_MODULUS, Polynomial
 from pmpdas.kzg import (
-    Commitment, OpCounters, OpeningProof, commit, derive_rho, open_single,
-    verify_batch_independent, verify_single,
+    OpCounters, commit, derive_rho, open_single, verify_batch_independent,
+    verify_single,
 )
 
 # G1 cofactor: #E(Fp) = H1 * r
@@ -56,11 +56,11 @@ def _torsion_point(rng, ell):
     while cofactor % ell == 0:
         cofactor //= ell
     while True:
-        raw = _g1_mul_unreduced(_rand_curve_point(rng).raw, cofactor)
+        raw = G1Point._ladder(_rand_curve_point(rng).raw, cofactor)
         if raw[2] == 0:
             continue
-        while _g1_mul_unreduced(raw, ell)[2] != 0:
-            raw = _g1_mul_unreduced(raw, ell)
+        while G1Point._ladder(raw, ell)[2] != 0:
+            raw = G1Point._ladder(raw, ell)
         return G1Point(raw)
 
 
@@ -138,8 +138,7 @@ def test_batch_verifier_matches_oracle():
         openings[:1] + [(cm, (z + 1) % SCALAR_MODULUS, value, proof)],
         openings[:1] + [(cm, z, value, other)],
         openings[:1] + [(openings[0][0], z, value, proof)],
-        openings[:1] + [(cm, z, value,
-                         OpeningProof(proof.witness + G1Point.generator()))],
+        openings[:1] + [(cm, z, value, proof + G1Point.generator())],
     ]
     for i, case in enumerate(cases):
         rho = derive_rho(srs, case)
@@ -236,9 +235,41 @@ def test_commit_matches_variable_base_msm(poly_and_slots):
     counters = OpCounters()
     cm = commit(srs, p, counters=counters, slots=slots)
     expected = g1_msm(srs.g1_powers[:slots], p.padded(slots))
-    assert cm.point == expected
+    assert cm == expected
     assert cm.to_bytes() == expected.to_bytes()
     assert counters.g1_scalar_mults == slots
+
+
+# ---------------------------------------------------------------------------
+# G2 MSM
+
+@functools.cache
+def _g2_base_pool():
+    """The generator, an SRS power, the negated generator and the
+    identity, so draws repeat bases and cancel terms."""
+    g = G2Point.generator()
+    return (g, shared_srs(MSM_SRS_DEGREE).g2_powers[1], -g,
+            G2Point.identity())
+
+
+# pinned: a lone term (the ladder shortcut), a term left alone once the
+# zero scalars and identity bases are dropped, P + P and P + (-P)
+@given(st.lists(st.tuples(st.integers(0, 3), scalars),
+                min_size=1, max_size=6))
+@example([(1, F.R - 1)])
+@example([(0, 5), (3, 9), (1, F.R), (2, 0)])
+@example([(0, 1), (0, 1)])
+@example([(0, 1), (2, 1)])
+@example([(0, 3), (0, F.R - 3), (1, -1)])
+@settings(max_examples=15, deadline=None)
+def test_g2_msm_matches_sum_of_ladders(terms):
+    pool = _g2_base_pool()
+    points = [pool[i] for i, _ in terms]
+    ks = [k for _, k in terms]
+    got = g2_msm(points, ks)
+    expected = oracles.g2_msm(points, ks)
+    assert got == expected
+    assert got.to_bytes() == expected.to_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +290,7 @@ def test_verify_single_matches_oracle():
                  (cm, z, value - SCALAR_MODULUS, proof)]
         if trial == 0:
             cases += [(cm, (z + 1) % SCALAR_MODULUS, value, proof),
-                      (Commitment(G1Point.identity()), z, 0,
-                       OpeningProof(G1Point.identity()))]
+                      (G1Point.identity(), z, 0, G1Point.identity())]
         for case in cases:
             counters = OpCounters()
             verdict = verify_single(srs, *case, counters=counters)

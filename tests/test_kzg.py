@@ -6,13 +6,15 @@ import threading
 
 import pytest
 
-from helpers import ORACLE_SECRET, g1_at, oracle_commit, rand_poly, shared_srs
+from helpers import (
+    ORACLE_SECRET, g1_at, g2_at, oracle_commit, rand_poly, shared_srs,
+)
 from pmpdas import kzg
-from pmpdas.curve import g1_msm
+from pmpdas.curve import CurveError, G1Point, g1_msm
 from pmpdas.field_poly import SCALAR_MODULUS, EvaluationDomain, Polynomial
 from pmpdas.kzg import (
-    Commitment, KzgError, OpCounters, OpeningProof, commit, derive_rho, gen,
-    open_single, verify_batch_independent, verify_single,
+    KzgError, OpCounters, commit, derive_rho, gen, open_single,
+    verify_batch_independent, verify_single,
 )
 from pmpdas.wire import decode_srs, encode_srs
 
@@ -42,8 +44,8 @@ def test_commit_matches_known_secret_oracle():
     srs = shared_srs(D)
     for _ in range(5):
         p = rand_poly(rng, rng.randrange(D + 1))
-        assert commit(srs, p).point == oracle_commit(p)
-    assert commit(srs, Polynomial()).point == g1_at(0)
+        assert commit(srs, p) == oracle_commit(p)
+    assert commit(srs, Polynomial()) == g1_at(0)
 
 
 def test_commit_degree_bound():
@@ -79,7 +81,7 @@ def test_opening_witness_matches_oracle():
     num = (p.evaluate(ORACLE_SECRET) - value) % SCALAR_MODULUS
     den = (ORACLE_SECRET - z) % SCALAR_MODULUS
     q_at_secret = num * pow(den, -1, SCALAR_MODULUS) % SCALAR_MODULUS
-    assert proof.witness == g1_at(q_at_secret)
+    assert proof == g1_at(q_at_secret)
 
 
 def test_verify_single_counters():
@@ -92,6 +94,16 @@ def test_verify_single_counters():
     assert verify_single(srs, cm, 5, value, proof, counters=counters)
     assert counters.as_dict() == {
         "g1_mults": 1, "g2_mults": 1, "pairings": 2, "interpolations": 0}
+
+
+def test_verify_single_rejects_non_g1_elements():
+    srs = shared_srs(D)
+    p = Polynomial((3, 1))
+    cm = commit(srs, p)
+    value, proof = open_single(srs, p, 5)
+    for bad in ((g2_at(1), proof), (cm, g2_at(1)), (cm, proof.to_bytes())):
+        with pytest.raises(CurveError):
+            verify_single(srs, bad[0], 5, value, bad[1])
 
 
 def test_commit_slot_accounting():
@@ -192,7 +204,7 @@ def test_concurrent_commits_build_each_table_once(monkeypatch):
     got = [None] * len(polys)
 
     def work(i):
-        got[i] = commit(srs, polys[i]).point
+        got[i] = commit(srs, polys[i])
 
     threads = [threading.Thread(target=work, args=(i,))
                for i in range(len(polys))]
@@ -223,6 +235,6 @@ def test_decoded_srs_commits_identically():
 def test_commitment_and_proof_serialization():
     srs = shared_srs(D)
     cm = commit(srs, Polynomial((9, 9)))
-    assert Commitment.from_bytes(cm.to_bytes()) == cm
+    assert G1Point.from_bytes(cm.to_bytes()) == cm
     _, proof = open_single(srs, Polynomial((9, 9)), 4)
-    assert OpeningProof.from_bytes(proof.to_bytes()) == proof
+    assert G1Point.from_bytes(proof.to_bytes()) == proof

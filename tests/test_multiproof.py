@@ -4,14 +4,17 @@ import random
 
 import pytest
 
-from helpers import ORACLE_SECRET, g1_at, rand_poly, rand_scalar, shared_srs
+from helpers import (
+    ORACLE_SECRET, g1_at, g2_at, rand_poly, rand_scalar, shared_srs,
+)
+from pmpdas.curve import G1Point
 from pmpdas.field_poly import (
     SCALAR_MODULUS, EvaluationDomain, Polynomial, div_rem, vanishing_poly,
 )
 from pmpdas.kzg import OpCounters, commit, gen, open_single, verify_single
 from pmpdas.multiproof import (
-    AggregatedProof, MultiproofError, OpenedGroup, Transcript, derive_gamma,
-    open_generic, open_shared, verify_shared,
+    MultiproofError, OpenedGroup, Transcript, derive_gamma, open_generic,
+    open_shared, verify_shared,
 )
 from pmpdas.wire import GCellBlock
 
@@ -66,15 +69,15 @@ def test_witness_matches_generic_prover_and_oracle():
         generic = open_generic(
             srs, polys, [md.points] * k,
             [[p.evaluate(z) for z in md] for p in polys], gamma)
-        assert proof.witness == generic.witness
-        assert proof.witness == _oracle_witness(polys, md, gamma)
+        assert proof == generic
+        assert proof == _oracle_witness(polys, md, gamma)
 
 
 def test_single_poly_witness_is_challenge_independent():
     rng = random.Random(42)
     srs, polys, md, _, _ = _instance(rng, k=1, g=4)
-    assert open_shared(srs, polys, md, 123).witness == \
-        open_shared(srs, polys, md, 456).witness
+    assert open_shared(srs, polys, md, 123) == \
+        open_shared(srs, polys, md, 456)
 
 
 def test_tampered_value_rejected():
@@ -190,7 +193,7 @@ def test_shared_point_reduces_to_single_opening():
         single_decision = verify_single(srs, cm, z, value, single_proof)
         assert multi_decision == single_decision == (not tampered)
         # the witnesses themselves coincide for a single point
-        assert agg.witness == single_proof.witness
+        assert agg == single_proof
 
 
 def test_input_validation():
@@ -201,7 +204,9 @@ def test_input_validation():
     with pytest.raises(MultiproofError):
         open_shared(srs, polys, md, 0)
     with pytest.raises(MultiproofError):
-        verify_shared(srs, group, AggregatedProof(g1_at(1)), 0)
+        verify_shared(srs, group, g1_at(1), 0)
+    with pytest.raises(MultiproofError):
+        verify_shared(srs, group, g2_at(1), 7)  # not a G1 point
     with pytest.raises(MultiproofError):
         OpenedGroup([], [], md)
     with pytest.raises(MultiproofError):
@@ -212,4 +217,4 @@ def test_proof_serialization_round_trip():
     rng = random.Random(50)
     srs, polys, md, group, transcript = _instance(rng, k=2, g=2)
     proof = open_shared(srs, polys, md, 7)
-    assert AggregatedProof.from_bytes(proof.to_bytes()) == proof
+    assert G1Point.from_bytes(proof.to_bytes()) == proof

@@ -10,8 +10,8 @@ from pmpdas.grid import GridDims, build_grid
 from pmpdas.wire import (
     BASELINE_CELL_BYTES, BaselineCell, CountMismatch, GCellBlock, GroupedCells,
     MCell, NonCanonicalScalarEncoding, TruncatedInput, WireError,
-    decode_fixture,
-    decode_grid, decode_srs, encode_fixture, encode_grid, encode_srs,
+    decode_fixture, decode_grid, decode_prove_params, decode_srs,
+    encode_fixture, encode_grid, encode_prove_params, encode_srs,
     storage_report,
 )
 
@@ -184,7 +184,18 @@ def test_fixture_container_round_trip():
     with pytest.raises(TruncatedInput):
         decode_fixture(b"PMPD\x01AAAA")
     with pytest.raises(WireError):
+        decode_fixture(b"PMPD\x01\xffAAA" + bytes(4))  # non-ASCII tag
+    with pytest.raises(WireError):
         encode_fixture([("TOOLONG", b"")])
+
+
+def test_prove_params_codec():
+    blob = encode_prove_params(4, 2 ** 32 - 1)
+    assert blob == bytes([4, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF])
+    assert decode_prove_params(blob) == (4, 2 ** 32 - 1)
+    for bad in (blob[:-1], blob + b"\x00", b""):
+        with pytest.raises(WireError):
+            decode_prove_params(bad)
 
 
 def test_srs_and_grid_codecs():
