@@ -36,7 +36,7 @@ from .dasnet import (
     ExperimentSession, Rendezvous, RetrievalOutcome, SamplingPlan, SimDht,
     Status, build_objects, effective_samples, make_sampling_plan, object_key,
     object_location, object_regions, publish, required_samples,
-    run_experiment, sample_and_verify, verify_object,
+    sample_and_verify, verify_object,
 )
 
 __version__ = "0.1.0"

@@ -222,6 +222,8 @@ def cmd_verify(args) -> int:
     try:
         group_size, rows_per_group = decode_prove_params(
             _require_section(by_tag, "PRMS"))
+        if group_size > srs.degree_bound:
+            raise WireError("group size exceeds the SRS degree bound")
     except WireError as exc:
         raise CliError(f"malformed fixture: {exc}")
     mcells = by_tag.get("MCEL", [])

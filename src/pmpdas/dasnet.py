@@ -651,11 +651,3 @@ class ExperimentSession:
             "pairings": outcome.counters.pairings,
             "interpolations": outcome.counters.interpolations,
         }
-
-
-def run_experiment(mode: ConfigMode, cfg: ExperimentConfig, churn: float,
-                   seed: int, session: ExperimentSession | None = None) -> dict:
-    """One (mode, churn, seed) run; fully deterministic given its inputs."""
-    if session is None:
-        session = ExperimentSession(cfg)
-    return session.run(mode, churn, seed)

@@ -7,6 +7,7 @@ polynomial is the empty vector and has degree -inf.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from .fields import R as SCALAR_MODULUS
@@ -38,6 +39,24 @@ def scalar_from_bytes(data: bytes) -> int:
     v = int.from_bytes(data, "little")
     if v >= SCALAR_MODULUS:
         raise NonCanonicalScalar("scalar encoding exceeds the field modulus")
+    return v
+
+
+def hash_to_scalar(data: bytes) -> int:
+    """Nonzero scalar from the SHA-512 digest of data.
+
+    Wide reduction of a 64-byte digest keeps modulo bias negligible; the
+    (negligible) zero case re-hashes the digest with a counter so the
+    scalar is always invertible.
+    """
+    digest = hashlib.sha512(data).digest()
+    v = int.from_bytes(digest, "big") % SCALAR_MODULUS
+    ctr = 0
+    while v == 0:
+        ctr += 1
+        v = int.from_bytes(
+            hashlib.sha512(digest + ctr.to_bytes(4, "big")).digest(),
+            "big") % SCALAR_MODULUS
     return v
 
 

@@ -101,18 +101,14 @@ def bytes_to_scalars(data: bytes, count: int):
     return scalars
 
 
-def build_grid(data: bytes, dims: GridDims, srs: SRS,
-               row_domain: EvaluationDomain | None = None) -> DataGrid:
+def build_grid(data: bytes, dims: GridDims, srs: SRS) -> DataGrid:
     if len(data) > dims.data_capacity_bytes:
         raise GridError(
             f"data of {len(data)} bytes exceeds grid capacity "
             f"{dims.data_capacity_bytes}")
-    if row_domain is None:
-        row_domain = default_row_domain(dims.extended_cols)
-    if len(row_domain) != dims.extended_cols:
-        raise GridError("row domain size must equal the extended width")
     if dims.cols - 1 > srs.degree_bound:
         raise GridError("row polynomial degree exceeds the SRS bound")
+    row_domain = default_row_domain(dims.extended_cols)
     scalars = bytes_to_scalars(data, dims.rows * dims.cols)
     polys, cells = extend_rows(
         row_domain, dims.cols,

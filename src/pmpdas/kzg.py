@@ -8,7 +8,6 @@ scalar field. The SRS object itself never stores the secret.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import threading
 from dataclasses import dataclass
@@ -18,7 +17,8 @@ from .curve import (
     g1_msm, g2_msm, pairing_check,
 )
 from .field_poly import (
-    SCALAR_MODULUS, Polynomial, scalar_to_bytes, vanishing_poly, div_rem,
+    SCALAR_MODULUS, Polynomial, div_rem, hash_to_scalar, scalar_to_bytes,
+    vanishing_poly,
 )
 
 BATCH_CHALLENGE_TAG = b"PMP-DAS-batch-v1"
@@ -77,7 +77,6 @@ class SRS:
         self._z_cache = {}
         self._z_lock = threading.Lock()
         self._g1_tables = ()
-        self._x_minus_z = {}
 
     def g1_tables(self, n: int) -> tuple:
         """Fixed-base tables of (at least) the first n G1 powers.
@@ -95,41 +94,29 @@ class SRS:
                     self._g1_tables = tables
         return tables
 
-    def x_minus_z(self, z: int) -> G2Point:
-        """[x - z]_2, memoized by z mod r."""
-        z %= SCALAR_MODULUS
-        hit = self._x_minus_z.get(z)
-        if hit is None:
-            hit = self._x_minus_z.setdefault(
-                z, self.g2_powers[1] - G2Point.generator() * z)
-        return hit
+    def cached_z_commitment(self, points,
+                            counters: OpCounters | None = None) -> G2Point:
+        """[Z_S(x)]_2 for the point set S, memoized by its points mod r.
 
-    def cached_z_commitment(self, micro_domain, counters: OpCounters | None = None) -> G2Point:
-        """[Z_md(x)]_2, memoized by micro-domain digest.
-
-        A cold computation costs g+1 G2 scalar multiplications (the dense
-        coefficient count of the monic degree-g vanishing polynomial);
-        a warm hit costs none.
+        [x - z]_2 of a single opening is the one-point case. A cold
+        computation costs |S|+1 G2 scalar multiplications (the dense
+        coefficient count of the monic vanishing polynomial); a warm hit
+        costs none.
         """
-        key = hashlib.sha256(
-            b"".join(scalar_to_bytes(z) for z in micro_domain)).digest()
+        key = tuple(z % SCALAR_MODULUS for z in points)
         with self._z_lock:
             hit = self._z_cache.get(key)
         if hit is not None:
             return hit
-        z_poly = vanishing_poly(micro_domain)
-        value = self.commit_g2(z_poly, counters=counters)
+        if len(key) > self.degree_bound:
+            raise KzgError("polynomial degree exceeds the SRS bound")
+        coeffs = vanishing_poly(key).coeffs
+        if counters is not None:
+            counters.g2_scalar_mults += len(coeffs)
+        value = g2_msm(self.g2_powers[:len(coeffs)], coeffs)
         with self._z_lock:
             self._z_cache[key] = value
         return value
-
-    def commit_g2(self, p: Polynomial, counters: OpCounters | None = None) -> G2Point:
-        if p.degree > self.degree_bound:
-            raise KzgError("polynomial degree exceeds the SRS bound")
-        n = len(p.coeffs)
-        if counters is not None:
-            counters.g2_scalar_mults += n
-        return g2_msm(self.g2_powers[:n], p.coeffs)
 
 
 def gen(d: int, secret: int) -> SRS:
@@ -185,39 +172,22 @@ def verify_single(srs: SRS, cm: G1Point, z: int, value: int,
     """Pairing check e(cm - [value]_1, g2) == e(proof, [x - z]_2)."""
     if not isinstance(cm, G1Point) or not isinstance(proof, G1Point):
         raise CurveError("malformed group element")
-    lhs = cm - g1_fixed_base_msm(_generator_tables(), (value,))
+    lhs = cm - g1_fixed_base_msm(srs.g1_tables(1), (value,))
     if counters is not None:
         counters.g1_scalar_mults += 1
         counters.g2_scalar_mults += 1
         counters.pairings += 2
     return pairing_check([(lhs, G2Point.generator()),
-                          (-proof, srs.x_minus_z(z))])
-
-
-@functools.cache
-def _generator_tables() -> tuple:
-    return (g1_fixed_base_table(G1Point.generator()),)
+                          (-proof, srs.cached_z_commitment((z,)))])
 
 
 def derive_rho(srs: SRS, openings) -> int:
     """Fiat-Shamir combiner for a batch of independent openings."""
-    h = hashlib.sha512()
-    h.update(BATCH_CHALLENGE_TAG)
-    h.update(srs.srs_id)
-    h.update(len(openings).to_bytes(4, "big"))
+    parts = [BATCH_CHALLENGE_TAG, srs.srs_id, len(openings).to_bytes(4, "big")]
     for cm, z, value, proof in openings:
-        h.update(cm.to_bytes())
-        h.update(scalar_to_bytes(z % SCALAR_MODULUS))
-        h.update(scalar_to_bytes(value % SCALAR_MODULUS))
-        h.update(proof.to_bytes())
-    rho = int.from_bytes(h.digest(), "big") % SCALAR_MODULUS
-    ctr = 0
-    while rho == 0:
-        ctr += 1
-        rho = int.from_bytes(
-            hashlib.sha512(h.digest() + ctr.to_bytes(4, "big")).digest(),
-            "big") % SCALAR_MODULUS
-    return rho
+        parts += (cm.to_bytes(), scalar_to_bytes(z % SCALAR_MODULUS),
+                  scalar_to_bytes(value % SCALAR_MODULUS), proof.to_bytes())
+    return hash_to_scalar(b"".join(parts))
 
 
 def verify_batch_independent(srs: SRS, openings, rho: int,

@@ -9,13 +9,12 @@ and the block-region metadata.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from .curve import G1Point, G2Point, g1_msm, pairing_check
 from .field_poly import (
-    SCALAR_MODULUS, EvaluationDomain, Polynomial, div_rem, interpolate,
-    scalar_to_bytes, vanishing_poly,
+    SCALAR_MODULUS, EvaluationDomain, Polynomial, div_rem, hash_to_scalar,
+    interpolate, scalar_to_bytes, vanishing_poly,
 )
 from .kzg import SRS, OpCounters, commit
 
@@ -83,21 +82,8 @@ class Transcript:
 
 
 def derive_gamma(transcript: Transcript) -> int:
-    """Hash-to-scalar over the canonical transcript serialization.
-
-    Wide reduction of a 64-byte digest keeps modulo bias negligible; the
-    (negligible) zero case re-hashes with a counter so the challenge is
-    always invertible.
-    """
-    digest = hashlib.sha512(transcript.serialize()).digest()
-    gamma = int.from_bytes(digest, "big") % SCALAR_MODULUS
-    ctr = 0
-    while gamma == 0:
-        ctr += 1
-        gamma = int.from_bytes(
-            hashlib.sha512(digest + ctr.to_bytes(4, "big")).digest(),
-            "big") % SCALAR_MODULUS
-    return gamma
+    """Hash-to-scalar over the canonical transcript serialization."""
+    return hash_to_scalar(transcript.serialize())
 
 
 def _gamma_powers(gamma: int, k: int):

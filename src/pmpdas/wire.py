@@ -371,6 +371,10 @@ def decode_srs(data: bytes):
     for _ in range(n):
         g2_powers.append(G2Point.from_bytes(data[pos:pos + 96]))
         pos += 96
+    # the verifiers take [1]_1 and [1]_2 to be the generators
+    if g1_powers[0] != G1Point.generator() or \
+            g2_powers[0] != G2Point.generator():
+        raise WireError("SRS powers must start with the generators")
     return SRS(g1_powers, g2_powers)
 
 
@@ -402,6 +406,8 @@ def decode_grid(data: bytes, srs):
         dims = GridDims(rows, cols, ext)
     except GridError as exc:
         raise WireError(str(exc)) from exc
+    if cols - 1 > srs.degree_bound:
+        raise WireError("row polynomial degree exceeds the SRS bound")
     width = dims.extended_cols
     need = 12 + width * 32 + rows * width * 32 + rows * 48
     if len(data) != need:

@@ -6,9 +6,10 @@ import json
 import pytest
 
 from pmpdas import cli, dasnet, grid
-from pmpdas.kzg import KzgError
+from pmpdas.curve import G1Point, G2Point
+from pmpdas.kzg import KzgError, gen
 from pmpdas.multiproof import MultiproofError
-from pmpdas.wire import decode_fixture, encode_fixture
+from pmpdas.wire import decode_fixture, encode_fixture, encode_srs
 
 # sha256 of command outputs, recorded at commit 4e41ff2 (before the light
 # client and `verify` shared one verification path). A change here means
@@ -220,10 +221,21 @@ def test_grid_that_is_not_a_codeword_is_malformed(tmp_path, capsys, command):
     assert "malformed fixture" in capsys.readouterr().err
 
 
+def _g2_start(payload):
+    # the G2 powers follow the 4-byte degree bound d and d + 1 G1 powers
+    return 4 + 48 * (int.from_bytes(payload[:4], "little") + 1)
+
+
 def _degree_0_srs(payload):
     # the first G1 and the first G2 power under degree bound 0
-    g2 = 4 + 48 * (int.from_bytes(payload[:4], "little") + 1)
+    g2 = _g2_start(payload)
     return (0).to_bytes(4, "little") + payload[4:52] + payload[g2:g2 + 96]
+
+
+def _doubled_point(payload, pos, cls):
+    size = len(cls.generator().to_bytes())
+    doubled = cls.from_bytes(payload[pos:pos + size]) * 2
+    return payload[:pos] + doubled.to_bytes() + payload[pos + size:]
 
 
 def _repeated_domain_point(payload):
@@ -234,6 +246,14 @@ def _repeated_domain_point(payload):
 
 FIXTURE_DAMAGE = {
     "degree-0-srs": ("SRS1", _degree_0_srs),
+    # the 2x4 grid needs degree 3 for its rows and 4 for its groups of 4
+    "degree-2-srs": ("SRS1", lambda payload: encode_srs(gen(2, 12345))),
+    "degree-3-srs": ("SRS1", lambda payload: encode_srs(gen(3, 12345))),
+    "g1-power-0-not-generator": (
+        "SRS1", lambda payload: _doubled_point(payload, 4, G1Point)),
+    "g2-power-0-not-generator": (
+        "SRS1", lambda payload: _doubled_point(
+            payload, _g2_start(payload), G2Point)),
     "zero-rows": ("GRID", lambda payload: bytes(4) + payload[4:]),
     "extension-1": ("GRID", lambda payload: payload[:8]
                     + (1).to_bytes(4, "little") + payload[12:]),

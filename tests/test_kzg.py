@@ -10,7 +10,7 @@ from helpers import (
     ORACLE_SECRET, g1_at, g2_at, oracle_commit, rand_poly, shared_srs,
 )
 from pmpdas import kzg
-from pmpdas.curve import CurveError, G1Point, g1_msm
+from pmpdas.curve import CurveError, G1Point, G2Point, g1_msm
 from pmpdas.field_poly import SCALAR_MODULUS, EvaluationDomain, Polynomial
 from pmpdas.kzg import (
     KzgError, OpCounters, commit, derive_rho, gen, open_single,
@@ -163,6 +163,22 @@ def test_cached_z_commitment_cost():
     again = srs.cached_z_commitment(md, counters=counters)
     assert counters.g2_scalar_mults == 0
     assert first == again
+
+    # [x - z]_2 is the one-point case, keyed by z mod r
+    g2 = G2Point.generator()
+    for z in (0, 1, SCALAR_MODULUS - 1,
+              random.Random(39).randrange(SCALAR_MODULUS)):
+        counters = OpCounters()
+        x_minus_z = srs.cached_z_commitment((z,), counters=counters)
+        assert x_minus_z == srs.g2_powers[1] - g2 * z
+        assert counters.g2_scalar_mults == 2
+        counters = OpCounters()
+        again = srs.cached_z_commitment((z + SCALAR_MODULUS,),
+                                        counters=counters)
+        assert again is x_minus_z
+        assert counters.g2_scalar_mults == 0
+    with pytest.raises(KzgError):
+        srs.cached_z_commitment(range(D + 1))
 
 
 def test_fixed_base_tables_cover_only_the_prefix_used(monkeypatch):

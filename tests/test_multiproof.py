@@ -11,7 +11,9 @@ from pmpdas.curve import G1Point
 from pmpdas.field_poly import (
     SCALAR_MODULUS, EvaluationDomain, Polynomial, div_rem, vanishing_poly,
 )
-from pmpdas.kzg import OpCounters, commit, gen, open_single, verify_single
+from pmpdas.kzg import (
+    OpCounters, commit, derive_rho, gen, open_single, verify_single,
+)
 from pmpdas.multiproof import (
     MultiproofError, OpenedGroup, Transcript, derive_gamma, open_generic,
     open_shared, verify_shared,
@@ -218,3 +220,26 @@ def test_proof_serialization_round_trip():
     srs, polys, md, group, transcript = _instance(rng, k=2, g=2)
     proof = open_shared(srs, polys, md, 7)
     assert G1Point.from_bytes(proof.to_bytes()) == proof
+
+
+def test_challenges_are_pinned():
+    # values of the SHA-512 wide reduction on fixed inputs; a change to
+    # either transcript encoding or to the reduction shows here
+    srs = shared_srs(D)
+    polys = [Polynomial((i + 1, 2 * i + 3, 5)) for i in range(3)]
+    commitments = [commit(srs, p) for p in polys]
+    openings = []
+    for z, p, cm in zip((7, 8, 9), polys, commitments):
+        value, proof = open_single(srs, p, z)
+        openings.append((cm, z, value, proof))
+    assert derive_rho(srs, openings) == int(
+        "02211c57e2407611496569326a7f7ce22b8bd9823a09e9f83bc5be1b8f50d180", 16)
+    transcript = Transcript(
+        srs_id=srs.srs_id,
+        commitments=tuple(commitments),
+        micro_domain=EvaluationDomain((3, 5, 9)),
+        coords=((0, 1), (2, 3)),
+        gcell_block=GCellBlock(0, 3, 0, 3),
+    )
+    assert derive_gamma(transcript) == int(
+        "5d12f2c6082828b903cd2e6c1a4f781ea19b187f45f974741d8ea2c9be8c95c3", 16)
