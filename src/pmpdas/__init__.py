@@ -14,12 +14,13 @@ from .field_poly import (
     roots_of_unity_domain, scalar_from_bytes, scalar_to_bytes, vanishing_poly,
 )
 from .kzg import (
-    SRS, KzgError, OpCounters, commit, derive_rho, gen, open_single,
-    verify_batch_independent, verify_single,
+    SRS, KzgError, OpCounters, PairingTerms, batch_independent_terms, commit,
+    derive_rho, gen, open_single, single_terms, verify_batch_independent,
+    verify_single,
 )
 from .multiproof import (
     MultiproofError, OpenedGroup, Transcript, derive_gamma, open_generic,
-    open_shared, verify_shared,
+    open_shared, shared_terms, verify_shared,
 )
 from .grid import (
     Coordinate, DataGrid, GridDims, GridError, build_grid, build_opened_group,
@@ -35,8 +36,8 @@ from .dasnet import (
     BlockContext, ConfigMode, DasNetError, ExperimentConfig,
     ExperimentSession, Rendezvous, RetrievalOutcome, SamplingPlan, SimDht,
     Status, build_objects, effective_samples, make_sampling_plan, object_key,
-    object_location, object_regions, publish, required_samples,
-    sample_and_verify, verify_object,
+    object_location, object_regions, object_terms, publish, required_samples,
+    sample_and_verify, verify_object, verify_round,
 )
 
 __version__ = "0.1.0"

@@ -236,7 +236,14 @@ def cmd_verify(args) -> int:
         raise CliError(
             f"fixture holds {len(mcells)} proof objects for "
             f"{len(regions)} groups")
-    for payload, region in zip(mcells, regions):
+    objects = [(dasnet.object_key(ctx, ConfigMode.PMP, grid_mod.Coordinate(
+        region.rows_start, region.cols_start)), region, payload)
+        for payload, region in zip(mcells, regions)]
+    verdicts = dasnet.verify_round(ctx, ConfigMode.PMP, objects)
+    for (ok, _), payload, region in zip(verdicts, mcells, regions):
+        if ok:
+            continue
+        # the first group the round failed, verified alone for its message
         group_id = (f"band {region.rows_start // rows_per_group}, "
                     f"group {region.cols_start // group_size}")
         try:

@@ -19,13 +19,16 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .curve import CurveError, G1Point
-from .field_poly import EvaluationDomain, scalar_to_bytes, scalar_from_bytes
+from .field_poly import (
+    SCALAR_MODULUS, EvaluationDomain, hash_to_scalar, scalar_to_bytes,
+    scalar_from_bytes,
+)
 from .kzg import (
-    SRS, OpCounters, derive_rho, open_single, verify_batch_independent,
-    verify_single,
+    SRS, OpCounters, PairingTerms, batch_independent_terms, derive_rho,
+    open_single, single_terms,
 )
 from .multiproof import (
-    OpenedGroup, Transcript, derive_gamma, open_shared, verify_shared,
+    OpenedGroup, Transcript, derive_gamma, open_shared, shared_terms,
 )
 from .grid import (
     Coordinate, DataGrid, coordinate_to_group, iter_groups,
@@ -403,6 +406,9 @@ class VerificationCache:
     def __init__(self):
         self._memo = {}
 
+    def __contains__(self, cache_key) -> bool:
+        return cache_key in self._memo
+
     def check(self, cache_key, verify_fn):
         hit = self._memo.get(cache_key)
         if hit is None:
@@ -413,10 +419,10 @@ class VerificationCache:
         return hit
 
 
-def verify_object(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
-                  obj: bytes, counters: OpCounters | None = None) -> bool:
-    """Full cryptographic verification of the object stored for
-    `location`, the region `object_location` gives.
+def object_terms(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
+                 obj: bytes, counters: OpCounters | None = None):
+    """Pairing terms of the object stored for `location`, the region
+    `object_location` gives, or None when the object names another region.
 
     Grouped objects are verified against the entire transported
     micro-domain, regardless of which coordinate inside it was sampled.
@@ -430,19 +436,19 @@ def verify_object(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
     if mode is ConfigMode.PMP:
         mcell = MCell.from_bytes(obj)
         if mcell.block != location:
-            return False
+            return None
         g = location.n_cols
         values = [mcell.scalars[i * g:(i + 1) * g] for i in range(len(band))]
         transcript = group_transcript(ctx, location)
         group = OpenedGroup(transcript.commitments, values,
                             transcript.micro_domain)
         proof = G1Point.from_bytes(mcell.proof)
-        return verify_shared(ctx.srs, group, proof, derive_gamma(transcript),
-                             counters=counters)
+        return shared_terms(ctx.srs, group, proof, derive_gamma(transcript),
+                            counters=counters)
     if mode is ConfigMode.GROUPED_ONLY:
         grouped = GroupedCells.from_bytes(obj)
         if grouped.block != location:
-            return False
+            return None
         cells = grouped.cells
     else:
         cells = [BaselineCell.from_bytes(obj)]
@@ -452,33 +458,97 @@ def verify_object(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
                  G1Point.from_bytes(cell.proof))
                 for (r, z), cell in zip(points, cells, strict=True)]
     if mode is ConfigMode.VANILLA:
-        return verify_single(ctx.srs, *openings[0], counters=counters)
+        return single_terms(ctx.srs, *openings[0], counters=counters)
     rho = derive_rho(ctx.srs, openings)
-    return verify_batch_independent(ctx.srs, openings, rho, counters=counters)
+    return batch_independent_terms(ctx.srs, openings, rho, counters=counters)
 
 
-def _verify_fetched(ctx: BlockContext, mode: ConfigMode, coord: Coordinate,
-                    obj: bytes, counters: OpCounters) -> bool:
-    location = object_location(ctx, mode, coord)
-    try:
-        return verify_object(ctx, mode, location, obj, counters)
-    except DECODE_ERRORS:
-        # malformed bytes from an untrusted store fail verification
-        return False
+def verify_object(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
+                  obj: bytes, counters: OpCounters | None = None) -> bool:
+    """Full cryptographic verification of one object (see `object_terms`)."""
+    terms = object_terms(ctx, mode, location, obj, counters)
+    return terms is not None and terms.check()
+
+
+ROUND_CHALLENGE_TAG = b"PMP-DAS-round-v1"
+
+
+def _prefixed(data: bytes) -> bytes:
+    return len(data).to_bytes(4, "big") + data
+
+
+def derive_round_weight(ctx: BlockContext, mode: ConfigMode,
+                        objects) -> int:
+    """Fiat-Shamir weight of one verification round over its (key,
+    location, bytes) objects; binds the SRS, the block and its header
+    commitments, the arm and every object's key and bytes in order."""
+    parts = [ROUND_CHALLENGE_TAG, ctx.srs.srs_id, _prefixed(ctx.block_id),
+             _prefixed(mode.value.encode()),
+             len(ctx.commitments).to_bytes(4, "big")]
+    parts += (cm.to_bytes() for cm in ctx.commitments)
+    parts.append(len(objects).to_bytes(4, "big"))
+    for key, _, obj in objects:
+        parts += (_prefixed(key), _prefixed(obj))
+    return hash_to_scalar(b"".join(parts))
+
+
+def verify_round(ctx: BlockContext, mode: ConfigMode, objects) -> list:
+    """(verdict, OpCounters) of each object, given as (key, location,
+    bytes) triples, all checked with one pairing check.
+
+    Each object is reduced to its pairing terms (undecodable bytes or a
+    foreign block region fail that object alone) with the counters its
+    own verification charges. The terms are summed with weights rho^j
+    for the round's Fiat-Shamir rho: unless every object checks, the sum
+    fails but with negligible probability. If it fails, each object's own
+    terms are checked for its verdict.
+    """
+    reduced = []
+    for _, location, obj in objects:
+        counters = OpCounters()
+        try:
+            terms = object_terms(ctx, mode, location, obj, counters)
+        except DECODE_ERRORS:
+            # malformed bytes from an untrusted store fail verification
+            terms = None
+        reduced.append((terms, counters))
+    valid = [terms for terms, _ in reduced if terms is not None]
+    if valid:
+        rho = derive_round_weight(ctx, mode, objects)
+        batch = PairingTerms(ctx.srs)
+        weight = 1
+        for terms in valid:
+            batch.merge(terms, weight)
+            weight = weight * rho % SCALAR_MODULUS
+        if batch.check():
+            return [(terms is not None, counters)
+                    for terms, counters in reduced]
+    return [(terms is not None and terms.check(), counters)
+            for terms, counters in reduced]
+
+
+def _replay(ok: bool, used: OpCounters):
+    """A cache miss's verify_fn: the round's verdict and its counters."""
+    def verify(counters):
+        counters.merge(used)
+        return ok
+
+    return verify
 
 
 def sample_and_verify(plan: SamplingPlan, mode: ConfigMode, dht: SimDht,
                       ctx: BlockContext, retry_budget: int = 3,
                       cache: VerificationCache | None = None) -> RetrievalOutcome:
-    """Fetch and verify every planned coordinate; fetch and verification
-    failures are recorded, internal errors raised."""
+    """Fetch every planned coordinate, then verify the fetched objects the
+    cache has not seen in one round (`verify_round`); fetch and
+    verification failures are recorded, internal errors raised."""
     if cache is None:
         cache = VerificationCache()
-    statuses = {}
     retries = 0
     groups_touched = set()
-    counters = OpCounters()
-    g_effective, _ = _object_shape(ctx, mode)
+    fetched = []  # (coordinate, cache key, or None for a failed fetch)
+    misses = {}  # cache key -> (key, location, bytes), in first-seen order
+    arm = mode.value  # hashes in C, unlike the enum member
     for coord in plan.coordinates:
         groups_touched.add(coordinate_to_group(
             coord, ctx.group_size, ctx.rows_per_group, dims=ctx.grid.dims))
@@ -486,14 +556,27 @@ def sample_and_verify(plan: SamplingPlan, mode: ConfigMode, dht: SimDht,
         obj, attempts = dht.get_with_retries(key, retry_budget)
         retries += attempts - 1
         if obj is None:
+            fetched.append((coord, None))
+            continue
+        cache_key = (arm, key, hashlib.sha256(obj).digest())
+        fetched.append((coord, cache_key))
+        if cache_key not in cache and cache_key not in misses:
+            misses[cache_key] = (key, object_location(ctx, mode, coord), obj)
+    replays = {}
+    if misses:
+        replays = {cache_key: _replay(*verdict) for cache_key, verdict in
+                   zip(misses, verify_round(ctx, mode, list(misses.values())))}
+    statuses = {}
+    counters = OpCounters()
+    for coord, cache_key in fetched:
+        if cache_key is None:
             statuses[coord] = Status.FETCH_FAILED
             continue
-        ok, used = cache.check(
-            (mode, key, hashlib.sha256(obj).digest()),
-            lambda c, _coord=coord, _obj=obj: _verify_fetched(
-                ctx, mode, _coord, _obj, c))
+        # a hit never calls its verify_fn
+        ok, used = cache.check(cache_key, replays.get(cache_key))
         counters.merge(used)
         statuses[coord] = Status.VERIFIED if ok else Status.VERIFY_FAILED
+    g_effective, _ = _object_shape(ctx, mode)
     return RetrievalOutcome(
         statuses=statuses,
         retries_used=retries,

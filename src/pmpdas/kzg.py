@@ -1,5 +1,5 @@
-"""KZG commitments: SRS, single-point openings, and batched verification of
-independent openings.
+"""KZG commitments: SRS, single-point openings, batched verification of
+independent openings, and the pairing terms every verifier reduces to.
 
 The trusted setup here is test-grade on purpose: the caller supplies the
 secret, which lets test harnesses cross-check every group operation in the
@@ -167,18 +167,84 @@ def open_single(srs: SRS, p: Polynomial, z: int,
     return value, commit(srs, quotient, counters=counters)
 
 
-def verify_single(srs: SRS, cm: G1Point, z: int, value: int,
-                  proof: G1Point, counters: OpCounters | None = None) -> bool:
-    """Pairing check e(cm - [value]_1, g2) == e(proof, [x - z]_2)."""
+class PairingTerms:
+    """The G1 side of a pairing-product equation, grouped by G2 base.
+
+    The equation is prod_Q e(A_Q, Q) == 1. Each A_Q is held as variable G1
+    points with scalars, where repeated additions of the same point object
+    (a row commitment) sum their scalars, plus coefficients on the SRS G1
+    powers. `merge` adds another equation's terms times a weight, so a
+    random linear combination of many equations checks them all with one
+    `check`: one MSM pair per base and one multi-pairing.
+    """
+
+    def __init__(self, srs: SRS):
+        self.srs = srs
+        # id(base) -> (base, {id(point): [point, scalar]}, [coefficients])
+        self._bases = {}
+
+    def add(self, base: G2Point, points=(), fixed=(), weight: int = 1):
+        """Adds weight * (sum of s*P over (P, s) in `points` + sum of
+        fixed[j] * [x^j]_1) to the G1 side of `base`."""
+        if len(fixed) > len(self.srs.g1_powers):
+            raise KzgError("polynomial degree exceeds the SRS bound")
+        entry = self._bases.get(id(base))
+        if entry is None:
+            entry = self._bases[id(base)] = (base, {}, [])
+        _, variable, coeffs = entry
+        for pt, s in points:
+            slot = variable.get(id(pt))
+            if slot is None:
+                variable[id(pt)] = [pt, weight * s % SCALAR_MODULUS]
+            else:
+                slot[1] = (slot[1] + weight * s) % SCALAR_MODULUS
+        coeffs.extend([0] * (len(fixed) - len(coeffs)))
+        for j, c in enumerate(fixed):
+            coeffs[j] = (coeffs[j] + weight * c) % SCALAR_MODULUS
+
+    def merge(self, other: "PairingTerms", weight: int = 1):
+        for base, variable, coeffs in other._bases.values():
+            self.add(base, variable.values(), coeffs, weight)
+
+    def check(self) -> bool:
+        """True iff the product of the pairings is the identity."""
+        pairs = []
+        for base, variable, coeffs in self._bases.values():
+            points = [pt for pt, _ in variable.values()]
+            scalars = [s for _, s in variable.values()]
+            lhs = g1_msm(points, scalars) + g1_fixed_base_msm(
+                self.srs.g1_tables(len(coeffs)), coeffs)
+            pairs.append((lhs, base))
+        return pairing_check(pairs)
+
+
+def _add_opening(terms: PairingTerms, cm: G1Point, z: int, value: int,
+                 proof: G1Point, weight: int = 1):
+    """One opening as e(cm - [value]_1 + z*proof, g2) * e(-proof, [x]_2),
+    which is e(cm - [value]_1, g2) / e(proof, [x - z]_2): every opening
+    lands on the same two G2 bases whatever its z."""
+    terms.add(G2Point.generator(), ((cm, 1), (proof, z)), (-value,), weight)
+    terms.add(terms.srs.g2_powers[1], ((proof, -1),), (), weight)
+
+
+def single_terms(srs: SRS, cm: G1Point, z: int, value: int, proof: G1Point,
+                 counters: OpCounters | None = None) -> PairingTerms:
+    """Pairing terms of e(cm - [value]_1, g2) == e(proof, [x - z]_2)."""
     if not isinstance(cm, G1Point) or not isinstance(proof, G1Point):
         raise CurveError("malformed group element")
-    lhs = cm - g1_fixed_base_msm(srs.g1_tables(1), (value,))
+    terms = PairingTerms(srs)
+    _add_opening(terms, cm, z, value, proof)
     if counters is not None:
         counters.g1_scalar_mults += 1
         counters.g2_scalar_mults += 1
         counters.pairings += 2
-    return pairing_check([(lhs, G2Point.generator()),
-                          (-proof, srs.cached_z_commitment((z,)))])
+    return terms
+
+
+def verify_single(srs: SRS, cm: G1Point, z: int, value: int,
+                  proof: G1Point, counters: OpCounters | None = None) -> bool:
+    """Pairing check e(cm - [value]_1, g2) == e(proof, [x - z]_2)."""
+    return single_terms(srs, cm, z, value, proof, counters).check()
 
 
 def derive_rho(srs: SRS, openings) -> int:
@@ -190,35 +256,27 @@ def derive_rho(srs: SRS, openings) -> int:
     return hash_to_scalar(b"".join(parts))
 
 
-def verify_batch_independent(srs: SRS, openings, rho: int,
-                             counters: OpCounters | None = None) -> bool:
-    """Random-linear-combination check over independent single openings.
-
-    Each opening satisfies e(cm - [v]_1, g2) == e(pi, [x]_2 - z*g2),
-    equivalently e(cm - [v]_1 + z*pi, g2) == e(pi, [x]_2); the rho-weighted
-    sums of both sides reduce the batch to one two-pairing check.
-    """
+def batch_independent_terms(srs: SRS, openings, rho: int,
+                            counters: OpCounters | None = None
+                            ) -> PairingTerms:
+    """Pairing terms of the rho^i-weighted sum of independent openings."""
     if not openings:
         raise KzgError("cannot batch-verify an empty opening list")
     rho %= SCALAR_MODULUS
-    # left = sum_i w_i*cm_i - (sum_i w_i*v_i)*g + sum_i (w_i*z_i)*pi_i and
-    # proofs = sum_i w_i*pi_i for w_i = rho^i, as two multi-scalar products
-    cms, proofs, weights, zw = [], [], [], []
-    value_sum = 0
+    terms = PairingTerms(srs)
     weight = 1
     for cm, z, value, proof in openings:
-        cms.append(cm)
-        proofs.append(proof)
-        weights.append(weight)
-        zw.append(weight * z % SCALAR_MODULUS)
-        value_sum = (value_sum + weight * value) % SCALAR_MODULUS
+        _add_opening(terms, cm, z, value, proof, weight)
         if counters is not None:
             counters.g1_scalar_mults += 4
         weight = weight * rho % SCALAR_MODULUS
-    left = g1_msm(cms + [G1Point.generator()] + proofs,
-                  weights + [-value_sum % SCALAR_MODULUS] + zw)
-    proofs_acc = g1_msm(proofs, weights)
     if counters is not None:
         counters.pairings += 2
-    return pairing_check([(left, G2Point.generator()),
-                          (-proofs_acc, srs.g2_powers[1])])
+    return terms
+
+
+def verify_batch_independent(srs: SRS, openings, rho: int,
+                             counters: OpCounters | None = None) -> bool:
+    """Random-linear-combination check over independent single openings:
+    one two-pairing check for the whole batch."""
+    return batch_independent_terms(srs, openings, rho, counters).check()

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import G1Point, G2Point, g1_msm, pairing_check
+from .curve import G1Point, G2Point
 from .field_poly import (
     SCALAR_MODULUS, EvaluationDomain, Polynomial, div_rem, hash_to_scalar,
     interpolate, scalar_to_bytes, vanishing_poly,
 )
-from .kzg import SRS, OpCounters, commit
+from .kzg import SRS, OpCounters, PairingTerms, commit
 
 TRANSCRIPT_TAG = b"PMP-DAS-v1"
 
@@ -123,13 +123,16 @@ def open_shared(srs: SRS, polys, micro_domain: EvaluationDomain, gamma: int,
     return commit(srs, quotient, counters=counters, slots=d + 1 - g)
 
 
-def verify_shared(srs: SRS, group: OpenedGroup, proof: G1Point,
-                  gamma: int, counters: OpCounters | None = None) -> bool:
-    """Single aggregated pairing check for a whole opened group.
+def shared_terms(srs: SRS, group: OpenedGroup, proof: G1Point,
+                 gamma: int, counters: OpCounters | None = None
+                 ) -> PairingTerms:
+    """Pairing terms of one aggregated check for a whole opened group.
 
-    Interpolates the gamma-combined value rows in one pass, then checks
-    e(C - R, g2) == e(proof, [Z_md(x)]_2) with C the gamma-combination
-    of the commitments and R the commitment to the combined interpolant.
+    Interpolates the gamma-combined value rows in one pass, then reduces
+    e(C - R, g2) == e(proof, [Z_md(x)]_2), with C the gamma-combination
+    of the commitments and R the commitment to the combined interpolant,
+    to e(C - R, g2) * e(-proof, [Z_md(x)]_2); R stays as coefficients on
+    the SRS powers.
     """
     if not isinstance(proof, G1Point):
         raise MultiproofError("malformed aggregated proof")
@@ -146,22 +149,25 @@ def verify_shared(srs: SRS, group: OpenedGroup, proof: G1Point,
         for j, v in enumerate(row):
             combined_values[j] = (combined_values[j] + w * v) % SCALAR_MODULUS
     r_combined = interpolate(md.points, combined_values)
+    z2 = srs.cached_z_commitment(md, counters=counters)
+    terms = PairingTerms(srs)
+    terms.add(G2Point.generator(), zip(group.commitments, weights),
+              [-c for c in r_combined.coeffs])
+    terms.add(z2, ((proof, -1),))
+    # the cost model charges one interpolation, g slots for committing to
+    # R, the k-point combination plus one multiplication for negating R,
+    # and two pairings
     if counters is not None:
         counters.interpolations += 1
-
-    c_combined = g1_msm(group.commitments, weights)
-    r_commit = commit(srs, r_combined, counters=counters, slots=g)
-    # the cost model charges the k-point combination plus one scalar
-    # multiplication for negating R
-    if counters is not None:
-        counters.g1_scalar_mults += k + 1
-    lhs = c_combined - r_commit
-
-    z2 = srs.cached_z_commitment(md, counters=counters)
-    if counters is not None:
+        counters.g1_scalar_mults += g + k + 1
         counters.pairings += 2
-    return pairing_check([(lhs, G2Point.generator()),
-                          (-proof, z2)])
+    return terms
+
+
+def verify_shared(srs: SRS, group: OpenedGroup, proof: G1Point,
+                  gamma: int, counters: OpCounters | None = None) -> bool:
+    """Single aggregated pairing check for a whole opened group."""
+    return shared_terms(srs, group, proof, gamma, counters).check()
 
 
 def open_generic(srs: SRS, polys, opened_sets, values, gamma: int,

@@ -5,14 +5,15 @@ Each function is the plain textbook form of a primitive that `pmpdas`
 computes faster: the affine Miller loop with one inversion per step, the
 final exponentiation with generic Fp12 squarings, the G1 subgroup check as
 multiplication by r, G1 and G2 multi-scalar multiplications as sums of
-ladders, single and batched KZG verification with one scalar multiplication per
-term, and the DHT's rendezvous peer order sorted afresh on every call.
+ladders, single, batched and shared-point KZG verification with one scalar
+multiplication per term and one unbatched pairing check each, and the DHT's
+rendezvous peer order sorted afresh on every call.
 """
 
 import hashlib
 
 from pmpdas.curve import G1Point, G2Point, _g1_to_affine, _g2_to_affine
-from pmpdas.field_poly import SCALAR_MODULUS
+from pmpdas.field_poly import SCALAR_MODULUS, interpolate, vanishing_poly
 from pmpdas.fields import (
     BLS_X, FP2_ZERO, FP12_ONE, P, R,
     fp2_inv, fp2_mul, fp2_neg, fp2_scalar_mul, fp2_sqr, fp2_sub,
@@ -195,6 +196,28 @@ def verify_batch_independent(srs, openings, rho: int) -> bool:
         weight = weight * rho % SCALAR_MODULUS
     return multi_pairing([(left, g2),
                           (-proofs_acc, srs.g2_powers[1])]) == FP12_ONE
+
+
+def verify_shared(srs, group, proof, gamma: int) -> bool:
+    """e(C - R, g2) == e(proof, [Z_md(x)]_2) as one unbatched two-pairing
+    check: C the gamma-combination of the commitments, R the commitment to
+    the interpolant of the combined values, every product a ladder."""
+    gamma %= SCALAR_MODULUS
+    md = group.micro_domain
+    c = G1Point.identity()
+    combined = [0] * md.size
+    weight = 1
+    for cm, row in zip(group.commitments, group.values):
+        c = c + cm * weight
+        combined = [(a + weight * v) % SCALAR_MODULUS
+                    for a, v in zip(combined, row)]
+        weight = weight * gamma % SCALAR_MODULUS
+    r_coeffs = interpolate(md.points, combined).coeffs
+    r_commit = g1_msm(srs.g1_powers[:len(r_coeffs)], r_coeffs)
+    z_coeffs = vanishing_poly(md.points).coeffs
+    z2 = g2_msm(srs.g2_powers[:len(z_coeffs)], z_coeffs)
+    return multi_pairing([(c - r_commit, G2Point.generator()),
+                          (-proof, z2)]) == FP12_ONE
 
 
 # ---------------------------------------------------------------------------

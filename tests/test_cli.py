@@ -7,7 +7,7 @@ import pytest
 
 from pmpdas import cli, dasnet, grid
 from pmpdas.curve import G1Point, G2Point
-from pmpdas.kzg import KzgError, gen
+from pmpdas.kzg import KzgError, PairingTerms, gen
 from pmpdas.multiproof import MultiproofError
 from pmpdas.wire import decode_fixture, encode_fixture, encode_srs
 
@@ -188,8 +188,20 @@ def test_verify_internal_error_raises_instead_of_failing(tmp_path,
     def broken(*args, **kwargs):
         raise MultiproofError("internal fault")
 
-    monkeypatch.setattr(dasnet, "verify_shared", broken)
+    monkeypatch.setattr(dasnet, "shared_terms", broken)
     with pytest.raises(MultiproofError):
+        run_cli(["verify", "--fixture", fxp])
+
+
+def test_verify_internal_error_in_the_round_check_raises(tmp_path,
+                                                        monkeypatch):
+    fxp = _proved_fixture(tmp_path)
+
+    def broken(self):
+        raise KzgError("internal fault")
+
+    monkeypatch.setattr(PairingTerms, "check", broken)
+    with pytest.raises(KzgError):
         run_cli(["verify", "--fixture", fxp])
 
 

@@ -7,20 +7,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from helpers import shared_srs
-from pmpdas import dasnet
-from pmpdas.curve import CurveError
+from pmpdas import dasnet, kzg
+from pmpdas.curve import CurveError, G1Point, pairing_check
 from pmpdas.dasnet import (
-    BlockContext, ConfigMode, DasNetError, ExperimentConfig,
-    ExperimentSession, Rendezvous, SimDht, Status, build_objects,
-    effective_samples, make_sampling_plan, object_key, object_location,
-    object_regions, publish, required_samples, sample_and_verify,
+    DECODE_ERRORS, GROUPED_MODES, BlockContext, ConfigMode, DasNetError,
+    ExperimentConfig, ExperimentSession, Rendezvous, SamplingPlan, SimDht,
+    Status, VerificationCache, build_objects, effective_samples,
+    make_sampling_plan, object_key, object_location, object_regions,
+    object_terms, publish, required_samples, sample_and_verify,
     verify_object,
 )
-from pmpdas.grid import Coordinate, GridDims, GridError, build_grid
-from pmpdas.kzg import KzgError
-from pmpdas.multiproof import MultiproofError
-from pmpdas.wire import GCellBlock, WireError
+from pmpdas.field_poly import (
+    SCALAR_MODULUS, scalar_from_bytes, scalar_to_bytes,
+)
+from pmpdas.grid import (
+    Coordinate, GridDims, GridError, build_grid, partition_micro_domains,
+)
+from pmpdas.kzg import KzgError, OpCounters, PairingTerms, derive_rho
+from pmpdas.multiproof import MultiproofError, OpenedGroup, derive_gamma
+from pmpdas.wire import (
+    BASELINE_CELL_BYTES, GCELL_BLOCK_BYTES, PROOF_BYTES, SCALAR_BYTES,
+    BaselineCell, GCellBlock, GroupedCells, MCell, WireError,
+)
 
 
 def _context(rows=2, group_size=4, rows_per_group=1, seed=80):
@@ -280,11 +290,20 @@ def test_miscounted_grouped_object_is_a_verify_failure(tamper):
     assert outcome.count(Status.VERIFY_FAILED) == 4
 
 
+def _assert_internal_error_raises(error, modes):
+    plan = make_sampling_plan(3, CTX.grid.dims, 2)
+    for mode in modes:
+        dht = SimDht(10, 3)
+        publish(CTX, mode, dht)
+        with pytest.raises(error):
+            sample_and_verify(plan, mode, dht, CTX)
+
+
 @pytest.mark.parametrize("name, error, modes", [
-    ("verify_single", KzgError, (ConfigMode.VANILLA,)),
-    ("verify_batch_independent", KzgError,
+    ("single_terms", KzgError, (ConfigMode.VANILLA,)),
+    ("batch_independent_terms", KzgError,
      (ConfigMode.BATCHED_SINGLE, ConfigMode.GROUPED_ONLY)),
-    ("verify_shared", MultiproofError, (ConfigMode.PMP,)),
+    ("shared_terms", MultiproofError, (ConfigMode.PMP,)),
 ])
 def test_internal_error_raises_instead_of_failing_verification(
         monkeypatch, name, error, modes):
@@ -292,12 +311,15 @@ def test_internal_error_raises_instead_of_failing_verification(
         raise error("internal fault")
 
     monkeypatch.setattr(dasnet, name, broken)
-    plan = make_sampling_plan(3, CTX.grid.dims, 2)
-    for mode in modes:
-        dht = SimDht(10, 3)
-        publish(CTX, mode, dht)
-        with pytest.raises(error):
-            sample_and_verify(plan, mode, dht, CTX)
+    _assert_internal_error_raises(error, modes)
+
+
+def test_internal_error_in_the_round_check_raises(monkeypatch):
+    def broken(self):
+        raise KzgError("internal fault")
+
+    monkeypatch.setattr(PairingTerms, "check", broken)
+    _assert_internal_error_raises(KzgError, tuple(ConfigMode))
 
 
 @functools.lru_cache(maxsize=None)
@@ -498,3 +520,215 @@ def test_config_parsing(tmp_path):
     for pairs in ({"seeds": "5-3"}, {"retry_budget": "-1"}):
         with pytest.raises(DasNetError):
             ExperimentConfig.from_pairs(pairs)
+
+
+# ---------------------------------------------------------------------------
+# Verification rounds
+
+DAMAGES = ("proof", "proof-byte", "value")
+
+
+def _damaged(mode, obj, how, i=0, shift=1):
+    """`obj` with its i-th proof moved by shift*G ("proof") or one byte of
+    it flipped ("proof-byte"), or its i-th value moved by shift ("value");
+    pmp objects have one proof, per-cell objects one value."""
+    if mode is ConfigMode.PMP:
+        proof_at = 0
+        value_at = PROOF_BYTES + GCELL_BLOCK_BYTES + 4 + SCALAR_BYTES * i
+    else:
+        header = GCELL_BLOCK_BYTES + 4 if mode is ConfigMode.GROUPED_ONLY \
+            else 0
+        proof_at = header + BASELINE_CELL_BYTES * i
+        value_at = proof_at + PROOF_BYTES
+    if how == "value":
+        value = scalar_from_bytes(obj[value_at:value_at + SCALAR_BYTES])
+        return obj[:value_at] \
+            + scalar_to_bytes((value + shift) % SCALAR_MODULUS) \
+            + obj[value_at + SCALAR_BYTES:]
+    end = proof_at + PROOF_BYTES
+    if how == "proof":
+        proof = G1Point.from_bytes(obj[proof_at:end]) \
+            + G1Point.generator() * shift
+        return obj[:proof_at] + proof.to_bytes() + obj[end:]
+    return obj[:end - 1] + bytes([obj[end - 1] ^ 0x01]) + obj[end:]
+
+
+def _store_everywhere(dht, key, data):
+    """Replace every replica of `key`."""
+    for store in dht.stores:
+        if key in store:
+            store[key] = data
+
+
+def _published_dht(ctx, mode):
+    dht = SimDht(10, 3)
+    publish(ctx, mode, dht, objects=_published(ctx, mode))
+    return dht
+
+
+def _warm(ctx):
+    # the micro-domain memo is warm, as in a session, so cold G2 charges
+    # cannot make one verification's counters differ from another's
+    for md in partition_micro_domains(ctx.grid.row_domain, ctx.group_size):
+        ctx.srs.cached_z_commitment(md)
+
+
+def _alone(ctx, mode, coord, obj):
+    """Verdict and counters of verifying the object on its own."""
+    counters = OpCounters()
+    try:
+        ok = verify_object(ctx, mode, object_location(ctx, mode, coord), obj,
+                           counters)
+    except DECODE_ERRORS:
+        ok = False
+    return ok, counters
+
+
+def _every_cell(ctx):
+    dims = ctx.grid.dims
+    return SamplingPlan(0, tuple(_cells(GCellBlock(0, dims.rows, 0,
+                                                   dims.extended_cols))))
+
+
+@pytest.mark.parametrize("how", DAMAGES)
+@pytest.mark.parametrize("arm", [mode.value for mode in ConfigMode])
+def test_round_fails_only_the_damaged_object(arm, how):
+    mode = ConfigMode.parse(arm)
+    _warm(CTX)
+    dht = _published_dht(CTX, mode)
+    bad = Coordinate(1, 5)
+    bad_key = object_key(CTX, mode, bad)
+    _store_everywhere(dht, bad_key,
+                      _damaged(mode, _published(CTX, mode)[bad_key], how))
+    plan = _every_cell(CTX)
+    outcome = sample_and_verify(plan, mode, dht, CTX)
+    expected = OpCounters()
+    for coord in plan.coordinates:
+        ok, used = _alone(CTX, mode, coord,
+                          dht.get(object_key(CTX, mode, coord)))
+        assert ok == (coord not in _cells(object_location(CTX, mode, bad)))
+        assert outcome.statuses[coord] is \
+            (Status.VERIFIED if ok else Status.VERIFY_FAILED), coord
+        expected.merge(used)
+    assert outcome.counters == expected
+
+
+@pytest.mark.parametrize("how", ["proof", "value"])
+def test_round_rejects_damage_that_cancels_in_a_plain_sum(how):
+    # two cells of one column share z, so shifting their proofs (or
+    # values) by +D and -D leaves the unweighted sum of their equations
+    # intact
+    mode = ConfigMode.VANILLA
+    pair = (Coordinate(0, 3), Coordinate(1, 3))
+    dht = _published_dht(CTX, mode)
+    plain = PairingTerms(CTX.srs)
+    for coord, shift in zip(pair, (5, -5)):
+        key = object_key(CTX, mode, coord)
+        data = _damaged(mode, _published(CTX, mode)[key], how, shift=shift)
+        _store_everywhere(dht, key, data)
+        plain.merge(object_terms(CTX, mode, object_location(CTX, mode, coord),
+                                 data))
+    assert plain.check()
+    outcome = sample_and_verify(SamplingPlan(0, pair), mode, dht, CTX)
+    assert outcome.count(Status.VERIFY_FAILED) == 2
+
+
+def test_honest_round_makes_one_pairing_check(monkeypatch):
+    calls = []
+
+    def counted(pairs):
+        calls.append(len(pairs))
+        return pairing_check(pairs)
+
+    monkeypatch.setattr(kzg, "pairing_check", counted)
+    plan = _every_cell(CTX)
+    for mode in ConfigMode:
+        dht = _published_dht(CTX, mode)
+        calls.clear()
+        outcome = sample_and_verify(plan, mode, dht, CTX)
+        assert outcome.count(Status.VERIFIED) == len(plan.coordinates)
+        # per-cell openings land on g2 and [x]_2, pmp objects on g2 and
+        # one [Z_md]_2 for each of the two micro-domains
+        assert calls == [3 if mode is ConfigMode.PMP else 2], mode
+
+
+def test_round_of_cache_hits_makes_no_pairing_call(monkeypatch):
+    plan = _every_cell(CTX)
+    for mode in ConfigMode:
+        dht = _published_dht(CTX, mode)
+        cache = VerificationCache()
+        first = sample_and_verify(plan, mode, dht, CTX, cache=cache)
+        with monkeypatch.context() as patched:
+            patched.setattr(dasnet, "object_terms", None)
+            patched.setattr(kzg, "pairing_check", None)
+            again = sample_and_verify(plan, mode, dht, CTX, cache=cache)
+        assert again.statuses == first.statuses
+        assert again.counters == first.counters
+
+
+def _oracle_verdict(ctx, mode, coord, obj):
+    """The object's verdict from the unbatched per-object oracles."""
+    location = object_location(ctx, mode, coord)
+    band = range(location.rows_start, location.rows_end)
+    try:
+        if mode is ConfigMode.PMP:
+            mcell = MCell.from_bytes(obj)
+            if mcell.block != location:
+                return False
+            g = location.n_cols
+            transcript = dasnet.group_transcript(ctx, location)
+            group = OpenedGroup(
+                transcript.commitments,
+                [mcell.scalars[i * g:(i + 1) * g] for i in range(len(band))],
+                transcript.micro_domain)
+            return oracles.verify_shared(ctx.srs, group,
+                                         G1Point.from_bytes(mcell.proof),
+                                         derive_gamma(transcript))
+        if mode is ConfigMode.GROUPED_ONLY:
+            grouped = GroupedCells.from_bytes(obj)
+            if grouped.block != location:
+                return False
+            cells = grouped.cells
+        else:
+            cells = [BaselineCell.from_bytes(obj)]
+        zs = ctx.grid.row_domain.points[location.cols_start:location.cols_end]
+        openings = [(ctx.commitments[r], z, scalar_from_bytes(cell.data),
+                     G1Point.from_bytes(cell.proof))
+                    for (r, z), cell in zip(((r, z) for r in band
+                                             for z in zs), cells)]
+    except DECODE_ERRORS:
+        return False
+    if mode is ConfigMode.VANILLA:
+        return oracles.verify_single(ctx.srs, *openings[0])
+    return oracles.verify_batch_independent(ctx.srs, openings,
+                                            derive_rho(ctx.srs, openings))
+
+
+@pytest.mark.parametrize("geometry", ["default", "k2_g2"])
+def test_round_verdicts_match_the_oracles(geometry):
+    ctx = GEOMETRIES[geometry]
+    rng = random.Random(f"round|{geometry}")
+    damages = ("truncated", "foreign") + DAMAGES
+    for mode in ConfigMode:
+        published = _published(ctx, mode)
+        dht = _published_dht(ctx, mode)
+        for key, obj in published.items():
+            how = "honest" if rng.random() < 0.6 else rng.choice(damages)
+            if how == "truncated":
+                obj = obj[:-1]
+            elif how == "foreign":
+                obj = published[rng.choice(list(published))]
+            elif how != "honest":
+                cells = ctx.group_size * ctx.rows_per_group \
+                    if mode in GROUPED_MODES else 1
+                obj = _damaged(mode, obj, how, rng.randrange(cells),
+                               rng.randrange(1, 1 << 64))
+            _store_everywhere(dht, key, obj)
+        plan = make_sampling_plan(rng.randrange(1 << 30), ctx.grid.dims, 8)
+        outcome = sample_and_verify(plan, mode, dht, ctx)
+        for coord in plan.coordinates:
+            ok = _oracle_verdict(ctx, mode, coord,
+                                 dht.get(object_key(ctx, mode, coord)))
+            assert outcome.statuses[coord] is \
+                (Status.VERIFIED if ok else Status.VERIFY_FAILED), \
+                (mode, coord)

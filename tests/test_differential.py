@@ -15,11 +15,12 @@ from pmpdas.curve import (
     g1_msm, g2_msm, multi_pairing,
 )
 from pmpdas.dasnet import Rendezvous
-from pmpdas.field_poly import SCALAR_MODULUS, Polynomial
+from pmpdas.field_poly import SCALAR_MODULUS, EvaluationDomain, Polynomial
 from pmpdas.kzg import (
     OpCounters, commit, derive_rho, open_single, verify_batch_independent,
     verify_single,
 )
+from pmpdas.multiproof import OpenedGroup, open_shared, verify_shared
 
 # G1 cofactor: #E(Fp) = H1 * r
 H1 = 0x396C8C005555E1568C00AAAB0000AAAB
@@ -299,6 +300,37 @@ def test_verify_single_matches_oracle():
                                           "pairings": 2, "interpolations": 0}
         assert [verify_single(srs, *c) for c in cases[:3]] == \
             [True, False, True]
+
+
+# ---------------------------------------------------------------------------
+# Shared-point KZG verification
+
+def test_verify_shared_matches_oracle():
+    rng = random.Random(107)
+    srs = shared_srs(7)
+    for k, g in ((1, 1), (2, 4), (3, 2)):
+        polys = [rand_poly(rng, 7) for _ in range(k)]
+        md = EvaluationDomain(
+            [rng.randrange(SCALAR_MODULUS) for _ in range(g)], offset=0)
+        commitments = [commit(srs, p) for p in polys]
+        values = [[p.evaluate(z) for z in md] for p in polys]
+        gamma = rng.randrange(1, SCALAR_MODULUS)
+        proof = open_shared(srs, polys, md, gamma)
+        shifted = [row[:] for row in values]
+        shifted[-1][-1] += 1
+        cases = [(OpenedGroup(commitments, values, md), proof),
+                 (OpenedGroup(commitments, shifted, md), proof),
+                 (OpenedGroup(commitments, values, md),
+                  proof + G1Point.generator()),
+                 (OpenedGroup(commitments[::-1], values, md), proof)]
+        for i, (group, pi) in enumerate(cases):
+            counters = OpCounters()
+            verdict = verify_shared(srs, group, pi, gamma, counters=counters)
+            assert verdict == oracles.verify_shared(srs, group, pi, gamma)
+            assert verdict == (i == 0 or (i == 3 and k == 1)), (k, g, i)
+            assert counters.as_dict() == {
+                "g1_mults": k + g + 1, "pairings": 2, "interpolations": 1,
+                "g2_mults": 0 if i else g + 1}, (k, g, i)
 
 
 # ---------------------------------------------------------------------------
