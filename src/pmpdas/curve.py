@@ -5,7 +5,7 @@ Points are kept in Jacobian coordinates as plain tuples. One immutable
 point base holds the point API and the compressed-encoding frame;
 :class:`G1Point` and :class:`G2Point` supply only their Jacobian formulas,
 their x-coordinate codec and their subgroup test. Both groups share one
-double-and-add ladder and one interleaved-window MSM.
+double-and-add ladder and one signed-window MSM walk.
 
 Serialization follows the common 48/96-byte compressed convention:
 big-endian x with flag bits in the three high bits of the first byte
@@ -174,59 +174,23 @@ def _g2_to_affine(pt):
 
 
 # ---------------------------------------------------------------------------
-# Multi-scalar multiplication (interleaved 4-bit windows)
-
-_WINDOW = 4
-
-
-def _msm(group, points, scalars):
-    """Sum of scalar*point over points of one group, as a `group` point;
-    scalars are reduced mod r and zip stops at the shorter input.
-
-    Each term gets a table of its multiples 0..15; the doublings between
-    windows are shared by all terms.
-    """
-    add, double, inf = group._add, group._double, group._INF
-    pairs = [(p.raw, s % R) for p, s in zip(points, scalars)
-             if s % R and not p.is_identity()]
-    if not pairs:
-        return group(inf)
-    if len(pairs) == 1:
-        return group(group._ladder(*pairs[0]))
-    tables = []
-    for p, s in pairs:
-        tbl = [inf, p]
-        for _ in range(2, 1 << _WINDOW):
-            tbl.append(add(tbl[-1], p))
-        tables.append((tbl, s))
-    nbits = max(s.bit_length() for _, s in pairs)
-    nwin = (nbits + _WINDOW - 1) // _WINDOW
-    acc = inf
-    for w in range(nwin - 1, -1, -1):
-        if w != nwin - 1:
-            for _ in range(_WINDOW):
-                acc = double(acc)
-        shift = w * _WINDOW
-        for tbl, s in tables:
-            digit = (s >> shift) & ((1 << _WINDOW) - 1)
-            if digit:
-                acc = add(acc, tbl[digit])
-    return group(acc)
-
-
-# ---------------------------------------------------------------------------
-# Fixed-base multi-scalar multiplication
+# Multi-scalar multiplication
 #
-# For bases that never change (the SRS powers, the generator) each point
-# gets a table of its affine multiples 1..2^(w-1) once. A scalar is then
-# written in signed w-bit digits, so a negative digit reads the same table
-# with y negated, and every addition is a mixed Jacobian + affine one
-# (Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992; Moeller, SAC
-# 2001). The doublings are shared by all terms, as in `_msm`.
+# Every MSM here is one signed-window walk. Each term is a table of the
+# multiples 1..2^(w-1) of its base and the base's scalar written in signed
+# w-bit digits, so a negative digit reads the same table negated. The
+# doublings between windows are shared by all terms (Brickell, Gordon,
+# McCurley and Wilson, EUROCRYPT 1992; Moeller, SAC 2001). A group supplies
+# only how a table entry is added to a Jacobian point and negated: G1
+# tables are affine, so each addition is a mixed Jacobian + affine one,
+# while G2 tables stay Jacobian.
+#
+# The fixed-base walk (the SRS powers, the generator) uses 8-bit windows
+# over tables built once; the variable-base walk builds 4-bit tables per
+# call.
 
 _FB_WINDOW = 8
-_FB_HALF = 1 << (_FB_WINDOW - 1)
-_FB_MASK = (1 << _FB_WINDOW) - 1
+_WINDOW = 4
 
 
 def _g1_add_affine(pt, q):
@@ -252,6 +216,10 @@ def _g1_add_affine(pt, q):
     return (x3, y3, z3)
 
 
+def _g1_neg_affine(q):
+    return (q[0], P - q[1])
+
+
 def _g1_batch_to_affine(points):
     """Affine forms of non-identity Jacobian points, with one inversion."""
     prefix = []
@@ -272,18 +240,104 @@ def _g1_batch_to_affine(points):
     return tuple(out)
 
 
-def _signed_digits(k):
+def _g1_multiples(aff, n):
+    """Jacobian 1*q .. n*q of a non-identity affine q, for n >= 2."""
+    multiples = [aff + (1,), _g1_double(aff + (1,))]
+    for _ in range(n - 2):
+        multiples.append(_g1_add_affine(multiples[-1], aff))
+    return multiples
+
+
+def _signed_digits(k, window):
     """Digits d_i in [-2^(w-1), 2^(w-1)] with k = sum d_i * 2^(w*i), least
-    significant first."""
+    significant first, for w = `window`."""
+    half = 1 << (window - 1)
+    mask = (1 << window) - 1
     digits = []
     while k:
-        d = k & _FB_MASK
-        k >>= _FB_WINDOW
-        if d > _FB_HALF:
-            d -= 1 << _FB_WINDOW
+        d = k & mask
+        k >>= window
+        if d > half:
+            d -= 1 << window
             k += 1
         digits.append(d)
     return digits
+
+
+def _signed_window_msm(group, terms, window):
+    """Sum over the (table, digits) terms of sum_i digits[i] * 2^(w*i) *
+    base, where table[j] is (j+1) * base in the group's entry form and the
+    digits come from `_signed_digits(k, w)` for w = `window`."""
+    if not terms:
+        return group(group._INF)
+    add, neg, double = group._add_entry, group._neg_entry, group._double
+    nwin = max(len(digits) for _, digits in terms)
+    for _, digits in terms:
+        digits.extend([0] * (nwin - len(digits)))
+    acc = group._INF
+    for i in range(nwin - 1, -1, -1):
+        for _ in range(window):
+            acc = double(acc)
+        for tbl, digits in terms:
+            d = digits[i]
+            if d > 0:
+                acc = add(acc, tbl[d - 1])
+            elif d < 0:
+                acc = add(acc, neg(tbl[-d - 1]))
+    return group(acc)
+
+
+def _g1_msm_terms(pairs):
+    """Walk terms of (Jacobian point, scalar in [1, r)) pairs of G1.
+
+    Every table is normalised to affine with one shared inversion. Each
+    scalar is split as k = k1 + k2 * x^2 with k1, k2 < 2^128, and since
+    phi(P) = -x^2 * P on G1, k * P = k1 * P + k2 * (-phi(P)): the doublings
+    halve, and the table of -phi(P) = (beta * x, -y) costs one
+    multiplication per entry (Gallant, Lambert and Vanstone, CRYPTO 2001).
+    """
+    half = 1 << (_WINDOW - 1)
+    bases = _g1_batch_to_affine([raw for raw, _ in pairs])
+    multiples = []
+    for aff in bases:
+        multiples += _g1_multiples(aff, half)
+    multiples = _g1_batch_to_affine(multiples)
+    terms = []
+    for i, (_, k) in enumerate(pairs):
+        tbl = multiples[i * half:(i + 1) * half]
+        k2, k1 = divmod(k, _X_SQUARED)
+        if k1:
+            terms.append((tbl, _signed_digits(k1, _WINDOW)))
+        if k2:
+            terms.append((tuple((x * _BETA % P, P - y) for x, y in tbl),
+                          _signed_digits(k2, _WINDOW)))
+    return terms
+
+
+def _g2_msm_terms(pairs):
+    """Walk terms of (Jacobian point, scalar in [1, r)) pairs of G2, with
+    Jacobian tables and the full scalars."""
+    terms = []
+    for raw, k in pairs:
+        tbl = [raw, _g2_double(raw)]
+        for _ in range(2, 1 << (_WINDOW - 1)):
+            tbl.append(_g2_add(tbl[-1], raw))
+        terms.append((tbl, _signed_digits(k, _WINDOW)))
+    return terms
+
+
+def _msm(group, points, scalars):
+    """Sum of scalar*point over points of one group, as a `group` point;
+    scalars are reduced mod r and zip stops at the shorter input.
+
+    The points must lie in the prime-order subgroup: the G1 split relies
+    on it, and no multiple of a table base may be the identity.
+    """
+    pairs = [(p.raw, s % R) for p, s in zip(points, scalars)
+             if s % R and not p.is_identity()]
+    if not pairs:
+        return group(group._INF)
+    return _signed_window_msm(group, group._msm_terms(pairs), _WINDOW)
 
 
 def g1_fixed_base_table(point) -> tuple:
@@ -292,10 +346,7 @@ def g1_fixed_base_table(point) -> tuple:
     aff = _g1_to_affine(point.raw)
     if aff is None:
         return ()
-    multiples = [aff + (1,), _g1_double(aff + (1,))]
-    for _ in range(_FB_HALF - 2):
-        multiples.append(_g1_add_affine(multiples[-1], aff))
-    return _g1_batch_to_affine(multiples)
+    return _g1_batch_to_affine(_g1_multiples(aff, 1 << (_FB_WINDOW - 1)))
 
 
 def g1_fixed_base_msm(tables, scalars) -> "G1Point":
@@ -305,46 +356,39 @@ def g1_fixed_base_msm(tables, scalars) -> "G1Point":
     for tbl, s in zip(tables, scalars):
         s %= R
         if s and tbl:
-            terms.append((tbl, _signed_digits(s)))
-    if not terms:
-        return G1Point(_INF1)
-    nwin = max(len(digits) for _, digits in terms)
-    for _, digits in terms:
-        digits.extend([0] * (nwin - len(digits)))
-    acc = _INF1
-    for i in range(nwin - 1, -1, -1):
-        for _ in range(_FB_WINDOW):
-            acc = _g1_double(acc)
-        for tbl, digits in terms:
-            d = digits[i]
-            if d > 0:
-                acc = _g1_add_affine(acc, tbl[d - 1])
-            elif d < 0:
-                x, y = tbl[-d - 1]
-                acc = _g1_add_affine(acc, (x, P - y))
-    return G1Point(acc)
+            terms.append((tbl, _signed_digits(s, _FB_WINDOW)))
+    return _signed_window_msm(G1Point, terms, _FB_WINDOW)
 
 
 # ---------------------------------------------------------------------------
 # Pairing (optimal ate, computed on the twist)
 #
-# The Miller loop keeps T in homogeneous projective coordinates (x = X/Z,
+# The Miller loop walks T in homogeneous projective coordinates (x = X/Z,
 # y = Y/Z), so no step inverts, and multiplies f by each line directly in
 # its sparse form c0 + c1*v + c2*v*w with c_i in Fp2 (Costello, Lange and
 # Naehrig, PKC 2010). Each line is the affine line through T scaled by an
 # Fp2 factor; the final exponentiation maps every such factor to one, so
 # the pairing value is the same as with affine lines.
+#
+# The walk of T depends on the G2 point alone, and the G1 point P enters a
+# line only as c1 = a*xp and c2 = b*(-yp). So a G2 point computes its lines
+# (c0, a, b) once, on its first pairing, and keeps them (Costello and
+# Stebila, "Fixed argument pairings", LATINCRYPT 2010); each pairing then
+# only scales them by P.
 
 _B2_3 = fp2_scalar_mul(_B2, 3)
 _INV2 = pow(2, -1, P)
 
+# One entry per line of the loop, in order: True for a doubling line,
+# which follows a squaring of f, False for an addition line.
+_LINE_SCHEDULE = tuple(
+    square for bit in BLS_X_BITS
+    for square in ((True, False) if bit == "1" else (True,)))
 
-def _double_step(t, xp, neg_yp):
-    """T <- 2T; returns the new T and the tangent line at T evaluated at P.
 
-    The line is the affine tangent scaled by 2*Y*Z: 3*b'*Z^2 - Y^2 plus
-    3*X^2*xp at v and -2*Y*Z*yp at v*w.
-    """
+def _double_step(t):
+    """T <- 2T; returns the new T and the tangent line at T, scaled by
+    2*Y*Z: c0 = 3*b'*Z^2 - Y^2, a = 3*X^2 and b = 2*Y*Z."""
     x, y, z = t
     b = fp2_sqr(y)
     c = fp2_sqr(z)
@@ -355,14 +399,12 @@ def _double_step(t, xp, neg_yp):
     x3 = fp2_scalar_mul(fp2_mul(fp2_mul(x, y), fp2_sub(b, f)), _INV2)
     y3 = fp2_sub(fp2_sqr(g), fp2_scalar_mul(fp2_sqr(e), 3))
     z3 = fp2_mul(b, h)
-    line = (fp2_sub(e, b), fp2_scalar_mul(fp2_sqr(x), 3 * xp),
-            fp2_scalar_mul(h, neg_yp))
-    return (x3, y3, z3), line
+    return (x3, y3, z3), (fp2_sub(e, b), fp2_scalar_mul(fp2_sqr(x), 3), h)
 
 
-def _add_step(t, q, xp, neg_yp):
+def _add_step(t, q):
     """T <- T + Q for affine Q; returns the new T and the line through T
-    and Q evaluated at P, scaled by X - x_Q*Z."""
+    and Q, scaled by X - x_Q*Z."""
     x, y, z = t
     xq, yq = q
     theta = fp2_sub(y, fp2_mul(yq, z))
@@ -376,9 +418,19 @@ def _add_step(t, q, xp, neg_yp):
     x3 = fp2_mul(lam, h)
     y3 = fp2_sub(fp2_mul(theta, fp2_sub(g, h)), fp2_mul(y, e))
     z3 = fp2_mul(z, e)
-    line = (fp2_sub(fp2_mul(yq, lam), fp2_mul(theta, xq)),
-            fp2_scalar_mul(theta, xp), fp2_scalar_mul(lam, neg_yp))
-    return (x3, y3, z3), line
+    return (x3, y3, z3), (fp2_sub(fp2_mul(yq, lam), fp2_mul(theta, xq)),
+                          theta, lam)
+
+
+def _g2_lines(q):
+    """The Miller-loop lines (c0, a, b) of a non-identity affine G2 point
+    q, one per `_LINE_SCHEDULE` entry."""
+    t = (q[0], q[1], FP2_ONE)
+    lines = []
+    for doubling in _LINE_SCHEDULE:
+        t, line = _double_step(t) if doubling else _add_step(t, q)
+        lines.append(line)
+    return tuple(lines)
 
 
 def _fp6_mul_by_01(a, b0, b1):
@@ -405,21 +457,24 @@ def _fp12_mul_by_line(f, line):
 
 
 def _miller_loop(pairs):
-    """Product of Miller loops over [(g1_affine, g2_affine), ...]."""
+    """Product of the Miller loops of the (G1Point, G2Point) pairs before
+    the final exponentiation; pairs with either point at infinity are
+    skipped, and with none left this is one."""
+    prepared = []
+    for g1pt, g2pt in pairs:
+        pa = _g1_to_affine(g1pt.raw)
+        if pa is not None and not g2pt.is_identity():
+            prepared.append((pa[0], -pa[1] % P, g2pt._lines()))
+    if not prepared:
+        return FP12_ONE
     f = FP12_ONE
-    ps = [(xp, -yp % P) for (xp, yp), _ in pairs]
-    qs = [q for _, q in pairs]
-    ts = [(q[0], q[1], FP2_ONE) for q in qs]
-    n = len(pairs)
-    for bit in BLS_X_BITS:
-        f = fp12_sqr(f)
-        for i in range(n):
-            ts[i], line = _double_step(ts[i], *ps[i])
-            f = _fp12_mul_by_line(f, line)
-        if bit == "1":
-            for i in range(n):
-                ts[i], line = _add_step(ts[i], qs[i], *ps[i])
-                f = _fp12_mul_by_line(f, line)
+    for i, square in enumerate(_LINE_SCHEDULE):
+        if square:
+            f = fp12_sqr(f)
+        for xp, neg_yp, lines in prepared:
+            c0, a, b = lines[i]
+            f = _fp12_mul_by_line(f, (c0, fp2_scalar_mul(a, xp),
+                                      fp2_scalar_mul(b, neg_yp)))
     # The BLS parameter is negative: invert via conjugation.
     return fp12_conj(f)
 
@@ -429,16 +484,9 @@ def multi_pairing(pairs):
 
     Pairs with either point at infinity contribute the identity.
     """
-    affine = []
-    for g1pt, g2pt in pairs:
-        pa = _g1_to_affine(g1pt.raw)
-        qa = _g2_to_affine(g2pt.raw)
-        if pa is None or qa is None:
-            continue
-        affine.append((pa, qa))
-    if not affine:
-        return FP12_ONE
-    return final_exponentiation(_miller_loop(affine))
+    f = _miller_loop(pairs)
+    # the final exponentiation maps one to one
+    return f if f == FP12_ONE else final_exponentiation(f)
 
 
 def pairing(g1pt, g2pt):
@@ -457,11 +505,13 @@ class _Point:
     """Immutable point of a prime-order subgroup.
 
     A group subclass supplies its Jacobian formulas (`_add`, `_double`,
-    `_neg`, `_to_affine`, optionally a faster `_eq`), its x-coordinate
-    codec (`_x_to_bytes`, `_x_from_bytes`, `_y_from_x`, `_y_is_largest`),
-    optionally a faster `in_subgroup`, and the constants `_INF` (Jacobian
-    infinity), `_ONE` (the coordinate field's one), `_BYTES` (the
-    compressed length) and `_GEN`.
+    `_neg`, `_to_affine`, optionally a faster `_eq`), its MSM tables
+    (`_msm_terms`, and `_add_entry`/`_neg_entry` to add a table entry to a
+    Jacobian point and negate it), its x-coordinate codec (`_x_to_bytes`,
+    `_x_from_bytes`, `_y_from_x`, `_y_is_largest`), optionally a faster
+    `in_subgroup`, and the constants `_INF` (Jacobian infinity), `_ONE`
+    (the coordinate field's one), `_BYTES` (the compressed length) and
+    `_GEN`.
     """
 
     __slots__ = ("raw",)
@@ -575,6 +625,9 @@ class G1Point(_Point):
     _neg = staticmethod(_g1_neg)
     _eq = staticmethod(_g1_eq)
     _to_affine = staticmethod(_g1_to_affine)
+    _add_entry = staticmethod(_g1_add_affine)
+    _neg_entry = staticmethod(_g1_neg_affine)
+    _msm_terms = staticmethod(_g1_msm_terms)
 
     @staticmethod
     def _x_to_bytes(x):
@@ -614,14 +667,31 @@ class G1Point(_Point):
 
 
 class G2Point(_Point):
-    """Immutable point in the G2 prime-order subgroup."""
+    """Immutable point in the G2 prime-order subgroup.
 
-    __slots__ = ()
+    A point keeps its Miller-loop lines once it has been paired, so the
+    fixed G2 arguments of verification (the generator, the SRS powers, the
+    memoised vanishing-polynomial commitments) compute them only once.
+    """
+
+    __slots__ = ("_prepared",)
     _INF, _ONE, _BYTES = _INF2, FP2_ONE, 96
     _add = staticmethod(_g2_add)
     _double = staticmethod(_g2_double)
     _neg = staticmethod(_g2_neg)
     _to_affine = staticmethod(_g2_to_affine)
+    _add_entry = staticmethod(_g2_add)
+    _neg_entry = staticmethod(_g2_neg)
+    _msm_terms = staticmethod(_g2_msm_terms)
+
+    def _lines(self):
+        """`_g2_lines` of this non-identity point, computed on first use."""
+        try:
+            return self._prepared
+        except AttributeError:
+            lines = _g2_lines(_g2_to_affine(self.raw))
+            object.__setattr__(self, "_prepared", lines)
+            return lines
 
     @staticmethod
     def _x_to_bytes(x):
@@ -642,7 +712,8 @@ class G2Point(_Point):
 
 
 def g1_msm(points, scalars) -> G1Point:
-    """Multi-scalar multiplication over G1Point wrappers."""
+    """Multi-scalar multiplication over G1Point wrappers of subgroup
+    points (see `_msm`)."""
     return _msm(G1Point, points, scalars)
 
 

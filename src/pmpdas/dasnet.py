@@ -492,16 +492,50 @@ def derive_round_weight(ctx: BlockContext, mode: ConfigMode,
     return hash_to_scalar(b"".join(parts))
 
 
+def _holds(srs: SRS, items) -> bool:
+    """Whether the rho^j-weighted sum of the (index, terms, weight) items
+    checks; one item is checked with its own terms."""
+    if len(items) == 1:
+        return items[0][1].check()
+    batch = PairingTerms(srs)
+    for _, terms, weight in items:
+        batch.merge(terms, weight)
+    return batch.check()
+
+
+def _failing(srs: SRS, items) -> list:
+    """Indices of the failing items among (index, terms, weight) items
+    whose weighted sum is known to fail.
+
+    The items are split in halves that keep their weights, and only a
+    half that fails is searched. When the left half checks, the right
+    half must hold the failure, so it is not checked again; one item left
+    fails, since its weighted equation is its own raised to rho^j != 0.
+    """
+    if len(items) == 1:
+        return [items[0][0]]
+    mid = len(items) // 2
+    left, right = items[:mid], items[mid:]
+    if _holds(srs, left):
+        return _failing(srs, right)
+    failing = _failing(srs, left)
+    if not _holds(srs, right):
+        failing += _failing(srs, right)
+    return failing
+
+
 def verify_round(ctx: BlockContext, mode: ConfigMode, objects) -> list:
     """(verdict, OpCounters) of each object, given as (key, location,
-    bytes) triples, all checked with one pairing check.
+    bytes) triples, all checked with one pairing check when all hold.
 
     Each object is reduced to its pairing terms (undecodable bytes or a
     foreign block region fail that object alone) with the counters its
     own verification charges. The terms are summed with weights rho^j
     for the round's Fiat-Shamir rho: unless every object checks, the sum
-    fails but with negligible probability. If it fails, each object's own
-    terms are checked for its verdict.
+    fails but with negligible probability. If it fails, halves of the
+    round are checked with the same weights until every failing object
+    is found (`_failing`): one bad object of n costs at most
+    1 + 2*ceil(log2 n) checks.
     """
     reduced = []
     for _, location, obj in objects:
@@ -512,19 +546,18 @@ def verify_round(ctx: BlockContext, mode: ConfigMode, objects) -> list:
             # malformed bytes from an untrusted store fail verification
             terms = None
         reduced.append((terms, counters))
-    valid = [terms for terms, _ in reduced if terms is not None]
-    if valid:
-        rho = derive_round_weight(ctx, mode, objects)
-        batch = PairingTerms(ctx.srs)
-        weight = 1
-        for terms in valid:
-            batch.merge(terms, weight)
+    rho = derive_round_weight(ctx, mode, objects)
+    items = []
+    weight = 1
+    for i, (terms, _) in enumerate(reduced):
+        if terms is not None:
+            items.append((i, terms, weight))
             weight = weight * rho % SCALAR_MODULUS
-        if batch.check():
-            return [(terms is not None, counters)
-                    for terms, counters in reduced]
-    return [(terms is not None and terms.check(), counters)
-            for terms, counters in reduced]
+    failing = set()
+    if items and not _holds(ctx.srs, items):
+        failing = set(_failing(ctx.srs, items))
+    return [(terms is not None and i not in failing, counters)
+            for i, (terms, counters) in enumerate(reduced)]
 
 
 def _replay(ok: bool, used: OpCounters):

@@ -3,6 +3,7 @@ primitives, kept as differential-test oracles.
 
 Each function is the plain textbook form of a primitive that `pmpdas`
 computes faster: the affine Miller loop with one inversion per step, the
+projective Miller loop that computes every line afresh on each call, the
 final exponentiation with generic Fp12 squarings, the G1 subgroup check as
 multiplication by r, G1 and G2 multi-scalar multiplications as sums of
 ladders, single, batched and shared-point KZG verification with one scalar
@@ -15,8 +16,8 @@ import hashlib
 from pmpdas.curve import G1Point, G2Point, _g1_to_affine, _g2_to_affine
 from pmpdas.field_poly import SCALAR_MODULUS, interpolate, vanishing_poly
 from pmpdas.fields import (
-    BLS_X, FP2_ZERO, FP12_ONE, P, R,
-    fp2_inv, fp2_mul, fp2_neg, fp2_scalar_mul, fp2_sqr, fp2_sub,
+    BLS_X, BLS_X_BITS, FP2_ONE, FP2_ZERO, FP12_ONE, P, R,
+    fp2_add, fp2_inv, fp2_mul, fp2_neg, fp2_scalar_mul, fp2_sqr, fp2_sub,
     fp12_conj, fp12_frobenius, fp12_frobenius_n, fp12_inv, fp12_mul,
     fp12_sqr,
 )
@@ -94,6 +95,71 @@ def miller_loop(pairs):
                 xp, yp = pa
                 f = _fp12_mul_by_line(f, _line_eval(ts[i], qa, xp, yp))
                 ts[i] = _affine_g2_add(ts[i], qa)
+    # The BLS parameter is negative: invert via conjugation.
+    return fp12_conj(f)
+
+
+_B2_3 = (12, 12)  # 3 * b' for the twist's b' = 4 * (1 + u)
+_INV2 = pow(2, -1, P)
+
+
+def _projective_double_step(t, xp, neg_yp):
+    """T <- 2T in homogeneous projective coordinates; returns the new T
+    and the tangent line at T evaluated at P, scaled by 2*Y*Z."""
+    x, y, z = t
+    b = fp2_sqr(y)
+    c = fp2_sqr(z)
+    e = fp2_mul(_B2_3, c)
+    f = fp2_scalar_mul(e, 3)
+    h = fp2_sub(fp2_sqr(fp2_add(y, z)), fp2_add(b, c))
+    g = fp2_scalar_mul(fp2_add(b, f), _INV2)
+    x3 = fp2_scalar_mul(fp2_mul(fp2_mul(x, y), fp2_sub(b, f)), _INV2)
+    y3 = fp2_sub(fp2_sqr(g), fp2_scalar_mul(fp2_sqr(e), 3))
+    z3 = fp2_mul(b, h)
+    line = (fp2_sub(e, b), fp2_scalar_mul(fp2_sqr(x), 3 * xp),
+            fp2_scalar_mul(h, neg_yp))
+    return (x3, y3, z3), line
+
+
+def _projective_add_step(t, q, xp, neg_yp):
+    """T <- T + Q for affine Q; returns the new T and the line through T
+    and Q evaluated at P, scaled by X - x_Q*Z."""
+    x, y, z = t
+    xq, yq = q
+    theta = fp2_sub(y, fp2_mul(yq, z))
+    lam = fp2_sub(x, fp2_mul(xq, z))
+    c = fp2_sqr(theta)
+    d = fp2_sqr(lam)
+    e = fp2_mul(lam, d)
+    f = fp2_mul(z, c)
+    g = fp2_mul(x, d)
+    h = fp2_sub(fp2_add(e, f), fp2_scalar_mul(g, 2))
+    x3 = fp2_mul(lam, h)
+    y3 = fp2_sub(fp2_mul(theta, fp2_sub(g, h)), fp2_mul(y, e))
+    z3 = fp2_mul(z, e)
+    line = (fp2_sub(fp2_mul(yq, lam), fp2_mul(theta, xq)),
+            fp2_scalar_mul(theta, xp), fp2_scalar_mul(lam, neg_yp))
+    return (x3, y3, z3), line
+
+
+def projective_miller_loop(pairs):
+    """Product of projective Miller loops over [(g1_affine, g2_affine),
+    ...], each step's line recomputed from T and scaled by P on the spot:
+    the same Fp12 value as the loop over prepared lines."""
+    f = FP12_ONE
+    ps = [(xp, -yp % P) for (xp, yp), _ in pairs]
+    qs = [q for _, q in pairs]
+    ts = [(q[0], q[1], FP2_ONE) for q in qs]
+    n = len(pairs)
+    for bit in BLS_X_BITS:
+        f = fp12_sqr(f)
+        for i in range(n):
+            ts[i], line = _projective_double_step(ts[i], *ps[i])
+            f = _fp12_mul_by_line(f, line)
+        if bit == "1":
+            for i in range(n):
+                ts[i], line = _projective_add_step(ts[i], qs[i], *ps[i])
+                f = _fp12_mul_by_line(f, line)
     # The BLS parameter is negative: invert via conjugation.
     return fp12_conj(f)
 

@@ -652,6 +652,42 @@ def test_honest_round_makes_one_pairing_check(monkeypatch):
         assert calls == [3 if mode is ConfigMode.PMP else 2], mode
 
 
+@pytest.mark.parametrize("bad", [
+    (Coordinate(0, 0),), (Coordinate(1, 2),), (Coordinate(1, 7),),
+    (Coordinate(0, 1), Coordinate(1, 6)),
+])
+def test_failed_round_bisects_to_the_bad_objects(monkeypatch, bad):
+    calls = []
+
+    def counted(pairs):
+        calls.append(len(pairs))
+        return pairing_check(pairs)
+
+    monkeypatch.setattr(kzg, "pairing_check", counted)
+    mode = ConfigMode.VANILLA
+    _warm(CTX)
+    dht = _published_dht(CTX, mode)
+    plan = _every_cell(CTX)
+    assert len(plan.coordinates) == 16
+    for coord in bad:
+        key = object_key(CTX, mode, coord)
+        _store_everywhere(dht, key,
+                          _damaged(mode, _published(CTX, mode)[key], "value"))
+    outcome = sample_and_verify(plan, mode, dht, CTX)
+    if len(bad) == 1:
+        # the round, then at most two checks per halving of 16 objects
+        assert len(calls) <= 9
+    expected = OpCounters()
+    for coord in plan.coordinates:
+        ok, used = _alone(CTX, mode, coord,
+                          dht.get(object_key(CTX, mode, coord)))
+        assert ok == (coord not in bad)
+        assert outcome.statuses[coord] is \
+            (Status.VERIFIED if ok else Status.VERIFY_FAILED), coord
+        expected.merge(used)
+    assert outcome.counters == expected
+
+
 def test_round_of_cache_hits_makes_no_pairing_call(monkeypatch):
     plan = _every_cell(CTX)
     for mode in ConfigMode:

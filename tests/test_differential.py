@@ -11,8 +11,8 @@ import oracles
 from helpers import rand_poly, shared_srs
 from pmpdas import fields as F
 from pmpdas.curve import (
-    G1Point, G2Point, _g1_add, g1_fixed_base_msm, g1_fixed_base_table,
-    g1_msm, g2_msm, multi_pairing,
+    G1Point, G2Point, _g1_add, _g1_to_affine, _g2_to_affine, _miller_loop,
+    g1_fixed_base_msm, g1_fixed_base_table, g1_msm, g2_msm, multi_pairing,
 )
 from pmpdas.dasnet import Rendezvous
 from pmpdas.field_poly import SCALAR_MODULUS, EvaluationDomain, Polynomial
@@ -80,6 +80,38 @@ def test_multi_pairing_matches_affine_oracle():
             pairs.append((G1Point.identity() if kind == 0 else g1 * a,
                           G2Point.identity() if kind == 1 else g2 * b))
         assert multi_pairing(pairs) == oracles.multi_pairing(pairs), trial
+
+
+def _assert_prepared_loop_matches(pairs):
+    affine = [(_g1_to_affine(p.raw), _g2_to_affine(q.raw)) for p, q in pairs
+              if not (p.is_identity() or q.is_identity())]
+    assert _miller_loop(pairs) == oracles.projective_miller_loop(affine)
+
+
+def test_prepared_miller_loop_matches_projective_oracle():
+    rng = random.Random(108)
+    srs = shared_srs(7)
+    g1, g2 = G1Point.generator(), G2Point.generator()
+    z_md = srs.cached_z_commitment([rng.randrange(F.R) for _ in range(4)])
+    cached = (g2, srs.g2_powers[1], z_md)
+    for call in range(2):
+        # fresh points prepare their lines on this call; the cached ones
+        # prepare them on the first call and reuse them on the second
+        fresh = (g2 * rng.randrange(1, F.R), g2 * rng.randrange(1, F.R))
+        for q in cached + fresh:
+            _assert_prepared_loop_matches([(g1 * rng.randrange(1, F.R), q)])
+        _assert_prepared_loop_matches(
+            [(g1 * rng.randrange(1, F.R), q) for q in cached + fresh[:1]])
+        _assert_prepared_loop_matches([
+            (G1Point.identity(), cached[0]),
+            (g1 * rng.randrange(1, F.R), G2Point.identity()),
+            (g1 * rng.randrange(1, F.R), cached[1]),
+            (-g1, fresh[1]),
+        ])
+        assert all(q._lines() is q._lines() for q in cached + fresh)
+    _assert_prepared_loop_matches([(G1Point.identity(), g2),
+                                   (g1, G2Point.identity())])
+    _assert_prepared_loop_matches([])
 
 
 def test_final_exponentiation_matches_oracle():
@@ -242,6 +274,52 @@ def test_commit_matches_variable_base_msm(poly_and_slots):
 
 
 # ---------------------------------------------------------------------------
+# Variable-base MSM
+
+X_SQUARED = F.BLS_X ** 2
+
+# The G1 split k = k1 + k2 * x^2 of the reduced scalar: k2 = 0 below x^2,
+# and k1 = 0 on multiples of x^2.
+split_scalars = st.one_of(
+    scalars,
+    st.integers(1, X_SQUARED - 1),
+    st.integers(1, F.R // X_SQUARED).map(lambda m: m * X_SQUARED),
+)
+
+
+@functools.cache
+def _g1_base_pool():
+    """The generator, an SRS power, the negated generator, the identity
+    and a multiple of the generator with Z != 1 and its negation, so
+    draws repeat bases and cancel terms."""
+    g = G1Point.generator()
+    five = g * 5
+    return (g, shared_srs(MSM_SRS_DEGREE).g1_powers[1], -g,
+            G1Point.identity(), five, -five)
+
+
+# pinned: the empty input, a lone term, a term left alone once the zero
+# scalars and identity bases are dropped, each half of the split alone,
+# P + P and P + (-P), which meet the h == 0 branches of the mixed addition
+@given(st.lists(st.tuples(st.integers(0, 5), split_scalars), max_size=8))
+@example([])
+@example([(0, 1)])
+@example([(4, 0), (3, 9), (1, F.R), (5, -3 * F.R), (0, F.R + 2)])
+@example([(1, X_SQUARED - 1)])
+@example([(4, X_SQUARED * 3)])
+@example([(0, 1), (0, 1)])
+@example([(4, 7), (5, 7)])
+@example([(0, 1), (2, 1), (1, X_SQUARED)])
+@settings(max_examples=40, deadline=None)
+def test_g1_msm_matches_sum_of_ladders(terms):
+    pool = _g1_base_pool()
+    points = [pool[i] for i, _ in terms]
+    ks = [k for _, k in terms]
+    assert g1_msm(points, ks).to_bytes() == \
+        oracles.g1_msm(points, ks).to_bytes()
+
+
+# ---------------------------------------------------------------------------
 # G2 MSM
 
 @functools.cache
@@ -253,10 +331,10 @@ def _g2_base_pool():
             G2Point.identity())
 
 
-# pinned: a lone term (the ladder shortcut), a term left alone once the
-# zero scalars and identity bases are dropped, P + P and P + (-P)
-@given(st.lists(st.tuples(st.integers(0, 3), scalars),
-                min_size=1, max_size=6))
+# pinned: the empty input, a lone term, a term left alone once the zero
+# scalars and identity bases are dropped, P + P and P + (-P)
+@given(st.lists(st.tuples(st.integers(0, 3), scalars), max_size=6))
+@example([])
 @example([(1, F.R - 1)])
 @example([(0, 5), (3, 9), (1, F.R), (2, 0)])
 @example([(0, 1), (0, 1)])
