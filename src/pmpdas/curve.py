@@ -288,30 +288,17 @@ def _signed_window_msm(group, terms, window):
 
 
 def _g1_msm_terms(pairs):
-    """Walk terms of (Jacobian point, scalar in [1, r)) pairs of G1.
-
-    Every table is normalised to affine with one shared inversion. Each
-    scalar is split as k = k1 + k2 * x^2 with k1, k2 < 2^128, and since
-    phi(P) = -x^2 * P on G1, k * P = k1 * P + k2 * (-phi(P)): the doublings
-    halve, and the table of -phi(P) = (beta * x, -y) costs one
-    multiplication per entry (Gallant, Lambert and Vanstone, CRYPTO 2001).
-    """
+    """Walk terms of (Jacobian point, scalar in [1, r)) pairs of G1, with
+    the full scalars and every table normalised to affine with one shared
+    inversion."""
     half = 1 << (_WINDOW - 1)
     bases = _g1_batch_to_affine([raw for raw, _ in pairs])
     multiples = []
     for aff in bases:
         multiples += _g1_multiples(aff, half)
     multiples = _g1_batch_to_affine(multiples)
-    terms = []
-    for i, (_, k) in enumerate(pairs):
-        tbl = multiples[i * half:(i + 1) * half]
-        k2, k1 = divmod(k, _X_SQUARED)
-        if k1:
-            terms.append((tbl, _signed_digits(k1, _WINDOW)))
-        if k2:
-            terms.append((tuple((x * _BETA % P, P - y) for x, y in tbl),
-                          _signed_digits(k2, _WINDOW)))
-    return terms
+    return [(multiples[i * half:(i + 1) * half], _signed_digits(k, _WINDOW))
+            for i, (_, k) in enumerate(pairs)]
 
 
 def _g2_msm_terms(pairs):
@@ -330,8 +317,8 @@ def _msm(group, points, scalars):
     """Sum of scalar*point over points of one group, as a `group` point;
     scalars are reduced mod r and zip stops at the shorter input.
 
-    The points must lie in the prime-order subgroup: the G1 split relies
-    on it, and no multiple of a table base may be the identity.
+    The points must lie in the prime-order subgroup, so that no multiple
+    in a table is the identity.
     """
     pairs = [(p.raw, s % R) for p, s in zip(points, scalars)
              if s % R and not p.is_identity()]

@@ -507,10 +507,12 @@ def _failing(srs: SRS, items) -> list:
     """Indices of the failing items among (index, terms, weight) items
     whose weighted sum is known to fail.
 
-    The items are split in halves that keep their weights, and only a
-    half that fails is searched. When the left half checks, the right
-    half must hold the failure, so it is not checked again; one item left
-    fails, since its weighted equation is its own raised to rho^j != 0.
+    The items are split in halves that keep their weights. When one half
+    checks, the other must hold the failure and alone is searched; one
+    item left fails, since its weighted equation is its own raised to
+    rho^j != 0. When both halves fail, several items do, and each is
+    checked on its own, so n items cost at most n + 2*ceil(log2 n)
+    checks.
     """
     if len(items) == 1:
         return [items[0][0]]
@@ -518,10 +520,9 @@ def _failing(srs: SRS, items) -> list:
     left, right = items[:mid], items[mid:]
     if _holds(srs, left):
         return _failing(srs, right)
-    failing = _failing(srs, left)
-    if not _holds(srs, right):
-        failing += _failing(srs, right)
-    return failing
+    if _holds(srs, right):
+        return _failing(srs, left)
+    return [i for i, terms, _ in items if not terms.check()]
 
 
 def verify_round(ctx: BlockContext, mode: ConfigMode, objects) -> list:
@@ -533,9 +534,10 @@ def verify_round(ctx: BlockContext, mode: ConfigMode, objects) -> list:
     own verification charges. The terms are summed with weights rho^j
     for the round's Fiat-Shamir rho: unless every object checks, the sum
     fails but with negligible probability. If it fails, halves of the
-    round are checked with the same weights until every failing object
-    is found (`_failing`): one bad object of n costs at most
-    1 + 2*ceil(log2 n) checks.
+    round are checked with the same weights until the failing objects
+    are found (`_failing`): one bad object of n costs at most
+    1 + 2*ceil(log2 n) checks, and any number at most
+    n + 1 + 2*ceil(log2 n).
     """
     reduced = []
     for _, location, obj in objects:

@@ -654,7 +654,7 @@ def test_honest_round_makes_one_pairing_check(monkeypatch):
 
 @pytest.mark.parametrize("bad", [
     (Coordinate(0, 0),), (Coordinate(1, 2),), (Coordinate(1, 7),),
-    (Coordinate(0, 1), Coordinate(1, 6)),
+    (Coordinate(0, 1), Coordinate(1, 6)), "every",
 ])
 def test_failed_round_bisects_to_the_bad_objects(monkeypatch, bad):
     calls = []
@@ -669,14 +669,16 @@ def test_failed_round_bisects_to_the_bad_objects(monkeypatch, bad):
     dht = _published_dht(CTX, mode)
     plan = _every_cell(CTX)
     assert len(plan.coordinates) == 16
+    if bad == "every":
+        bad = plan.coordinates
     for coord in bad:
         key = object_key(CTX, mode, coord)
         _store_everywhere(dht, key,
                           _damaged(mode, _published(CTX, mode)[key], "value"))
     outcome = sample_and_verify(plan, mode, dht, CTX)
-    if len(bad) == 1:
-        # the round, then at most two checks per halving of 16 objects
-        assert len(calls) <= 9
+    # the round, then at most two checks per halving of 16 objects, and
+    # once both halves fail, one check per object
+    assert len(calls) <= (1 + 2 * 4 if len(bad) == 1 else 16 + 1 + 2 * 4)
     expected = OpCounters()
     for coord in plan.coordinates:
         ok, used = _alone(CTX, mode, coord,

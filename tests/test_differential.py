@@ -276,17 +276,6 @@ def test_commit_matches_variable_base_msm(poly_and_slots):
 # ---------------------------------------------------------------------------
 # Variable-base MSM
 
-X_SQUARED = F.BLS_X ** 2
-
-# The G1 split k = k1 + k2 * x^2 of the reduced scalar: k2 = 0 below x^2,
-# and k1 = 0 on multiples of x^2.
-split_scalars = st.one_of(
-    scalars,
-    st.integers(1, X_SQUARED - 1),
-    st.integers(1, F.R // X_SQUARED).map(lambda m: m * X_SQUARED),
-)
-
-
 @functools.cache
 def _g1_base_pool():
     """The generator, an SRS power, the negated generator, the identity
@@ -299,17 +288,15 @@ def _g1_base_pool():
 
 
 # pinned: the empty input, a lone term, a term left alone once the zero
-# scalars and identity bases are dropped, each half of the split alone,
-# P + P and P + (-P), which meet the h == 0 branches of the mixed addition
-@given(st.lists(st.tuples(st.integers(0, 5), split_scalars), max_size=8))
+# scalars and identity bases are dropped, P + P and P + (-P), which meet
+# the h == 0 branches of the mixed addition
+@given(st.lists(st.tuples(st.integers(0, 5), scalars), max_size=8))
 @example([])
 @example([(0, 1)])
 @example([(4, 0), (3, 9), (1, F.R), (5, -3 * F.R), (0, F.R + 2)])
-@example([(1, X_SQUARED - 1)])
-@example([(4, X_SQUARED * 3)])
 @example([(0, 1), (0, 1)])
 @example([(4, 7), (5, 7)])
-@example([(0, 1), (2, 1), (1, X_SQUARED)])
+@example([(0, 1), (2, 1), (1, 5)])
 @settings(max_examples=40, deadline=None)
 def test_g1_msm_matches_sum_of_ladders(terms):
     pool = _g1_base_pool()
