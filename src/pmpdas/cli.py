@@ -156,13 +156,16 @@ def _decode_context(by_tag: dict):
 
 
 def cmd_gen_fixture(args) -> int:
-    seed = args.seed
+    seed, source = args.seed, "--seed"
     env_seed = os.environ.get("PMP_SEED")
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            seed, source = int(env_seed), "PMP_SEED"
         except ValueError:
             raise CliError(f"PMP_SEED must be an integer, got {env_seed!r}")
+    # the seed enters the SRS secret as 8 signed big-endian bytes
+    if not -(1 << 63) <= seed < 1 << 63:
+        raise CliError(f"{source} must be between -2^63 and 2^63 - 1")
     try:
         dims = grid_mod.GridDims(args.rows, args.cols, args.extension)
         degree = max(dims.extended_cols - 1, 2)
@@ -175,7 +178,7 @@ def cmd_gen_fixture(args) -> int:
         data = bytes(rng.randrange(256)
                      for _ in range(dims.data_capacity_bytes))
         grid = grid_mod.build_grid(data, dims, srs)
-    except (grid_mod.GridError, ValueError) as exc:
+    except grid_mod.GridError as exc:
         raise CliError(str(exc))
     blob = encode_fixture([("SRS1", encode_srs(srs)),
                            ("GRID", encode_grid(grid))])
@@ -199,13 +202,16 @@ def cmd_prove(args) -> int:
     params = _prove_params(args)
     by_tag = _fixture_sections(_load_fixture(args.fixture))
     srs, grid = _decode_context(by_tag)
+    if args.group > srs.degree_bound:
+        raise CliError(f"--group {args.group} exceeds the SRS degree bound "
+                       f"{srs.degree_bound}")
     ctx = BlockContext(b"fixture", grid, srs, args.group, args.rows_per_group)
     sections = [("SRS1", _require_section(by_tag, "SRS1")),
                 ("GRID", _require_section(by_tag, "GRID")),
                 ("PRMS", params)]
     try:
         objects = dasnet.build_objects(ctx, ConfigMode.PMP)
-    except (grid_mod.GridError, ValueError) as exc:
+    except grid_mod.GridError as exc:
         raise CliError(str(exc))
     sections.extend(("MCEL", obj) for obj in objects.values())
     try:

@@ -12,6 +12,7 @@ grouped transport with one aggregated proof per group.
 
 from __future__ import annotations
 
+import copy
 import enum
 import hashlib
 import math
@@ -103,11 +104,12 @@ class SimDht:
     """Replicated key->bytes store with per-peer liveness flags.
 
     Replica placement is rendezvous hashing (top `replication_factor`
-    peers by hash(key || peer)), so identical key/object sets always land
-    identically regardless of put order or mode. An optional per-peer
-    capacity models put-rate pressure: once a peer is full, later puts
-    land on fewer than `replication_factor` replicas. The peer order
-    comes from `rendezvous`, which DHTs of the same peer count may share.
+    peers by hash(key || peer)), recorded per key in `replicas`; liveness
+    is the separate `alive` list. An optional per-peer capacity models
+    put-rate pressure: once a peer is full, later puts land on fewer than
+    `replication_factor` replicas, so placement then depends on put order
+    (`publish` puts in sorted key order). The peer order comes from
+    `rendezvous`, which DHTs of the same peer count may share.
     """
 
     def __init__(self, n_peers: int, replication_factor: int = 5,
@@ -127,6 +129,7 @@ class SimDht:
         self.rendezvous = rendezvous
         self.alive = [True] * n_peers
         self.stores = [dict() for _ in range(n_peers)]
+        self.replicas = {}  # key -> peers holding it, in rendezvous order
 
     def put(self, key: bytes, obj: bytes) -> int:
         """Store on up to replication_factor rendezvous peers; returns the
@@ -137,29 +140,31 @@ class SimDht:
         so every stored object has one replica or more.
         """
         ranked = self.rendezvous.ranked(key)
-        placed = 0
+        holders = []
         for peer in ranked:
-            if placed == self.replication_factor:
+            if len(holders) == self.replication_factor:
                 break
             store = self.stores[peer]
             if self.peer_capacity is not None and \
                     key not in store and len(store) >= self.peer_capacity:
                 continue
             store[key] = obj
-            placed += 1
-        if placed == 0:
+            holders.append(peer)
+        if not holders:
             self.stores[ranked[0]][key] = obj
-            placed = 1
-        return placed
+            holders.append(ranked[0])
+        self.replicas[key] = tuple(holders)
+        return len(holders)
 
-    def replica_peers(self, key: bytes):
-        """Peers holding the key, in rendezvous (client lookup) order."""
-        return [p for p in self.rendezvous.ranked(key)
-                if key in self.stores[p]]
+    def with_fresh_liveness(self) -> "SimDht":
+        """A DHT sharing this one's placement, with every peer alive."""
+        dht = copy.copy(self)
+        dht.alive = [True] * self.n_peers
+        return dht
 
     def get(self, key: bytes):
         """Object bytes iff at least one live replica holds the key."""
-        for peer in self.replica_peers(key):
+        for peer in self.replicas.get(key, ()):
             if self.alive[peer]:
                 return self.stores[peer][key]
         return None
@@ -168,7 +173,7 @@ class SimDht:
         """Try replicas in lookup order: one initial attempt plus up to
         retry_budget retries. Returns (object or None, attempts_used)."""
         attempts = 0
-        for peer in self.replica_peers(key)[: retry_budget + 1]:
+        for peer in self.replicas.get(key, ())[: retry_budget + 1]:
             attempts += 1
             if self.alive[peer]:
                 return self.stores[peer][key], attempts
@@ -271,7 +276,6 @@ class PublishResult:
     object_count: int
     proof_bytes: int
     object_bytes: int
-    replicas_placed: dict  # key -> replica count
 
 
 def build_objects(ctx: BlockContext, mode: ConfigMode) -> dict:
@@ -314,15 +318,13 @@ def publish(ctx: BlockContext, mode: ConfigMode, dht: SimDht,
     proofs = len(objects)
     if mode is ConfigMode.GROUPED_ONLY:
         proofs = sum(map(GroupedCells.encoded_count, objects.values()))
-    replicas = {}
     for key in sorted(objects):
-        replicas[key] = dht.put(key, objects[key])
+        dht.put(key, objects[key])
     return PublishResult(
         objects=objects,
         object_count=len(objects),
         proof_bytes=PROOF_BYTES * proofs,
         object_bytes=sum(len(v) for v in objects.values()),
-        replicas_placed=replicas,
     )
 
 
@@ -708,8 +710,9 @@ def _deterministic_block_data(cfg: ExperimentConfig) -> bytes:
 
 class ExperimentSession:
     """Shared state across ablation runs: one SRS, one grid per config,
-    prebuilt object sets per mode, the verification cache, and the
-    rendezvous order every run's DHT reads."""
+    the verification cache, the rendezvous order, and each arm's objects,
+    published once: churn changes only liveness, which each run gets
+    afresh."""
 
     def __init__(self, cfg: ExperimentConfig, srs: SRS | None = None):
         from .kzg import gen
@@ -727,6 +730,7 @@ class ExperimentSession:
         self.ctx = BlockContext(cfg.block_id, grid, srs, cfg.group_size,
                                 cfg.rows_per_group)
         self._objects = {}
+        self._published = {}  # mode -> (DHT as published, PublishResult)
         self.cache = VerificationCache()
         # deterministic counter accounting: pre-warm the vanishing-poly
         # commitments so verification cost never depends on run order
@@ -740,10 +744,13 @@ class ExperimentSession:
 
     def run(self, mode: ConfigMode, churn: float, seed: int) -> dict:
         cfg = self.cfg
-        dht = SimDht(cfg.peers, cfg.replication, cfg.peer_capacity,
-                     rendezvous=self.rendezvous)
-        result = publish(self.ctx, mode, dht,
-                         objects=self.objects_for(mode))
+        if mode not in self._published:
+            dht = SimDht(cfg.peers, cfg.replication, cfg.peer_capacity,
+                         rendezvous=self.rendezvous)
+            self._published[mode] = dht, publish(
+                self.ctx, mode, dht, objects=self.objects_for(mode))
+        published, result = self._published[mode]
+        dht = published.with_fresh_liveness()
         dht.kill_fraction(churn, seed)
         plan = make_sampling_plan(seed, self.ctx.grid.dims, cfg.samples)
         outcome = sample_and_verify(plan, mode, dht, self.ctx,

@@ -397,6 +397,7 @@ def decode_grid(data: bytes, srs):
     from .field_poly import EvaluationDomain
     from .grid import DataGrid, GridDims, GridError, extend_rows
     from .curve import G1Point
+    from .kzg import commit
     if len(data) < 12:
         raise TruncatedInput("grid section truncated")
     rows = int.from_bytes(data[:4], "little")
@@ -436,4 +437,6 @@ def decode_grid(data: bytes, srs):
     if extended != cells:
         raise WireError("grid rows are not Reed-Solomon codewords of their "
                         "first columns")
+    if [commit(srs, poly) for poly in polys] != commitments:
+        raise WireError("grid header commitments are not those of its rows")
     return DataGrid(dims, cells, row_domain, polys, commitments)

@@ -8,7 +8,8 @@ final exponentiation with generic Fp12 squarings, the G1 subgroup check as
 multiplication by r, G1 and G2 multi-scalar multiplications as sums of
 ladders, single, batched and shared-point KZG verification with one scalar
 multiplication per term and one unbatched pairing check each, and the DHT's
-rendezvous peer order sorted afresh on every call.
+rendezvous peer order sorted afresh on every call, and the replicas of a
+key found by scanning every peer's store.
 """
 
 import hashlib
@@ -295,3 +296,20 @@ def ranked_peers(key: bytes, n_peers: int) -> list:
     return sorted(
         range(n_peers),
         key=lambda p: hashlib.sha256(key + p.to_bytes(4, "big")).digest())
+
+
+def replica_peers(dht, key: bytes) -> list:
+    """Peers whose store holds the key, in rendezvous order: a scan of
+    every peer's store, with no recorded placement."""
+    return [p for p in ranked_peers(key, dht.n_peers) if key in dht.stores[p]]
+
+
+def get_with_retries(dht, key: bytes, retry_budget: int):
+    """(object or None, attempts) of a lookup that tries the scanned
+    replicas in order, one attempt plus up to retry_budget retries."""
+    attempts = 0
+    for peer in replica_peers(dht, key)[: retry_budget + 1]:
+        attempts += 1
+        if dht.alive[peer]:
+            return dht.stores[peer][key], attempts
+    return None, max(attempts, 1)

@@ -143,8 +143,9 @@ def test_verify_detects_permuted_header_commitments(tmp_path, capsys):
         swapped.append((tag, payload))
     permuted = str(tmp_path / "permuted.bin")
     open(permuted, "wb").write(encode_fixture(swapped))
-    assert run_cli(["verify", "--fixture", permuted]) == 1
-    assert "verification failed" in capsys.readouterr().err
+    assert run_cli(["verify", "--fixture", permuted]) == 2
+    assert "malformed fixture: grid header commitments" in \
+        capsys.readouterr().err
 
 
 def _proved_fixture(tmp_path):
@@ -326,3 +327,66 @@ def test_verify_rejects_zero_rows_per_group(tmp_path, capsys):
     bad.write_bytes(encode_fixture(sections))
     assert run_cli(["verify", "--fixture", str(bad)]) == 2
     assert "error: rows-per-group" in capsys.readouterr().err
+
+
+OUT_OF_RANGE_SEEDS = ["99999999999999999999", str(1 << 63),
+                      str(-(1 << 63) - 1)]
+
+
+@pytest.mark.parametrize("seed", OUT_OF_RANGE_SEEDS)
+def test_gen_fixture_rejects_out_of_range_seed_flag(tmp_path, capsys, seed):
+    out = tmp_path / "fx.bin"
+    assert run_cli(["gen-fixture", "--output", str(out),
+                    "--seed", seed]) == 2
+    assert "error: --seed must be between" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", OUT_OF_RANGE_SEEDS)
+def test_gen_fixture_rejects_out_of_range_seed_env(tmp_path, capsys,
+                                                   monkeypatch, seed):
+    monkeypatch.setenv("PMP_SEED", seed)
+    out = tmp_path / "fx.bin"
+    assert run_cli(["gen-fixture", "--output", str(out)]) == 2
+    assert "error: PMP_SEED must be between" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_fixture_accepts_the_extreme_seeds(tmp_path):
+    for seed in (str((1 << 63) - 1), str(-(1 << 63))):
+        assert run_cli(["gen-fixture", "--output", str(tmp_path / "fx.bin"),
+                        "--seed", seed]) == 0
+
+
+def test_prove_rejects_group_above_the_srs_bound(tmp_path, capsys):
+    # the 2x4 fixture's SRS has degree bound 7; 8 divides its 8 columns
+    fx = str(tmp_path / "fx.bin")
+    assert run_cli(["gen-fixture", "--output", fx,
+                    "--rows", "2", "--cols", "4"]) == 0
+    assert run_cli(["prove", "--fixture", fx, "--output",
+                    str(tmp_path / "fxp.bin"), "--group", "8"]) == 2
+    assert "error: --group 8 exceeds the SRS degree bound 7" in \
+        capsys.readouterr().err
+
+
+def test_prove_internal_error_raises(tmp_path, monkeypatch):
+    fx = str(tmp_path / "fx.bin")
+    assert run_cli(["gen-fixture", "--output", fx,
+                    "--rows", "2", "--cols", "4"]) == 0
+
+    def broken(*args, **kwargs):
+        raise KzgError("internal fault")
+
+    monkeypatch.setattr(dasnet, "open_shared", broken)
+    with pytest.raises(KzgError):
+        run_cli(["prove", "--fixture", fx, "--output",
+                 str(tmp_path / "fxp.bin")])
+
+
+def test_gen_fixture_internal_error_raises(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KzgError("internal fault")
+
+    monkeypatch.setattr(cli, "gen", broken)
+    with pytest.raises(KzgError):
+        run_cli(["gen-fixture", "--output", str(tmp_path / "fx.bin")])

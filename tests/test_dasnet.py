@@ -58,7 +58,7 @@ GEOMETRIES = {
 def test_put_places_replication_factor_distinct_replicas():
     dht = SimDht(10, replication_factor=3)
     assert dht.put(b"k", b"v") == 3
-    holders = dht.replica_peers(b"k")
+    holders = dht.replicas[b"k"]
     assert len(holders) == len(set(holders)) == 3
     assert dht.get(b"k") == b"v"
 
@@ -68,7 +68,7 @@ def test_placement_is_key_determined():
     a.put(b"k1", b"x")
     b.put(b"other", b"y")
     b.put(b"k1", b"x")
-    assert a.replica_peers(b"k1") == b.replica_peers(b"k1")
+    assert a.replicas[b"k1"] == b.replicas[b"k1"]
 
 
 def test_capacity_sheds_replicas_but_never_drops_objects():
@@ -83,7 +83,7 @@ def test_capacity_sheds_replicas_but_never_drops_objects():
 def test_get_respects_liveness():
     dht = SimDht(5, replication_factor=2)
     dht.put(b"k", b"v")
-    for peer in dht.replica_peers(b"k"):
+    for peer in dht.replicas[b"k"]:
         dht.alive[peer] = False
     assert dht.get(b"k") is None
     obj, attempts = dht.get_with_retries(b"k", retry_budget=3)
@@ -93,7 +93,7 @@ def test_get_respects_liveness():
 def test_retry_budget_limits_attempts():
     dht = SimDht(10, replication_factor=5)
     dht.put(b"k", b"v")
-    order = dht.replica_peers(b"k")
+    order = dht.replicas[b"k"]
     for peer in order[:4]:
         dht.alive[peer] = False
     obj, attempts = dht.get_with_retries(b"k", retry_budget=3)
@@ -121,7 +121,7 @@ def test_churn_kills_a_seeded_prefix():
 def _dht_trace(dht, keys, churn, seed):
     """Everything a DHT's callers can observe, over one put/kill/get cycle."""
     placed = [dht.put(key, b"obj-" + key) for key in keys]
-    replicas = [dht.replica_peers(key) for key in keys]
+    replicas = [dht.replicas[key] for key in keys]
     dead = dht.kill_fraction(churn, seed)
     gets = [dht.get(key) for key in keys]
     retries = [dht.get_with_retries(key, budget)
@@ -454,6 +454,33 @@ def test_session_rows_do_not_depend_on_run_order():
     fresh_rows = {run: ExperimentSession(cfg, srs=session.srs).run(*run)
                   for run in runs}
     assert reversed_rows == fresh_rows
+
+
+def _placement(dht):
+    return [dict(store) for store in dht.stores], dict(dht.replicas)
+
+
+@pytest.mark.parametrize("capacity", [None, 1])
+def test_session_runs_do_not_leak_liveness(capacity):
+    cfg = _small_config()
+    cfg.peer_capacity = capacity
+    session = ExperimentSession(cfg)
+    for mode in cfg.modes:
+        for seed in cfg.seeds:
+            session.run(mode, 0.3, seed)
+            row = session.run(mode, 0.0, seed)
+            fresh = ExperimentSession(cfg, srs=session.srs)
+            assert row == fresh.run(mode, 0.0, seed)
+            assert row["fetch_failures"] == 0
+        # the arm's placement is that of one publication, whatever the
+        # churn of the runs that read it
+        published, _ = session._published[mode]
+        for churn in (0.5, 0.9, 0.0):
+            session.run(mode, churn, 3)
+        dht = SimDht(cfg.peers, cfg.replication, cfg.peer_capacity)
+        publish(session.ctx, mode, dht, objects=session.objects_for(mode))
+        assert _placement(published) == _placement(dht)
+        assert all(published.alive)
 
 
 def test_session_ranks_each_object_key_once():

@@ -1,5 +1,6 @@
-"""The optimised verification primitives and the memoised DHT placement
-against the straightforward implementations in `oracles`."""
+"""The optimised verification primitives, the memoised rendezvous order
+and the recorded DHT placement against the straightforward
+implementations in `oracles`."""
 
 import functools
 import random
@@ -14,7 +15,7 @@ from pmpdas.curve import (
     G1Point, G2Point, _g1_add, _g1_to_affine, _g2_to_affine, _miller_loop,
     g1_fixed_base_msm, g1_fixed_base_table, g1_msm, g2_msm, multi_pairing,
 )
-from pmpdas.dasnet import Rendezvous
+from pmpdas.dasnet import Rendezvous, SimDht
 from pmpdas.field_poly import SCALAR_MODULUS, EvaluationDomain, Polynomial
 from pmpdas.kzg import (
     OpCounters, commit, derive_rho, open_single, verify_batch_independent,
@@ -413,3 +414,59 @@ def test_rendezvous_matches_sorted_oracle(n_peers, pool, data):
     for key in keys + pool:
         assert list(rendezvous.ranked(key)) == \
             oracles.ranked_peers(key, n_peers)
+
+
+# ---------------------------------------------------------------------------
+# Recorded replica placement
+
+def _check_placement(dht, keys):
+    """Each key's recorded replicas, get and get_with_retries against the
+    scan of every peer's store."""
+    for key in keys:
+        scanned = oracles.replica_peers(dht, key)
+        assert dht.replicas.get(key, ()) == tuple(scanned)
+        assert dht.get(key) == \
+            oracles.get_with_retries(dht, key, dht.n_peers)[0]
+        for budget in range(4):
+            assert dht.get_with_retries(key, budget) == \
+                oracles.get_with_retries(dht, key, budget)
+
+
+@given(st.integers(1, 8), st.integers(1, 10), st.sampled_from([None, 1, 3]),
+       st.lists(st.binary(max_size=6), min_size=1, max_size=8, unique=True),
+       st.data())
+@settings(max_examples=80, deadline=None)
+def test_recorded_placement_matches_store_scan(n_peers, replication,
+                                               capacity, pool, data):
+    # keys repeat in random order, so some puts re-put a stored key
+    puts = data.draw(st.lists(st.sampled_from(pool), min_size=len(pool),
+                              max_size=3 * len(pool)))
+    dht = SimDht(n_peers, replication, capacity)
+    for i, key in enumerate(puts):
+        assert dht.put(key, b"%d" % i) == len(oracles.replica_peers(dht, key))
+    dht.alive = data.draw(st.lists(st.booleans(), min_size=n_peers,
+                                   max_size=n_peers))
+    _check_placement(dht, set(puts) | {b"never put"})
+
+
+def test_recorded_placement_of_full_peers_and_re_puts():
+    # two one-slot peers and three keys: the third finds every peer full
+    # and falls back onto its top-ranked peer
+    keys = [b"k0", b"k1", b"k2"]
+    dht = SimDht(2, 1, peer_capacity=1)
+    for key in keys:
+        dht.put(key, key)
+    assert sorted(map(len, dht.stores)) == [1, 2]
+    placed = dict(dht.replicas)
+    for key in reversed(keys):
+        assert dht.put(key, key + b"'") == 1
+    assert dht.replicas == placed
+    for alive in ([True, True], [False, True], [True, False]):
+        dht.alive = alive
+        _check_placement(dht, keys)
+    # a replication factor of at least the peer count fills every peer
+    for replication in (3, 5):
+        dht = SimDht(3, replication)
+        assert dht.put(b"k", b"v") == 3
+        assert dht.replicas[b"k"] == tuple(oracles.ranked_peers(b"k", 3))
+        _check_placement(dht, [b"k"])

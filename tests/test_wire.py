@@ -216,3 +216,13 @@ def test_srs_and_grid_codecs():
     assert restored.row_domain.points == grid.row_domain.points
     with pytest.raises(TruncatedInput):
         decode_grid(grid_blob[:-1], srs)
+
+
+def test_grid_commitments_must_be_those_of_its_rows():
+    srs = shared_srs(3)
+    grid = build_grid(b"\x07" * 60, GridDims(2, 2, 2), srs)
+    blob = encode_grid(grid)
+    body, c0, c1 = blob[:-96], blob[-96:-48], blob[-48:]
+    for header in (c1 + c0, c0 + c0):
+        with pytest.raises(WireError, match="header commitments"):
+            decode_grid(body + header, srs)
