@@ -34,8 +34,8 @@ from .wire import (
 )
 from .dasnet import (
     BlockContext, ConfigMode, DasNetError, ExperimentConfig,
-    ExperimentSession, Rendezvous, RetrievalOutcome, SamplingPlan, SimDht,
-    Status, build_objects, effective_samples, make_sampling_plan, object_key,
+    ExperimentSession, RetrievalOutcome, SamplingPlan, SimDht, Status,
+    build_objects, effective_samples, make_sampling_plan, object_key,
     object_location, object_regions, object_terms, publish, required_samples,
     sample_and_verify, verify_object, verify_round,
 )

@@ -15,9 +15,9 @@ from __future__ import annotations
 import copy
 import enum
 import hashlib
-import math
 import random
 from dataclasses import dataclass, field as dc_field
+from decimal import Decimal
 
 from .curve import CurveError, G1Point
 from .field_poly import (
@@ -74,59 +74,25 @@ DECODE_ERRORS = (WireError, CurveError)
 # ---------------------------------------------------------------------------
 # Simulated DHT
 
-class Rendezvous:
-    """Rendezvous (highest-random-weight) order of peers for each key.
-
-    A key's order sorts the peers by SHA-256(key || peer), so it is a pure
-    function of the key and the peer count. One instance can therefore
-    serve every SimDht of that peer count; it ranks each key once and
-    memoises the order for the instance's lifetime.
-    """
-
-    def __init__(self, n_peers: int):
-        if n_peers < 1:
-            raise DasNetError("need at least one peer")
-        self.n_peers = n_peers
-        self._memo = {}  # key -> tuple of peers in rendezvous order
-
-    def ranked(self, key: bytes) -> tuple:
-        order = self._memo.get(key)
-        if order is None:
-            order = tuple(sorted(
-                range(self.n_peers),
-                key=lambda p: hashlib.sha256(
-                    key + p.to_bytes(4, "big")).digest()))
-            self._memo[key] = order
-        return order
-
-
 class SimDht:
     """Replicated key->bytes store with per-peer liveness flags.
 
-    Replica placement is rendezvous hashing (top `replication_factor`
-    peers by hash(key || peer)), recorded per key in `replicas`; liveness
-    is the separate `alive` list. An optional per-peer capacity models
-    put-rate pressure: once a peer is full, later puts land on fewer than
+    Replica placement is rendezvous hashing: each `put` ranks the peers
+    by SHA-256(key || peer as 4 big-endian bytes) and stores on the top
+    `replication_factor`, recorded per key in `replicas`; liveness is the
+    separate `alive` list. An optional per-peer capacity models put-rate
+    pressure: once a peer is full, later puts land on fewer than
     `replication_factor` replicas, so placement then depends on put order
-    (`publish` puts in sorted key order). The peer order comes from
-    `rendezvous`, which DHTs of the same peer count may share.
+    (`publish` puts in sorted key order).
     """
 
     def __init__(self, n_peers: int, replication_factor: int = 5,
-                 peer_capacity: int | None = None,
-                 rendezvous: Rendezvous | None = None):
+                 peer_capacity: int | None = None):
         if n_peers < 1 or replication_factor < 1:
             raise DasNetError("need at least one peer and one replica")
-        if rendezvous is None:
-            rendezvous = Rendezvous(n_peers)
-        elif rendezvous.n_peers != n_peers:
-            raise DasNetError(
-                f"rendezvous order is for {rendezvous.n_peers} peers, "
-                f"not {n_peers}")
         self.n_peers = n_peers
         self.replication_factor = replication_factor
         self.peer_capacity = peer_capacity
-        self.rendezvous = rendezvous
         self.alive = [True] * n_peers
         self.stores = [dict() for _ in range(n_peers)]
         self.replicas = {}  # key -> peers holding it, in rendezvous order
@@ -139,7 +105,8 @@ class SimDht:
         trying down the rendezvous ranking until at least one peer accepts,
         so every stored object has one replica or more.
         """
-        ranked = self.rendezvous.ranked(key)
+        ranked = sorted(range(self.n_peers), key=lambda p: hashlib.sha256(
+            key + p.to_bytes(4, "big")).digest())
         holders = []
         for peer in ranked:
             if len(holders) == self.replication_factor:
@@ -181,14 +148,18 @@ class SimDht:
 
     def kill_fraction(self, churn: float, seed: int) -> int:
         """Kill ceil(churn * peers) peers, chosen as a prefix of a
-        seed-determined permutation (monotone in churn for a fixed seed)."""
+        seed-determined permutation (monotone in churn for a fixed seed).
+
+        churn is taken as the decimal it prints as, so 0.14 of 50 peers
+        kills 7, where the float product 0.14 * 50 would round up to 8."""
         if not 0 <= churn < 1:
             raise DasNetError("churn must lie in [0, 1)")
         # string seeds feed random.Random's deterministic path; tuple or
         # other hashed seeds would vary with per-process hash randomization
         order = list(range(self.n_peers))
         random.Random(f"churn|{seed}").shuffle(order)
-        n_dead = math.ceil(churn * self.n_peers)
+        num, den = Decimal(str(churn)).as_integer_ratio()
+        n_dead = -(-num * self.n_peers // den)
         for peer in order[:n_dead]:
             self.alive[peer] = False
         return n_dead
@@ -272,7 +243,6 @@ def group_transcript(ctx: BlockContext, region: GCellBlock) -> Transcript:
 
 @dataclass
 class PublishResult:
-    objects: dict  # key -> object bytes
     object_count: int
     proof_bytes: int
     object_bytes: int
@@ -321,7 +291,6 @@ def publish(ctx: BlockContext, mode: ConfigMode, dht: SimDht,
     for key in sorted(objects):
         dht.put(key, objects[key])
     return PublishResult(
-        objects=objects,
         object_count=len(objects),
         proof_bytes=PROOF_BYTES * proofs,
         object_bytes=sum(len(v) for v in objects.values()),
@@ -494,39 +463,6 @@ def derive_round_weight(ctx: BlockContext, mode: ConfigMode,
     return hash_to_scalar(b"".join(parts))
 
 
-def _holds(srs: SRS, items) -> bool:
-    """Whether the rho^j-weighted sum of the (index, terms, weight) items
-    checks; one item is checked with its own terms."""
-    if len(items) == 1:
-        return items[0][1].check()
-    batch = PairingTerms(srs)
-    for _, terms, weight in items:
-        batch.merge(terms, weight)
-    return batch.check()
-
-
-def _failing(srs: SRS, items) -> list:
-    """Indices of the failing items among (index, terms, weight) items
-    whose weighted sum is known to fail.
-
-    The items are split in halves that keep their weights. When one half
-    checks, the other must hold the failure and alone is searched; one
-    item left fails, since its weighted equation is its own raised to
-    rho^j != 0. When both halves fail, several items do, and each is
-    checked on its own, so n items cost at most n + 2*ceil(log2 n)
-    checks.
-    """
-    if len(items) == 1:
-        return [items[0][0]]
-    mid = len(items) // 2
-    left, right = items[:mid], items[mid:]
-    if _holds(srs, left):
-        return _failing(srs, right)
-    if _holds(srs, right):
-        return _failing(srs, left)
-    return [i for i, terms, _ in items if not terms.check()]
-
-
 def verify_round(ctx: BlockContext, mode: ConfigMode, objects) -> list:
     """(verdict, OpCounters) of each object, given as (key, location,
     bytes) triples, all checked with one pairing check when all hold.
@@ -535,11 +471,9 @@ def verify_round(ctx: BlockContext, mode: ConfigMode, objects) -> list:
     foreign block region fail that object alone) with the counters its
     own verification charges. The terms are summed with weights rho^j
     for the round's Fiat-Shamir rho: unless every object checks, the sum
-    fails but with negligible probability. If it fails, halves of the
-    round are checked with the same weights until the failing objects
-    are found (`_failing`): one bad object of n costs at most
-    1 + 2*ceil(log2 n) checks, and any number at most
-    n + 1 + 2*ceil(log2 n).
+    fails but with negligible probability. If it fails, each object's
+    own terms are checked for its verdict, so a failed round of n
+    decodable objects costs n + 1 checks.
     """
     reduced = []
     for _, location, obj in objects:
@@ -550,18 +484,19 @@ def verify_round(ctx: BlockContext, mode: ConfigMode, objects) -> list:
             # malformed bytes from an untrusted store fail verification
             terms = None
         reduced.append((terms, counters))
-    rho = derive_round_weight(ctx, mode, objects)
-    items = []
-    weight = 1
-    for i, (terms, _) in enumerate(reduced):
-        if terms is not None:
-            items.append((i, terms, weight))
+    valid = [terms for terms, _ in reduced if terms is not None]
+    if valid:
+        rho = derive_round_weight(ctx, mode, objects)
+        batch = PairingTerms(ctx.srs)
+        weight = 1
+        for terms in valid:
+            batch.merge(terms, weight)
             weight = weight * rho % SCALAR_MODULUS
-    failing = set()
-    if items and not _holds(ctx.srs, items):
-        failing = set(_failing(ctx.srs, items))
-    return [(terms is not None and i not in failing, counters)
-            for i, (terms, counters) in enumerate(reduced)]
+        if batch.check():
+            return [(terms is not None, counters)
+                    for terms, counters in reduced]
+    return [(terms is not None and terms.check(), counters)
+            for terms, counters in reduced]
 
 
 def _replay(ok: bool, used: OpCounters):
@@ -681,6 +616,8 @@ class ExperimentConfig:
                                   for v in value.split(","))
             else:
                 raise DasNetError(f"unknown config key {key!r}")
+        if cfg.peer_capacity is not None and cfg.peer_capacity < 1:
+            raise DasNetError("peer_capacity must be positive or none")
         if cfg.retry_budget < 0:
             raise DasNetError("retry_budget must be non-negative")
         if cfg.samples < 0:
@@ -710,14 +647,12 @@ def _deterministic_block_data(cfg: ExperimentConfig) -> bytes:
 
 class ExperimentSession:
     """Shared state across ablation runs: one SRS, one grid per config,
-    the verification cache, the rendezvous order, and each arm's objects,
-    published once: churn changes only liveness, which each run gets
-    afresh."""
+    the verification cache, and each arm's objects, published once:
+    churn changes only liveness, which each run gets afresh."""
 
     def __init__(self, cfg: ExperimentConfig, srs: SRS | None = None):
         from .kzg import gen
         self.cfg = cfg
-        self.rendezvous = Rendezvous(cfg.peers)
         d = max(cfg.cols * cfg.extension - 1, cfg.group_size + 1, 2)
         if srs is None:
             secret = int.from_bytes(
@@ -745,8 +680,7 @@ class ExperimentSession:
     def run(self, mode: ConfigMode, churn: float, seed: int) -> dict:
         cfg = self.cfg
         if mode not in self._published:
-            dht = SimDht(cfg.peers, cfg.replication, cfg.peer_capacity,
-                         rendezvous=self.rendezvous)
+            dht = SimDht(cfg.peers, cfg.replication, cfg.peer_capacity)
             self._published[mode] = dht, publish(
                 self.ctx, mode, dht, objects=self.objects_for(mode))
         published, result = self._published[mode]

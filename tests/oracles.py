@@ -7,9 +7,9 @@ projective Miller loop that computes every line afresh on each call, the
 final exponentiation with generic Fp12 squarings, the G1 subgroup check as
 multiplication by r, G1 and G2 multi-scalar multiplications as sums of
 ladders, single, batched and shared-point KZG verification with one scalar
-multiplication per term and one unbatched pairing check each, and the DHT's
-rendezvous peer order sorted afresh on every call, and the replicas of a
-key found by scanning every peer's store.
+multiplication per term and one unbatched pairing check each, and the
+replicas of a DHT key found by scanning every peer's store in rendezvous
+order.
 """
 
 import hashlib
@@ -292,7 +292,7 @@ def verify_shared(srs, group, proof, gamma: int) -> bool:
 
 def ranked_peers(key: bytes, n_peers: int) -> list:
     """Peers 0..n_peers-1 sorted by SHA-256(key || peer as 4 big-endian
-    bytes): the rendezvous order, recomputed without a memo."""
+    bytes): the rendezvous order."""
     return sorted(
         range(n_peers),
         key=lambda p: hashlib.sha256(key + p.to_bytes(4, "big")).digest())

@@ -1,0 +1,49 @@
+"""The benchmark tracer still finds every program name it wraps.
+
+`bench/tracing.py` patches functions and methods of the pmpdas modules
+by name, so renaming or deleting one of them breaks
+`bench/run.py --trace 1`. Installing and uninstalling the tracer here
+turns such a break into a test failure.
+"""
+
+import sys
+from pathlib import Path
+
+import pmpdas.cli  # noqa: F401  (the tracer patches every loaded module)
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _namespaces():
+    """Every namespace the tracer may patch: the pmpdas modules and their
+    classes, as (name, live dict, snapshot)."""
+    out = []
+    for name, module in sorted(sys.modules.items()):
+        if name != "pmpdas" and not name.startswith("pmpdas."):
+            continue
+        out.append((name, vars(module), dict(vars(module))))
+        for attr, value in vars(module).items():
+            if isinstance(value, type) and value.__module__ == name:
+                out.append((f"{name}.{attr}", vars(value),
+                            dict(vars(value))))
+    return out
+
+
+def test_tracer_installs_and_uninstalls(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    before = _namespaces()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        changed = {name for name, live, snapshot in before
+                   if any(live.get(k) is not v for k, v in snapshot.items())}
+        for _, module, path in tracing.SPAN_TARGETS + tracing.COUNT_TARGETS:
+            owner = ".".join([module] + path.split(".")[:-1])
+            assert owner in changed, (module, path)
+    finally:
+        tracer.uninstall()
+    for name, live, snapshot in before:
+        assert live.keys() == snapshot.keys(), name
+        assert all(live[k] is v for k, v in snapshot.items()), name

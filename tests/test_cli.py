@@ -106,6 +106,17 @@ def test_ablation_without_peers_exits_2(tmp_path, capsys):
     assert "peer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("capacity", ["0", "-1"])
+def test_ablation_rejects_a_peer_capacity_below_one(tmp_path, capsys,
+                                                    capacity):
+    # a capacity of 0 would count every peer full and hold each object on
+    # one peer, whatever the replication factor
+    cfg = tmp_path / "capacity.cfg"
+    cfg.write_text(f"peer_capacity={capacity}\n")
+    assert run_cli(["ablation", "--config", str(cfg)]) == 2
+    assert "peer_capacity" in capsys.readouterr().err
+
+
 def test_fixture_prove_verify_round_trip(tmp_path, capsys):
     fx = str(tmp_path / "fx.bin")
     fxp = str(tmp_path / "fxp.bin")

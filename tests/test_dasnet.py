@@ -1,6 +1,7 @@
 """Simulated store, sampling plans, publication arms, and experiments."""
 
 import functools
+import math
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from pmpdas import dasnet, kzg
 from pmpdas.curve import CurveError, G1Point, pairing_check
 from pmpdas.dasnet import (
     DECODE_ERRORS, GROUPED_MODES, BlockContext, ConfigMode, DasNetError,
-    ExperimentConfig, ExperimentSession, Rendezvous, SamplingPlan, SimDht,
+    ExperimentConfig, ExperimentSession, SamplingPlan, SimDht,
     Status, VerificationCache, build_objects, effective_samples,
     make_sampling_plan, object_key, object_location, object_regions,
     object_terms, publish, required_samples, sample_and_verify,
@@ -61,6 +62,8 @@ def test_put_places_replication_factor_distinct_replicas():
     holders = dht.replicas[b"k"]
     assert len(holders) == len(set(holders)) == 3
     assert dht.get(b"k") == b"v"
+    with pytest.raises(DasNetError):
+        SimDht(0, replication_factor=3)
 
 
 def test_placement_is_key_determined():
@@ -118,38 +121,22 @@ def test_churn_kills_a_seeded_prefix():
         dead_set(1.0, 1)
 
 
-def _dht_trace(dht, keys, churn, seed):
-    """Everything a DHT's callers can observe, over one put/kill/get cycle."""
-    placed = [dht.put(key, b"obj-" + key) for key in keys]
-    replicas = [dht.replicas[key] for key in keys]
-    dead = dht.kill_fraction(churn, seed)
-    gets = [dht.get(key) for key in keys]
-    retries = [dht.get_with_retries(key, budget)
-               for key in keys for budget in range(4)]
-    return placed, replicas, dead, gets, retries, dht.stores
-
-
-@pytest.mark.parametrize("capacity", [None, 1])
-def test_shared_rendezvous_behaves_like_fresh_dhts(capacity):
-    # later DHTs see keys the shared order already ranked, in new orders
-    shared = Rendezvous(8)
-    runs = [([b"k%d" % i for i in range(6)], 0.0, 1),
-            ([b"k%d" % i for i in range(12)][::-1], 0.3, 2),
-            ([b"k%d" % i for i in range(3, 15)], 0.5, 3),
-            ([b"k%d" % i for i in range(15)][::-1], 0.3, 4)]
-    for keys, churn, seed in runs:
-        trace = _dht_trace(SimDht(8, 3, capacity), keys, churn, seed)
-        reused = SimDht(8, 3, capacity, rendezvous=shared)
-        assert _dht_trace(reused, keys, churn, seed) == trace
-        if capacity == 1:  # eight one-slot peers shed replicas
-            assert min(trace[0]) < 3
-
-
-def test_rendezvous_peer_count_must_match():
-    with pytest.raises(DasNetError):
-        SimDht(8, 3, rendezvous=Rendezvous(9))
-    with pytest.raises(DasNetError):
-        Rendezvous(0)
+def test_churn_kill_count_is_exact_for_decimal_churn():
+    # ceil of the float product overshoots where it lands just above an
+    # integer: 0.14 * 50 == 7.000000000000001
+    for n_peers, churn in ((50, 0.14), (100, 0.07), (25, 0.28)):
+        assert math.ceil(churn * n_peers) == 8
+        assert SimDht(n_peers, 3).kill_fraction(churn, 1) == 7
+    for n_peers in range(1, 201):
+        dht = SimDht(n_peers, 3)
+        counts = []
+        for percent in range(100):
+            dht.alive = [True] * n_peers
+            dead = dht.kill_fraction(percent / 100, n_peers)
+            assert dead == -(-percent * n_peers // 100)
+            assert dht.alive.count(False) == dead
+            counts.append(dead)
+        assert counts == sorted(counts)  # monotone in churn
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +470,6 @@ def test_session_runs_do_not_leak_liveness(capacity):
         assert all(published.alive)
 
 
-def test_session_ranks_each_object_key_once():
-    cfg = _small_config()
-    session = ExperimentSession(cfg)
-    for mode in ConfigMode:
-        for churn in cfg.churn:
-            session.run(mode, churn, 1)
-    keys = {key for mode in ConfigMode for key in session.objects_for(mode)}
-    assert set(session.rendezvous._memo) == keys
-
-
 def test_grouped_proof_bytes_count_the_proofs_of_a_short_band():
     # 3 rows in bands of 2: objects of the last band hold g proofs, not g*k
     session = ExperimentSession(ExperimentConfig(rows=3, rows_per_group=2))
@@ -683,7 +660,7 @@ def test_honest_round_makes_one_pairing_check(monkeypatch):
     (Coordinate(0, 0),), (Coordinate(1, 2),), (Coordinate(1, 7),),
     (Coordinate(0, 1), Coordinate(1, 6)), "every",
 ])
-def test_failed_round_bisects_to_the_bad_objects(monkeypatch, bad):
+def test_failed_round_checks_each_object_alone(monkeypatch, bad):
     calls = []
 
     def counted(pairs):
@@ -703,9 +680,8 @@ def test_failed_round_bisects_to_the_bad_objects(monkeypatch, bad):
         _store_everywhere(dht, key,
                           _damaged(mode, _published(CTX, mode)[key], "value"))
     outcome = sample_and_verify(plan, mode, dht, CTX)
-    # the round, then at most two checks per halving of 16 objects, and
-    # once both halves fail, one check per object
-    assert len(calls) <= (1 + 2 * 4 if len(bad) == 1 else 16 + 1 + 2 * 4)
+    # the round, then one check per object
+    assert len(calls) == 1 + 16
     expected = OpCounters()
     for coord in plan.coordinates:
         ok, used = _alone(CTX, mode, coord,

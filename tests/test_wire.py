@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import shared_srs
 from pmpdas.field_poly import SCALAR_MODULUS, scalar_to_bytes
@@ -226,3 +228,95 @@ def test_grid_commitments_must_be_those_of_its_rows():
     for header in (c1 + c0, c0 + c0):
         with pytest.raises(WireError, match="header commitments"):
             decode_grid(body + header, srs)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: each decoder raises only WireError, and re-encodes what it
+# accepts to the very bytes it read.
+
+def _blocks(max_side=3):
+    return st.builds(
+        lambda r0, n_rows, c0, n_cols: GCellBlock(r0, r0 + n_rows,
+                                                  c0, c0 + n_cols),
+        st.integers(0, 2 ** 32 - 1 - max_side), st.integers(0, max_side),
+        st.integers(0, 2 ** 32 - 1 - max_side), st.integers(0, max_side))
+
+
+_scalars = st.integers(0, SCALAR_MODULUS - 1)
+_baseline_cells = st.builds(
+    BaselineCell, st.binary(min_size=48, max_size=48),
+    _scalars.map(scalar_to_bytes))
+
+
+@st.composite
+def _mcells(draw):
+    block = draw(_blocks().filter(lambda b: b.n_rows and b.n_cols))
+    n = block.n_rows * block.n_cols
+    return MCell(draw(st.binary(min_size=48, max_size=48)), block,
+                 tuple(draw(st.lists(_scalars, min_size=n, max_size=n))))
+
+
+@st.composite
+def _grouped(draw):
+    block = draw(_blocks(max_side=2))
+    n = block.n_rows * block.n_cols
+    return GroupedCells(block, draw(st.lists(_baseline_cells,
+                                             min_size=n, max_size=n)))
+
+
+_fixture_sections = st.lists(st.tuples(
+    st.text(st.characters(max_codepoint=127), min_size=4, max_size=4),
+    st.binary(max_size=40)), max_size=4)
+
+# name -> (decode, encode, strategy of valid values)
+CODECS = {
+    "gcell_block": (GCellBlock.from_bytes, GCellBlock.to_bytes, _blocks()),
+    "baseline_cell": (BaselineCell.from_bytes, BaselineCell.to_bytes,
+                      _baseline_cells),
+    "mcell": (MCell.from_bytes, MCell.to_bytes, _mcells()),
+    "grouped_cells": (GroupedCells.from_bytes, GroupedCells.to_bytes,
+                      _grouped()),
+    "fixture": (decode_fixture, encode_fixture, _fixture_sections),
+    "prove_params": (decode_prove_params,
+                     lambda params: encode_prove_params(*params),
+                     st.tuples(st.integers(0, 2 ** 32 - 1),
+                               st.integers(0, 2 ** 32 - 1))),
+}
+
+
+@st.composite
+def _damaged(draw, values, encode):
+    """A valid encoding with bytes overwritten, cut off or appended."""
+    blob = bytearray(encode(draw(values)))
+    for _ in range(draw(st.integers(0, 3))):
+        if blob and draw(st.booleans()):
+            blob[draw(st.integers(0, len(blob) - 1))] = \
+                draw(st.integers(0, 255))
+    cut = draw(st.integers(0, len(blob)))
+    return bytes(blob[:cut] if draw(st.booleans()) else blob) + \
+        draw(st.binary(max_size=4))
+
+
+@pytest.mark.parametrize("codec", sorted(CODECS))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_codec_round_trips(codec, data):
+    decode, encode, values = CODECS[codec]
+    value = data.draw(values)
+    blob = encode(value)
+    assert decode(blob) == value
+    assert encode(decode(blob)) == blob
+
+
+@pytest.mark.parametrize("codec", sorted(CODECS))
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_decoders_raise_only_wire_errors(codec, data):
+    decode, encode, values = CODECS[codec]
+    blob = data.draw(st.one_of(st.binary(max_size=200),
+                               _damaged(values, encode)))
+    try:
+        value = decode(blob)
+    except WireError:
+        return
+    assert encode(value) == blob
