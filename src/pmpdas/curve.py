@@ -476,10 +476,6 @@ def multi_pairing(pairs):
     return f if f == FP12_ONE else final_exponentiation(f)
 
 
-def pairing(g1pt, g2pt):
-    return multi_pairing([(g1pt, g2pt)])
-
-
 def pairing_check(pairs):
     """True iff the product of pairings equals the identity."""
     return multi_pairing(pairs) == FP12_ONE
@@ -576,7 +572,7 @@ class _Point:
         return bytes(out)
 
     @classmethod
-    def from_bytes(cls, data: bytes, subgroup_check: bool = True):
+    def from_bytes(cls, data: bytes):
         name = cls.__name__[:2]
         if len(data) != cls._BYTES:
             raise CurveError(f"{name} encoding must be {cls._BYTES} bytes, "
@@ -597,7 +593,7 @@ class _Point:
         pt = cls((x, y, cls._ONE))
         if cls._y_is_largest(y) != bool(flags & 0x20):
             pt = -pt
-        if subgroup_check and not pt.in_subgroup():
+        if not pt.in_subgroup():
             raise CurveError(f"{name} point not in the prime-order subgroup")
         return pt
 
@@ -639,8 +635,8 @@ class G1Point(_Point):
     __mul__ = __rmul__ = _Point.__mul__
 
     @staticmethod
-    def from_bytes(data: bytes, subgroup_check: bool = True) -> "G1Point":
-        return super(G1Point, G1Point).from_bytes(data, subgroup_check)
+    def from_bytes(data: bytes) -> "G1Point":
+        return super(G1Point, G1Point).from_bytes(data)
 
     def in_subgroup(self) -> bool:
         """phi(P) == -x^2 * P for the endomorphism phi(x, y) = (beta*x, y).

@@ -343,10 +343,10 @@ def required_samples(target: int, g: int) -> int:
 
 @dataclass
 class RetrievalOutcome:
+    """What one sampling round saw: each planned coordinate's status, in
+    plan order, and the operation counters its verification charged."""
+
     statuses: dict  # Coordinate -> Status
-    retries_used: int
-    distinct_groups: int
-    effective_independent_samples: int
     counters: OpCounters = dc_field(default_factory=OpCounters)
 
     @property
@@ -366,16 +366,28 @@ class RetrievalOutcome:
 
 
 class VerificationCache:
-    """Content-addressed memo of verification outcomes.
+    """Content-addressed memo of verification outcomes for one block.
 
     The DHT serves immutable byte strings, so verifying the same bytes
     against the same header twice is pure recomputation; the cache stores
     the decision together with the operation counters of the original
-    verification so metrics stay independent of cache warmth.
+    verification so metrics stay independent of cache warmth. A verdict
+    holds only for the header it was checked against, and the cache key
+    holds nothing of the header, so a cache serves the one BlockContext
+    it is first used with (`bind`).
     """
 
     def __init__(self):
         self._memo = {}
+        self._ctx = None
+
+    def bind(self, ctx: BlockContext) -> None:
+        """Tie the cache to `ctx` on first use; refuse any other context."""
+        if self._ctx is None:
+            self._ctx = ctx
+        elif self._ctx is not ctx:
+            raise DasNetError("verification cache is bound to another "
+                              "block context")
 
     def __contains__(self, cache_key) -> bool:
         return cache_key in self._memo
@@ -516,17 +528,14 @@ def sample_and_verify(plan: SamplingPlan, mode: ConfigMode, dht: SimDht,
     verification failures are recorded, internal errors raised."""
     if cache is None:
         cache = VerificationCache()
-    retries = 0
-    groups_touched = set()
+    cache.bind(ctx)
     fetched = []  # (coordinate, cache key, or None for a failed fetch)
     misses = {}  # cache key -> (key, location, bytes), in first-seen order
     arm = mode.value  # hashes in C, unlike the enum member
     for coord in plan.coordinates:
-        groups_touched.add(coordinate_to_group(
-            coord, ctx.group_size, ctx.rows_per_group, dims=ctx.grid.dims))
+        ctx.grid.check_bounds(coord)
         key = object_key(ctx, mode, coord)
-        obj, attempts = dht.get_with_retries(key, retry_budget)
-        retries += attempts - 1
+        obj, _ = dht.get_with_retries(key, retry_budget)
         if obj is None:
             fetched.append((coord, None))
             continue
@@ -548,15 +557,7 @@ def sample_and_verify(plan: SamplingPlan, mode: ConfigMode, dht: SimDht,
         ok, used = cache.check(cache_key, replays.get(cache_key))
         counters.merge(used)
         statuses[coord] = Status.VERIFIED if ok else Status.VERIFY_FAILED
-    g_effective, _ = _object_shape(ctx, mode)
-    return RetrievalOutcome(
-        statuses=statuses,
-        retries_used=retries,
-        distinct_groups=len(groups_touched),
-        effective_independent_samples=effective_samples(
-            len(plan.coordinates), g_effective),
-        counters=counters,
-    )
+    return RetrievalOutcome(statuses=statuses, counters=counters)
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +619,9 @@ class ExperimentConfig:
                 raise DasNetError(f"unknown config key {key!r}")
         if cfg.peer_capacity is not None and cfg.peer_capacity < 1:
             raise DasNetError("peer_capacity must be positive or none")
+        if cfg.group_size < 1 or cfg.rows_per_group < 1:
+            raise DasNetError("group_size and rows_per_group must be "
+                              "positive")
         if cfg.retry_budget < 0:
             raise DasNetError("retry_budget must be non-negative")
         if cfg.samples < 0:
@@ -702,9 +706,6 @@ class ExperimentSession:
             "verified": outcome.count(Status.VERIFIED),
             "verify_failures": outcome.count(Status.VERIFY_FAILED),
             "fetch_failures": outcome.count(Status.FETCH_FAILED),
-            "retries": outcome.retries_used,
-            "distinct_groups": outcome.distinct_groups,
-            "effective_samples": outcome.effective_independent_samples,
             "g1_mults": outcome.counters.g1_scalar_mults,
             "g2_mults": outcome.counters.g2_scalar_mults,
             "pairings": outcome.counters.pairings,

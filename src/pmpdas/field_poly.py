@@ -81,16 +81,8 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     @staticmethod
-    def zero() -> "Polynomial":
-        return Polynomial()
-
-    @staticmethod
     def constant(c: int) -> "Polynomial":
         return Polynomial((c,))
-
-    @staticmethod
-    def x() -> "Polynomial":
-        return Polynomial((0, 1))
 
     @property
     def degree(self):
@@ -241,8 +233,13 @@ def interpolate(domain, values) -> Polynomial:
     return out
 
 
+def evaluate_on_domain(p: Polynomial, domain: EvaluationDomain) -> list:
+    """Evaluate p on every domain point, by Horner at each one."""
+    return [p.evaluate(z) for z in domain]
+
+
 # ---------------------------------------------------------------------------
-# Roots-of-unity domains and the radix-2 evaluation path
+# Roots-of-unity domains
 
 _GENERATOR = 7  # multiplicative generator of the scalar field
 
@@ -262,36 +259,3 @@ def roots_of_unity_domain(n: int) -> EvaluationDomain:
         pts.append(cur)
         cur = cur * w % SCALAR_MODULUS
     return EvaluationDomain(pts)
-
-
-def _fft(coeffs, w):
-    n = len(coeffs)
-    if n == 1:
-        return list(coeffs)
-    even = _fft(coeffs[0::2], w * w % SCALAR_MODULUS)
-    odd = _fft(coeffs[1::2], w * w % SCALAR_MODULUS)
-    out = [0] * n
-    wk = 1
-    for k in range(n // 2):
-        t = wk * odd[k] % SCALAR_MODULUS
-        out[k] = (even[k] + t) % SCALAR_MODULUS
-        out[k + n // 2] = (even[k] - t) % SCALAR_MODULUS
-        wk = wk * w % SCALAR_MODULUS
-    return out
-
-
-def evaluate_on_domain(p: Polynomial, domain: EvaluationDomain) -> list:
-    """Evaluate p on every domain point.
-
-    Uses the radix-2 FFT when the domain is a full power-of-two
-    roots-of-unity domain in standard order, Horner otherwise.
-    """
-    n = len(domain)
-    if n and n & (n - 1) == 0 and p.degree < n:
-        try:
-            std = roots_of_unity_domain(n)
-        except FieldPolyError:
-            std = None
-        if std is not None and std.points == domain.points:
-            return _fft(list(p.padded(n)), root_of_unity(n))
-    return [p.evaluate(z) for z in domain]

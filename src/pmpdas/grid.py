@@ -80,10 +80,6 @@ class DataGrid:
         self.row_polys = tuple(row_polys)
         self.row_commitments = tuple(row_commitments)
 
-    def cell(self, coord: Coordinate) -> int:
-        self.check_bounds(coord)
-        return self.cells[coord.row][coord.col]
-
     def check_bounds(self, coord: Coordinate) -> None:
         if coord.row >= self.dims.rows or coord.col >= self.dims.extended_cols:
             raise GridError(f"coordinate {coord} outside the extended grid")

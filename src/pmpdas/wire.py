@@ -145,9 +145,6 @@ class MCell:
     def count(self) -> int:
         return len(self.scalars)
 
-    def encoded_size(self) -> int:
-        return PROOF_BYTES + GCELL_BLOCK_BYTES + 4 + SCALAR_BYTES * self.count
-
     def to_bytes(self) -> bytes:
         out = bytearray()
         out += self.proof

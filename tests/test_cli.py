@@ -99,6 +99,14 @@ def test_ablation_bad_config(tmp_path, capsys):
         assert "bad config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["modes=vanilla\nrows_per_group=0\n",
+                                  "modes=vanilla\ngroup_size=0\n"])
+def test_ablation_rejects_a_group_dimension_below_one(tmp_path, text):
+    cfg = tmp_path / "groups.cfg"
+    cfg.write_text(text + "seeds=1\n")
+    assert run_cli(["ablation", "--config", str(cfg)]) == 2
+
+
 def test_ablation_without_peers_exits_2(tmp_path, capsys):
     cfg = tmp_path / "nopeers.cfg"
     cfg.write_text("peers=0\n")

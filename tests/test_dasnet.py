@@ -213,10 +213,6 @@ def test_all_modes_verify_honest_objects():
         assert outcome.hit_rate == 1.0
         assert outcome.count(Status.VERIFIED) == 8
         assert outcome.count(Status.VERIFY_FAILED) == 0
-    # grouped modes touch at most ceil(samples / g) * rows distinct objects
-    grouped = sample_and_verify(plan, ConfigMode.PMP, dht, CTX)
-    assert grouped.distinct_groups <= 8
-    assert grouped.effective_independent_samples == 2
 
 
 def test_fetch_failure_recorded_per_coordinate():
@@ -227,6 +223,17 @@ def test_fetch_failure_recorded_per_coordinate():
     outcome = sample_and_verify(plan, ConfigMode.VANILLA, dht, CTX)
     assert outcome.hit_rate == 0.0
     assert outcome.count(Status.FETCH_FAILED) == 5
+
+
+@pytest.mark.parametrize("mode", list(ConfigMode))
+def test_coordinate_outside_the_grid_raises(mode):
+    dims = CTX.grid.dims
+    dht = _published_dht(CTX, mode)
+    for outside in (Coordinate(dims.rows, 0),
+                    Coordinate(0, dims.extended_cols)):
+        plan = SamplingPlan(0, (Coordinate(0, 0), outside))
+        with pytest.raises(GridError):
+            sample_and_verify(plan, mode, dht, CTX)
 
 
 def test_tampered_stored_object_fails_verification():
@@ -521,7 +528,8 @@ def test_config_parsing(tmp_path):
         ExperimentConfig.from_file(bad)
     with pytest.raises(DasNetError):
         ConfigMode.parse("bogus")
-    for pairs in ({"seeds": "5-3"}, {"retry_budget": "-1"}):
+    for pairs in ({"seeds": "5-3"}, {"retry_budget": "-1"},
+                  {"group_size": "0"}, {"rows_per_group": "0"}):
         with pytest.raises(DasNetError):
             ExperimentConfig.from_pairs(pairs)
 
@@ -705,6 +713,22 @@ def test_round_of_cache_hits_makes_no_pairing_call(monkeypatch):
             again = sample_and_verify(plan, mode, dht, CTX, cache=cache)
         assert again.statuses == first.statuses
         assert again.counters == first.counters
+
+
+@pytest.mark.parametrize("mode", list(ConfigMode))
+def test_cache_serves_only_the_context_it_was_first_used_with(mode):
+    # same SRS and block id, other data: only the header tells them apart,
+    # and the cache key holds nothing of the header
+    other = _context(seed=81)
+    plan = make_sampling_plan(7, CTX.grid.dims, 4)
+    dht = _published_dht(CTX, mode)
+    cache = VerificationCache()
+    assert sample_and_verify(plan, mode, dht, CTX, cache=cache).count(
+        Status.VERIFIED) == 4
+    assert sample_and_verify(plan, mode, dht, other).count(
+        Status.VERIFIED) == 0
+    with pytest.raises(DasNetError, match="another block context"):
+        sample_and_verify(plan, mode, dht, other, cache=cache)
 
 
 def _oracle_verdict(ctx, mode, coord, obj):

@@ -147,6 +147,8 @@ def test_iter_groups_rejects_rows_per_group_below_one(rows_per_group):
 
 def test_cell_lookup_bounds():
     _, grid = _grid()
-    assert grid.cell(Coordinate(1, 7)) == grid.cells[1][7]
+    grid.check_bounds(Coordinate(1, 7))
     with pytest.raises(GridError):
-        grid.cell(Coordinate(2, 0))
+        grid.check_bounds(Coordinate(2, 0))
+    with pytest.raises(GridError):
+        grid.check_bounds(Coordinate(0, 8))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import shared_srs
+from pmpdas.dasnet import DECODE_ERRORS
 from pmpdas.field_poly import SCALAR_MODULUS, scalar_to_bytes
 from pmpdas.grid import GridDims, build_grid
 from pmpdas.wire import (
@@ -59,8 +60,7 @@ def test_mcell_round_trip():
     for _ in range(50):
         mcell = _rand_mcell(rng)
         blob = mcell.to_bytes()
-        assert len(blob) == mcell.encoded_size() == \
-            48 + 16 + 4 + 32 * mcell.count
+        assert len(blob) == 48 + 16 + 4 + 32 * mcell.count
         assert MCell.from_bytes(blob) == mcell
 
 
@@ -318,5 +318,88 @@ def test_decoders_raise_only_wire_errors(codec, data):
     try:
         value = decode(blob)
     except WireError:
+        return
+    assert encode(value) == blob
+
+
+# The SRS and GRID sections decode curve points, so their decoders may
+# also raise CurveError, and decoded values are compared by re-encoding.
+# Valid values come from precomputed setups of degree 1-3 and grids of at
+# most 2x4 cells, which keeps each example to a few point decodings.
+_GRID_SRS_DEGREE = 3
+
+
+def _srses():
+    return st.sampled_from((1, 2, 3)).map(shared_srs)
+
+
+@st.composite
+def _grids(draw):
+    # an extension of 3 makes widths that are no power of two, whose row
+    # domain is consecutive integers instead of roots of unity
+    dims = GridDims(draw(st.integers(1, 2)), draw(st.integers(1, 4)),
+                    draw(st.integers(2, 3)))
+    data = draw(st.binary(max_size=dims.data_capacity_bytes))
+    return build_grid(data, dims, shared_srs(_GRID_SRS_DEGREE))
+
+
+def _decode_grid(blob):
+    return decode_grid(blob, shared_srs(_GRID_SRS_DEGREE))
+
+
+@st.composite
+def _sized_srs_bytes(draw):
+    """A degree header and random bytes of the length it implies."""
+    d = draw(st.integers(1, 3))
+    body = draw(st.binary(min_size=(d + 1) * 144, max_size=(d + 1) * 144))
+    return d.to_bytes(4, "little") + body
+
+
+@st.composite
+def _sized_grid_bytes(draw):
+    """A small grid header and random bytes of the length it implies."""
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    width = 2 * cols
+    size = width * 32 + rows * width * 32 + rows * 48
+    header = b"".join(v.to_bytes(4, "little") for v in (rows, cols, 2))
+    return header + draw(st.binary(min_size=size, max_size=size))
+
+
+@st.composite
+def _overwritten(draw, values, encode):
+    """A valid encoding with one to three bytes replaced, length kept."""
+    blob = bytearray(encode(draw(values)))
+    for _ in range(draw(st.integers(1, 3))):
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    return bytes(blob)
+
+
+# name -> (decode, encode, strategy of valid values, strategy of bytes)
+POINT_CODECS = {
+    "srs": (decode_srs, encode_srs, _srses(), _sized_srs_bytes()),
+    "grid": (_decode_grid, encode_grid, _grids(), _sized_grid_bytes()),
+}
+
+
+@pytest.mark.parametrize("codec", sorted(POINT_CODECS))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_point_codec_round_trips(codec, data):
+    decode, encode, values, _ = POINT_CODECS[codec]
+    blob = encode(data.draw(values))
+    assert encode(decode(blob)) == blob
+
+
+@pytest.mark.parametrize("codec", sorted(POINT_CODECS))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_point_decoders_raise_only_decode_errors(codec, data):
+    decode, encode, values, arbitrary = POINT_CODECS[codec]
+    blob = data.draw(st.one_of(st.binary(max_size=200), arbitrary,
+                               _damaged(values, encode),
+                               _overwritten(values, encode)))
+    try:
+        value = decode(blob)
+    except DECODE_ERRORS:
         return
     assert encode(value) == blob
