@@ -249,18 +249,17 @@ def cmd_verify(args) -> int:
     for (ok, _), payload, region in zip(verdicts, mcells, regions):
         if ok:
             continue
-        # the first group the round failed, verified alone for its message
-        group_id = (f"band {region.rows_start // rows_per_group}, "
-                    f"group {region.cols_start // group_size}")
+        # the first group the round failed; decoding it again names the
+        # malformed bytes, if that is why it failed
+        message = (f"verification failed at band "
+                   f"{region.rows_start // rows_per_group}, "
+                   f"group {region.cols_start // group_size}")
         try:
-            ok = dasnet.verify_object(ctx, ConfigMode.PMP, region, payload)
+            dasnet.object_terms(ctx, ConfigMode.PMP, region, payload)
         except dasnet.DECODE_ERRORS as exc:
-            print(f"verification failed at {group_id}: {exc}",
-                  file=sys.stderr)
-            return EXIT_VERIFY_FAILED
-        if not ok:
-            print(f"verification failed at {group_id}", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
+            message += f": {exc}"
+        print(message, file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     print(f"verified {len(regions)} groups")
     return EXIT_OK
 

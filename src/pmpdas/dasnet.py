@@ -209,7 +209,7 @@ def object_location(ctx: BlockContext, mode: ConfigMode,
     """Region of the object that covers `coord`: the cell itself for the
     per-cell arms, its whole group for the grouped ones."""
     g, k = _object_shape(ctx, mode)
-    b, m = coordinate_to_group(coord, g, k, dims=ctx.grid.dims)
+    b, m = coordinate_to_group(coord, g, k)
     ctx.grid.check_bounds(Coordinate(coord.row, (m + 1) * g - 1))
     return GCellBlock(b * k, min(b * k + k, ctx.grid.dims.rows),
                       m * g, (m + 1) * g)

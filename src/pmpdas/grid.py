@@ -132,14 +132,11 @@ def partition_micro_domains(row_domain: EvaluationDomain, g: int):
             for j in range(n // g)]
 
 
-def coordinate_to_group(coord: Coordinate, g: int, rows_per_group: int = 1,
-                        dims: GridDims | None = None):
-    """(row-band index, micro-domain index) containing the coordinate."""
+def coordinate_to_group(coord: Coordinate, g: int, rows_per_group: int = 1):
+    """(row-band index, micro-domain index) containing the coordinate (not
+    bounds-checked)."""
     if g < 1 or rows_per_group < 1:
         raise GridError("group size and rows-per-group must be positive")
-    if dims is not None and (coord.row >= dims.rows
-                             or coord.col >= dims.extended_cols):
-        raise GridError(f"coordinate {coord} outside the extended grid")
     return (coord.row // rows_per_group, coord.col // g)
 
 

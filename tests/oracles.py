@@ -6,15 +6,19 @@ computes faster: the affine Miller loop with one inversion per step, the
 projective Miller loop that computes every line afresh on each call, the
 final exponentiation with generic Fp12 squarings, the G1 subgroup check as
 multiplication by r, G1 and G2 multi-scalar multiplications as sums of
-ladders, single, batched and shared-point KZG verification with one scalar
-multiplication per term and one unbatched pairing check each, and the
-replicas of a DHT key found by scanning every peer's store in rendezvous
-order.
+ladders, the G1 signed-window walk with one Jacobian accumulator over
+tables of sequential multiples, single, batched and shared-point KZG
+verification with one scalar multiplication per term and one unbatched
+pairing check each, and the replicas of a DHT key found by scanning every
+peer's store in rendezvous order.
 """
 
 import hashlib
 
-from pmpdas.curve import G1Point, G2Point, _g1_to_affine, _g2_to_affine
+from pmpdas.curve import (
+    G1Point, G2Point, _INF1, _g1_add_affine, _g1_double, _g1_to_affine,
+    _g2_to_affine, _signed_digits,
+)
 from pmpdas.field_poly import SCALAR_MODULUS, interpolate, vanishing_poly
 from pmpdas.fields import (
     BLS_X, BLS_X_BITS, FP2_ONE, FP2_ZERO, FP12_ONE, P, R,
@@ -231,6 +235,69 @@ def g2_msm(points, scalars) -> G2Point:
     for pt, s in zip(points, scalars):
         acc = acc + G2Point(G2Point._ladder(pt.raw, s % R))
     return acc
+
+
+def _batch_to_affine(points):
+    """Affine forms of non-identity Jacobian G1 points, with one
+    inversion."""
+    prefix = []
+    acc = 1
+    for _, _, z in points:
+        prefix.append(acc)
+        acc = acc * z % P
+    inv = pow(acc, -1, P)
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, y, z = points[i]
+        zi = inv * prefix[i] % P
+        inv = inv * z % P
+        zi2 = zi * zi % P
+        out[i] = (x * zi2 % P, y * zi2 * zi % P)
+    return tuple(out)
+
+
+def g1_multiples(point: G1Point, m: int) -> tuple:
+    """Affine 1*q .. m*q of a non-identity point q: one Jacobian + affine
+    addition after another, normalised together at the end."""
+    aff = _g1_to_affine(point.raw)
+    multiples = [aff + (1,), _g1_double(aff + (1,))]
+    for _ in range(m - 2):
+        multiples.append(_g1_add_affine(multiples[-1], aff))
+    return _batch_to_affine(multiples[:m])
+
+
+def g1_window_walk(terms, window: int) -> G1Point:
+    """Sum over the (affine table, digits) terms of sum_i digits[i] *
+    2^(w*i) * base, with one Jacobian accumulator: w doublings per window,
+    then one mixed addition per nonzero digit of every term."""
+    nwin = max((len(digits) for _, digits in terms), default=0)
+    acc = _INF1
+    for i in range(nwin - 1, -1, -1):
+        for _ in range(window):
+            acc = _g1_double(acc)
+        for tbl, digits in terms:
+            d = digits[i] if i < len(digits) else 0
+            if d > 0:
+                acc = _g1_add_affine(acc, tbl[d - 1])
+            elif d < 0:
+                x, y = tbl[-d - 1]
+                acc = _g1_add_affine(acc, (x, P - y))
+    return G1Point(acc)
+
+
+def g1_window_msm(points, scalars) -> G1Point:
+    """The 4-bit signed-window walk over tables of sequential multiples,
+    one per point of order r with a scalar that is nonzero mod r."""
+    return g1_window_walk([(g1_multiples(pt, 8), _signed_digits(s % R, 4))
+                           for pt, s in zip(points, scalars)
+                           if s % R and not pt.is_identity()], 4)
+
+
+def g1_window_fixed_base_msm(tables, scalars) -> G1Point:
+    """The 8-bit signed-window walk over given fixed-base tables."""
+    return g1_window_walk([(tbl, _signed_digits(s % R, 8))
+                           for tbl, s in zip(tables, scalars)
+                           if s % R and tbl], 8)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from pmpdas import cli, dasnet, grid
+from pmpdas import cli, dasnet, grid, kzg
 from pmpdas.curve import G1Point, G2Point
 from pmpdas.kzg import KzgError, PairingTerms, gen
 from pmpdas.multiproof import MultiproofError
@@ -146,6 +146,30 @@ def test_verify_detects_tampered_scalar(tmp_path, capsys):
     open(tampered, "wb").write(bytes(blob))
     assert run_cli(["verify", "--fixture", tampered]) == 1
     assert "band 1, group 1" in capsys.readouterr().err
+
+
+def test_verify_checks_a_failed_group_only_in_the_round(tmp_path, capsys,
+                                                        monkeypatch):
+    fx, fxp = str(tmp_path / "fx.bin"), str(tmp_path / "fxp.bin")
+    run_cli(["gen-fixture", "--output", fx, "--rows", "2", "--cols", "8"])
+    run_cli(["prove", "--fixture", fx, "--output", fxp, "--group", "4"])
+    blob = bytearray(open(fxp, "rb").read())
+    blob[-5] ^= 0x01  # a scalar bit of the last of 8 groups
+    tampered = tmp_path / "tampered.bin"
+    tampered.write_bytes(bytes(blob))
+    checks = []
+    real = kzg.pairing_check
+
+    def counting(pairs):
+        checks.append(len(pairs))
+        return real(pairs)
+
+    monkeypatch.setattr(kzg, "pairing_check", counting)
+    assert run_cli(["verify", "--fixture", str(tampered)]) == 1
+    assert capsys.readouterr().err == \
+        "verification failed at band 1, group 3\n"
+    # the round's check, then one per group; none repeats
+    assert len(checks) == 9
 
 
 def test_verify_detects_permuted_header_commitments(tmp_path, capsys):

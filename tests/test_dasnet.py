@@ -390,6 +390,10 @@ def test_object_location_and_key_agree_with_the_regions(geometry):
             corner = Coordinate(location.rows_start, location.cols_start)
             assert object_key(ctx, mode, coord) == \
                 object_key(ctx, mode, corner)
+        for outside in (Coordinate(dims.rows, 0),
+                        Coordinate(0, dims.extended_cols)):
+            with pytest.raises(GridError):
+                object_location(ctx, mode, outside)
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)

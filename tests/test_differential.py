@@ -12,8 +12,9 @@ import oracles
 from helpers import rand_poly, shared_srs
 from pmpdas import fields as F
 from pmpdas.curve import (
-    G1Point, G2Point, _g1_add, _g1_to_affine, _g2_to_affine, _miller_loop,
-    g1_fixed_base_msm, g1_fixed_base_table, g1_msm, g2_msm, multi_pairing,
+    G1Point, G2Point, _g1_add, _g1_affine_multiples, _g1_to_affine,
+    _g2_to_affine, _miller_loop, g1_fixed_base_msm, g1_fixed_base_table,
+    g1_msm, g2_msm, multi_pairing,
 )
 from pmpdas.dasnet import SimDht
 from pmpdas.field_poly import SCALAR_MODULUS, EvaluationDomain, Polynomial
@@ -305,6 +306,70 @@ def test_g1_msm_matches_sum_of_ladders(terms):
     ks = [k for _, k in terms]
     assert g1_msm(points, ks).to_bytes() == \
         oracles.g1_msm(points, ks).to_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Window sums and level-built tables against the Jacobian-accumulator walk
+
+# a scalar with a nonzero digit in most 4- and 8-bit windows
+_K = F.R // 3
+
+
+# pinned: a lone term and a short scalar next to a full one, so that
+# windows hold a single entry; the same point with the same scalar twice
+# and three times, so that a window sum meets its own entry (a doubling);
+# P and -P with equal scalars, with Z = 1 and Z != 1, so that every
+# window sum cancels
+@given(st.lists(st.tuples(st.integers(0, 5), scalars), max_size=8))
+@example([(0, _K)])
+@example([(1, F.R - 1), (0, 5)])
+@example([(0, _K), (0, _K)])
+@example([(4, _K), (4, _K), (4, _K)])
+@example([(0, _K), (2, _K)])
+@example([(4, _K), (5, _K), (1, _K)])
+@settings(max_examples=30, deadline=None)
+def test_g1_msm_matches_jacobian_walk(terms):
+    pool = _g1_base_pool()
+    points = [pool[i] for i, _ in terms]
+    ks = [k for _, k in terms]
+    got = g1_msm(points, ks)
+    expected = oracles.g1_window_msm(points, ks)
+    assert got == expected
+    assert got.to_bytes() == expected.to_bytes()
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), scalars), max_size=8))
+@example([(1, _K)])
+@example([(0, _K), (0, _K)])
+@example([(0, _K), (2, _K)])
+@settings(max_examples=20, deadline=None)
+def test_fixed_base_msm_matches_jacobian_walk(terms):
+    pool = _base_pool()
+    tables = [pool[i][1] for i, _ in terms]
+    sequential = [oracles.g1_multiples(pool[i][0], 128) if pool[i][1] else ()
+                  for i, _ in terms]
+    ks = [k for _, k in terms]
+    got = g1_fixed_base_msm(tables, ks)
+    assert got == oracles.g1_window_fixed_base_msm(tables, ks)
+    assert got.to_bytes() == \
+        oracles.g1_window_fixed_base_msm(sequential, ks).to_bytes()
+
+
+def test_level_built_tables_match_sequential_multiples():
+    g = G1Point.generator()
+    # Z = 1 and Z != 1 points, negated ones among them
+    points = [g, shared_srs(MSM_SRS_DEGREE).g1_powers[1], -g, g * 5,
+              -(g * 5)]
+    for m in (8, 128):
+        assert _g1_affine_multiples([pt.raw for pt in points], m) == \
+            [oracles.g1_multiples(pt, m) for pt in points]
+    # every m up to 17, so that some last levels stop short of a doubling
+    seventeen = oracles.g1_multiples(points[3], 17)
+    for m in range(1, 18):
+        assert _g1_affine_multiples([points[3].raw, points[0].raw], m) == \
+            [seventeen[:m], oracles.g1_multiples(g, 17)[:m]]
+    for pt in points:
+        assert g1_fixed_base_table(pt) == oracles.g1_multiples(pt, 128)
 
 
 # ---------------------------------------------------------------------------

@@ -130,11 +130,10 @@ def test_roots_of_unity_domain():
         root_of_unity(3 * 2 ** 40)  # not a divisor of the group order
 
 
-def test_fft_matches_horner():
+def test_interpolation_inverts_evaluate_on_domain():
+    # a polynomial of degree < |dom| is the interpolant of its own values
     rng = random.Random(23)
-    dom = roots_of_unity_domain(8)
-    p = Polynomial([rng.randrange(SCALAR_MODULUS) for _ in range(8)])
-    assert evaluate_on_domain(p, dom) == [p.evaluate(z) for z in dom]
-    # non-power-of-two path
-    odd = EvaluationDomain(range(5))
-    assert evaluate_on_domain(p, odd) == [p.evaluate(z) for z in odd]
+    for dom in (roots_of_unity_domain(8), EvaluationDomain(range(5))):
+        for n in range(len(dom) + 1):
+            p = Polynomial([rng.randrange(SCALAR_MODULUS) for _ in range(n)])
+            assert interpolate(dom, evaluate_on_domain(p, dom)) == p

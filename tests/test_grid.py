@@ -104,11 +104,6 @@ def test_coordinate_to_group():
     assert coordinate_to_group(Coordinate(0, 0), 4) == (0, 0)
     assert coordinate_to_group(Coordinate(2, 7), 4) == (2, 1)
     assert coordinate_to_group(Coordinate(3, 5), 4, rows_per_group=2) == (1, 1)
-    dims = GridDims(2, 4, 2)
-    with pytest.raises(GridError):
-        coordinate_to_group(Coordinate(2, 0), 4, dims=dims)
-    with pytest.raises(GridError):
-        coordinate_to_group(Coordinate(0, 8), 4, dims=dims)
 
 
 def test_build_opened_group():
