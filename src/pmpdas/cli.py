@@ -49,12 +49,18 @@ class CliError(Exception):
     """Usage or input problem; maps to exit code 2."""
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(data: str | bytes, path: str | None) -> None:
+    """Writes text to stdout, or text (as UTF-8) or bytes to `path`."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        sys.stdout.write(data)
+        return
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}")
 
 
 def _rows_to_csv(rows, columns) -> str:
@@ -134,8 +140,12 @@ def _load_fixture(path: str):
 
 
 def _fixture_sections(sections) -> dict:
+    """Payloads by tag; only MCEL, one per proof object, may repeat among
+    the sections the CLI reads."""
     out = {}
     for tag, payload in sections:
+        if tag in out and tag in ("SRS1", "GRID", "PRMS"):
+            raise CliError(f"malformed fixture: repeated {tag!r} section")
         out.setdefault(tag, []).append(payload)
     return out
 
@@ -180,13 +190,8 @@ def cmd_gen_fixture(args) -> int:
         grid = grid_mod.build_grid(data, dims, srs)
     except grid_mod.GridError as exc:
         raise CliError(str(exc))
-    blob = encode_fixture([("SRS1", encode_srs(srs)),
-                           ("GRID", encode_grid(grid))])
-    try:
-        with open(args.output, "wb") as fh:
-            fh.write(blob)
-    except OSError as exc:
-        raise CliError(f"cannot write {args.output}: {exc}")
+    _write_output(encode_fixture([("SRS1", encode_srs(srs)),
+                                  ("GRID", encode_grid(grid))]), args.output)
     return EXIT_OK
 
 
@@ -214,11 +219,7 @@ def cmd_prove(args) -> int:
     except grid_mod.GridError as exc:
         raise CliError(str(exc))
     sections.extend(("MCEL", obj) for obj in objects.values())
-    try:
-        with open(args.output, "wb") as fh:
-            fh.write(encode_fixture(sections))
-    except OSError as exc:
-        raise CliError(f"cannot write {args.output}: {exc}")
+    _write_output(encode_fixture(sections), args.output)
     return EXIT_OK
 
 

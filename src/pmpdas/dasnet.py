@@ -633,8 +633,10 @@ def _parse_seeds(value: str) -> tuple:
     out = []
     for part in value.split(","):
         part = part.strip()
-        if "-" in part[1:]:
-            lo, hi = (int(v) for v in part.split("-", 1))
+        # a range's dash comes after any sign of its low end
+        dash = part.find("-", 1)
+        if dash > 0:
+            lo, hi = int(part[:dash]), int(part[dash + 1:])
             if hi < lo:
                 raise DasNetError(f"empty seed range {part!r}")
             out.extend(range(lo, hi + 1))

@@ -170,51 +170,41 @@ def open_single(srs: SRS, p: Polynomial, z: int,
 class PairingTerms:
     """The G1 side of a pairing-product equation, grouped by G2 base.
 
-    The equation is prod_Q e(A_Q, Q) == 1. Each A_Q is held as variable G1
-    points with scalars, where repeated additions of the same point object
-    (a row commitment) sum their scalars, plus coefficients on the SRS G1
-    powers. `merge` adds another equation's terms times a weight, so a
-    random linear combination of many equations checks them all with one
-    `check`: one MSM pair per base and one multi-pairing.
+    The equation is prod_Q e(A_Q, Q) == 1. Each A_Q is held as G1 points
+    with scalars, where repeated additions of the same point object (a row
+    commitment, an SRS power) sum their scalars. `merge` adds another
+    equation's terms times a weight, so a random linear combination of
+    many equations checks them all with one `check`: one MSM per base and
+    one multi-pairing.
     """
 
     def __init__(self, srs: SRS):
         self.srs = srs
-        # id(base) -> (base, {id(point): [point, scalar]}, [coefficients])
+        # id(base) -> (base, {id(point): [point, scalar]})
         self._bases = {}
 
-    def add(self, base: G2Point, points=(), fixed=(), weight: int = 1):
-        """Adds weight * (sum of s*P over (P, s) in `points` + sum of
-        fixed[j] * [x^j]_1) to the G1 side of `base`."""
-        if len(fixed) > len(self.srs.g1_powers):
-            raise KzgError("polynomial degree exceeds the SRS bound")
-        entry = self._bases.get(id(base))
-        if entry is None:
-            entry = self._bases[id(base)] = (base, {}, [])
-        _, variable, coeffs = entry
+    def add(self, base: G2Point, points=(), weight: int = 1):
+        """Adds weight * (sum of s*P over (P, s) in `points`) to the G1
+        side of `base`."""
+        _, terms = self._bases.setdefault(id(base), (base, {}))
         for pt, s in points:
-            slot = variable.get(id(pt))
+            slot = terms.get(id(pt))
             if slot is None:
-                variable[id(pt)] = [pt, weight * s % SCALAR_MODULUS]
+                terms[id(pt)] = [pt, weight * s % SCALAR_MODULUS]
             else:
                 slot[1] = (slot[1] + weight * s) % SCALAR_MODULUS
-        coeffs.extend([0] * (len(fixed) - len(coeffs)))
-        for j, c in enumerate(fixed):
-            coeffs[j] = (coeffs[j] + weight * c) % SCALAR_MODULUS
 
     def merge(self, other: "PairingTerms", weight: int = 1):
-        for base, variable, coeffs in other._bases.values():
-            self.add(base, variable.values(), coeffs, weight)
+        for base, terms in other._bases.values():
+            self.add(base, terms.values(), weight)
 
     def check(self) -> bool:
         """True iff the product of the pairings is the identity."""
         pairs = []
-        for base, variable, coeffs in self._bases.values():
-            points = [pt for pt, _ in variable.values()]
-            scalars = [s for _, s in variable.values()]
-            lhs = g1_msm(points, scalars) + g1_fixed_base_msm(
-                self.srs.g1_tables(len(coeffs)), coeffs)
-            pairs.append((lhs, base))
+        for base, terms in self._bases.values():
+            points = [pt for pt, _ in terms.values()]
+            scalars = [s for _, s in terms.values()]
+            pairs.append((g1_msm(points, scalars), base))
         return pairing_check(pairs)
 
 
@@ -223,8 +213,9 @@ def _add_opening(terms: PairingTerms, cm: G1Point, z: int, value: int,
     """One opening as e(cm - [value]_1 + z*proof, g2) * e(-proof, [x]_2),
     which is e(cm - [value]_1, g2) / e(proof, [x - z]_2): every opening
     lands on the same two G2 bases whatever its z."""
-    terms.add(G2Point.generator(), ((cm, 1), (proof, z)), (-value,), weight)
-    terms.add(terms.srs.g2_powers[1], ((proof, -1),), (), weight)
+    terms.add(G2Point.generator(), ((cm, 1), (proof, z),
+                                    (terms.srs.g1_powers[0], -value)), weight)
+    terms.add(terms.srs.g2_powers[1], ((proof, -1),), weight)
 
 
 def single_terms(srs: SRS, cm: G1Point, z: int, value: int, proof: G1Point,

@@ -131,8 +131,8 @@ def shared_terms(srs: SRS, group: OpenedGroup, proof: G1Point,
     Interpolates the gamma-combined value rows in one pass, then reduces
     e(C - R, g2) == e(proof, [Z_md(x)]_2), with C the gamma-combination
     of the commitments and R the commitment to the combined interpolant,
-    to e(C - R, g2) * e(-proof, [Z_md(x)]_2); R stays as coefficients on
-    the SRS powers.
+    to e(C - R, g2) * e(-proof, [Z_md(x)]_2); R enters as its
+    coefficients on the SRS G1 powers.
     """
     if not isinstance(proof, G1Point):
         raise MultiproofError("malformed aggregated proof")
@@ -151,8 +151,9 @@ def shared_terms(srs: SRS, group: OpenedGroup, proof: G1Point,
     r_combined = interpolate(md.points, combined_values)
     z2 = srs.cached_z_commitment(md, counters=counters)
     terms = PairingTerms(srs)
-    terms.add(G2Point.generator(), zip(group.commitments, weights),
-              [-c for c in r_combined.coeffs])
+    terms.add(G2Point.generator(), zip(group.commitments, weights))
+    terms.add(G2Point.generator(),
+              ((pt, -c) for pt, c in zip(srs.g1_powers, r_combined.coeffs)))
     terms.add(z2, ((proof, -1),))
     # the cost model charges one interpolation, g slots for committing to
     # R, the k-point combination plus one multiplication for negating R,

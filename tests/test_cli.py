@@ -9,7 +9,9 @@ from pmpdas import cli, dasnet, grid, kzg
 from pmpdas.curve import G1Point, G2Point
 from pmpdas.kzg import KzgError, PairingTerms, gen
 from pmpdas.multiproof import MultiproofError
-from pmpdas.wire import decode_fixture, encode_fixture, encode_srs
+from pmpdas.wire import (
+    decode_fixture, encode_fixture, encode_prove_params, encode_srs,
+)
 
 # sha256 of command outputs, recorded at commit 4e41ff2 (before the light
 # client and `verify` shared one verification path). A change here means
@@ -277,6 +279,27 @@ def test_grid_that_is_not_a_codeword_is_malformed(tmp_path, capsys, command):
     assert "malformed fixture" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["prove", "verify"])
+@pytest.mark.parametrize("tag", ["SRS1", "GRID", "PRMS"])
+def test_repeated_single_valued_section_is_malformed(tmp_path, capsys,
+                                                     command, tag):
+    sections = decode_fixture(open(_proved_fixture(tmp_path), "rb").read())
+    other = str(tmp_path / "other.bin")
+    assert run_cli(["gen-fixture", "--output", other, "--rows", "2",
+                    "--cols", "4", "--seed", "1"]) == 0
+    # a second, different section of the tag after the proof objects
+    extra = dict(decode_fixture(open(other, "rb").read()),
+                 PRMS=encode_prove_params(2, 1))[tag]
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(encode_fixture(sections + [(tag, extra)]))
+    args = [command, "--fixture", str(bad)]
+    if command == "prove":
+        args += ["--output", str(tmp_path / "out.bin")]
+    assert run_cli(args) == 2
+    assert f"malformed fixture: repeated {tag!r} section" in \
+        capsys.readouterr().err
+
+
 def _g2_start(payload):
     # the G2 powers follow the 4-byte degree bound d and d + 1 G1 powers
     return 4 + 48 * (int.from_bytes(payload[:4], "little") + 1)
@@ -370,6 +393,23 @@ def test_verify_rejects_zero_rows_per_group(tmp_path, capsys):
     bad.write_bytes(encode_fixture(sections))
     assert run_cli(["verify", "--fixture", str(bad)]) == 2
     assert "error: rows-per-group" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["storage-report", "ablation",
+                                     "gen-fixture", "prove"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command):
+    fx = str(tmp_path / "fx.bin")
+    assert run_cli(["gen-fixture", "--output", fx,
+                    "--rows", "2", "--cols", "4"]) == 0
+    args = {
+        "storage-report": ["--entries", "64", "--group", "4"],
+        "ablation": ["--config", _tiny_config(tmp_path)],
+        "gen-fixture": ["--rows", "2", "--cols", "4"],
+        "prove": ["--fixture", fx],
+    }[command]
+    out = str(tmp_path / "missing-dir" / "out")
+    assert run_cli([command, *args, "--output", out]) == 2
+    assert f"error: cannot write {out}" in capsys.readouterr().err
 
 
 OUT_OF_RANGE_SEEDS = ["99999999999999999999", str(1 << 63),

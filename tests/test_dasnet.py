@@ -538,6 +538,20 @@ def test_config_parsing(tmp_path):
             ExperimentConfig.from_pairs(pairs)
 
 
+@pytest.mark.parametrize("text, seeds", [
+    ("-5-3", tuple(range(-5, 4))), ("-5--3", (-5, -4, -3)), ("-1", (-1,)),
+    ("-2, 4-5", (-2, 4, 5)),
+])
+def test_seed_ranges_may_start_below_zero(text, seeds):
+    assert ExperimentConfig.from_pairs({"seeds": text}).seeds == seeds
+
+
+@pytest.mark.parametrize("text", ["3--1", "-3--5"])
+def test_seed_range_ending_below_its_start_is_rejected(text):
+    with pytest.raises(DasNetError, match="empty seed range"):
+        ExperimentConfig.from_pairs({"seeds": text})
+
+
 # ---------------------------------------------------------------------------
 # Verification rounds
 
@@ -666,6 +680,39 @@ def test_honest_round_makes_one_pairing_check(monkeypatch):
         # per-cell openings land on g2 and [x]_2, pmp objects on g2 and
         # one [Z_md]_2 for each of the two micro-domains
         assert calls == [3 if mode is ConfigMode.PMP else 2], mode
+
+
+def test_round_check_walks_one_g1_msm_per_g2_base(monkeypatch):
+    # SRS powers are plain G1 points in the round check: each base's G1
+    # side is one `g1_msm` walk, and no fixed-base MSM runs inside `check`
+    events = []
+
+    def logged(name, fn):
+        def wrapper(*args):
+            events.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("g1_msm", "g1_fixed_base_msm", "pairing_check"):
+        monkeypatch.setattr(kzg, name, logged(name, getattr(kzg, name)))
+    check = PairingTerms.check
+    inside = []
+
+    def logged_check(self):
+        events.clear()
+        verdict = check(self)
+        inside.append(list(events))
+        return verdict
+
+    monkeypatch.setattr(PairingTerms, "check", logged_check)
+    plan = _every_cell(CTX)
+    for mode in ConfigMode:
+        dht = _published_dht(CTX, mode)
+        inside.clear()
+        outcome = sample_and_verify(plan, mode, dht, CTX)
+        assert outcome.count(Status.VERIFIED) == len(plan.coordinates)
+        bases = 3 if mode is ConfigMode.PMP else 2
+        assert inside == [["g1_msm"] * bases + ["pairing_check"]], mode
 
 
 @pytest.mark.parametrize("bad", [

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import rand_poly, shared_srs
+from helpers import ORACLE_SECRET, rand_poly, shared_srs
 from pmpdas import fields as F
 from pmpdas.curve import (
     G1Point, G2Point, _g1_add, _g1_affine_multiples, _g1_to_affine,
@@ -17,10 +17,12 @@ from pmpdas.curve import (
     g1_msm, g2_msm, multi_pairing,
 )
 from pmpdas.dasnet import SimDht
-from pmpdas.field_poly import SCALAR_MODULUS, EvaluationDomain, Polynomial
+from pmpdas.field_poly import (
+    SCALAR_MODULUS, EvaluationDomain, Polynomial, vanishing_poly,
+)
 from pmpdas.kzg import (
-    OpCounters, commit, derive_rho, open_single, verify_batch_independent,
-    verify_single,
+    OpCounters, PairingTerms, commit, derive_rho, open_single,
+    verify_batch_independent, verify_single,
 )
 from pmpdas.multiproof import OpenedGroup, open_shared, verify_shared
 
@@ -462,6 +464,82 @@ def test_verify_shared_matches_oracle():
             assert counters.as_dict() == {
                 "g1_mults": k + g + 1, "pairings": 2, "interpolations": 1,
                 "g2_mults": 0 if i else g + 1}, (k, g, i)
+
+
+# ---------------------------------------------------------------------------
+# Pairing terms
+
+@functools.cache
+def _terms_pool():
+    """(SRS, G1 points, G2 bases) of a round check, each point and base
+    with its discrete log: the first SRS powers, the generator as a second
+    object equal to the first power, two row commitments and their opening
+    proofs; the bases g2, [x]_2 and one [Z_md]_2."""
+    srs = shared_srs(7)
+    s = ORACLE_SECRET
+    rng = random.Random(108)
+    points = [(srs.g1_powers[j], pow(s, j, F.R)) for j in range(3)]
+    points.append((G1Point.generator(), 1))
+    for _ in range(2):
+        p = rand_poly(rng, 7)
+        z = rng.randrange(F.R)
+        value, proof = open_single(srs, p, z)
+        points.append((commit(srs, p), p.evaluate(s)))
+        points.append((proof, (p.evaluate(s) - value) * pow(s - z, -1, F.R)))
+    md = [rng.randrange(F.R) for _ in range(2)]
+    bases = [(G2Point.generator(), 1), (srs.g2_powers[1], s),
+             (srs.cached_z_commitment(md), vanishing_poly(md).evaluate(s))]
+    return srs, points, bases
+
+
+# an equation is a merge weight and its adds, each a base index and
+# (point index, scalar) terms
+_equations = st.lists(
+    st.tuples(scalars, st.lists(
+        st.tuples(st.integers(0, 2),
+                  st.lists(st.tuples(st.integers(0, 7), scalars),
+                           max_size=3)),
+        min_size=1, max_size=3)),
+    min_size=1, max_size=3)
+
+
+# pinned: one SRS power through several merged terms, with and without a
+# balancing term; a point whose scalars cancel to zero, alone and next to
+# other terms; the first power and the generator, equal points held as two
+# objects, meeting as P + P and as P + (-P)
+@given(_equations, st.booleans())
+@example([(1, [(0, [(0, 5)])]), (3, [(0, [(0, 7), (1, 2)])]),
+          (F.R - 1, [(0, [(0, 1)]), (1, [(0, 4)])])], True)
+@example([(1, [(0, [(0, 5), (1, 1)])]), (2, [(0, [(0, 9)])])], False)
+@example([(1, [(0, [(4, 3)])]), (1, [(0, [(4, -3)])])], False)
+@example([(2, [(1, [(4, 5), (5, 1)])]), (1, [(1, [(4, -10)])])], True)
+@example([(1, [(0, [(0, 1), (3, 1)])])], False)
+@example([(1, [(0, [(0, _K), (3, -_K)])])], False)
+@settings(max_examples=15, deadline=None)
+def test_pairing_terms_check_matches_multi_pairing(equations, balance):
+    srs, points, bases = _terms_pool()
+    terms = PairingTerms(srs)
+    # base index -> the (point, scalar) terms of its G1 side
+    sides = {}
+    log = 0
+    for weight, adds in equations:
+        equation = PairingTerms(srs)
+        for b, pairs in adds:
+            equation.add(bases[b][0], [(points[i][0], k) for i, k in pairs])
+            for i, k in pairs:
+                sides.setdefault(b, []).append((points[i][0], weight * k))
+                log += bases[b][1] * points[i][1] * weight * k
+        terms.merge(equation, weight)
+    if balance:
+        # a term on g2 and the first SRS power that makes the equation hold
+        terms.add(bases[0][0], [(points[0][0], -log)])
+        sides.setdefault(0, []).append((points[0][0], -log))
+        log = 0
+    expected = oracles.multi_pairing(
+        [(oracles.g1_msm(*zip(*side)), bases[b][0])
+         for b, side in sides.items() if side]) == F.FP12_ONE
+    assert expected == (log % F.R == 0)
+    assert terms.check() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from pmpdas.field_poly import (
     SCALAR_MODULUS, EvaluationDomain, Polynomial, div_rem, vanishing_poly,
 )
 from pmpdas.kzg import (
-    OpCounters, commit, derive_rho, gen, open_single, verify_single,
+    KzgError, OpCounters, commit, derive_rho, gen, open_single,
+    verify_single,
 )
 from pmpdas.multiproof import (
     MultiproofError, OpenedGroup, Transcript, derive_gamma, open_generic,
@@ -213,6 +214,16 @@ def test_input_validation():
         OpenedGroup([], [], md)
     with pytest.raises(MultiproofError):
         OpenedGroup(group.commitments, [[1], [2]], md)  # short rows
+
+
+def test_verify_shared_rejects_a_micro_domain_wider_than_the_srs():
+    # the [Z_md]_2 commitment needs |md| + 1 G2 powers, and the
+    # interpolant |md| G1 powers
+    srs = shared_srs(3)
+    md = EvaluationDomain([1, 2, 3, 4], offset=0)
+    group = OpenedGroup([g1_at(5)], [[6, 7, 8, 9]], md)
+    with pytest.raises(KzgError, match="exceeds the SRS bound"):
+        verify_shared(srs, group, g1_at(1), 7)
 
 
 def test_proof_serialization_round_trip():
