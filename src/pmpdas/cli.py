@@ -110,6 +110,10 @@ def cmd_ablation(args) -> int:
             cfg.seeds = (int(env_seed),)
         except ValueError:
             raise CliError(f"PMP_SEED must be an integer, got {env_seed!r}")
+    if args.output is not None:
+        # create (or empty) the output now: an unwritable path fails
+        # before the runs, not after them
+        _write_output("", args.output)
     try:
         session = ExperimentSession(cfg)
         rows = [session.run(mode, churn, seed)

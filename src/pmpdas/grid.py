@@ -61,11 +61,26 @@ class Coordinate:
 
 
 def default_row_domain(extended_cols: int) -> EvaluationDomain:
-    """Roots of unity when the width is a power of two, consecutive
-    integers otherwise; the algebra downstream is domain-agnostic."""
+    """The n-th roots of unity in bit-reversed index order when the width
+    n is a power of two, consecutive integers otherwise.
+
+    In bit-reversed order every aligned block of g points (g a power of
+    two) is a coset h*H_g of the order-g subgroup, whose vanishing
+    polynomial is the binomial X^g - h^g. So each micro-domain of
+    `partition_micro_domains` is checked on the SRS power [x^g]_2, the
+    base of every per-cell opening too (Feist, "A universal verification
+    equation for data availability sampling", 2022; the cell proofs of
+    Ethereum's PeerDAS, EIP-7594, order their domain the same way). The
+    first `cols` points are the order-`cols` subgroup, so the systematic
+    extension of `extend_rows` interpolates over a subgroup. Any other
+    domain still verifies, through its own [Z_md(x)]_2.
+    """
     n = extended_cols
     if n & (n - 1) == 0:
-        return roots_of_unity_domain(n)
+        roots = roots_of_unity_domain(n).points
+        bits = n.bit_length() - 1
+        return EvaluationDomain(roots[int(f"{i:0{bits}b}"[::-1], 2)]
+                                for i in range(n))
     return EvaluationDomain(range(n))
 
 

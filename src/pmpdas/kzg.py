@@ -94,29 +94,55 @@ class SRS:
                     self._g1_tables = tables
         return tables
 
+    def _first_sight(self, key: tuple, counters: OpCounters | None):
+        """Charges the cost model for [Z_S(x)]_2 the first time the point
+        set S (its points mod r) is seen: |S|+1 G2 scalar multiplications,
+        the dense coefficient count of the monic vanishing polynomial.
+        Later sightings cost none."""
+        if len(key) > self.degree_bound:
+            raise KzgError("polynomial degree exceeds the SRS bound")
+        with self._z_lock:
+            first = key not in self._z_cache
+            if first:
+                self._z_cache[key] = None
+        if first and counters is not None:
+            counters.g2_scalar_mults += len(key) + 1
+
     def cached_z_commitment(self, points,
                             counters: OpCounters | None = None) -> G2Point:
         """[Z_S(x)]_2 for the point set S, memoized by its points mod r.
 
-        [x - z]_2 of a single opening is the one-point case. A cold
-        computation costs |S|+1 G2 scalar multiplications (the dense
-        coefficient count of the monic vanishing polynomial); a warm hit
-        costs none.
+        [x - z]_2 of a single opening is the one-point case. The cost
+        model is charged on the first sight of S (`_first_sight`).
         """
         key = tuple(z % SCALAR_MODULUS for z in points)
+        self._first_sight(key, counters)
         with self._z_lock:
-            hit = self._z_cache.get(key)
-        if hit is not None:
-            return hit
-        if len(key) > self.degree_bound:
-            raise KzgError("polynomial degree exceeds the SRS bound")
-        coeffs = vanishing_poly(key).coeffs
-        if counters is not None:
-            counters.g2_scalar_mults += len(coeffs)
-        value = g2_msm(self.g2_powers[:len(coeffs)], coeffs)
-        with self._z_lock:
-            self._z_cache[key] = value
+            value = self._z_cache[key]
+        if value is None:
+            coeffs = vanishing_poly(key).coeffs
+            value = g2_msm(self.g2_powers[:len(coeffs)], coeffs)
+            with self._z_lock:
+                self._z_cache[key] = value
         return value
+
+    def vanishing_base(self, points,
+                       counters: OpCounters | None = None) -> tuple:
+        """(Q, c) with [Z_S(x)]_2 = Q - c*g2 for the point set S.
+
+        When the g distinct points of S share one g-th power c, S is a
+        coset h*H_g of the order-g subgroup and Z_S = X^g - c: Q is the
+        SRS power [x^g]_2 and nothing is computed. Any other S takes
+        Q = [Z_S(x)]_2 from `cached_z_commitment` and c = 0. Both charge
+        the cost model alike, on the first sight of S.
+        """
+        key = tuple(z % SCALAR_MODULUS for z in points)
+        g = len(key)
+        powers = {pow(z, g, SCALAR_MODULUS) for z in key}
+        if len(powers) == 1 and len(set(key)) == g:
+            self._first_sight(key, counters)
+            return self.g2_powers[g], powers.pop()
+        return self.cached_z_commitment(key, counters), 0
 
 
 def gen(d: int, secret: int) -> SRS:
@@ -208,14 +234,26 @@ class PairingTerms:
         return pairing_check(pairs)
 
 
+def add_quotient_check(terms: PairingTerms, points, proof: G1Point,
+                       base: G2Point, c: int, weight: int = 1):
+    """Adds weight times e(A + c*proof, g2) * e(-proof, base) == 1, with A
+    the sum of s*P over (P, s) in `points`. For [Z(x)]_2 = base - c*g2
+    that is e(A, g2) == e(proof, [Z(x)]_2): `proof` commits to A / Z.
+
+    One opening at z is Z = X - z (base [x]_2, c = z), a coset
+    micro-domain is Z = X^g - c (base [x^g]_2), so all of them land on
+    the same two G2 bases; any other micro-domain brings its own
+    [Z_md(x)]_2 with c = 0 (`SRS.vanishing_base`).
+    """
+    terms.add(G2Point.generator(), (*points, (proof, c)), weight)
+    terms.add(base, ((proof, -1),), weight)
+
+
 def _add_opening(terms: PairingTerms, cm: G1Point, z: int, value: int,
                  proof: G1Point, weight: int = 1):
-    """One opening as e(cm - [value]_1 + z*proof, g2) * e(-proof, [x]_2),
-    which is e(cm - [value]_1, g2) / e(proof, [x - z]_2): every opening
-    lands on the same two G2 bases whatever its z."""
-    terms.add(G2Point.generator(), ((cm, 1), (proof, z),
-                                    (terms.srs.g1_powers[0], -value)), weight)
-    terms.add(terms.srs.g2_powers[1], ((proof, -1),), weight)
+    """One opening: e(cm - [value]_1, g2) == e(proof, [x - z]_2)."""
+    add_quotient_check(terms, ((cm, 1), (terms.srs.g1_powers[0], -value)),
+                       proof, terms.srs.g2_powers[1], z, weight)
 
 
 def single_terms(srs: SRS, cm: G1Point, z: int, value: int, proof: G1Point,

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import G1Point, G2Point
+from .curve import G1Point
 from .field_poly import (
     SCALAR_MODULUS, EvaluationDomain, Polynomial, div_rem, hash_to_scalar,
     interpolate, scalar_to_bytes, vanishing_poly,
 )
-from .kzg import SRS, OpCounters, PairingTerms, commit
+from .kzg import SRS, OpCounters, PairingTerms, add_quotient_check, commit
 
 TRANSCRIPT_TAG = b"PMP-DAS-v1"
 
@@ -130,9 +130,10 @@ def shared_terms(srs: SRS, group: OpenedGroup, proof: G1Point,
 
     Interpolates the gamma-combined value rows in one pass, then reduces
     e(C - R, g2) == e(proof, [Z_md(x)]_2), with C the gamma-combination
-    of the commitments and R the commitment to the combined interpolant,
-    to e(C - R, g2) * e(-proof, [Z_md(x)]_2); R enters as its
-    coefficients on the SRS G1 powers.
+    of the commitments and R the commitment to the combined interpolant
+    (its coefficients on the SRS G1 powers), by `add_quotient_check`. A
+    coset micro-domain lands on g2 and [x^g]_2, the bases of every
+    per-cell opening; any other on g2 and its own [Z_md(x)]_2.
     """
     if not isinstance(proof, G1Point):
         raise MultiproofError("malformed aggregated proof")
@@ -149,12 +150,11 @@ def shared_terms(srs: SRS, group: OpenedGroup, proof: G1Point,
         for j, v in enumerate(row):
             combined_values[j] = (combined_values[j] + w * v) % SCALAR_MODULUS
     r_combined = interpolate(md.points, combined_values)
-    z2 = srs.cached_z_commitment(md, counters=counters)
+    base, c = srs.vanishing_base(md, counters=counters)
     terms = PairingTerms(srs)
-    terms.add(G2Point.generator(), zip(group.commitments, weights))
-    terms.add(G2Point.generator(),
-              ((pt, -c) for pt, c in zip(srs.g1_powers, r_combined.coeffs)))
-    terms.add(z2, ((proof, -1),))
+    r_terms = ((pt, -r) for pt, r in zip(srs.g1_powers, r_combined.coeffs))
+    add_quotient_check(terms, (*zip(group.commitments, weights), *r_terms),
+                       proof, base, c)
     # the cost model charges one interpolation, g slots for committing to
     # R, the k-point combination plus one multiplication for negating R,
     # and two pairings

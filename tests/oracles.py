@@ -335,7 +335,8 @@ def verify_batch_independent(srs, openings, rho: int) -> bool:
 def verify_shared(srs, group, proof, gamma: int) -> bool:
     """e(C - R, g2) == e(proof, [Z_md(x)]_2) as one unbatched two-pairing
     check: C the gamma-combination of the commitments, R the commitment to
-    the interpolant of the combined values, every product a ladder."""
+    the interpolant of the combined values, every product a ladder. It
+    computes [Z_md(x)]_2 for every micro-domain, cosets included."""
     gamma %= SCALAR_MODULUS
     md = group.micro_domain
     c = G1Point.identity()

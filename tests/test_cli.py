@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from pmpdas import cli, dasnet, grid, kzg
+from pmpdas import cli, dasnet, field_poly, grid, kzg
 from pmpdas.curve import G1Point, G2Point
 from pmpdas.kzg import KzgError, PairingTerms, gen
 from pmpdas.multiproof import MultiproofError
@@ -13,10 +13,14 @@ from pmpdas.wire import (
     decode_fixture, encode_fixture, encode_prove_params, encode_srs,
 )
 
-# sha256 of command outputs, recorded at commit 4e41ff2 (before the light
-# client and `verify` shared one verification path). A change here means
-# published bytes or ablation results changed.
+# sha256 of command outputs. A change here means published bytes or
+# ablation results changed. The proved fixture was re-recorded when the
+# power-of-two row domain became bit-reversed; the natural-order value is
+# the one recorded at commit 4e41ff2 (before the light client and `verify`
+# shared one verification path), as is the ablation value.
 PROVED_FIXTURE_SHA256 = \
+    "f8306c99676d5b63dcd90ad870458e86b1d6be1de2377c97e7134fbdbdb62b33"
+NATURAL_ORDER_PROVED_FIXTURE_SHA256 = \
     "0a80e7892bd172ba0284351684f3ad4f00a68f074333438689026c74e193e132"
 DEFAULT_ABLATION_SEED_1_CSV_SHA256 = \
     "b977a717f3736b610c7fe29e69e5f8a16c9e27e890040fa57f4961745b9d16f0"
@@ -209,6 +213,30 @@ def _sha256(path):
 
 def test_proved_fixture_bytes_are_pinned(tmp_path):
     assert _sha256(_proved_fixture(tmp_path)) == PROVED_FIXTURE_SHA256
+
+
+def test_natural_order_fixture_verifies_through_the_general_check(
+        tmp_path, capsys, monkeypatch):
+    # a grid on the roots of unity in natural order, as `gen-fixture` built
+    # it before the row domain was bit-reversed: the fixture carries its
+    # domain, proves to the same bytes as then and verifies with one
+    # [Z_md]_2 base per micro-domain
+    with monkeypatch.context() as patch:
+        patch.setattr(grid, "default_row_domain",
+                      field_poly.roots_of_unity_domain)
+        fxp = _proved_fixture(tmp_path)
+    assert _sha256(fxp) == NATURAL_ORDER_PROVED_FIXTURE_SHA256
+    checks = []
+    real = kzg.pairing_check
+
+    def counting(pairs):
+        checks.append(len(pairs))
+        return real(pairs)
+
+    monkeypatch.setattr(kzg, "pairing_check", counting)
+    assert run_cli(["verify", "--fixture", fxp]) == 0
+    assert "verified 4 groups" in capsys.readouterr().out
+    assert checks == [3]
 
 
 def test_default_ablation_bytes_are_pinned(tmp_path, monkeypatch):
@@ -409,6 +437,20 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command):
     }[command]
     out = str(tmp_path / "missing-dir" / "out")
     assert run_cli([command, *args, "--output", out]) == 2
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+
+
+def test_ablation_checks_its_output_before_the_runs(tmp_path, capsys,
+                                                   monkeypatch):
+    def no_session(*args):
+        raise AssertionError("the session was built before the output "
+                             "was checked")
+
+    # no session, so no `ExperimentSession.run` either
+    monkeypatch.setattr(cli, "ExperimentSession", no_session)
+    out = str(tmp_path / "missing-dir" / "out.csv")
+    assert run_cli(["ablation", "--config", _tiny_config(tmp_path),
+                    "--output", out]) == 2
     assert f"error: cannot write {out}" in capsys.readouterr().err
 
 

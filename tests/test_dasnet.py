@@ -34,9 +34,9 @@ from pmpdas.wire import (
 )
 
 
-def _context(rows=2, group_size=4, rows_per_group=1, seed=80):
+def _context(rows=2, group_size=4, rows_per_group=1, seed=80, cols=4):
     rng = random.Random(seed)
-    dims = GridDims(rows, 4, 2)
+    dims = GridDims(rows, cols, 2)
     data = bytes(rng.randrange(256) for _ in range(dims.data_capacity_bytes))
     grid = build_grid(data, dims, shared_srs(7))
     return BlockContext(b"test-block", grid, shared_srs(7), group_size,
@@ -597,10 +597,10 @@ def _published_dht(ctx, mode):
 
 
 def _warm(ctx):
-    # the micro-domain memo is warm, as in a session, so cold G2 charges
-    # cannot make one verification's counters differ from another's
+    # every micro-domain has been seen, as in a session, so cold G2
+    # charges cannot make one verification's counters differ from another's
     for md in partition_micro_domains(ctx.grid.row_domain, ctx.group_size):
-        ctx.srs.cached_z_commitment(md)
+        ctx.srs.vanishing_base(md)
 
 
 def _alone(ctx, mode, coord, obj):
@@ -663,6 +663,17 @@ def test_round_rejects_damage_that_cancels_in_a_plain_sum(how):
     assert outcome.count(Status.VERIFY_FAILED) == 2
 
 
+# A round's G2 bases (per-cell arms, pmp) by grid: every object of a
+# power-of-two grid lands on g2 and [x]_2 or [x^g]_2, whatever its
+# micro-domain; a consecutive-integer grid (width 6, g = 3) gives each
+# of its two micro-domains its own [Z_md]_2 next to g2.
+ROUND_BASES = [
+    (CTX, (2, 2)),
+    (GEOMETRIES["k2_g2"], (2, 2)),
+    (_context(cols=3, group_size=3), (2, 3)),
+]
+
+
 def test_honest_round_makes_one_pairing_check(monkeypatch):
     calls = []
 
@@ -671,15 +682,14 @@ def test_honest_round_makes_one_pairing_check(monkeypatch):
         return pairing_check(pairs)
 
     monkeypatch.setattr(kzg, "pairing_check", counted)
-    plan = _every_cell(CTX)
-    for mode in ConfigMode:
-        dht = _published_dht(CTX, mode)
-        calls.clear()
-        outcome = sample_and_verify(plan, mode, dht, CTX)
-        assert outcome.count(Status.VERIFIED) == len(plan.coordinates)
-        # per-cell openings land on g2 and [x]_2, pmp objects on g2 and
-        # one [Z_md]_2 for each of the two micro-domains
-        assert calls == [3 if mode is ConfigMode.PMP else 2], mode
+    for ctx, bases in ROUND_BASES:
+        plan = _every_cell(ctx)
+        for mode in ConfigMode:
+            dht = _published_dht(ctx, mode)
+            calls.clear()
+            outcome = sample_and_verify(plan, mode, dht, ctx)
+            assert outcome.count(Status.VERIFIED) == len(plan.coordinates)
+            assert calls == [bases[mode is ConfigMode.PMP]], (ctx, mode)
 
 
 def test_round_check_walks_one_g1_msm_per_g2_base(monkeypatch):
@@ -705,14 +715,16 @@ def test_round_check_walks_one_g1_msm_per_g2_base(monkeypatch):
         return verdict
 
     monkeypatch.setattr(PairingTerms, "check", logged_check)
-    plan = _every_cell(CTX)
-    for mode in ConfigMode:
-        dht = _published_dht(CTX, mode)
-        inside.clear()
-        outcome = sample_and_verify(plan, mode, dht, CTX)
-        assert outcome.count(Status.VERIFIED) == len(plan.coordinates)
-        bases = 3 if mode is ConfigMode.PMP else 2
-        assert inside == [["g1_msm"] * bases + ["pairing_check"]], mode
+    for ctx, bases in ROUND_BASES:
+        plan = _every_cell(ctx)
+        for mode in ConfigMode:
+            dht = _published_dht(ctx, mode)
+            inside.clear()
+            outcome = sample_and_verify(plan, mode, dht, ctx)
+            assert outcome.count(Status.VERIFIED) == len(plan.coordinates)
+            n = bases[mode is ConfigMode.PMP]
+            assert inside == [["g1_msm"] * n + ["pairing_check"]], \
+                (ctx, mode)
 
 
 @pytest.mark.parametrize("bad", [

@@ -5,6 +5,7 @@ recorded DHT placement against the straightforward implementations in
 import functools
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from pmpdas.dasnet import SimDht
 from pmpdas.field_poly import (
     SCALAR_MODULUS, EvaluationDomain, Polynomial, vanishing_poly,
 )
+from pmpdas.grid import default_row_domain, partition_micro_domains
 from pmpdas.kzg import (
     OpCounters, PairingTerms, commit, derive_rho, open_single,
     verify_batch_independent, verify_single,
@@ -464,6 +466,37 @@ def test_verify_shared_matches_oracle():
             assert counters.as_dict() == {
                 "g1_mults": k + g + 1, "pairings": 2, "interpolations": 1,
                 "g2_mults": 0 if i else g + 1}, (k, g, i)
+
+
+@pytest.mark.parametrize("g", [1, 2, 4, 8])
+@pytest.mark.parametrize("k", [1, 3])
+def test_coset_micro_domain_check_matches_the_general_equation(k, g):
+    # a block of the bit-reversed roots of unity is a coset: its check
+    # lands on g2 and [x^g]_2, and must agree with e(C - R, g2) ==
+    # e(proof, [Z_md(x)]_2) on honest and on damaged groups
+    rng = random.Random(109 + 10 * k + g)
+    srs = shared_srs(8)
+    mds = partition_micro_domains(default_row_domain(16), g)
+    md = mds[rng.randrange(len(mds))]
+    assert srs.vanishing_base(md)[0] is srs.g2_powers[g]
+    polys = [rand_poly(rng, 8) for _ in range(k)]
+    commitments = [commit(srs, p) for p in polys]
+    values = [[p.evaluate(z) for z in md] for p in polys]
+    gamma = rng.randrange(1, SCALAR_MODULUS)
+    proof = open_shared(srs, polys, md, gamma)
+    shifted = [row[:] for row in values]
+    shifted[rng.randrange(k)][rng.randrange(g)] += 1
+    moved = commitments[:]
+    moved[rng.randrange(k)] += G1Point.generator()
+    cases = [(OpenedGroup(commitments, values, md), proof, True),
+             (OpenedGroup(commitments, shifted, md), proof, False),
+             (OpenedGroup(commitments, values, md),
+              proof + G1Point.generator(), False),
+             (OpenedGroup(moved, values, md), proof, False)]
+    for group, pi, honest in cases:
+        verdict = verify_shared(srs, group, pi, gamma)
+        assert verdict == oracles.verify_shared(srs, group, pi, gamma)
+        assert verdict == honest
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ import random
 import pytest
 
 from helpers import shared_srs
-from pmpdas.field_poly import EvaluationDomain, interpolate
+from pmpdas.field_poly import (
+    SCALAR_MODULUS, EvaluationDomain, interpolate, root_of_unity,
+    roots_of_unity_domain,
+)
 from pmpdas.grid import (
     CHUNK_BYTES, Coordinate, GridDims, GridError, build_grid,
     build_opened_group, bytes_to_scalars, coordinate_to_group,
@@ -84,9 +87,26 @@ def test_build_grid_respects_srs_bound():
 def test_default_row_domain_selection():
     pow2 = default_row_domain(8)
     assert len(pow2) == 8
-    assert pow2.points[0] == 1  # standard roots-of-unity order
+    assert pow2.points[0] == 1
+    # bit-reversed order of the roots of unity w^0..w^7
+    w = root_of_unity(8)
+    assert pow2.points == tuple(pow(w, e, SCALAR_MODULUS)
+                                for e in (0, 4, 2, 6, 1, 5, 3, 7))
     odd = default_row_domain(6)
     assert odd.points == tuple(range(6))
+
+    for n in (2, 4, 8, 16, 32):
+        domain = default_row_domain(n)
+        for g in (1, 2, 4, 8, 16, 32)[:n.bit_length()]:
+            # every block is a coset h*H_g, vanishing on X^g - h^g: one
+            # g-th power each
+            for md in partition_micro_domains(domain, g):
+                assert len({pow(z, g, SCALAR_MODULUS) for z in md}) == 1
+        for cols in (n // 2, n // 4):
+            if cols:
+                # the systematic columns are the order-cols subgroup
+                subgroup = set(roots_of_unity_domain(cols).points)
+                assert set(domain.points[:cols]) == subgroup
 
 
 def test_partition_micro_domains():

@@ -11,7 +11,9 @@ from helpers import (
 )
 from pmpdas import kzg
 from pmpdas.curve import CurveError, G1Point, G2Point, g1_msm
-from pmpdas.field_poly import SCALAR_MODULUS, EvaluationDomain, Polynomial
+from pmpdas.field_poly import (
+    SCALAR_MODULUS, EvaluationDomain, Polynomial, root_of_unity,
+)
 from pmpdas.kzg import (
     KzgError, OpCounters, commit, derive_rho, gen, open_single,
     verify_batch_independent, verify_single,
@@ -181,6 +183,47 @@ def test_cached_z_commitment_cost():
         srs.cached_z_commitment(range(D + 1))
 
 
+def test_vanishing_base_of_a_coset_computes_nothing(monkeypatch):
+    srs = gen(D, 778)  # private SRS so the memo starts cold
+    g2 = G2Point.generator()
+    w = root_of_unity(8)
+    h = random.Random(40).randrange(1, SCALAR_MODULUS)
+    coset = [h * pow(w, j, SCALAR_MODULUS) for j in range(8)]
+    general = (1, 2, 3)
+
+    def no_g2_msm(*args):
+        raise AssertionError("a coset needs no [Z_md(x)]_2")
+
+    monkeypatch.setattr(kzg, "g2_msm", no_g2_msm)
+    for points, g in ((coset, 8), (coset[::2], 4), ((5,), 1)):
+        counters = OpCounters()
+        base, c = srs.vanishing_base(points, counters=counters)
+        assert base is srs.g2_powers[g]
+        assert c == pow(points[0], g, SCALAR_MODULUS)
+        assert counters.g2_scalar_mults == g + 1
+        counters = OpCounters()
+        assert srs.vanishing_base(points, counters=counters) == (base, c)
+        assert counters.g2_scalar_mults == 0
+    monkeypatch.undo()
+
+    # a coset seen once costs nothing more through the general memo, and
+    # both bases describe the same [Z(x)]_2
+    counters = OpCounters()
+    z2 = srs.cached_z_commitment(coset[::2], counters=counters)
+    assert counters.g2_scalar_mults == 0
+    base, c = srs.vanishing_base(coset[::2])
+    assert z2 == base - g2 * c
+    # any other point set gets its own base, charged on first sight
+    counters = OpCounters()
+    base, c = srs.vanishing_base(general, counters=counters)
+    assert (base, c) == (srs.cached_z_commitment(general), 0)
+    assert counters.g2_scalar_mults == len(general) + 1
+    # repeated points are not a coset even when their powers agree
+    assert srs.vanishing_base((1, 1))[1] == 0
+    with pytest.raises(KzgError):
+        srs.vanishing_base(coset + [0])
+
+
 def test_fixed_base_tables_cover_only_the_prefix_used(monkeypatch):
     built = []
     real = kzg.g1_fixed_base_table
@@ -236,6 +279,35 @@ def test_concurrent_commits_build_each_table_once(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert got == expected
     assert sorted(built) == sorted(pt.to_bytes() for pt in srs.g1_powers)
+
+
+def test_concurrent_first_sights_charge_each_point_set_once():
+    srs = gen(D, 781)
+    w = root_of_unity(8)
+    cosets = [[h * pow(w, j, SCALAR_MODULUS) for j in range(0, 8, 8 // g)]
+              for h in (2, 3) for g in (1, 2, 4, 8)]
+    point_sets = cosets + [(1, 2, 3)]
+    charged = [None] * 6
+
+    def work(i):
+        counters = OpCounters()
+        for points in point_sets[i % 3:] + point_sets[:i % 3]:
+            srs.vanishing_base(points, counters=counters)
+        charged[i] = counters.g2_scalar_mults
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(len(charged))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sum(charged) == sum(len(points) + 1 for points in point_sets)
 
 
 def test_decoded_srs_commits_identically():
