@@ -182,17 +182,29 @@ def _g2_to_affine(pt):
 # (Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992; Moeller, SAC
 # 2001). The walk first sums each window's digits over all terms,
 # S_i = sum_j d_ij * T_j, and then forms sum_i 2^(w*i) * S_i in one Horner
-# pass of w doublings and one addition per window. A group supplies how a
-# term is added into the window sums and how a sum is added to a Jacobian
-# point. On G1 tables and window sums are affine: a term's additions into
-# the windows are independent of each other, so they share one inversion
-# (Montgomery, Math. Comp. 1987) and each costs about 6 multiplications,
-# against 11 for a mixed Jacobian + affine addition. G2 tables and sums
-# stay Jacobian.
+# pass of w doublings and one addition per window. A group supplies how
+# its tables are built, how a term is added into the window sums and how a
+# sum is added to a Jacobian point. On G1 tables and window sums are
+# affine: a term's additions into the windows are independent of each
+# other, so they share one inversion (Montgomery, Math. Comp. 1987) and
+# each costs about 6 multiplications, against 11 for a mixed Jacobian +
+# affine addition. G2 tables and sums stay Jacobian.
 #
 # The fixed-base walk (the SRS powers, the generator) uses 8-bit windows
 # over tables built once; the variable-base walk builds 4-bit tables per
-# call. One builder, `_g1_affine_multiples`, makes both kinds of G1 table.
+# call. One builder per group, `_g1_affine_multiples` and `_g2_multiples`,
+# makes every table of that group.
+#
+# Many multiples of one point (the SRS powers in the trusted setup) take a
+# fixed-base comb instead (Lim and Lee, CRYPTO 1994), with the 4-bit
+# digits: the point's shifted bases 2^(4*i) * P, up to 64 of them, each
+# get a table of their multiples 1..8, and output j is
+# sum_i d_ji * 2^(4*i) * P. The roles of the MSM walk swap: the output
+# index takes the place of the window index, so a window's table adds
+# into every output's sum at once (on G1 with one shared inversion), and
+# each output costs one addition per non-zero digit and no doubling. The
+# tables cost about 256 doublings and 512 multiples, so a lone k * P
+# keeps the ladder.
 
 _FB_WINDOW = 8
 _WINDOW = 4
@@ -304,6 +316,18 @@ def _g1_add_to_window_sums(sums, tbl, digits):
         sums[i] = s
 
 
+def _g2_multiples(points, m):
+    """Jacobian multiples [1*q, .., m*q] of each Jacobian point q, for
+    m >= 1."""
+    tables = []
+    for raw in points:
+        tbl = [raw, _g2_double(raw)][:m]
+        while len(tbl) < m:
+            tbl.append(_g2_add(tbl[-1], raw))
+        tables.append(tbl)
+    return tables
+
+
 def _g2_add_to_window_sums(sums, tbl, digits):
     """sums[i] += digits[i] * base for every window i, where tbl[j] is the
     Jacobian (j+1) * base and None is the identity sum."""
@@ -348,27 +372,6 @@ def _signed_window_msm(group, terms, window):
     return group(acc)
 
 
-def _g1_msm_terms(pairs):
-    """Walk terms of (Jacobian point, scalar in [1, r)) pairs of G1, with
-    affine tables and the full scalars."""
-    tables = _g1_affine_multiples([raw for raw, _ in pairs],
-                                  1 << (_WINDOW - 1))
-    return [(tbl, _signed_digits(k, _WINDOW))
-            for tbl, (_, k) in zip(tables, pairs)]
-
-
-def _g2_msm_terms(pairs):
-    """Walk terms of (Jacobian point, scalar in [1, r)) pairs of G2, with
-    Jacobian tables and the full scalars."""
-    terms = []
-    for raw, k in pairs:
-        tbl = [raw, _g2_double(raw)]
-        for _ in range(2, 1 << (_WINDOW - 1)):
-            tbl.append(_g2_add(tbl[-1], raw))
-        terms.append((tbl, _signed_digits(k, _WINDOW)))
-    return terms
-
-
 def _msm(group, points, scalars):
     """Sum of scalar*point over points of one group, as a `group` point;
     scalars are reduced mod r and zip stops at the shorter input.
@@ -380,7 +383,35 @@ def _msm(group, points, scalars):
              if s % R and not p.is_identity()]
     if not pairs:
         return group(group._INF)
-    return _signed_window_msm(group, group._msm_terms(pairs), _WINDOW)
+    tables = group._multiples([raw for raw, _ in pairs], 1 << (_WINDOW - 1))
+    terms = [(tbl, _signed_digits(k, _WINDOW))
+             for tbl, (_, k) in zip(tables, pairs)]
+    return _signed_window_msm(group, terms, _WINDOW)
+
+
+def fixed_base_muls(point, scalars) -> list:
+    """[k * point for k in scalars] for a point of the prime-order
+    subgroup, by one fixed-base comb over w-bit signed digits.
+
+    Each shifted base 2^(w*i) * point is w doublings of the one before; the
+    tables of all of them are built in one call, and window i then adds
+    digit i of every scalar into that scalar's sum with one
+    `_add_to_window_sums` call.
+    """
+    group = type(point)
+    digits = [_signed_digits(k % R, _WINDOW) for k in scalars]
+    sums = [None] * len(digits)
+    windows = 0 if point.is_identity() else max(map(len, digits), default=0)
+    bases, raw = [], point.raw
+    for _ in range(windows):
+        bases.append(raw)
+        for _ in range(_WINDOW):
+            raw = group._double(raw)
+    add_term = group._add_to_window_sums
+    for i, tbl in enumerate(group._multiples(bases, 1 << (_WINDOW - 1))):
+        add_term(sums, tbl, [d[i] if i < len(d) else 0 for d in digits])
+    return [group(group._INF if s is None else
+                  group._add_window_sum(group._INF, s)) for s in sums]
 
 
 def g1_fixed_base_table(point) -> tuple:
@@ -544,12 +575,12 @@ class _Point:
 
     A group subclass supplies its Jacobian formulas (`_add`, `_double`,
     `_neg`, `_to_affine`, optionally a faster `_eq`), its MSM tables
-    (`_msm_terms`, `_add_to_window_sums` to add a term into the window
-    sums and `_add_window_sum` to add a sum to a Jacobian point), its
-    x-coordinate codec (`_x_to_bytes`, `_x_from_bytes`, `_y_from_x`,
-    `_y_is_largest`), optionally a faster `in_subgroup`, and the constants
-    `_INF` (Jacobian infinity), `_ONE` (the coordinate field's one),
-    `_BYTES` (the compressed length) and `_GEN`.
+    (`_multiples` to build them, `_add_to_window_sums` to add a term into
+    the window sums and `_add_window_sum` to add a sum to a Jacobian
+    point), its x-coordinate codec (`_x_to_bytes`, `_x_from_bytes`,
+    `_y_from_x`, `_y_is_largest`), optionally a faster `in_subgroup`, and
+    the constants `_INF` (Jacobian infinity), `_ONE` (the coordinate
+    field's one), `_BYTES` (the compressed length) and `_GEN`.
     """
 
     __slots__ = ("raw",)
@@ -663,7 +694,7 @@ class G1Point(_Point):
     _neg = staticmethod(_g1_neg)
     _eq = staticmethod(_g1_eq)
     _to_affine = staticmethod(_g1_to_affine)
-    _msm_terms = staticmethod(_g1_msm_terms)
+    _multiples = staticmethod(_g1_affine_multiples)
     _add_to_window_sums = staticmethod(_g1_add_to_window_sums)
     _add_window_sum = staticmethod(_g1_add_affine)
 
@@ -718,7 +749,7 @@ class G2Point(_Point):
     _double = staticmethod(_g2_double)
     _neg = staticmethod(_g2_neg)
     _to_affine = staticmethod(_g2_to_affine)
-    _msm_terms = staticmethod(_g2_msm_terms)
+    _multiples = staticmethod(_g2_multiples)
     _add_to_window_sums = staticmethod(_g2_add_to_window_sums)
     _add_window_sum = staticmethod(_g2_add)
 

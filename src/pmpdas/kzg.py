@@ -13,8 +13,8 @@ import threading
 from dataclasses import dataclass
 
 from .curve import (
-    CurveError, G1Point, G2Point, g1_fixed_base_msm, g1_fixed_base_table,
-    g1_msm, g2_msm, pairing_check,
+    CurveError, G1Point, G2Point, fixed_base_muls, g1_fixed_base_msm,
+    g1_fixed_base_table, g1_msm, g2_msm, pairing_check,
 )
 from .field_poly import (
     SCALAR_MODULUS, Polynomial, div_rem, hash_to_scalar, scalar_to_bytes,
@@ -146,22 +146,22 @@ class SRS:
 
 
 def gen(d: int, secret: int) -> SRS:
-    """Test-only trusted setup with an explicit, caller-retained secret."""
+    """Test-only trusted setup with an explicit, caller-retained secret.
+
+    The powers s^0 .. s^d are computed once in the scalar field; each
+    group then forms all of [s^i] from its generator in one fixed-base
+    comb (`curve.fixed_base_muls`).
+    """
     if d < 1:
         raise KzgError("SRS degree bound must be at least 1")
     secret %= SCALAR_MODULUS
     if secret == 0:
         raise KzgError("setup secret must be nonzero")
-    g1 = G1Point.generator()
-    g2 = G2Point.generator()
-    g1_powers = []
-    g2_powers = []
-    s_i = 1
-    for _ in range(d + 1):
-        g1_powers.append(g1 * s_i)
-        g2_powers.append(g2 * s_i)
-        s_i = s_i * secret % SCALAR_MODULUS
-    return SRS(g1_powers, g2_powers)
+    powers = [1]
+    for _ in range(d):
+        powers.append(powers[-1] * secret % SCALAR_MODULUS)
+    return SRS(fixed_base_muls(G1Point.generator(), powers),
+               fixed_base_muls(G2Point.generator(), powers))
 
 
 def commit(srs: SRS, p: Polynomial, counters: OpCounters | None = None,

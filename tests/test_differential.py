@@ -14,8 +14,8 @@ from helpers import ORACLE_SECRET, rand_poly, shared_srs
 from pmpdas import fields as F
 from pmpdas.curve import (
     G1Point, G2Point, _g1_add, _g1_affine_multiples, _g1_to_affine,
-    _g2_to_affine, _miller_loop, g1_fixed_base_msm, g1_fixed_base_table,
-    g1_msm, g2_msm, multi_pairing,
+    _g2_to_affine, _miller_loop, fixed_base_muls, g1_fixed_base_msm,
+    g1_fixed_base_table, g1_msm, g2_msm, multi_pairing,
 )
 from pmpdas.dasnet import SimDht
 from pmpdas.field_poly import (
@@ -406,6 +406,59 @@ def test_g2_msm_matches_sum_of_ladders(terms):
     expected = oracles.g2_msm(points, ks)
     assert got == expected
     assert got.to_bytes() == expected.to_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Fixed-base comb
+
+# the generators, with Z = 1, and a negated multiple of each, with Z != 1
+_COMB_BASES = {
+    "g1": G1Point.generator(),
+    "g1_z": -(G1Point.generator() * 5),
+    "g2": G2Point.generator(),
+    "g2_z": -(G2Point.generator() * 5),
+}
+
+
+def _comb_example(k):
+    """16^k - 1, whose k low windows each recode to -1 and carry into
+    window k; 16^k, a lone digit 1 in window k; and 8 * 16^k, a lone
+    digit equal to half = 8, which does not carry (at k = 63 it exceeds r
+    and is reduced first)."""
+    return [16 ** k - 1, 16 ** k, 8 * 16 ** k]
+
+
+# pinned: no scalar, a zero, the digit edge around half = 8, a negative
+# scalar, the reduction edge, power-of-16 edges from the lowest window to
+# the top one, and repeated scalars, equal as given and equal mod r
+@pytest.mark.parametrize("base", _COMB_BASES)
+@given(ks=st.lists(scalars, max_size=40))
+@example(ks=[])
+@example(ks=[0])
+@example(ks=[1, 7, 8, 9])
+@example(ks=[-1])
+@example(ks=[F.R - 1, F.R, F.R + 1])
+@example(ks=_comb_example(1))
+@example(ks=_comb_example(2))
+@example(ks=_comb_example(31))
+@example(ks=_comb_example(63))
+@example(ks=[_K, 5, _K, F.R + 5, 5])
+@settings(max_examples=8, deadline=None)
+def test_fixed_base_muls_match_ladders(base, ks):
+    point = _COMB_BASES[base]
+    got = fixed_base_muls(point, ks)
+    assert [type(pt) for pt in got] == [type(point)] * len(ks)
+    assert [pt.to_bytes() for pt in got] == \
+        [(point * k).to_bytes() for k in ks]
+
+
+def test_fixed_base_muls_of_the_identity_are_identities():
+    ks = [0, 1, 8, F.R - 1, _K]
+    for group in (G1Point, G2Point):
+        got = fixed_base_muls(group.identity(), ks)
+        assert [type(pt) for pt in got] == [group] * len(ks)
+        assert all(pt.is_identity() for pt in got)
+        assert fixed_base_muls(group.identity(), []) == []
 
 
 # ---------------------------------------------------------------------------

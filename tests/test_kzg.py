@@ -32,13 +32,27 @@ def test_gen_validates_arguments():
         gen(4, SCALAR_MODULUS)  # reduces to zero
 
 
+# sha256 identifiers of gen(d, 12345), recorded when each power was still
+# its own double-and-add ladder; a change here means the SRS bytes changed.
+GEN_SRS_IDS = {
+    3: "26d11cbd9c86ad82194c5fc1d3789c89283d41e26e963f9680db40682089583c",
+    31: "a4ff890e5f787bf19c4f7060df21cc638a4882a1f7fbcf8839fc2d208f52fe02",
+}
+
+
 def test_srs_structure():
     srs = shared_srs(D)
     assert srs.degree_bound == D
     assert len(srs.g1_powers) == len(srs.g2_powers) == D + 1
     assert srs.g1_powers[0] == g1_at(1)
     assert srs.g1_powers[2] == g1_at(pow(ORACLE_SECRET, 2, SCALAR_MODULUS))
+    for i in range(D + 1):
+        power = pow(ORACLE_SECRET, i, SCALAR_MODULUS)
+        assert srs.g1_powers[i].to_bytes() == g1_at(power).to_bytes()
+        assert srs.g2_powers[i].to_bytes() == g2_at(power).to_bytes()
     assert len(srs.srs_id) == 32
+    for d, srs_id in GEN_SRS_IDS.items():
+        assert gen(d, 12345).srs_id.hex() == srs_id
 
 
 def test_commit_matches_known_secret_oracle():
