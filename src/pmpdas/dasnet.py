@@ -25,15 +25,15 @@ from .field_poly import (
     scalar_from_bytes,
 )
 from .kzg import (
-    SRS, OpCounters, PairingTerms, batch_independent_terms, derive_rho,
+    SRS, OpCounters, PairingTerms, batch_independent_terms, derive_rho, gen,
     open_single, single_terms,
 )
 from .multiproof import (
     OpenedGroup, Transcript, derive_gamma, open_shared, shared_terms,
 )
 from .grid import (
-    Coordinate, DataGrid, coordinate_to_group, iter_groups,
-    partition_micro_domains,
+    Coordinate, DataGrid, GridDims, build_grid, coordinate_to_group,
+    iter_groups, partition_micro_domains,
 )
 from .wire import (
     PROOF_BYTES, BaselineCell, GCellBlock, GroupedCells, MCell, WireError,
@@ -248,8 +248,25 @@ class PublishResult:
     object_bytes: int
 
 
-def build_objects(ctx: BlockContext, mode: ConfigMode) -> dict:
-    """The key->bytes object set one fat client would publish."""
+def open_cells(ctx: BlockContext) -> list:
+    """Each cell's own opening, as rows of BaselineCells: the proofs the
+    three per-cell arms (vanilla, batched, grouped) publish."""
+    grid = ctx.grid
+    cells = []
+    for r, poly in enumerate(grid.row_polys):
+        row = []
+        for c, z in enumerate(grid.row_domain.points):
+            value, proof = open_single(ctx.srs, poly, z)
+            assert value == grid.cells[r][c]
+            row.append(BaselineCell(proof.to_bytes(), scalar_to_bytes(value)))
+        cells.append(row)
+    return cells
+
+
+def assemble_objects(ctx: BlockContext, mode: ConfigMode, cells) -> dict:
+    """The arm's key->bytes object set. The per-cell arms take their
+    proofs from `cells` (`open_cells`); pmp opens each group itself and
+    reads no cells."""
     grid = ctx.grid
     objects = {}
     for region in object_regions(ctx, mode):
@@ -264,20 +281,21 @@ def build_objects(ctx: BlockContext, mode: ConfigMode) -> dict:
                                 derive_gamma(transcript))
             scalars = tuple(grid.cells[r][c] for r in band for c in cols)
             objects[key] = MCell(proof.to_bytes(), region, scalars).to_bytes()
-            continue
-        cells = []
-        for r in band:
-            for c in cols:
-                value, proof = open_single(ctx.srs, grid.row_polys[r],
-                                           grid.row_domain.points[c])
-                assert value == grid.cells[r][c]
-                cells.append(BaselineCell(proof.to_bytes(),
-                                          scalar_to_bytes(value)))
-        if mode is ConfigMode.GROUPED_ONLY:
-            objects[key] = GroupedCells(region, cells).to_bytes()
+        elif mode is ConfigMode.GROUPED_ONLY:
+            objects[key] = GroupedCells(
+                region, [cells[r][c] for r in band for c in cols]).to_bytes()
         else:
-            objects[key] = cells[0].to_bytes()
+            objects[key] = cells[region.rows_start][
+                region.cols_start].to_bytes()
     return objects
+
+
+def build_objects(ctx: BlockContext, mode: ConfigMode) -> dict:
+    """The key->bytes object set one fat client would publish. Every call
+    opens its cells afresh; `ExperimentSession` shares one opening per
+    cell across its per-cell arms."""
+    cells = None if mode is ConfigMode.PMP else open_cells(ctx)
+    return assemble_objects(ctx, mode, cells)
 
 
 def publish(ctx: BlockContext, mode: ConfigMode, dht: SimDht,
@@ -626,6 +644,11 @@ class ExperimentConfig:
             raise DasNetError("retry_budget must be non-negative")
         if cfg.samples < 0:
             raise DasNetError("samples must be non-negative")
+        # a repeated entry would repeat its runs and rows
+        for name in ("modes", "churn", "seeds"):
+            values = getattr(cfg, name)
+            if len(set(values)) != len(values):
+                raise DasNetError(f"{name} lists an entry twice")
         return cfg
 
 
@@ -653,11 +676,11 @@ def _deterministic_block_data(cfg: ExperimentConfig) -> bytes:
 
 class ExperimentSession:
     """Shared state across ablation runs: one SRS, one grid per config,
-    the verification cache, and each arm's objects, published once:
-    churn changes only liveness, which each run gets afresh."""
+    the verification cache, one opening per cell for the per-cell arms,
+    and each arm's objects, published once: churn changes only liveness,
+    which each run gets afresh."""
 
     def __init__(self, cfg: ExperimentConfig, srs: SRS | None = None):
-        from .kzg import gen
         self.cfg = cfg
         d = max(cfg.cols * cfg.extension - 1, cfg.group_size + 1, 2)
         if srs is None:
@@ -665,11 +688,11 @@ class ExperimentSession:
                 hashlib.sha256(b"pmpdas-simulation-srs").digest(), "big")
             srs = gen(d, secret)
         self.srs = srs
-        from .grid import GridDims, build_grid
         dims = GridDims(cfg.rows, cfg.cols, cfg.extension)
         grid = build_grid(_deterministic_block_data(cfg), dims, srs)
         self.ctx = BlockContext(cfg.block_id, grid, srs, cfg.group_size,
                                 cfg.rows_per_group)
+        self._cells = None  # open_cells, on the first per-cell arm
         self._objects = {}
         self._published = {}  # mode -> (DHT as published, PublishResult)
         self.cache = VerificationCache()
@@ -681,7 +704,10 @@ class ExperimentSession:
 
     def objects_for(self, mode: ConfigMode) -> dict:
         if mode not in self._objects:
-            self._objects[mode] = build_objects(self.ctx, mode)
+            if mode is not ConfigMode.PMP and self._cells is None:
+                self._cells = open_cells(self.ctx)
+            self._objects[mode] = assemble_objects(self.ctx, mode,
+                                                   self._cells)
         return self._objects[mode]
 
     def run(self, mode: ConfigMode, churn: float, seed: int) -> dict:

@@ -20,7 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import field_poly
-from .field_poly import scalar_from_bytes, scalar_to_bytes
+from .curve import G1Point, G2Point
+from .field_poly import EvaluationDomain, scalar_from_bytes, scalar_to_bytes
+from .grid import DataGrid, GridDims, GridError, extend_rows
+from .kzg import SRS, commit
 
 PROOF_BYTES = 48
 SCALAR_BYTES = 32
@@ -348,8 +351,6 @@ def encode_srs(srs) -> bytes:
 
 
 def decode_srs(data: bytes):
-    from .curve import G1Point, G2Point
-    from .kzg import SRS
     if len(data) < 4:
         raise TruncatedInput("SRS section truncated")
     d = int.from_bytes(data[:4], "little")
@@ -391,10 +392,6 @@ def encode_grid(grid) -> bytes:
 
 
 def decode_grid(data: bytes, srs):
-    from .field_poly import EvaluationDomain
-    from .grid import DataGrid, GridDims, GridError, extend_rows
-    from .curve import G1Point
-    from .kzg import commit
     if len(data) < 12:
         raise TruncatedInput("grid section truncated")
     rows = int.from_bytes(data[:4], "little")

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from pmpdas import cli, dasnet, field_poly, grid, kzg
+from pmpdas import cli, dasnet, field_poly, grid, kzg, wire
 from pmpdas.curve import G1Point, G2Point
 from pmpdas.kzg import KzgError, PairingTerms, gen
 from pmpdas.multiproof import MultiproofError
@@ -99,7 +99,8 @@ def test_ablation_json_and_seed_override(tmp_path, monkeypatch):
 def test_ablation_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     for text in ("rows=two\n", "seeds=5-3\n", "retry_budget=-1\n",
-                 "samples=-1\n"):
+                 "samples=-1\n", "modes=vanilla,vanilla\n",
+                 "churn=0.1,0.10\n", "seeds=1-3,2\n"):
         bad.write_text(text)
         assert run_cli(["ablation", "--config", str(bad)]) == 2, text
         assert "bad config" in capsys.readouterr().err
@@ -386,7 +387,7 @@ def test_internal_error_while_decoding_grid_raises(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise KzgError("internal fault")
 
-    monkeypatch.setattr(grid, "extend_rows", broken)
+    monkeypatch.setattr(wire, "extend_rows", broken)
     with pytest.raises(KzgError):
         run_cli(["verify", "--fixture", fxp])
 

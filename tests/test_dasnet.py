@@ -1,6 +1,7 @@
 """Simulated store, sampling plans, publication arms, and experiments."""
 
 import functools
+import itertools
 import math
 import random
 
@@ -481,6 +482,60 @@ def test_session_runs_do_not_leak_liveness(capacity):
         assert all(published.alive)
 
 
+PER_CELL_MODES = (ConfigMode.VANILLA, ConfigMode.BATCHED_SINGLE,
+                  ConfigMode.GROUPED_ONLY)
+
+
+def _count_openings(monkeypatch):
+    """Wrap dasnet.open_single; the returned list grows by one per call."""
+    calls = []
+    original = dasnet.open_single
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dasnet, "open_single", counted)
+    return calls
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"rows": 3, "rows_per_group": 2},
+    {"rows": 4, "rows_per_group": 2, "group_size": 2},
+], ids=["default", "short_band", "k2_g2"])
+def test_session_objects_equal_a_fresh_build(overrides):
+    # degree 15 covers the 16 extended columns of every config here
+    session = ExperimentSession(ExperimentConfig(**overrides),
+                                srs=shared_srs(15))
+    for mode in ConfigMode:
+        assert session.objects_for(mode) == build_objects(session.ctx, mode)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(
+    PER_CELL_MODES)), ids=lambda order: "-".join(m.value for m in order))
+def test_session_opens_each_cell_once(monkeypatch, order):
+    calls = _count_openings(monkeypatch)
+    session = ExperimentSession(_small_config())
+    assert calls == []  # construction opens nothing
+    session.objects_for(ConfigMode.PMP)
+    assert calls == []  # pmp opens its groups with open_shared
+    dims = session.ctx.grid.dims
+    for mode in order:
+        session.objects_for(mode)
+        assert len(calls) == dims.rows * dims.extended_cols
+
+
+def test_build_objects_opens_every_cell_on_each_call(monkeypatch):
+    # a publisher builds afresh on every call; nothing is memoised on the
+    # context
+    calls = _count_openings(monkeypatch)
+    cells = CTX.grid.dims.extended_cells
+    first = build_objects(CTX, ConfigMode.BATCHED_SINGLE)
+    assert len(calls) == cells
+    assert build_objects(CTX, ConfigMode.BATCHED_SINGLE) == first
+    assert len(calls) == 2 * cells
+
+
 def test_grouped_proof_bytes_count_the_proofs_of_a_short_band():
     # 3 rows in bands of 2: objects of the last band hold g proofs, not g*k
     session = ExperimentSession(ExperimentConfig(rows=3, rows_per_group=2))
@@ -533,7 +588,9 @@ def test_config_parsing(tmp_path):
     with pytest.raises(DasNetError):
         ConfigMode.parse("bogus")
     for pairs in ({"seeds": "5-3"}, {"retry_budget": "-1"},
-                  {"group_size": "0"}, {"rows_per_group": "0"}):
+                  {"group_size": "0"}, {"rows_per_group": "0"},
+                  {"modes": "vanilla,vanilla"}, {"churn": "0.1,0.10"},
+                  {"seeds": "1-3,2"}):
         with pytest.raises(DasNetError):
             ExperimentConfig.from_pairs(pairs)
 
