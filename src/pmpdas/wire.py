@@ -12,21 +12,27 @@ All integers are little-endian. Layouts:
 Fixture files: magic "PMPD", version 0x01, then tagged sections
 (4-byte ASCII tag, u32 length, payload). The PRMS section is the group
 size and the rows per group as two u32s.
+
+Every decoder reads through one bounds-checked cursor, `_Reader`: input
+too short for its layout raises `TruncatedInput`, bytes after a complete
+encoding raise `WireError` ("trailing bytes"); both are `WireError`s. A
+fixture has no total length, so an appended byte starts a cut section.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import field_poly
 from .curve import G1Point, G2Point
-from .field_poly import EvaluationDomain, scalar_from_bytes, scalar_to_bytes
+from .field_poly import (
+    SCALAR_BYTES, EvaluationDomain, scalar_from_bytes, scalar_to_bytes,
+)
 from .grid import DataGrid, GridDims, GridError, extend_rows
 from .kzg import SRS, commit
 
 PROOF_BYTES = 48
-SCALAR_BYTES = 32
 GCELL_BLOCK_BYTES = 16
 BASELINE_CELL_BYTES = PROOF_BYTES + SCALAR_BYTES
 
@@ -55,6 +61,32 @@ def _read_scalar(data: bytes) -> int:
         return scalar_from_bytes(data)
     except field_poly.NonCanonicalScalar as exc:
         raise NonCanonicalScalarEncoding(str(exc)) from exc
+
+
+class _Reader:
+    """A cursor over untrusted bytes; `what` names them in errors."""
+
+    def __init__(self, data: bytes, what: str):
+        self.data, self.what, self.pos, self.end = data, what, 0, len(data)
+
+    def take(self, n: int) -> bytes:
+        start, self.pos = self.pos, self.pos + n
+        if self.pos > self.end:
+            raise TruncatedInput(f"{self.what} truncated")
+        return self.data[start:self.pos]
+
+    def u32(self) -> int:
+        return int.from_bytes(self.take(4), "little")
+
+    def scalar(self) -> int:
+        return _read_scalar(self.take(SCALAR_BYTES))
+
+    def rest(self, n: int) -> None:
+        """Exactly n bytes must be left."""
+        if self.end - self.pos < n:
+            raise TruncatedInput(f"{self.what} truncated")
+        if self.end - self.pos > n:
+            raise WireError(f"trailing bytes after {self.what}")
 
 
 @dataclass(frozen=True)
@@ -88,11 +120,9 @@ class GCellBlock:
 
     @staticmethod
     def from_bytes(data: bytes) -> "GCellBlock":
-        if len(data) != GCELL_BLOCK_BYTES:
-            raise TruncatedInput("GCellBlock encoding must be 16 bytes")
-        vals = [int.from_bytes(data[i:i + 4], "little")
-                for i in range(0, 16, 4)]
-        return GCellBlock(*vals)
+        r = _Reader(data, "GCellBlock")
+        r.rest(GCELL_BLOCK_BYTES)
+        return GCellBlock(r.u32(), r.u32(), r.u32(), r.u32())
 
 
 @dataclass(frozen=True)
@@ -113,12 +143,11 @@ class BaselineCell:
 
     @staticmethod
     def from_bytes(data: bytes) -> "BaselineCell":
-        if len(data) != BASELINE_CELL_BYTES:
-            raise TruncatedInput(
-                f"baseline cell must be {BASELINE_CELL_BYTES} bytes, "
-                f"got {len(data)}")
-        _read_scalar(data[PROOF_BYTES:])
-        return BaselineCell(data[:PROOF_BYTES], data[PROOF_BYTES:])
+        r = _Reader(data, "baseline cell")
+        r.rest(BASELINE_CELL_BYTES)
+        proof, value = r.take(PROOF_BYTES), r.take(SCALAR_BYTES)
+        _read_scalar(value)
+        return BaselineCell(proof, value)
 
 
 @dataclass(frozen=True)
@@ -159,26 +188,16 @@ class MCell:
 
     @staticmethod
     def from_bytes(data: bytes) -> "MCell":
-        header = PROOF_BYTES + GCELL_BLOCK_BYTES + 4
-        if len(data) < header:
-            raise TruncatedInput("MCell header truncated")
-        proof = data[:PROOF_BYTES]
-        block = GCellBlock.from_bytes(data[PROOF_BYTES:PROOF_BYTES + 16])
-        count = int.from_bytes(data[header - 4:header], "little")
+        r = _Reader(data, "MCell")
+        proof, block_bytes = r.take(PROOF_BYTES), r.take(GCELL_BLOCK_BYTES)
+        count = r.u32()
+        block = GCellBlock.from_bytes(block_bytes)
         if count == 0:
             raise WireError("empty groups are forbidden")
         if count != block.n_rows * block.n_cols:
             raise CountMismatch("count does not match the block region")
-        expected_len = header + SCALAR_BYTES * count
-        if len(data) < expected_len:
-            raise TruncatedInput("MCell scalar payload truncated")
-        if len(data) > expected_len:
-            raise WireError("trailing bytes after MCell payload")
-        scalars = [
-            _read_scalar(data[header + i * SCALAR_BYTES:
-                              header + (i + 1) * SCALAR_BYTES])
-            for i in range(count)]
-        return MCell(proof, block, tuple(scalars))
+        r.rest(SCALAR_BYTES * count)
+        return MCell(proof, block, tuple(r.scalar() for _ in range(count)))
 
 
 @dataclass(frozen=True)
@@ -208,21 +227,15 @@ class GroupedCells:
 
     @staticmethod
     def from_bytes(data: bytes) -> "GroupedCells":
-        header = GCELL_BLOCK_BYTES + 4
-        if len(data) < header:
-            raise TruncatedInput("grouped cells header truncated")
-        block = GCellBlock.from_bytes(data[:GCELL_BLOCK_BYTES])
-        count = GroupedCells.encoded_count(data)
+        r = _Reader(data, "grouped cells")
+        block_bytes, count = r.take(GCELL_BLOCK_BYTES), r.u32()
+        block = GCellBlock.from_bytes(block_bytes)
         if count != block.n_rows * block.n_cols:
             raise CountMismatch("count does not match the block region")
-        expected_len = header + BASELINE_CELL_BYTES * count
-        if len(data) < expected_len:
-            raise TruncatedInput("grouped cells payload truncated")
-        if len(data) > expected_len:
-            raise WireError("trailing bytes after grouped cells payload")
+        r.rest(BASELINE_CELL_BYTES * count)
         return GroupedCells(block, [
-            BaselineCell.from_bytes(data[i:i + BASELINE_CELL_BYTES])
-            for i in range(header, expected_len, BASELINE_CELL_BYTES)])
+            BaselineCell.from_bytes(r.take(BASELINE_CELL_BYTES))
+            for _ in range(count)])
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +265,8 @@ class StorageReport:
         return int(f) if f.denominator == 1 else float(f)
 
     def as_dict(self) -> dict:
-        return {
-            "entries": self.entries,
-            "group_size": self.group_size,
-            "baseline_total_bytes": self.baseline_total_bytes,
-            "grouped_object_count": self.grouped_object_count,
-            "grouped_object_bytes": self.grouped_object_bytes,
-            "grouped_total_bytes": self.grouped_total_bytes,
-            "amortized_bytes_per_entry": self.amortized_display(),
-            "grouped_wire_total_bytes": self.grouped_wire_total_bytes,
-        }
+        return {**asdict(self),
+                "amortized_bytes_per_entry": self.amortized_display()}
 
 
 def storage_report(entries: int, g: int) -> StorageReport:
@@ -303,27 +308,20 @@ def encode_fixture(sections) -> bytes:
 
 
 def decode_fixture(data: bytes):
-    if len(data) < 5:
-        raise TruncatedInput("fixture header truncated")
-    if data[:4] != FIXTURE_MAGIC:
+    r = _Reader(data, "fixture")
+    magic, (version,) = r.take(4), r.take(1)
+    if magic != FIXTURE_MAGIC:
         raise WireError("bad fixture magic")
-    if data[4] != FIXTURE_VERSION:
-        raise WireError(f"unsupported fixture version {data[4]}")
+    if version != FIXTURE_VERSION:
+        raise WireError(f"unsupported fixture version {version}")
     sections = []
-    pos = 5
-    while pos < len(data):
-        if pos + 8 > len(data):
-            raise TruncatedInput("fixture section header truncated")
+    while r.pos < r.end:
+        tag, length = r.take(4), r.u32()
         try:
-            tag = data[pos:pos + 4].decode("ascii")
+            tag = tag.decode("ascii")
         except UnicodeDecodeError as exc:
             raise WireError("fixture section tags must be ASCII") from exc
-        length = int.from_bytes(data[pos + 4:pos + 8], "little")
-        pos += 8
-        if pos + length > len(data):
-            raise TruncatedInput(f"fixture section {tag!r} truncated")
-        sections.append((tag, data[pos:pos + length]))
-        pos += length
+        sections.append((tag, r.take(length)))
     return sections
 
 
@@ -334,10 +332,9 @@ def encode_prove_params(group_size: int, rows_per_group: int) -> bytes:
 
 def decode_prove_params(data: bytes):
     """(group size, rows per group) from a PRMS section."""
-    if len(data) != 8:
-        raise WireError("proof parameters section must be 8 bytes")
-    return (int.from_bytes(data[:4], "little"),
-            int.from_bytes(data[4:], "little"))
+    r = _Reader(data, "proof parameters section")
+    r.rest(8)
+    return r.u32(), r.u32()
 
 
 def encode_srs(srs) -> bytes:
@@ -351,24 +348,14 @@ def encode_srs(srs) -> bytes:
 
 
 def decode_srs(data: bytes):
-    if len(data) < 4:
-        raise TruncatedInput("SRS section truncated")
-    d = int.from_bytes(data[:4], "little")
+    r = _Reader(data, "SRS section")
+    d = r.u32()
     if d < 1:
         raise WireError("SRS degree bound must be at least 1")
     n = d + 1
-    need = 4 + n * 48 + n * 96
-    if len(data) != need:
-        raise TruncatedInput(f"SRS section must be {need} bytes")
-    pos = 4
-    g1_powers = []
-    for _ in range(n):
-        g1_powers.append(G1Point.from_bytes(data[pos:pos + 48]))
-        pos += 48
-    g2_powers = []
-    for _ in range(n):
-        g2_powers.append(G2Point.from_bytes(data[pos:pos + 96]))
-        pos += 96
+    r.rest(n * 48 + n * 96)
+    g1_powers = [G1Point.from_bytes(r.take(48)) for _ in range(n)]
+    g2_powers = [G2Point.from_bytes(r.take(96)) for _ in range(n)]
     # the verifiers take [1]_1 and [1]_2 to be the generators
     if g1_powers[0] != G1Point.generator() or \
             g2_powers[0] != G2Point.generator():
@@ -392,11 +379,8 @@ def encode_grid(grid) -> bytes:
 
 
 def decode_grid(data: bytes, srs):
-    if len(data) < 12:
-        raise TruncatedInput("grid section truncated")
-    rows = int.from_bytes(data[:4], "little")
-    cols = int.from_bytes(data[4:8], "little")
-    ext = int.from_bytes(data[8:12], "little")
+    r = _Reader(data, "grid section")
+    rows, cols, ext = r.u32(), r.u32(), r.u32()
     try:
         dims = GridDims(rows, cols, ext)
     except GridError as exc:
@@ -404,29 +388,14 @@ def decode_grid(data: bytes, srs):
     if cols - 1 > srs.degree_bound:
         raise WireError("row polynomial degree exceeds the SRS bound")
     width = dims.extended_cols
-    need = 12 + width * 32 + rows * width * 32 + rows * 48
-    if len(data) != need:
-        raise TruncatedInput(f"grid section must be {need} bytes")
-    pos = 12
-    domain_pts = []
-    for _ in range(width):
-        domain_pts.append(_read_scalar(data[pos:pos + 32]))
-        pos += 32
+    r.rest(width * 32 + rows * width * 32 + rows * 48)
+    domain_pts = [r.scalar() for _ in range(width)]
     try:
         row_domain = EvaluationDomain(domain_pts)
     except field_poly.FieldPolyError as exc:
         raise WireError(str(exc)) from exc
-    cells = []
-    for _ in range(rows):
-        row = []
-        for _ in range(width):
-            row.append(_read_scalar(data[pos:pos + 32]))
-            pos += 32
-        cells.append(row)
-    commitments = []
-    for _ in range(rows):
-        commitments.append(G1Point.from_bytes(data[pos:pos + 48]))
-        pos += 48
+    cells = [[r.scalar() for _ in range(width)] for _ in range(rows)]
+    commitments = [G1Point.from_bytes(r.take(48)) for _ in range(rows)]
     polys, extended = extend_rows(row_domain, cols, cells)
     if extended != cells:
         raise WireError("grid rows are not Reed-Solomon codewords of their "

@@ -403,3 +403,22 @@ def test_point_decoders_raise_only_decode_errors(codec, data):
     except DECODE_ERRORS:
         return
     assert encode(value) == blob
+
+
+# ---------------------------------------------------------------------------
+# One error convention for every decoder: a valid encoding cut by one byte
+# is TruncatedInput, and one byte appended is a WireError that is not.
+
+@pytest.mark.parametrize("codec", sorted(CODECS) + sorted(POINT_CODECS))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_short_input_is_truncated_and_long_input_trailing(codec, data):
+    decode, encode, values = {**CODECS, **POINT_CODECS}[codec][:3]
+    blob = encode(data.draw(values))
+    with pytest.raises(TruncatedInput):
+        decode(blob[:-1])
+    with pytest.raises(WireError) as appended:
+        decode(blob + b"\x00")
+    # a fixture has no total length: the extra byte opens a section that
+    # is cut short
+    assert isinstance(appended.value, TruncatedInput) == (codec == "fixture")
