@@ -19,8 +19,7 @@ from .fields import (
     FP2_ZERO, FP2_ONE, FP12_ONE,
     fp2_add, fp2_sub, fp2_neg, fp2_mul, fp2_sqr, fp2_inv, fp2_scalar_mul,
     fp2_is_zero, fp2_sqrt, fp2_lexicographically_largest,
-    fp2_mul_by_xi, fp6_add, fp6_sub, fp6_mul_by_v,
-    fp12_sqr, fp12_conj, final_exponentiation,
+    fp12_sqr, fp12_conj, fp12_mul_by_line, final_exponentiation,
 )
 
 
@@ -193,7 +192,11 @@ def _g2_to_affine(pt):
 # The fixed-base walk (the SRS powers, the generator) uses 8-bit windows
 # over tables built once; the variable-base walk builds 4-bit tables per
 # call. One builder per group, `_g1_affine_multiples` and `_g2_multiples`,
-# makes every table of that group.
+# makes every table of that group. The variable-base walk takes several
+# rows of scalars over one point list (the G2 bases of a round check):
+# each point gets one table, its digits for every row go into one vector
+# of window sums, row after row, so one addition of a term (one inversion
+# on G1) serves every row, and each row then takes its own Horner pass.
 #
 # Many multiples of one point (the SRS powers in the trusted setup) take a
 # fixed-base comb instead (Lim and Lee, CRYPTO 1994), with the 4-bit
@@ -354,39 +357,68 @@ def _signed_digits(k, window):
     return digits
 
 
-def _signed_window_msm(group, terms, window):
-    """Sum over the (table, digits) terms of sum_i digits[i] * 2^(w*i) *
-    base, where table[j] is (j+1) * base in the group's table form and the
-    digits come from `_signed_digits(k, w)` for w = `window`."""
-    sums = [None] * max((len(digits) for _, digits in terms), default=0)
+def _signed_window_msm(group, terms, window, width, rows=1):
+    """Row b's sum over the (table, digits) terms of sum_i digits[b*W + i]
+    * 2^(w*i) * base, for each of the `rows` rows, where table[j] is
+    (j+1) * base in the group's table form, w = `window`, W = `width`
+    and each row of a term's digits is `_signed_digits(k, w)` zero-padded
+    to W digits.
+
+    All rows share one vector of window sums, row b holding windows
+    b*W .. b*W+W-1, so one `_add_to_window_sums` call adds a term into
+    every row; then each row takes its own Horner pass. `terms` may be
+    an iterator: each term is added as it comes.
+    """
+    sums = [None] * (rows * width)
     add_term = group._add_to_window_sums
     for tbl, digits in terms:
         add_term(sums, tbl, digits)
     add, double = group._add_window_sum, group._double
-    acc = group._INF
-    for s in reversed(sums):
-        for _ in range(window):
-            acc = double(acc)
-        if s is not None:
-            acc = add(acc, s)
-    return group(acc)
+    out = []
+    for b in range(rows):
+        acc = group._INF
+        for s in reversed(sums[b * width:(b + 1) * width]):
+            for _ in range(window):
+                acc = double(acc)
+            if s is not None:
+                acc = add(acc, s)
+        out.append(group(acc))
+    return out
 
 
-def _msm(group, points, scalars):
-    """Sum of scalar*point over points of one group, as a `group` point;
-    scalars are reduced mod r and zip stops at the shorter input.
+def _msm(group, points, rows):
+    """For each row of scalars, the sum of scalar*point over points of one
+    group, as a `group` point; scalars are reduced mod r, and a row pairs
+    with the points as zip does, a missing scalar counting as zero.
 
-    The points must lie in the prime-order subgroup, so that no multiple
-    in a table is the identity.
+    Each point with a scalar that is nonzero mod r on some row gets one
+    table, which serves every row. The points must lie in the prime-order
+    subgroup, so that no multiple in a table is the identity.
     """
-    pairs = [(p.raw, s % R) for p, s in zip(points, scalars)
-             if s % R and not p.is_identity()]
-    if not pairs:
-        return group(group._INF)
-    tables = group._multiples([raw for raw, _ in pairs], 1 << (_WINDOW - 1))
-    terms = [(tbl, _signed_digits(k, _WINDOW))
-             for tbl, (_, k) in zip(tables, pairs)]
-    return _signed_window_msm(group, terms, _WINDOW)
+    kept, scalars = [], []
+    for j, p in enumerate(points):
+        ks = [row[j] % R if j < len(row) else 0 for row in rows]
+        if any(ks) and not p.is_identity():
+            kept.append(p.raw)
+            scalars.append(ks)
+    # a k of L bits has at most ceil(L/w) + 1 signed digits; windows above
+    # a row's top digit only double the identity
+    bits = max((k.bit_length() for ks in scalars for k in ks), default=0)
+    width = -(-bits // _WINDOW) + 1
+    tables = group._multiples(kept, 1 << (_WINDOW - 1))
+    # each term's digits are made as the walk reaches it
+    terms = ((tbl, _row_digits(ks, width)) for tbl, ks in zip(tables, scalars))
+    return _signed_window_msm(group, terms, _WINDOW, width, len(rows))
+
+
+def _row_digits(scalars, width):
+    """The `_signed_digits` of each scalar for w = `_WINDOW`, each row
+    zero-padded to `width`, in one list."""
+    digits = []
+    for k in scalars:
+        row = _signed_digits(k, _WINDOW)
+        digits += row + [0] * (width - len(row))
+    return digits
 
 
 def fixed_base_muls(point, scalars) -> list:
@@ -430,7 +462,8 @@ def g1_fixed_base_msm(tables, scalars) -> "G1Point":
         s %= R
         if s and tbl:
             terms.append((tbl, _signed_digits(s, _FB_WINDOW)))
-    return _signed_window_msm(G1Point, terms, _FB_WINDOW)
+    width = max((len(digits) for _, digits in terms), default=0)
+    return _signed_window_msm(G1Point, terms, _FB_WINDOW, width)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -506,29 +539,6 @@ def _g2_lines(q):
     return tuple(lines)
 
 
-def _fp6_mul_by_01(a, b0, b1):
-    """a * (b0 + b1*v) in Fp6."""
-    a0, a1, a2 = a
-    t0 = fp2_mul(a0, b0)
-    t1 = fp2_mul(a1, b1)
-    return (fp2_add(t0, fp2_mul_by_xi(fp2_mul(a2, b1))),
-            fp2_sub(fp2_sub(fp2_mul(fp2_add(a0, a1), fp2_add(b0, b1)), t0), t1),
-            fp2_add(t1, fp2_mul(a2, b0)))
-
-
-def _fp12_mul_by_line(f, line):
-    """f * (c0 + c1*v + c2*v*w): 13 Fp2 multiplications instead of the 18
-    of a full `fp12_mul`."""
-    c0, c1, c2 = line
-    f0, f1 = f
-    a0, a1, a2 = f1
-    t0 = _fp6_mul_by_01(f0, c0, c1)
-    t1 = (fp2_mul_by_xi(fp2_mul(a2, c2)), fp2_mul(a0, c2), fp2_mul(a1, c2))
-    r1 = fp6_sub(fp6_sub(_fp6_mul_by_01(fp6_add(f0, f1), c0, fp2_add(c1, c2)),
-                         t0), t1)
-    return (fp6_add(t0, fp6_mul_by_v(t1)), r1)
-
-
 def _miller_loop(pairs):
     """Product of the Miller loops of the (G1Point, G2Point) pairs before
     the final exponentiation; pairs with either point at infinity are
@@ -546,8 +556,8 @@ def _miller_loop(pairs):
             f = fp12_sqr(f)
         for xp, neg_yp, lines in prepared:
             c0, a, b = lines[i]
-            f = _fp12_mul_by_line(f, (c0, fp2_scalar_mul(a, xp),
-                                      fp2_scalar_mul(b, neg_yp)))
+            f = fp12_mul_by_line(f, c0, fp2_scalar_mul(a, xp),
+                                 fp2_scalar_mul(b, neg_yp))
     # The BLS parameter is negative: invert via conjugation.
     return fp12_conj(f)
 
@@ -780,15 +790,22 @@ class G2Point(_Point):
     _y_is_largest = staticmethod(fp2_lexicographically_largest)
 
 
+def g1_msms(points, rows) -> list:
+    """One multi-scalar multiplication per row of scalars over one list of
+    G1Point wrappers of subgroup points, sharing each point's table and
+    each term's inversion across the rows (see `_msm`)."""
+    return _msm(G1Point, points, rows)
+
+
 def g1_msm(points, scalars) -> G1Point:
     """Multi-scalar multiplication over G1Point wrappers of subgroup
-    points (see `_msm`)."""
-    return _msm(G1Point, points, scalars)
+    points: the one-row case of `g1_msms`."""
+    return g1_msms(points, [scalars])[0]
 
 
 def g2_msm(points, scalars) -> G2Point:
     """Multi-scalar multiplication over G2Point wrappers."""
-    return _msm(G2Point, points, scalars)
+    return _msm(G2Point, points, [scalars])[0]
 
 
 G1Point._GEN = G1Point((

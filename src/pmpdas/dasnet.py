@@ -22,7 +22,6 @@ from decimal import Decimal
 from .curve import CurveError, G1Point
 from .field_poly import (
     SCALAR_MODULUS, EvaluationDomain, hash_to_scalar, scalar_to_bytes,
-    scalar_from_bytes,
 )
 from .kzg import (
     SRS, OpCounters, PairingTerms, batch_independent_terms, derive_rho, gen,
@@ -455,7 +454,7 @@ def object_terms(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
         cells = [BaselineCell.from_bytes(obj)]
     zs = ctx.grid.row_domain.points[location.cols_start:location.cols_end]
     points = ((r, z) for r in band for z in zs)
-    openings = [(ctx.commitments[r], z, scalar_from_bytes(cell.data),
+    openings = [(ctx.commitments[r], z, cell.value,
                  G1Point.from_bytes(cell.proof))
                 for (r, z), cell in zip(points, cells, strict=True)]
     if mode is ConfigMode.VANILLA:

@@ -8,7 +8,8 @@ Elements are plain tuples of ints reduced mod P:
 * Fp12  -- (b0, b1) over Fp6 with w^2 = v
 
 Keeping everything as tuples of ints (rather than classes) keeps the hot
-loops in the pairing free of attribute lookups.
+loops in the pairing free of attribute lookups; the Fp12 products unpack
+them into plain ints and reduce each output coefficient once.
 """
 
 # Base field modulus and the scalar field (curve) order.
@@ -117,41 +118,8 @@ def fp2_lexicographically_largest(a):
 # ---------------------------------------------------------------------------
 # Fp6
 
-def fp6_add(a, b):
-    return (fp2_add(a[0], b[0]), fp2_add(a[1], b[1]), fp2_add(a[2], b[2]))
-
-
-def fp6_sub(a, b):
-    return (fp2_sub(a[0], b[0]), fp2_sub(a[1], b[1]), fp2_sub(a[2], b[2]))
-
-
 def fp6_neg(a):
     return (fp2_neg(a[0]), fp2_neg(a[1]), fp2_neg(a[2]))
-
-
-def fp6_mul(a, b):
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    t0 = fp2_mul(a0, b0)
-    t1 = fp2_mul(a1, b1)
-    t2 = fp2_mul(a2, b2)
-    c0 = fp2_add(t0, fp2_mul_by_xi(
-        fp2_sub(fp2_sub(fp2_mul(fp2_add(a1, a2), fp2_add(b1, b2)), t1), t2)))
-    c1 = fp2_add(
-        fp2_sub(fp2_sub(fp2_mul(fp2_add(a0, a1), fp2_add(b0, b1)), t0), t1),
-        fp2_mul_by_xi(t2))
-    c2 = fp2_add(
-        fp2_sub(fp2_sub(fp2_mul(fp2_add(a0, a2), fp2_add(b0, b2)), t0), t2),
-        t1)
-    return (c0, c1, c2)
-
-
-def fp6_sqr(a):
-    return fp6_mul(a, a)
-
-
-def fp6_mul_by_v(a):
-    return (fp2_mul_by_xi(a[2]), a[0], a[1])
 
 
 def fp6_inv(a):
@@ -167,24 +135,119 @@ def fp6_inv(a):
 
 # ---------------------------------------------------------------------------
 # Fp12
+#
+# The Fp12 products are straight-line integer code with lazy reduction
+# (Aranha, Karabina, Longa, Gebotys and Lopez, EUROCRYPT 2011): the Fp2
+# and Fp6 products inside them stay unreduced ints, their sums and
+# differences are plain int additions, and each of the twelve output
+# coefficients is reduced mod P once. An Fp6 element
+# (x0 + x1*u) + (x2 + x3*u)*v + (x4 + x5*u)*v^2 is flattened to x0 .. x5.
+
+def _fp6_mul_ints(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5):
+    """The flattened product of two flattened Fp6 elements, as six
+    unreduced ints; the inputs may be unreduced too. Karatsuba over Fp6
+    and over each Fp2 product: 18 integer multiplications."""
+    # v_i = A_i * B_i
+    t0 = a0 * b0
+    t1 = a1 * b1
+    v0 = t0 - t1
+    v1 = (a0 + a1) * (b0 + b1) - t0 - t1
+    t0 = a2 * b2
+    t1 = a3 * b3
+    v2 = t0 - t1
+    v3 = (a2 + a3) * (b2 + b3) - t0 - t1
+    t0 = a4 * b4
+    t1 = a5 * b5
+    v4 = t0 - t1
+    v5 = (a4 + a5) * (b4 + b5) - t0 - t1
+    # c0 = v_0 + xi * ((A1 + A2)(B1 + B2) - v_1 - v_2)
+    x0, x1, y0, y1 = a2 + a4, a3 + a5, b2 + b4, b3 + b5
+    t0 = x0 * y0
+    t1 = x1 * y1
+    m0 = t0 - t1 - v2 - v4
+    m1 = (x0 + x1) * (y0 + y1) - t0 - t1 - v3 - v5
+    # c1 = (A0 + A1)(B0 + B1) - v_0 - v_1 + xi * v_2
+    x0, x1, y0, y1 = a0 + a2, a1 + a3, b0 + b2, b1 + b3
+    t0 = x0 * y0
+    t1 = x1 * y1
+    n0 = t0 - t1 - v0 - v2 + v4 - v5
+    n1 = (x0 + x1) * (y0 + y1) - t0 - t1 - v1 - v3 + v4 + v5
+    # c2 = (A0 + A2)(B0 + B2) - v_0 - v_2 + v_1
+    x0, x1, y0, y1 = a0 + a4, a1 + a5, b0 + b4, b1 + b5
+    t0 = x0 * y0
+    t1 = x1 * y1
+    return (v0 + m0 - m1, v1 + m0 + m1, n0, n1,
+            t0 - t1 - v0 - v4 + v2,
+            (x0 + x1) * (y0 + y1) - t0 - t1 - v1 - v5 + v3)
+
 
 def fp12_mul(a, b):
-    a0, a1 = a
-    b0, b1 = b
-    t0 = fp6_mul(a0, b0)
-    t1 = fp6_mul(a1, b1)
-    c0 = fp6_add(t0, fp6_mul_by_v(t1))
-    c1 = fp6_sub(fp6_sub(fp6_mul(fp6_add(a0, a1), fp6_add(b0, b1)), t0), t1)
-    return (c0, c1)
+    """a * b by Karatsuba over Fp6: three unreduced Fp6 products."""
+    ((a0, a1), (a2, a3), (a4, a5)), ((a6, a7), (a8, a9), (a10, a11)) = a
+    ((b0, b1), (b2, b3), (b4, b5)), ((b6, b7), (b8, b9), (b10, b11)) = b
+    t0, t1, t2, t3, t4, t5 = _fp6_mul_ints(a0, a1, a2, a3, a4, a5,
+                                           b0, b1, b2, b3, b4, b5)
+    u0, u1, u2, u3, u4, u5 = _fp6_mul_ints(a6, a7, a8, a9, a10, a11,
+                                           b6, b7, b8, b9, b10, b11)
+    s0, s1, s2, s3, s4, s5 = _fp6_mul_ints(
+        a0 + a6, a1 + a7, a2 + a8, a3 + a9, a4 + a10, a5 + a11,
+        b0 + b6, b1 + b7, b2 + b8, b3 + b9, b4 + b10, b5 + b11)
+    # (t + v*u) + (s - t - u)*w, with v*u = (xi*(u4, u5), (u0, u1), (u2, u3))
+    return ((((t0 + u4 - u5) % P, (t1 + u4 + u5) % P),
+             ((t2 + u0) % P, (t3 + u1) % P),
+             ((t4 + u2) % P, (t5 + u3) % P)),
+            (((s0 - t0 - u0) % P, (s1 - t1 - u1) % P),
+             ((s2 - t2 - u2) % P, (s3 - t3 - u3) % P),
+             ((s4 - t4 - u4) % P, (s5 - t5 - u5) % P)))
 
 
 def fp12_sqr(a):
-    a0, a1 = a
-    t = fp6_mul(a0, a1)
-    c0 = fp6_sub(
-        fp6_sub(fp6_mul(fp6_add(a0, a1), fp6_add(a0, fp6_mul_by_v(a1))), t),
-        fp6_mul_by_v(t))
-    return (c0, fp6_add(t, t))
+    """(A + B*w)^2 = (A + B)(A + v*B) - t - v*t + 2t*w for t = A*B:
+    complex squaring, two unreduced Fp6 products."""
+    ((a0, a1), (a2, a3), (a4, a5)), ((b0, b1), (b2, b3), (b4, b5)) = a
+    t0, t1, t2, t3, t4, t5 = _fp6_mul_ints(a0, a1, a2, a3, a4, a5,
+                                           b0, b1, b2, b3, b4, b5)
+    s0, s1, s2, s3, s4, s5 = _fp6_mul_ints(
+        a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5,
+        a0 + b4 - b5, a1 + b4 + b5, a2 + b0, a3 + b1, a4 + b2, a5 + b3)
+    return ((((s0 - t0 - t4 + t5) % P, (s1 - t1 - t4 - t5) % P),
+             ((s2 - t2 - t0) % P, (s3 - t3 - t1) % P),
+             ((s4 - t4 - t2) % P, (s5 - t5 - t3) % P)),
+            ((2 * t0 % P, 2 * t1 % P),
+             (2 * t2 % P, 2 * t3 % P),
+             (2 * t4 % P, 2 * t5 % P)))
+
+
+def fp12_mul_by_line(f, c0, c1, c2):
+    """f * (c0 + c1*v + c2*v*w) for c0, c1, c2 in Fp2: the sparse product
+    of the Miller loop, by Karatsuba over Fp6 with the line's halves
+    L0 = c0 + c1*v and L1 = c2*v. B*L1 is three Fp2 products."""
+    ((a0, a1), (a2, a3), (a4, a5)), ((b0, b1), (b2, b3), (b4, b5)) = f
+    l0, l1 = c0
+    l2, l3 = c1
+    l4, l5 = c2
+    t0, t1, t2, t3, t4, t5 = _fp6_mul_ints(a0, a1, a2, a3, a4, a5,
+                                           l0, l1, l2, l3, 0, 0)
+    s0, s1, s2, s3, s4, s5 = _fp6_mul_ints(
+        a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5,
+        l0, l1, l2 + l4, l3 + l5, 0, 0)
+    # u = B*c2, so that B*L1 = v*u
+    k = l4 + l5
+    x, y = b0 * l4, b1 * l5
+    u0, u1 = x - y, (b0 + b1) * k - x - y
+    x, y = b2 * l4, b3 * l5
+    u2, u3 = x - y, (b2 + b3) * k - x - y
+    x, y = b4 * l4, b5 * l5
+    u4, u5 = x - y, (b4 + b5) * k - x - y
+    # (t + v*(v*u)) + (s - t - v*u)*w, with v*u = (xi*(u4, u5), (u0, u1),
+    # (u2, u3)) and v*(v*u) = (xi*(u2, u3), xi*(u4, u5), (u0, u1))
+    w0, w1 = u4 - u5, u4 + u5
+    return ((((t0 + u2 - u3) % P, (t1 + u2 + u3) % P),
+             ((t2 + w0) % P, (t3 + w1) % P),
+             ((t4 + u0) % P, (t5 + u1) % P)),
+            (((s0 - t0 - w0) % P, (s1 - t1 - w1) % P),
+             ((s2 - t2 - u0) % P, (s3 - t3 - u1) % P),
+             ((s4 - t4 - u2) % P, (s5 - t5 - u3) % P)))
 
 
 def fp12_conj(a):
@@ -192,20 +255,22 @@ def fp12_conj(a):
 
 
 def fp12_inv(a):
-    a0, a1 = a
-    t = fp6_inv(fp6_sub(fp6_sqr(a0), fp6_mul_by_v(fp6_sqr(a1))))
-    return (fp6_mul(a0, t), fp6_neg(fp6_mul(a1, t)))
-
-
-def fp12_pow(a, e):
-    result = FP12_ONE
-    base = a
-    while e:
-        if e & 1:
-            result = fp12_mul(result, base)
-        base = fp12_sqr(base)
-        e >>= 1
-    return result
+    """(A - B*w) / (A^2 - v*B^2)."""
+    ((a0, a1), (a2, a3), (a4, a5)), ((b0, b1), (b2, b3), (b4, b5)) = a
+    s0, s1, s2, s3, s4, s5 = _fp6_mul_ints(a0, a1, a2, a3, a4, a5,
+                                           a0, a1, a2, a3, a4, a5)
+    t0, t1, t2, t3, t4, t5 = _fp6_mul_ints(b0, b1, b2, b3, b4, b5,
+                                           b0, b1, b2, b3, b4, b5)
+    (d0, d1), (d2, d3), (d4, d5) = fp6_inv(
+        (((s0 - t4 + t5) % P, (s1 - t4 - t5) % P),
+         ((s2 - t0) % P, (s3 - t1) % P),
+         ((s4 - t2) % P, (s5 - t3) % P)))
+    c = _fp6_mul_ints(a0, a1, a2, a3, a4, a5, d0, d1, d2, d3, d4, d5)
+    e = _fp6_mul_ints(b0, b1, b2, b3, b4, b5, d0, d1, d2, d3, d4, d5)
+    return (((c[0] % P, c[1] % P), (c[2] % P, c[3] % P),
+             (c[4] % P, c[5] % P)),
+            ((-e[0] % P, -e[1] % P), (-e[2] % P, -e[3] % P),
+             (-e[4] % P, -e[5] % P)))
 
 
 # Frobenius coefficients: gamma_i = xi^(i*(p-1)/6) for i = 1..5.

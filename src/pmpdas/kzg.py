@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .curve import (
     CurveError, G1Point, G2Point, fixed_base_muls, g1_fixed_base_msm,
-    g1_fixed_base_table, g1_msm, g2_msm, pairing_check,
+    g1_fixed_base_table, g1_msms, g2_msm, pairing_check,
 )
 from .field_poly import (
     SCALAR_MODULUS, Polynomial, div_rem, hash_to_scalar, scalar_to_bytes,
@@ -200,8 +200,8 @@ class PairingTerms:
     with scalars, where repeated additions of the same point object (a row
     commitment, an SRS power) sum their scalars. `merge` adds another
     equation's terms times a weight, so a random linear combination of
-    many equations checks them all with one `check`: one MSM per base and
-    one multi-pairing.
+    many equations checks them all with one `check`: one multi-row MSM,
+    a row per base, and one multi-pairing.
     """
 
     def __init__(self, srs: SRS):
@@ -225,13 +225,23 @@ class PairingTerms:
             self.add(base, terms.values(), weight)
 
     def check(self) -> bool:
-        """True iff the product of the pairings is the identity."""
-        pairs = []
-        for base, terms in self._bases.values():
-            points = [pt for pt, _ in terms.values()]
-            scalars = [s for _, s in terms.values()]
-            pairs.append((g1_msm(points, scalars), base))
-        return pairing_check(pairs)
+        """True iff the product of the pairings is the identity.
+
+        The G1 sides of all bases are one `g1_msms` call over the
+        distinct points, in first-seen order, with one scalar row per
+        base (zero where a base lacks the point): a point that sits on
+        several bases, as every opening proof does, gets one table.
+        """
+        points = {}
+        for _, terms in self._bases.values():
+            for key, (pt, _) in terms.items():
+                points.setdefault(key, pt)
+        rows = [[terms[key][1] if key in terms else 0 for key in points]
+                for _, terms in self._bases.values()]
+        sides = g1_msms(list(points.values()), rows)
+        return pairing_check(
+            [(side, base) for side, (base, _) in
+             zip(sides, self._bases.values())])
 
 
 def add_quotient_check(terms: PairingTerms, points, proof: G1Point,

@@ -21,7 +21,7 @@ fixture has no total length, so an appended byte starts a cut section.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import field_poly
@@ -127,16 +127,19 @@ class GCellBlock:
 
 @dataclass(frozen=True)
 class BaselineCell:
-    """One extended-grid entry with its own opening proof."""
+    """One extended-grid entry with its own opening proof; `value` is the
+    scalar the data encodes, parsed once, here."""
 
     proof: bytes
     data: bytes
+    value: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.proof) != PROOF_BYTES:
             raise WireError("baseline proof must be 48 bytes")
         if len(self.data) != SCALAR_BYTES:
             raise WireError("baseline data must be 32 bytes")
+        object.__setattr__(self, "value", _read_scalar(self.data))
 
     def to_bytes(self) -> bytes:
         return self.proof + self.data
@@ -145,15 +148,13 @@ class BaselineCell:
     def from_bytes(data: bytes) -> "BaselineCell":
         r = _Reader(data, "baseline cell")
         r.rest(BASELINE_CELL_BYTES)
-        proof, value = r.take(PROOF_BYTES), r.take(SCALAR_BYTES)
-        _read_scalar(value)
-        return BaselineCell(proof, value)
+        return BaselineCell(r.take(PROOF_BYTES), r.take(SCALAR_BYTES))
 
 
 @dataclass(frozen=True)
 class MCell:
     """Grouped retrieval object: one proof over a block region plus the
-    full evaluation vectors it covers."""
+    full evaluation vectors it covers, as canonical scalars."""
 
     proof: bytes
     block: GCellBlock
@@ -162,9 +163,9 @@ class MCell:
     def __post_init__(self):
         if len(self.proof) != PROOF_BYTES:
             raise WireError("proof must be 48 bytes")
-        object.__setattr__(
-            self, "scalars",
-            tuple(s % field_poly.SCALAR_MODULUS for s in self.scalars))
+        # canonical already: `from_bytes` checked them, and `to_bytes`
+        # refuses any other
+        object.__setattr__(self, "scalars", tuple(self.scalars))
         if not self.scalars:
             raise WireError("empty groups are forbidden")
         expected = self.block.n_rows * self.block.n_cols
@@ -221,9 +222,11 @@ class GroupedCells:
 
     @staticmethod
     def encoded_count(data: bytes) -> int:
-        """The cell count an encoding declares, read without decoding."""
-        return int.from_bytes(
-            data[GCELL_BLOCK_BYTES:GCELL_BLOCK_BYTES + 4], "little")
+        """The cell count an encoding declares, read without decoding the
+        cells."""
+        r = _Reader(data, "grouped cells")
+        r.take(GCELL_BLOCK_BYTES)
+        return r.u32()
 
     @staticmethod
     def from_bytes(data: bytes) -> "GroupedCells":

@@ -2,7 +2,8 @@
 primitives, kept as differential-test oracles.
 
 Each function is the plain textbook form of a primitive that `pmpdas`
-computes faster: the affine Miller loop with one inversion per step, the
+computes faster: the Fp6 and Fp12 tower products with every Fp2 product
+and sum reduced, the affine Miller loop with one inversion per step, the
 projective Miller loop that computes every line afresh on each call, the
 final exponentiation with generic Fp12 squarings, the G1 subgroup check as
 multiplication by r, G1 and G2 multi-scalar multiplications as sums of
@@ -22,11 +23,106 @@ from pmpdas.curve import (
 from pmpdas.field_poly import SCALAR_MODULUS, interpolate, vanishing_poly
 from pmpdas.fields import (
     BLS_X, BLS_X_BITS, FP2_ONE, FP2_ZERO, FP12_ONE, P, R,
-    fp2_add, fp2_inv, fp2_mul, fp2_neg, fp2_scalar_mul, fp2_sqr, fp2_sub,
-    fp12_conj, fp12_frobenius, fp12_frobenius_n, fp12_inv, fp12_mul,
-    fp12_sqr,
+    fp2_add, fp2_inv, fp2_mul, fp2_mul_by_xi, fp2_neg, fp2_scalar_mul,
+    fp2_sqr, fp2_sub, fp6_inv, fp6_neg, fp12_conj, fp12_frobenius,
+    fp12_frobenius_n,
 )
 from pmpdas.kzg import KzgError
+
+
+# ---------------------------------------------------------------------------
+# Fp6 and Fp12 towers, every Fp2 product and sum reduced
+
+def fp6_add(a, b):
+    return (fp2_add(a[0], b[0]), fp2_add(a[1], b[1]), fp2_add(a[2], b[2]))
+
+
+def fp6_sub(a, b):
+    return (fp2_sub(a[0], b[0]), fp2_sub(a[1], b[1]), fp2_sub(a[2], b[2]))
+
+
+def fp6_mul_by_v(a):
+    return (fp2_mul_by_xi(a[2]), a[0], a[1])
+
+
+def fp6_mul(a, b):
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    t0 = fp2_mul(a0, b0)
+    t1 = fp2_mul(a1, b1)
+    t2 = fp2_mul(a2, b2)
+    c0 = fp2_add(t0, fp2_mul_by_xi(
+        fp2_sub(fp2_sub(fp2_mul(fp2_add(a1, a2), fp2_add(b1, b2)), t1), t2)))
+    c1 = fp2_add(
+        fp2_sub(fp2_sub(fp2_mul(fp2_add(a0, a1), fp2_add(b0, b1)), t0), t1),
+        fp2_mul_by_xi(t2))
+    c2 = fp2_add(
+        fp2_sub(fp2_sub(fp2_mul(fp2_add(a0, a2), fp2_add(b0, b2)), t0), t2),
+        t1)
+    return (c0, c1, c2)
+
+
+def fp6_sqr(a):
+    return fp6_mul(a, a)
+
+
+def fp12_mul(a, b):
+    a0, a1 = a
+    b0, b1 = b
+    t0 = fp6_mul(a0, b0)
+    t1 = fp6_mul(a1, b1)
+    c0 = fp6_add(t0, fp6_mul_by_v(t1))
+    c1 = fp6_sub(fp6_sub(fp6_mul(fp6_add(a0, a1), fp6_add(b0, b1)), t0), t1)
+    return (c0, c1)
+
+
+def fp12_sqr(a):
+    a0, a1 = a
+    t = fp6_mul(a0, a1)
+    c0 = fp6_sub(
+        fp6_sub(fp6_mul(fp6_add(a0, a1), fp6_add(a0, fp6_mul_by_v(a1))), t),
+        fp6_mul_by_v(t))
+    return (c0, fp6_add(t, t))
+
+
+def fp12_inv(a):
+    a0, a1 = a
+    t = fp6_inv(fp6_sub(fp6_sqr(a0), fp6_mul_by_v(fp6_sqr(a1))))
+    return (fp6_mul(a0, t), fp6_neg(fp6_mul(a1, t)))
+
+
+def fp12_pow(a, e):
+    result = FP12_ONE
+    base = a
+    while e:
+        if e & 1:
+            result = fp12_mul(result, base)
+        base = fp12_sqr(base)
+        e >>= 1
+    return result
+
+
+def _fp6_mul_by_01(a, b0, b1):
+    """a * (b0 + b1*v) in Fp6."""
+    a0, a1, a2 = a
+    t0 = fp2_mul(a0, b0)
+    t1 = fp2_mul(a1, b1)
+    return (fp2_add(t0, fp2_mul_by_xi(fp2_mul(a2, b1))),
+            fp2_sub(fp2_sub(fp2_mul(fp2_add(a0, a1), fp2_add(b0, b1)), t0), t1),
+            fp2_add(t1, fp2_mul(a2, b0)))
+
+
+def fp12_mul_by_line(f, line):
+    """f * (c0 + c1*v + c2*v*w): 13 Fp2 multiplications instead of the 18
+    of a full `fp12_mul`."""
+    c0, c1, c2 = line
+    f0, f1 = f
+    a0, a1, a2 = f1
+    t0 = _fp6_mul_by_01(f0, c0, c1)
+    t1 = (fp2_mul_by_xi(fp2_mul(a2, c2)), fp2_mul(a0, c2), fp2_mul(a1, c2))
+    r1 = fp6_sub(fp6_sub(_fp6_mul_by_01(fp6_add(f0, f1), c0, fp2_add(c1, c2)),
+                         t0), t1)
+    return (fp6_add(t0, fp6_mul_by_v(t1)), r1)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +150,8 @@ def _line_eval(t, q, xp, yp):
     return (c0, c1, c2)
 
 
-def _fp12_mul_by_line(f, line):
+def _fp12_mul_by_dense_line(f, line):
+    """f times the line as a dense Fp12 element."""
     c0, c1, c2 = line
     g = ((c0, c1, FP2_ZERO), (FP2_ZERO, c2, FP2_ZERO))
     return fp12_mul(f, g)
@@ -93,12 +190,12 @@ def miller_loop(pairs):
         f = fp12_sqr(f)
         for i, (pa, qa) in enumerate(pairs):
             xp, yp = pa
-            f = _fp12_mul_by_line(f, _line_eval(ts[i], ts[i], xp, yp))
+            f = _fp12_mul_by_dense_line(f, _line_eval(ts[i], ts[i], xp, yp))
             ts[i] = _affine_g2_double(ts[i])
         if bit == "1":
             for i, (pa, qa) in enumerate(pairs):
                 xp, yp = pa
-                f = _fp12_mul_by_line(f, _line_eval(ts[i], qa, xp, yp))
+                f = _fp12_mul_by_dense_line(f, _line_eval(ts[i], qa, xp, yp))
                 ts[i] = _affine_g2_add(ts[i], qa)
     # The BLS parameter is negative: invert via conjugation.
     return fp12_conj(f)
@@ -160,11 +257,11 @@ def projective_miller_loop(pairs):
         f = fp12_sqr(f)
         for i in range(n):
             ts[i], line = _projective_double_step(ts[i], *ps[i])
-            f = _fp12_mul_by_line(f, line)
+            f = fp12_mul_by_line(f, line)
         if bit == "1":
             for i in range(n):
                 ts[i], line = _projective_add_step(ts[i], qs[i], *ps[i])
-                f = _fp12_mul_by_line(f, line)
+                f = fp12_mul_by_line(f, line)
     # The BLS parameter is negative: invert via conjugation.
     return fp12_conj(f)
 

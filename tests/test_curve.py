@@ -4,12 +4,13 @@ import random
 
 import pytest
 
+from oracles import fp12_pow
 from pmpdas.curve import (
     CurveError, G1Point, G2Point, g1_msm, g2_msm, multi_pairing,
     pairing_check,
 )
 from pmpdas.fields import (
-    FP2_ONE, FP12_ONE, P, R, fp2_add, fp2_mul, fp2_sqr, fp2_sqrt, fp12_pow,
+    FP2_ONE, FP12_ONE, P, R, fp2_add, fp2_mul, fp2_sqr, fp2_sqrt,
 )
 
 # Standard compressed encodings of the subgroup generators.

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import shared_srs
-from pmpdas import dasnet, kzg
+from pmpdas import dasnet, kzg, wire
 from pmpdas.curve import CurveError, G1Point, pairing_check
 from pmpdas.dasnet import (
     DECODE_ERRORS, GROUPED_MODES, BlockContext, ConfigMode, DasNetError,
@@ -349,6 +349,23 @@ def test_bad_location_raises_instead_of_failing_verification():
             verify_object(CTX, mode, outside, obj)
         with pytest.raises(DasNetError):
             verify_object(CTX, mode, not_an_object, obj)
+
+
+def test_object_terms_parse_each_scalar_once(monkeypatch):
+    # the decoders parse and check every scalar of an object once; the
+    # pairing terms reuse those values and parse nothing again
+    objects = {mode: _honest_object(mode) for mode in ConfigMode}
+    parsed = []
+
+    def counted(data):
+        parsed.append(data)
+        return scalar_from_bytes(data)
+
+    monkeypatch.setattr(wire, "scalar_from_bytes", counted)
+    for mode, (location, obj) in objects.items():
+        parsed.clear()
+        assert object_terms(CTX, mode, location, obj).check()
+        assert len(parsed) == location.n_rows * location.n_cols, mode
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)
@@ -749,19 +766,23 @@ def test_honest_round_makes_one_pairing_check(monkeypatch):
             assert calls == [bases[mode is ConfigMode.PMP]], (ctx, mode)
 
 
-def test_round_check_walks_one_g1_msm_per_g2_base(monkeypatch):
-    # SRS powers are plain G1 points in the round check: each base's G1
-    # side is one `g1_msm` walk, and no fixed-base MSM runs inside `check`
+def test_round_check_is_one_g1_msms_row_per_g2_base(monkeypatch):
+    # SRS powers are plain G1 points in the round check: the G1 sides of
+    # all bases are one `g1_msms` call over the distinct points with one
+    # row per base, each point that some row needs gets one table, and no
+    # fixed-base MSM runs
     events = []
 
     def logged(name, fn):
         def wrapper(*args):
-            events.append(name)
+            events.append((name, args))
             return fn(*args)
         return wrapper
 
-    for name in ("g1_msm", "g1_fixed_base_msm", "pairing_check"):
+    for name in ("g1_msms", "g1_fixed_base_msm", "pairing_check"):
         monkeypatch.setattr(kzg, name, logged(name, getattr(kzg, name)))
+    monkeypatch.setattr(G1Point, "_multiples",
+                        staticmethod(logged("tables", G1Point._multiples)))
     check = PairingTerms.check
     inside = []
 
@@ -780,8 +801,21 @@ def test_round_check_walks_one_g1_msm_per_g2_base(monkeypatch):
             outcome = sample_and_verify(plan, mode, dht, ctx)
             assert outcome.count(Status.VERIFIED) == len(plan.coordinates)
             n = bases[mode is ConfigMode.PMP]
-            assert inside == [["g1_msm"] * n + ["pairing_check"]], \
-                (ctx, mode)
+            assert [[name for name, _ in ev] for ev in inside] == \
+                [["g1_msms", "tables", "pairing_check"]], (ctx, mode)
+            (_, (points, rows)), (_, (raws, _)), (_, (pairs,)) = inside[0]
+            assert len(rows) == len(pairs) == n
+            assert all(len(row) == len(points) for row in rows)
+            assert len({id(pt) for pt in points}) == len(points)
+            needed = [pt for j, pt in enumerate(points)
+                      if any(row[j] % SCALAR_MODULUS for row in rows)
+                      and not pt.is_identity()]
+            assert [id(raw) for raw in raws] == [id(pt.raw) for pt in needed]
+            # a proof has a nonzero scalar on g2 unless its micro-domain
+            # is no coset (c = 0), where pmp needs more than two bases
+            shared = [j for j in range(len(points))
+                      if sum(bool(row[j]) for row in rows) > 1]
+            assert bool(shared) == (n == 2), (ctx, mode)
 
 
 @pytest.mark.parametrize("bad", [

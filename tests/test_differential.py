@@ -15,7 +15,7 @@ from pmpdas import fields as F
 from pmpdas.curve import (
     G1Point, G2Point, _g1_add, _g1_affine_multiples, _g1_to_affine,
     _g2_to_affine, _miller_loop, fixed_base_muls, g1_fixed_base_msm,
-    g1_fixed_base_table, g1_msm, g2_msm, multi_pairing,
+    g1_fixed_base_table, g1_msm, g1_msms, g2_msm, multi_pairing,
 )
 from pmpdas.dasnet import SimDht
 from pmpdas.field_poly import (
@@ -73,6 +73,47 @@ def _torsion_point(rng, ell):
 
 # ---------------------------------------------------------------------------
 # Pairing
+
+def _fp12_from(coeffs):
+    """The Fp12 element with the twelve coefficients, lowest first."""
+    fp2 = [tuple(coeffs[i:i + 2]) for i in range(0, 12, 2)]
+    return (tuple(fp2[:3]), tuple(fp2[3:]))
+
+
+# coefficients at the edges of the lazy reduction next to random ones
+fp_coeffs = st.one_of(st.sampled_from([0, 1, F.P - 1]),
+                      st.integers(0, F.P - 1))
+fp12_elements = st.lists(fp_coeffs, min_size=12, max_size=12).map(_fp12_from)
+fp2_elements = st.tuples(fp_coeffs, fp_coeffs)
+
+
+def _assert_kernels_match(a, b, line):
+    assert F.fp12_mul(a, b) == oracles.fp12_mul(a, b)
+    assert F.fp12_sqr(a) == oracles.fp12_sqr(a)
+    assert F.fp12_mul_by_line(a, *line) == oracles.fp12_mul_by_line(a, line)
+    if a != _fp12_from([0] * 12):
+        assert F.fp12_inv(a) == oracles.fp12_inv(a)
+
+
+def test_fp12_kernels_match_tower_oracle():
+    rng = random.Random(110)
+    edges = [_fp12_from([c] * 12) for c in (0, 1, F.P - 1)]
+    edges += [F.FP12_ONE, _fp12_from([F.P - 1, 0] * 6)]
+    for a in edges + [_rand_fp12(rng) for _ in range(20)]:
+        for b in edges[:3] + [_rand_fp12(rng)]:
+            line = tuple(b[0])
+            _assert_kernels_match(a, b, line)
+            _assert_kernels_match(a, b, (line[0], line[1], (F.P - 1,) * 2))
+
+
+@given(fp12_elements, fp12_elements, st.tuples(*[fp2_elements] * 3))
+@example(_fp12_from([F.P - 1] * 12), _fp12_from([F.P - 1] * 12),
+         ((F.P - 1, F.P - 1),) * 3)
+@example(_fp12_from([0] * 12), _fp12_from([1] * 12), ((1, 0),) * 3)
+@settings(max_examples=60, deadline=None)
+def test_fp12_kernels_match_tower_oracle_on_drawn_elements(a, b, line):
+    _assert_kernels_match(a, b, line)
+
 
 def test_multi_pairing_matches_affine_oracle():
     rng = random.Random(101)
@@ -340,6 +381,47 @@ def test_g1_msm_matches_jacobian_walk(terms):
     expected = oracles.g1_window_msm(points, ks)
     assert got == expected
     assert got.to_bytes() == expected.to_bytes()
+
+
+def _assert_msms_match(points, rows):
+    got = g1_msms(points, rows)
+    assert len(got) == len(rows)
+    for row, pt in zip(rows, got):
+        expected = oracles.g1_msm(points, row)
+        assert pt == expected
+        assert pt.to_bytes() == expected.to_bytes()
+        assert pt.to_bytes() == g1_msm(points, row).to_bytes()
+
+
+# pinned: no row; an all-zero row next to a full one; one point on two
+# rows with a scalar that is 0 mod r on one of them only; the identity
+# point with nonzero scalars; rows that cancel a shared point on one row
+# only; a one-point row
+@given(st.lists(st.integers(0, 5), max_size=6).flatmap(
+    lambda idx: st.tuples(st.just(idx), st.lists(
+        st.lists(scalars, min_size=len(idx), max_size=len(idx)),
+        max_size=4))))
+@example(([0, 1], []))
+@example(([0, 1], [[0, 0], [5, _K]]))
+@example(([4], [[F.R], [_K], [2 * F.R]]))
+@example(([3, 0], [[7, 1], [9, 0]]))
+@example(([4, 5, 0], [[7, 7, 1], [7, F.R - 7, 2]]))
+@example(([1], [[_K]]))
+@settings(max_examples=30, deadline=None)
+def test_g1_msms_match_one_oracle_msm_per_row(case):
+    pool = _g1_base_pool()
+    idx, rows = case
+    _assert_msms_match([pool[i] for i in idx], rows)
+
+
+def test_g1_msms_rows_pair_with_points_as_zip_does():
+    g, srs_pt, *_ = _g1_base_pool()
+    points = [g, srs_pt, g * 5]
+    rows = [[3], [1, 2, 3, 4], [], [0, _K]]
+    _assert_msms_match(points, rows)
+    assert g1_msms(points, rows)[2].is_identity()
+    assert g1_msms([], [[1, 2]])[0].is_identity()
+    assert g1_msms(points, []) == []
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), scalars), max_size=8))

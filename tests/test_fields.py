@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import fp12_pow
 from pmpdas import fields as F
 
 
@@ -56,14 +57,14 @@ def test_fp12_inverse_and_square():
 def test_fp12_frobenius_matches_pth_power():
     rng = random.Random(5)
     a = _rand_fp12(rng)
-    assert F.fp12_frobenius(a) == F.fp12_pow(a, F.P)
+    assert F.fp12_frobenius(a) == fp12_pow(a, F.P)
 
 
 def test_final_exponentiation_lands_in_r_torsion():
     rng = random.Random(6)
     for _ in range(3):
         y = F.final_exponentiation(_rand_fp12(rng))
-        assert F.fp12_pow(y, F.R) == F.FP12_ONE
+        assert fp12_pow(y, F.R) == F.FP12_ONE
         assert y != F.FP12_ONE  # random input is not in the kernel
 
 

@@ -53,6 +53,11 @@ def test_baseline_cell_is_80_bytes():
         BaselineCell(b"\x01" * 47, b"\x00" * 32)
     with pytest.raises(NonCanonicalScalarEncoding):
         BaselineCell.from_bytes(b"\x00" * 48 + b"\xff" * 32)
+    # the scalar is parsed and checked once, on construction
+    assert cell.value == 5
+    assert BaselineCell.from_bytes(blob).value == 5
+    with pytest.raises(NonCanonicalScalarEncoding):
+        BaselineCell(b"\x01" * 48, SCALAR_MODULUS.to_bytes(32, "little"))
 
 
 def test_mcell_round_trip():
@@ -121,6 +126,18 @@ def test_grouped_cells_round_trip():
         GroupedCells.from_bytes(blob[:-1])
     with pytest.raises(CountMismatch):
         GroupedCells(grouped.block, grouped.cells[:-1])
+
+
+def test_grouped_cells_encoded_count_reads_through_the_bounds_check():
+    grouped = _rand_grouped(random.Random(75), 2, 3)
+    blob = grouped.to_bytes()
+    assert GroupedCells.encoded_count(blob) == 6
+    # only the block and the count are read: the cells may be cut
+    assert GroupedCells.encoded_count(blob[:20]) == 6
+    assert GroupedCells.encoded_count(bytes(20)) == 0
+    for short in (b"", blob[:16], bytes(16) + b"\x05", blob[:19]):
+        with pytest.raises(TruncatedInput):
+            GroupedCells.encoded_count(short)
 
 
 def test_grouped_cells_short_count_rejected():
