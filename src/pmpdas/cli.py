@@ -77,6 +77,15 @@ def _rows_to_json(rows, columns) -> str:
                       indent=2) + "\n"
 
 
+def _env_seed() -> int | None:
+    """The seed the PMP_SEED environment variable sets, if it is set."""
+    value = os.environ.get("PMP_SEED")
+    try:
+        return None if value is None else int(value)
+    except ValueError:
+        raise CliError(f"PMP_SEED must be an integer, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # storage-report
 
@@ -86,12 +95,8 @@ def cmd_storage_report(args) -> int:
     except WireError as exc:
         raise CliError(str(exc))
     row = report.as_dict()
-    columns = tuple(row.keys())
-    if args.format == "csv":
-        text = _rows_to_csv([row], columns)
-    else:
-        text = _rows_to_json([row], columns)
-    _write_output(text, args.output)
+    render = _rows_to_csv if args.format == "csv" else _rows_to_json
+    _write_output(render([row], tuple(row.keys())), args.output)
     return EXIT_OK
 
 
@@ -104,12 +109,9 @@ def cmd_ablation(args) -> int:
             else ExperimentConfig()
     except (dasnet.DasNetError, OSError, ValueError) as exc:
         raise CliError(f"bad config: {exc}")
-    env_seed = os.environ.get("PMP_SEED")
+    env_seed = _env_seed()
     if env_seed is not None:
-        try:
-            cfg.seeds = (int(env_seed),)
-        except ValueError:
-            raise CliError(f"PMP_SEED must be an integer, got {env_seed!r}")
+        cfg.seeds = (env_seed,)
     if args.output is not None:
         # create (or empty) the output now: an unwritable path fails
         # before the runs, not after them
@@ -123,11 +125,8 @@ def cmd_ablation(args) -> int:
     except (dasnet.DasNetError, grid_mod.GridError) as exc:
         raise CliError(str(exc))
     rows.sort(key=lambda r: (r["mode"], r["churn"], r["seed"]))
-    if args.format == "csv":
-        text = _rows_to_csv(rows, ABLATION_COLUMNS)
-    else:
-        text = _rows_to_json(rows, ABLATION_COLUMNS)
-    _write_output(text, args.output)
+    render = _rows_to_csv if args.format == "csv" else _rows_to_json
+    _write_output(render(rows, ABLATION_COLUMNS), args.output)
     return EXIT_OK
 
 
@@ -171,12 +170,9 @@ def _decode_context(by_tag: dict):
 
 def cmd_gen_fixture(args) -> int:
     seed, source = args.seed, "--seed"
-    env_seed = os.environ.get("PMP_SEED")
+    env_seed = _env_seed()
     if env_seed is not None:
-        try:
-            seed, source = int(env_seed), "PMP_SEED"
-        except ValueError:
-            raise CliError(f"PMP_SEED must be an integer, got {env_seed!r}")
+        seed, source = env_seed, "PMP_SEED"
     # the seed enters the SRS secret as 8 signed big-endian bytes
     if not -(1 << 63) <= seed < 1 << 63:
         raise CliError(f"{source} must be between -2^63 and 2^63 - 1")
@@ -251,11 +247,11 @@ def cmd_verify(args) -> int:
         region.rows_start, region.cols_start)), region, payload)
         for payload, region in zip(mcells, regions)]
     verdicts = dasnet.verify_round(ctx, ConfigMode.PMP, objects)
-    for (ok, _), payload, region in zip(verdicts, mcells, regions):
+    for (ok, _), (_, region, payload) in zip(verdicts, objects):
         if ok:
             continue
-        # the first group the round failed; decoding it again names the
-        # malformed bytes, if that is why it failed
+        # the first group the round failed; decoding it again, with no
+        # second check, names its malformed bytes or foreign region
         message = (f"verification failed at band "
                    f"{region.rows_start // rows_per_group}, "
                    f"group {region.cols_start // group_size}")

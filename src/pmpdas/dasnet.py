@@ -177,6 +177,9 @@ class BlockContext:
     srs: SRS
     group_size: int
     rows_per_group: int = 1
+    # (columns, rows, row, col) -> object region, filled by object_location
+    _locations: dict = dc_field(default_factory=dict, init=False,
+                                repr=False, compare=False)
 
     @property
     def commitments(self):
@@ -206,12 +209,18 @@ def object_regions(ctx: BlockContext, mode: ConfigMode) -> list:
 def object_location(ctx: BlockContext, mode: ConfigMode,
                     coord: Coordinate) -> GCellBlock:
     """Region of the object that covers `coord`: the cell itself for the
-    per-cell arms, its whole group for the grouped ones."""
+    per-cell arms, its whole group for the grouped ones. It is worked out
+    and bounds-checked once per coordinate and kept in the context, as
+    the light client asks for it on every sample."""
     g, k = _object_shape(ctx, mode)
-    b, m = coordinate_to_group(coord, g, k)
-    ctx.grid.check_bounds(Coordinate(coord.row, (m + 1) * g - 1))
-    return GCellBlock(b * k, min(b * k + k, ctx.grid.dims.rows),
-                      m * g, (m + 1) * g)
+    memo_key = (g, k, coord.row, coord.col)
+    region = ctx._locations.get(memo_key)
+    if region is None:
+        b, m = coordinate_to_group(coord, g, k)
+        ctx.grid.check_bounds(Coordinate(coord.row, (m + 1) * g - 1))
+        region = ctx._locations[memo_key] = GCellBlock(
+            b * k, min(b * k + k, ctx.grid.dims.rows), m * g, (m + 1) * g)
+    return region
 
 
 def object_key(ctx: BlockContext, mode: ConfigMode,
@@ -375,11 +384,8 @@ class RetrievalOutcome:
 
     @property
     def hit_rate(self) -> float:
-        if not self.statuses:
-            return 1.0
-        hits = sum(1 for s in self.statuses.values()
-                   if s is not Status.FETCH_FAILED)
-        return hits / len(self.statuses)
+        n = len(self.statuses)
+        return (n - self.count(Status.FETCH_FAILED)) / n if n else 1.0
 
 
 class VerificationCache:
@@ -420,38 +426,38 @@ class VerificationCache:
 
 
 def object_terms(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
-                 obj: bytes, counters: OpCounters | None = None):
+                 obj: bytes, counters: OpCounters | None = None
+                 ) -> PairingTerms:
     """Pairing terms of the object stored for `location`, the region
-    `object_location` gives, or None when the object names another region.
+    `object_location` gives.
 
     Grouped objects are verified against the entire transported
     micro-domain, regardless of which coordinate inside it was sampled.
-    Malformed bytes raise one of DECODE_ERRORS; a location that is not
-    an object of this block raises GridError or DasNetError.
+    Malformed bytes, or a well-formed object of another region, raise
+    one of DECODE_ERRORS; a location that is not an object of this block
+    raises GridError or DasNetError.
     """
     corner = Coordinate(location.rows_start, location.cols_start)
     if location != object_location(ctx, mode, corner):
         raise DasNetError(f"{location} is not a {mode.value} object region")
     band = range(location.rows_start, location.rows_end)
+    if mode in GROUPED_MODES:
+        decoded = (MCell if mode is ConfigMode.PMP
+                   else GroupedCells).from_bytes(obj)
+        if decoded.block != location:
+            raise WireError(f"object of {decoded.block} stored for "
+                            f"{location}")
     if mode is ConfigMode.PMP:
-        mcell = MCell.from_bytes(obj)
-        if mcell.block != location:
-            return None
         g = location.n_cols
-        values = [mcell.scalars[i * g:(i + 1) * g] for i in range(len(band))]
+        values = [decoded.scalars[i * g:(i + 1) * g] for i in range(len(band))]
         transcript = group_transcript(ctx, location)
         group = OpenedGroup(transcript.commitments, values,
                             transcript.micro_domain)
-        proof = G1Point.from_bytes(mcell.proof)
+        proof = G1Point.from_bytes(decoded.proof)
         return shared_terms(ctx.srs, group, proof, derive_gamma(transcript),
                             counters=counters)
-    if mode is ConfigMode.GROUPED_ONLY:
-        grouped = GroupedCells.from_bytes(obj)
-        if grouped.block != location:
-            return None
-        cells = grouped.cells
-    else:
-        cells = [BaselineCell.from_bytes(obj)]
+    cells = decoded.cells if mode is ConfigMode.GROUPED_ONLY \
+        else [BaselineCell.from_bytes(obj)]
     zs = ctx.grid.row_domain.points[location.cols_start:location.cols_end]
     points = ((r, z) for r in band for z in zs)
     openings = [(ctx.commitments[r], z, cell.value,
@@ -466,8 +472,7 @@ def object_terms(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
 def verify_object(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
                   obj: bytes, counters: OpCounters | None = None) -> bool:
     """Full cryptographic verification of one object (see `object_terms`)."""
-    terms = object_terms(ctx, mode, location, obj, counters)
-    return terms is not None and terms.check()
+    return object_terms(ctx, mode, location, obj, counters).check()
 
 
 ROUND_CHALLENGE_TAG = b"PMP-DAS-round-v1"
@@ -496,36 +501,33 @@ def verify_round(ctx: BlockContext, mode: ConfigMode, objects) -> list:
     """(verdict, OpCounters) of each object, given as (key, location,
     bytes) triples, all checked with one pairing check when all hold.
 
-    Each object is reduced to its pairing terms (undecodable bytes or a
-    foreign block region fail that object alone) with the counters its
-    own verification charges. The terms are summed with weights rho^j
-    for the round's Fiat-Shamir rho: unless every object checks, the sum
-    fails but with negligible probability. If it fails, each object's
-    own terms are checked for its verdict, so a failed round of n
-    decodable objects costs n + 1 checks.
+    Each object is reduced to its pairing terms, with the counters its
+    own verification charges, and merged at once into a sum weighted
+    rho^j by the round's Fiat-Shamir rho; undecodable bytes or a foreign
+    region fail that object alone. Unless every object checks, the sum
+    fails but with negligible probability; then `verify_object` decides
+    each decodable object again, charging nothing more, so a failed
+    round of n decodable objects costs n + 1 checks.
     """
-    reduced = []
+    rho = derive_round_weight(ctx, mode, objects)
+    batch = PairingTerms(ctx.srs)
+    weight = 1
+    verdicts = []
     for _, location, obj in objects:
         counters = OpCounters()
         try:
-            terms = object_terms(ctx, mode, location, obj, counters)
+            batch.merge(object_terms(ctx, mode, location, obj, counters),
+                        weight)
         except DECODE_ERRORS:
             # malformed bytes from an untrusted store fail verification
-            terms = None
-        reduced.append((terms, counters))
-    valid = [terms for terms, _ in reduced if terms is not None]
-    if valid:
-        rho = derive_round_weight(ctx, mode, objects)
-        batch = PairingTerms(ctx.srs)
-        weight = 1
-        for terms in valid:
-            batch.merge(terms, weight)
-            weight = weight * rho % SCALAR_MODULUS
-        if batch.check():
-            return [(terms is not None, counters)
-                    for terms, counters in reduced]
-    return [(terms is not None and terms.check(), counters)
-            for terms, counters in reduced]
+            verdicts.append((False, counters))
+            continue
+        weight = weight * rho % SCALAR_MODULUS
+        verdicts.append((True, counters))
+    if not any(ok for ok, _ in verdicts) or batch.check():
+        return verdicts
+    return [(ok and verify_object(ctx, mode, location, obj), counters)
+            for (ok, counters), (_, location, obj) in zip(verdicts, objects)]
 
 
 def _replay(ok: bool, used: OpCounters):
@@ -550,7 +552,7 @@ def sample_and_verify(plan: SamplingPlan, mode: ConfigMode, dht: SimDht,
     misses = {}  # cache key -> (key, location, bytes), in first-seen order
     arm = mode.value  # hashes in C, unlike the enum member
     for coord in plan.coordinates:
-        ctx.grid.check_bounds(coord)
+        location = object_location(ctx, mode, coord)
         key = object_key(ctx, mode, coord)
         obj, _ = dht.get_with_retries(key, retry_budget)
         if obj is None:
@@ -559,7 +561,7 @@ def sample_and_verify(plan: SamplingPlan, mode: ConfigMode, dht: SimDht,
         cache_key = (arm, key, hashlib.sha256(obj).digest())
         fetched.append((coord, cache_key))
         if cache_key not in cache and cache_key not in misses:
-            misses[cache_key] = (key, object_location(ctx, mode, coord), obj)
+            misses[cache_key] = (key, location, obj)
     replays = {}
     if misses:
         replays = {cache_key: _replay(*verdict) for cache_key, verdict in
@@ -608,8 +610,10 @@ class ExperimentConfig:
                     continue
                 if "=" not in line:
                     raise DasNetError(f"bad config line: {line!r}")
-                key, value = line.split("=", 1)
-                pairs[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key in pairs:
+                    raise DasNetError(f"config key {key!r} is given twice")
+                pairs[key] = value
         return ExperimentConfig.from_pairs(pairs)
 
     @staticmethod

@@ -61,11 +61,10 @@ class Transcript:
     micro_domain: EvaluationDomain
     coords: tuple  # ((row, col), ...) as 32-bit pairs
     gcell_block: "GCellBlock"
-    domain_tag: bytes = TRANSCRIPT_TAG
 
     def serialize(self) -> bytes:
         out = bytearray()
-        out += self.domain_tag
+        out += TRANSCRIPT_TAG
         out += self.srs_id
         out += len(self.commitments).to_bytes(4, "big")
         for cm in self.commitments:

@@ -1,9 +1,11 @@
-"""The benchmark tracer still finds every program name it wraps.
+"""The benchmark tracer still finds every program name it wraps, and
+still sees the light client's verification.
 
 `bench/tracing.py` patches functions and methods of the pmpdas modules
 by name, so renaming or deleting one of them breaks
-`bench/run.py --trace 1`. Installing and uninstalling the tracer here
-turns such a break into a test failure.
+`bench/run.py --trace 1`, and it counts a cache miss by the verification
+`VerificationCache.check` runs. Installing the tracer here, alone and
+around one traced round per arm, turns such a break into a test failure.
 """
 
 import sys
@@ -47,3 +49,28 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     for name, live, snapshot in before:
         assert live.keys() == snapshot.keys(), name
         assert all(live[k] is v for k, v in snapshot.items()), name
+
+
+def test_traced_sample_round_per_arm(monkeypatch):
+    # as `bench/run.py --workload sample --trace 1`: every object a round
+    # fetches misses the round's fresh cache and is verified once, in a
+    # span the tracer sees
+    monkeypatch.syspath_prepend(str(BENCH))
+    import hostspeed
+    import tracing
+    import workloads
+
+    workload = workloads.Sample(0)
+    clock = hostspeed.ScaledClock()
+    session, _ = workload.setup(clock)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for i in range(len(workloads.ARMS)):
+            workload.round(session, i, clock)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.summarize()
+    assert metrics["dasnet.sample_and_verify.calls"] == 4
+    assert metrics["dasnet.cache.misses"] == \
+        metrics["dasnet.verify.calls"] > 0

@@ -106,6 +106,14 @@ def test_ablation_bad_config(tmp_path, capsys):
         assert "bad config" in capsys.readouterr().err
 
 
+def test_ablation_rejects_a_repeated_config_key(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("samples=8\nsamples=4\nseeds=1\n")
+    assert run_cli(["ablation", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and "'samples'" in err
+
+
 @pytest.mark.parametrize("text", ["modes=vanilla\nrows_per_group=0\n",
                                   "modes=vanilla\ngroup_size=0\n"])
 def test_ablation_rejects_a_group_dimension_below_one(tmp_path, text):
@@ -177,6 +185,22 @@ def test_verify_checks_a_failed_group_only_in_the_round(tmp_path, capsys,
         "verification failed at band 1, group 3\n"
     # the round's check, then one per group; none repeats
     assert len(checks) == 9
+
+
+def test_verify_names_the_region_of_a_swapped_object(tmp_path, capsys):
+    # two well-formed proof objects in each other's place: each names its
+    # own region, so the first one fails to decode, with both regions
+    sections = decode_fixture(open(_proved_fixture(tmp_path), "rb").read())
+    first = next(i for i, (tag, _) in enumerate(sections) if tag == "MCEL")
+    (_, a), (_, b) = sections[first:first + 2]
+    sections[first:first + 2] = [("MCEL", b), ("MCEL", a)]
+    swapped = tmp_path / "swapped.bin"
+    swapped.write_bytes(encode_fixture(sections))
+    assert run_cli(["verify", "--fixture", str(swapped)]) == 1
+    assert capsys.readouterr().err == (
+        "verification failed at band 0, group 0: object of "
+        f"{wire.GCellBlock(0, 1, 4, 8)} stored for "
+        f"{wire.GCellBlock(0, 1, 0, 4)}\n")
 
 
 def test_verify_detects_permuted_header_commitments(tmp_path, capsys):

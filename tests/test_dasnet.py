@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -349,6 +350,19 @@ def test_bad_location_raises_instead_of_failing_verification():
             verify_object(CTX, mode, outside, obj)
         with pytest.raises(DasNetError):
             verify_object(CTX, mode, not_an_object, obj)
+
+
+@pytest.mark.parametrize("mode", GROUPED_MODES)
+def test_object_of_another_region_is_a_decode_error(mode):
+    # a well-formed grouped object names its region; stored for another
+    # one it fails to decode, and the error names both regions
+    location, _ = _honest_object(mode)
+    foreign, obj = _honest_object(mode, coord=Coordinate(1, 5))
+    assert foreign != location
+    with pytest.raises(WireError) as caught:
+        verify_object(CTX, mode, location, obj)
+    assert str(foreign) in str(caught.value)
+    assert str(location) in str(caught.value)
 
 
 def test_object_terms_parse_each_scalar_once(monkeypatch):
@@ -853,6 +867,104 @@ def test_failed_round_checks_each_object_alone(monkeypatch, bad):
             (Status.VERIFIED if ok else Status.VERIFY_FAILED), coord
         expected.merge(used)
     assert outcome.counters == expected
+
+
+def _counted_reductions(monkeypatch):
+    """Locations `object_terms` is called for, in call order."""
+    reduced = []
+    real = dasnet.object_terms
+
+    def counted(ctx, mode, location, obj, counters=None):
+        reduced.append(location)
+        return real(ctx, mode, location, obj, counters)
+
+    monkeypatch.setattr(dasnet, "object_terms", counted)
+    return reduced
+
+
+def test_honest_round_reduces_each_object_once(monkeypatch):
+    reduced = _counted_reductions(monkeypatch)
+    plan = _every_cell(CTX)
+    for mode in ConfigMode:
+        dht = _published_dht(CTX, mode)
+        reduced.clear()
+        outcome = sample_and_verify(plan, mode, dht, CTX)
+        assert outcome.count(Status.VERIFIED) == len(plan.coordinates)
+        assert sorted(map(repr, reduced)) == \
+            sorted(map(repr, object_regions(CTX, mode))), mode
+
+
+def test_failed_round_reduces_each_decodable_object_twice(monkeypatch):
+    reduced = _counted_reductions(monkeypatch)
+    plan = _every_cell(CTX)
+    value_at, cut_at = Coordinate(0, 1), Coordinate(1, 6)
+    for mode in ConfigMode:
+        dht = _published_dht(CTX, mode)
+        for coord in (value_at, cut_at):
+            key = object_key(CTX, mode, coord)
+            obj = _published(CTX, mode)[key]
+            _store_everywhere(dht, key, _damaged(mode, obj, "value")
+                              if coord == value_at else obj[:-1])
+        reduced.clear()
+        outcome = sample_and_verify(plan, mode, dht, CTX)
+        damaged, truncated = (object_location(CTX, mode, coord)
+                              for coord in (value_at, cut_at))
+        failed = set(_cells(damaged)) | set(_cells(truncated))
+        assert {coord for coord, status in outcome.statuses.items()
+                if status is Status.VERIFY_FAILED} == failed, mode
+        for region in object_regions(CTX, mode):
+            assert reduced.count(region) == \
+                (1 if region == truncated else 2), (mode, region)
+
+
+def test_round_holds_no_terms_of_a_merged_object(monkeypatch):
+    # each object's terms are merged into the round's sum as soon as they
+    # are reduced; by the round's check none of them is alive
+    alive = []
+    real_terms = dasnet.object_terms
+
+    def tracked(*args):
+        terms = real_terms(*args)
+        alive.append(weakref.ref(terms))
+        return terms
+
+    real_check = PairingTerms.check
+    live_at_check = []
+
+    def check(self):
+        live_at_check.append(sum(ref() is not None for ref in alive))
+        return real_check(self)
+
+    monkeypatch.setattr(dasnet, "object_terms", tracked)
+    monkeypatch.setattr(PairingTerms, "check", check)
+    plan = _every_cell(CTX)
+    for mode in ConfigMode:
+        alive.clear()
+        live_at_check.clear()
+        outcome = sample_and_verify(plan, mode, _published_dht(CTX, mode),
+                                    CTX)
+        assert outcome.count(Status.VERIFIED) == len(plan.coordinates)
+        assert len(alive) == len(object_regions(CTX, mode))
+        assert live_at_check == [0], mode
+
+
+def test_round_with_nothing_decodable_makes_no_pairing_call(monkeypatch):
+    calls = []
+
+    def counted(pairs):
+        calls.append(len(pairs))
+        return pairing_check(pairs)
+
+    monkeypatch.setattr(kzg, "pairing_check", counted)
+    plan = _every_cell(CTX)
+    for mode in ConfigMode:
+        dht = _published_dht(CTX, mode)
+        for key, obj in _published(CTX, mode).items():
+            _store_everywhere(dht, key, obj[:-1])
+        calls.clear()
+        outcome = sample_and_verify(plan, mode, dht, CTX)
+        assert outcome.count(Status.VERIFY_FAILED) == len(plan.coordinates)
+        assert calls == [], mode
 
 
 def test_round_of_cache_hits_makes_no_pairing_call(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     ORACLE_SECRET, g1_at, g2_at, rand_poly, rand_scalar, shared_srs,
 )
+from pmpdas import multiproof
 from pmpdas.curve import G1Point
 from pmpdas.field_poly import (
     SCALAR_MODULUS, EvaluationDomain, Polynomial, div_rem, vanishing_poly,
@@ -103,7 +104,7 @@ def test_generic_prover_rejects_dishonest_values():
         open_generic(srs, polys, [md.points] * 2, values, gamma=5)
 
 
-def test_transcript_binds_every_component():
+def test_transcript_binds_every_component(monkeypatch):
     rng = random.Random(45)
     srs, polys, md, group, transcript = _instance(rng, k=2, g=4)
     base = derive_gamma(transcript)
@@ -122,15 +123,15 @@ def test_transcript_binds_every_component():
                    transcript.gcell_block),
         Transcript(srs.srs_id, transcript.commitments, md,
                    transcript.coords, GCellBlock(0, 2, 4, 8)),
-        Transcript(srs.srs_id, transcript.commitments, md,
-                   transcript.coords, transcript.gcell_block,
-                   domain_tag=b"other-protocol"),
     ]
     seen = {base}
     for variant in variants:
         gamma = derive_gamma(variant)
         assert gamma not in seen
         seen.add(gamma)
+    # the domain tag is a protocol constant, bound all the same
+    monkeypatch.setattr(multiproof, "TRANSCRIPT_TAG", b"other-protocol")
+    assert derive_gamma(transcript) not in seen
 
 
 def test_challenge_binding_rejects_cross_transcript_proofs():
