@@ -211,6 +211,8 @@ def _g2_to_affine(pt):
 
 _FB_WINDOW = 8
 _WINDOW = 4
+# the variable-base MSM walks a scalar k > r/2 as k - r (see `_msm`)
+_HALF_R = R // 2
 
 
 def _g1_add_affine(pt, q):
@@ -393,17 +395,21 @@ def _msm(group, points, rows):
 
     Each point with a scalar that is nonzero mod r on some row gets one
     table, which serves every row. The points must lie in the prime-order
-    subgroup, so that no multiple in a table is the identity.
+    subgroup, so that no multiple in a table is the identity; then a
+    scalar k > r/2 is k - r, and its digits are the negated digits of
+    r - k, so a short negative scalar, such as a round check's -w, walks
+    as few digits as w.
     """
     kept, scalars = [], []
     for j, p in enumerate(points):
         ks = [row[j] % R if j < len(row) else 0 for row in rows]
         if any(ks) and not p.is_identity():
             kept.append(p.raw)
-            scalars.append(ks)
+            scalars.append([k - R if k > _HALF_R else k for k in ks])
     # a k of L bits has at most ceil(L/w) + 1 signed digits; windows above
     # a row's top digit only double the identity
-    bits = max((k.bit_length() for ks in scalars for k in ks), default=0)
+    bits = max((abs(k).bit_length() for ks in scalars for k in ks),
+               default=0)
     width = -(-bits // _WINDOW) + 1
     tables = group._multiples(kept, 1 << (_WINDOW - 1))
     # each term's digits are made as the walk reaches it
@@ -412,11 +418,15 @@ def _msm(group, points, rows):
 
 
 def _row_digits(scalars, width):
-    """The `_signed_digits` of each scalar for w = `_WINDOW`, each row
-    zero-padded to `width`, in one list."""
+    """The `_signed_digits` of each scalar for w = `_WINDOW`, negated for a
+    negative scalar k (the digits of -k), each row zero-padded to `width`,
+    in one list."""
     digits = []
     for k in scalars:
-        row = _signed_digits(k, _WINDOW)
+        if k < 0:
+            row = [-d for d in _signed_digits(-k, _WINDOW)]
+        else:
+            row = _signed_digits(k, _WINDOW)
         digits += row + [0] * (width - len(row))
     return digits
 

@@ -20,12 +20,10 @@ from dataclasses import dataclass, field as dc_field
 from decimal import Decimal
 
 from .curve import CurveError, G1Point
-from .field_poly import (
-    SCALAR_MODULUS, EvaluationDomain, hash_to_scalar, scalar_to_bytes,
-)
+from .field_poly import EvaluationDomain, scalar_to_bytes
 from .kzg import (
     SRS, OpCounters, PairingTerms, batch_independent_terms, derive_rho, gen,
-    open_single, single_terms,
+    open_single, rho_powers, single_terms,
 )
 from .multiproof import (
     OpenedGroup, Transcript, derive_gamma, open_shared, shared_terms,
@@ -426,8 +424,8 @@ class VerificationCache:
 
 
 def object_terms(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
-                 obj: bytes, counters: OpCounters | None = None
-                 ) -> PairingTerms:
+                 obj: bytes, counters: OpCounters | None = None,
+                 weights=None) -> PairingTerms:
     """Pairing terms of the object stored for `location`, the region
     `object_location` gives.
 
@@ -436,6 +434,12 @@ def object_terms(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
     Malformed bytes, or a well-formed object of another region, raise
     one of DECODE_ERRORS; a location that is not an object of this block
     raises GridError or DasNetError.
+
+    Each quotient check of the object (its one check for vanilla and
+    pmp, one per opening for batched and grouped) takes the next weight
+    of the iterator `weights`, a round's `round_weights`. A lone object
+    (no `weights`) weights its one check by 1, or its openings by the
+    powers of its own `derive_rho`.
     """
     corner = Coordinate(location.rows_start, location.cols_start)
     if location != object_location(ctx, mode, corner):
@@ -455,7 +459,7 @@ def object_terms(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
                             transcript.micro_domain)
         proof = G1Point.from_bytes(decoded.proof)
         return shared_terms(ctx.srs, group, proof, derive_gamma(transcript),
-                            counters=counters)
+                            counters, 1 if weights is None else next(weights))
     cells = decoded.cells if mode is ConfigMode.GROUPED_ONLY \
         else [BaselineCell.from_bytes(obj)]
     zs = ctx.grid.row_domain.points[location.cols_start:location.cols_end]
@@ -464,9 +468,11 @@ def object_terms(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
                  G1Point.from_bytes(cell.proof))
                 for (r, z), cell in zip(points, cells, strict=True)]
     if mode is ConfigMode.VANILLA:
-        return single_terms(ctx.srs, *openings[0], counters=counters)
-    rho = derive_rho(ctx.srs, openings)
-    return batch_independent_terms(ctx.srs, openings, rho, counters=counters)
+        return single_terms(ctx.srs, *openings[0], counters,
+                            1 if weights is None else next(weights))
+    if weights is None:
+        weights = rho_powers(derive_rho(ctx.srs, openings))
+    return batch_independent_terms(ctx.srs, openings, weights, counters)
 
 
 def verify_object(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
@@ -475,18 +481,24 @@ def verify_object(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
     return object_terms(ctx, mode, location, obj, counters).check()
 
 
-ROUND_CHALLENGE_TAG = b"PMP-DAS-round-v1"
+ROUND_CHALLENGE_TAG = b"PMP-DAS-round-v2"
+# bits of every round weight after the first; 2^-128 soundness (see
+# `verify_round`)
+ROUND_WEIGHT_BITS = 128
 
 
 def _prefixed(data: bytes) -> bytes:
     return len(data).to_bytes(4, "big") + data
 
 
-def derive_round_weight(ctx: BlockContext, mode: ConfigMode,
-                        objects) -> int:
-    """Fiat-Shamir weight of one verification round over its (key,
-    location, bytes) objects; binds the SRS, the block and its header
-    commitments, the arm and every object's key and bytes in order."""
+def round_weights(ctx: BlockContext, mode: ConfigMode, objects):
+    """The endless Fiat-Shamir weights of one verification round over its
+    (key, location, bytes) objects, one per quotient check: 1, then for
+    j = 1, 2, .. the first 128 bits of SHA-256(seed || u32 j), never 0.
+
+    The seed binds the SRS, the block and its header commitments, the
+    arm and every object's key and bytes in order.
+    """
     parts = [ROUND_CHALLENGE_TAG, ctx.srs.srs_id, _prefixed(ctx.block_id),
              _prefixed(mode.value.encode()),
              len(ctx.commitments).to_bytes(4, "big")]
@@ -494,7 +506,13 @@ def derive_round_weight(ctx: BlockContext, mode: ConfigMode,
     parts.append(len(objects).to_bytes(4, "big"))
     for key, _, obj in objects:
         parts += (_prefixed(key), _prefixed(obj))
-    return hash_to_scalar(b"".join(parts))
+    seed = hashlib.sha256(b"".join(parts)).digest()
+    yield 1
+    j = 1
+    while True:
+        digest = hashlib.sha256(seed + j.to_bytes(4, "big")).digest()
+        yield int.from_bytes(digest[:ROUND_WEIGHT_BITS // 8], "big") or 1
+        j += 1
 
 
 def verify_round(ctx: BlockContext, mode: ConfigMode, objects) -> list:
@@ -502,27 +520,29 @@ def verify_round(ctx: BlockContext, mode: ConfigMode, objects) -> list:
     bytes) triples, all checked with one pairing check when all hold.
 
     Each object is reduced to its pairing terms, with the counters its
-    own verification charges, and merged at once into a sum weighted
-    rho^j by the round's Fiat-Shamir rho; undecodable bytes or a foreign
-    region fail that object alone. Unless every object checks, the sum
-    fails but with negligible probability; then `verify_object` decides
-    each decodable object again, charging nothing more, so a failed
-    round of n decodable objects costs n + 1 checks.
+    own verification charges, and merged at once into one sum in which
+    every quotient check carries its own weight from `round_weights`;
+    undecodable bytes or a foreign region fail that object alone. The
+    points are decoded into the prime-order subgroup, so a false check
+    survives the sum only if its 128-bit weight hits one value: with
+    probability at most 2^-128 (the small-exponent test). Unless every
+    object checks, the sum fails but with that probability; then
+    `verify_object` decides each decodable object again, charging
+    nothing more, so a failed round of n decodable objects costs n + 1
+    checks.
     """
-    rho = derive_round_weight(ctx, mode, objects)
+    weights = round_weights(ctx, mode, objects)
     batch = PairingTerms(ctx.srs)
-    weight = 1
     verdicts = []
     for _, location, obj in objects:
         counters = OpCounters()
         try:
-            batch.merge(object_terms(ctx, mode, location, obj, counters),
-                        weight)
+            batch.merge(object_terms(ctx, mode, location, obj, counters,
+                                     weights=weights))
         except DECODE_ERRORS:
             # malformed bytes from an untrusted store fail verification
             verdicts.append((False, counters))
             continue
-        weight = weight * rho % SCALAR_MODULUS
         verdicts.append((True, counters))
     if not any(ok for ok, _ in verdicts) or batch.check():
         return verdicts

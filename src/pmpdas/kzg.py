@@ -267,12 +267,14 @@ def _add_opening(terms: PairingTerms, cm: G1Point, z: int, value: int,
 
 
 def single_terms(srs: SRS, cm: G1Point, z: int, value: int, proof: G1Point,
-                 counters: OpCounters | None = None) -> PairingTerms:
-    """Pairing terms of e(cm - [value]_1, g2) == e(proof, [x - z]_2)."""
+                 counters: OpCounters | None = None,
+                 weight: int = 1) -> PairingTerms:
+    """Pairing terms of e(cm - [value]_1, g2) == e(proof, [x - z]_2), times
+    `weight`."""
     if not isinstance(cm, G1Point) or not isinstance(proof, G1Point):
         raise CurveError("malformed group element")
     terms = PairingTerms(srs)
-    _add_opening(terms, cm, z, value, proof)
+    _add_opening(terms, cm, z, value, proof, weight)
     if counters is not None:
         counters.g1_scalar_mults += 1
         counters.g2_scalar_mults += 1
@@ -295,20 +297,26 @@ def derive_rho(srs: SRS, openings) -> int:
     return hash_to_scalar(b"".join(parts))
 
 
-def batch_independent_terms(srs: SRS, openings, rho: int,
+def rho_powers(rho: int):
+    """The endless weights 1, rho, rho^2, .. mod r."""
+    weight = 1
+    while True:
+        yield weight
+        weight = weight * rho % SCALAR_MODULUS
+
+
+def batch_independent_terms(srs: SRS, openings, weights,
                             counters: OpCounters | None = None
                             ) -> PairingTerms:
-    """Pairing terms of the rho^i-weighted sum of independent openings."""
+    """Pairing terms of the weighted sum of independent openings: opening
+    i is weighted by the i-th of `weights`, for example `rho_powers`."""
     if not openings:
         raise KzgError("cannot batch-verify an empty opening list")
-    rho %= SCALAR_MODULUS
     terms = PairingTerms(srs)
-    weight = 1
-    for cm, z, value, proof in openings:
+    for (cm, z, value, proof), weight in zip(openings, weights):
         _add_opening(terms, cm, z, value, proof, weight)
         if counters is not None:
             counters.g1_scalar_mults += 4
-        weight = weight * rho % SCALAR_MODULUS
     if counters is not None:
         counters.pairings += 2
     return terms
@@ -317,5 +325,7 @@ def batch_independent_terms(srs: SRS, openings, rho: int,
 def verify_batch_independent(srs: SRS, openings, rho: int,
                              counters: OpCounters | None = None) -> bool:
     """Random-linear-combination check over independent single openings:
-    one two-pairing check for the whole batch."""
-    return batch_independent_terms(srs, openings, rho, counters).check()
+    one two-pairing check for the whole batch, weighted by the powers of
+    rho."""
+    return batch_independent_terms(srs, openings, rho_powers(rho),
+                                   counters).check()

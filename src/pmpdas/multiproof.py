@@ -123,9 +123,10 @@ def open_shared(srs: SRS, polys, micro_domain: EvaluationDomain, gamma: int,
 
 
 def shared_terms(srs: SRS, group: OpenedGroup, proof: G1Point,
-                 gamma: int, counters: OpCounters | None = None
-                 ) -> PairingTerms:
-    """Pairing terms of one aggregated check for a whole opened group.
+                 gamma: int, counters: OpCounters | None = None,
+                 weight: int = 1) -> PairingTerms:
+    """Pairing terms of one aggregated check for a whole opened group,
+    times `weight`.
 
     Interpolates the gamma-combined value rows in one pass, then reduces
     e(C - R, g2) == e(proof, [Z_md(x)]_2), with C the gamma-combination
@@ -153,7 +154,7 @@ def shared_terms(srs: SRS, group: OpenedGroup, proof: G1Point,
     terms = PairingTerms(srs)
     r_terms = ((pt, -r) for pt, r in zip(srs.g1_powers, r_combined.coeffs))
     add_quotient_check(terms, (*zip(group.commitments, weights), *r_terms),
-                       proof, base, c)
+                       proof, base, c, weight)
     # the cost model charges one interpolation, g slots for committing to
     # R, the k-point combination plus one multiplication for negating R,
     # and two pairings

@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 import oracles
 from helpers import shared_srs
 from pmpdas import dasnet, kzg, wire
-from pmpdas.curve import CurveError, G1Point, pairing_check
+from pmpdas.curve import CurveError, G1Point, G2Point, g1_msms, pairing_check
 from pmpdas.dasnet import (
     DECODE_ERRORS, GROUPED_MODES, BlockContext, ConfigMode, DasNetError,
     ExperimentConfig, ExperimentSession, SamplingPlan, SimDht,
     Status, VerificationCache, build_objects, effective_samples,
     make_sampling_plan, object_key, object_location, object_regions,
-    object_terms, publish, required_samples, sample_and_verify,
-    verify_object,
+    object_terms, publish, required_samples, round_weights,
+    sample_and_verify, verify_object,
 )
 from pmpdas.field_poly import (
     SCALAR_MODULUS, scalar_from_bytes, scalar_to_bytes,
@@ -751,6 +751,100 @@ def test_round_rejects_damage_that_cancels_in_a_plain_sum(how):
     assert outcome.count(Status.VERIFY_FAILED) == 2
 
 
+@pytest.mark.parametrize("how", ["proof", "value"])
+def test_round_rejects_damage_that_cancels_inside_a_grouped_object(how):
+    # two cells of one column in one grouped object share z, so shifting
+    # their proofs (or values) by +D and -D leaves the sum of the object's
+    # openings intact when they share one weight; each opening has its own
+    ctx = GEOMETRIES["k2_g2"]
+    mode = ConfigMode.GROUPED_ONLY
+    coord = Coordinate(2, 1)
+    location = object_location(ctx, mode, coord)
+    assert (location.n_rows, location.n_cols) == (2, 2)
+    key = object_key(ctx, mode, coord)
+    # cells 1 and 3 are the object's second column, on its two rows
+    data = _damaged(mode, _published(ctx, mode)[key], how, 1, shift=5)
+    data = _damaged(mode, data, how, 3, shift=-5)
+    assert object_terms(ctx, mode, location, data,
+                        weights=itertools.repeat(1)).check()
+    assert not verify_object(ctx, mode, location, data)
+    dht = _published_dht(ctx, mode)
+    _store_everywhere(dht, key, data)
+    plan = _every_cell(ctx)
+    outcome = sample_and_verify(plan, mode, dht, ctx)
+    assert {c for c, status in outcome.statuses.items()
+            if status is Status.VERIFY_FAILED} == set(_cells(location))
+    assert outcome.count(Status.VERIFIED) == len(plan.coordinates) - 4
+
+
+def test_round_weights_are_pinned():
+    # the first weight is 1 and every later one is 128 bits, never 0; the
+    # weights are the same for the same round and change with any byte of
+    # any object
+    mode = ConfigMode.GROUPED_ONLY
+    objects = [(object_key(CTX, mode, c), object_location(CTX, mode, c),
+                _published(CTX, mode)[object_key(CTX, mode, c)])
+               for c in (Coordinate(0, 0), Coordinate(1, 4))]
+    count = 2 * CTX.group_size + 1
+
+    def weights(objs):
+        return list(itertools.islice(round_weights(CTX, mode, objs), count))
+
+    first = weights(objects)
+    assert first[0] == 1
+    assert all(1 <= w < 1 << 128 for w in first[1:])
+    assert len(set(first)) == count
+    assert first == weights(list(objects))
+    # the first 16 bytes of SHA-256(seed || u32 1) for this round; a change
+    # to the tag, the seed's encoding or the draw shows here
+    assert first[1] == int("d09f4474d73f9e3b07524244046273fa", 16)
+    for i, (key, location, obj) in enumerate(objects):
+        for b in range(len(obj)):
+            flipped = obj[:b] + bytes([obj[b] ^ 0x80]) + obj[b + 1:]
+            changed = list(objects)
+            changed[i] = (key, location, flipped)
+            again = weights(changed)
+            assert again[0] == 1
+            assert all(a != w for a, w in zip(again[1:], first[1:])), (i, b)
+
+
+def test_honest_round_weights_the_proof_rows_with_128_bits(monkeypatch):
+    # every row of the round check but g2's holds the weights' negations,
+    # -w for each proof: once folded, no scalar there is 128 bits or
+    # wider, so the MSM walks about half the digits there
+    session = ExperimentSession(ExperimentConfig())
+    ctx, cfg = session.ctx, session.cfg
+    seen = []
+
+    def logged_msms(points, rows):
+        seen.append(rows)
+        return g1_msms(points, rows)
+
+    def logged_pairing(pairs):
+        seen.append([base for _, base in pairs])
+        return pairing_check(pairs)
+
+    monkeypatch.setattr(kzg, "g1_msms", logged_msms)
+    monkeypatch.setattr(kzg, "pairing_check", logged_pairing)
+    plan = make_sampling_plan(1, ctx.grid.dims, cfg.samples)
+    for mode in ConfigMode:
+        dht = SimDht(cfg.peers, cfg.replication, cfg.peer_capacity)
+        publish(ctx, mode, dht, objects=session.objects_for(mode))
+        seen.clear()
+        outcome = sample_and_verify(plan, mode, dht, ctx)
+        assert outcome.count(Status.VERIFIED) == cfg.samples
+        rows, bases = seen
+        short = [row for row, base in zip(rows, bases)
+                 if base != G2Point.generator()]
+        assert len(short) == 1, mode
+        folded = [min(k, SCALAR_MODULUS - k) for k in short[0]
+                  if k % SCALAR_MODULUS]
+        assert folded and max(folded) < 1 << 128, mode
+        # the g2 row is full width: the fold alone does not shorten it
+        g2_row = rows[bases.index(G2Point.generator())]
+        assert max(min(k, SCALAR_MODULUS - k) for k in g2_row) >= 1 << 128
+
+
 # A round's G2 bases (per-cell arms, pmp) by grid: every object of a
 # power-of-two grid lands on g2 and [x]_2 or [x^g]_2, whatever its
 # micro-domain; a consecutive-integer grid (width 6, g = 3) gives each
@@ -844,29 +938,33 @@ def test_failed_round_checks_each_object_alone(monkeypatch, bad):
         return pairing_check(pairs)
 
     monkeypatch.setattr(kzg, "pairing_check", counted)
-    mode = ConfigMode.VANILLA
     _warm(CTX)
-    dht = _published_dht(CTX, mode)
     plan = _every_cell(CTX)
     assert len(plan.coordinates) == 16
     if bad == "every":
         bad = plan.coordinates
-    for coord in bad:
-        key = object_key(CTX, mode, coord)
-        _store_everywhere(dht, key,
-                          _damaged(mode, _published(CTX, mode)[key], "value"))
-    outcome = sample_and_verify(plan, mode, dht, CTX)
-    # the round, then one check per object
-    assert len(calls) == 1 + 16
-    expected = OpCounters()
-    for coord in plan.coordinates:
-        ok, used = _alone(CTX, mode, coord,
-                          dht.get(object_key(CTX, mode, coord)))
-        assert ok == (coord not in bad)
-        assert outcome.statuses[coord] is \
-            (Status.VERIFIED if ok else Status.VERIFY_FAILED), coord
-        expected.merge(used)
-    assert outcome.counters == expected
+    for mode in ConfigMode:
+        dht = _published_dht(CTX, mode)
+        failed = set()
+        for coord in bad:
+            key = object_key(CTX, mode, coord)
+            _store_everywhere(dht, key, _damaged(
+                mode, _published(CTX, mode)[key], "value"))
+            failed.update(_cells(object_location(CTX, mode, coord)))
+        calls.clear()
+        outcome = sample_and_verify(plan, mode, dht, CTX)
+        # the round, then one check per object
+        assert len(calls) == 1 + len(object_regions(CTX, mode)), mode
+        expected = OpCounters()
+        for coord in plan.coordinates:
+            ok, used = _alone(CTX, mode, coord,
+                              dht.get(object_key(CTX, mode, coord)))
+            assert ok == (coord not in failed), (mode, coord)
+            assert outcome.statuses[coord] is \
+                (Status.VERIFIED if ok else Status.VERIFY_FAILED), \
+                (mode, coord)
+            expected.merge(used)
+        assert outcome.counters == expected, mode
 
 
 def _counted_reductions(monkeypatch):
@@ -874,9 +972,9 @@ def _counted_reductions(monkeypatch):
     reduced = []
     real = dasnet.object_terms
 
-    def counted(ctx, mode, location, obj, counters=None):
+    def counted(ctx, mode, location, obj, *args, **kwargs):
         reduced.append(location)
-        return real(ctx, mode, location, obj, counters)
+        return real(ctx, mode, location, obj, *args, **kwargs)
 
     monkeypatch.setattr(dasnet, "object_terms", counted)
     return reduced
@@ -923,8 +1021,8 @@ def test_round_holds_no_terms_of_a_merged_object(monkeypatch):
     alive = []
     real_terms = dasnet.object_terms
 
-    def tracked(*args):
-        terms = real_terms(*args)
+    def tracked(*args, **kwargs):
+        terms = real_terms(*args, **kwargs)
         alive.append(weakref.ref(terms))
         return terms
 

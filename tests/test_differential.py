@@ -491,6 +491,53 @@ def test_g2_msm_matches_sum_of_ladders(terms):
 
 
 # ---------------------------------------------------------------------------
+# Sign fold: the variable-base MSM walks a scalar k > r/2 as the negated
+# digits of r - k
+
+_HALF = (F.R - 1) // 2  # the largest scalar that is not folded
+
+
+# pinned: r - 1, (r - 1)/2, (r + 1)/2, 0 and 1 on one row only; rows that
+# mix folded and unfolded scalars on one point and across points; a point
+# whose folded and unfolded terms cancel on one row (twice the same point,
+# and a point next to its negation)
+@pytest.mark.parametrize("idx, rows", [
+    ([0, 1, 4, 5, 2], [[F.R - 1, _HALF, _HALF + 1, 0, 1], [3, 0, 0, 5, 0]]),
+    ([0, 1, 4], [[F.R - 1, 7, _HALF + 1], [_HALF, F.R - 7, 1]]),
+    ([1, 5], [[_HALF + 1, _HALF], [F.R - _K, _K], [1, F.R - 1]]),
+    ([4, 4, 0], [[_K, F.R - _K, 3], [_K, _K, F.R - 3]]),
+    ([4, 5, 1], [[F.R - _K, _K, 0], [_HALF + 1, _HALF, 2]]),
+])
+def test_g1_msms_fold_matches_oracle(idx, rows):
+    pool = _g1_base_pool()
+    _assert_msms_match([pool[i] for i in idx], rows)
+
+
+def test_msm_fold_cancels_on_one_row_only():
+    g = _g1_base_pool()[0]
+    got = g1_msms([g, g, -g], [[_K, F.R - _K, 0], [_K, _K, F.R - 1]])
+    assert got[0].is_identity()
+    assert got[1] == oracles.g1_msm([g], [2 * _K + 1])
+    q = _g2_base_pool()[1]
+    assert g2_msm([q, q], [_K, F.R - _K]).is_identity()
+
+
+@pytest.mark.parametrize("terms", [
+    [(0, F.R - 1)], [(1, _HALF)], [(1, _HALF + 1)], [(0, 0), (1, 1)],
+    [(0, F.R - 1), (1, _HALF), (2, _HALF + 1), (0, 0), (1, 1)],
+    [(0, _HALF + 1), (2, _HALF + 1), (1, 3)],
+])
+def test_g2_msm_fold_matches_oracle(terms):
+    pool = _g2_base_pool()
+    points = [pool[i] for i, _ in terms]
+    ks = [k for _, k in terms]
+    got = g2_msm(points, ks)
+    expected = oracles.g2_msm(points, ks)
+    assert got == expected
+    assert got.to_bytes() == expected.to_bytes()
+
+
+# ---------------------------------------------------------------------------
 # Fixed-base comb
 
 # the generators, with Z = 1, and a negated multiple of each, with Z != 1
