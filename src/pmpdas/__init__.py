@@ -15,8 +15,7 @@ from .field_poly import (
 )
 from .kzg import (
     SRS, KzgError, OpCounters, PairingTerms, batch_independent_terms, commit,
-    derive_rho, gen, open_single, rho_powers, single_terms,
-    verify_batch_independent, verify_single,
+    gen, open_single, single_terms, verify_batch_independent, verify_single,
 )
 from .multiproof import (
     MultiproofError, OpenedGroup, Transcript, derive_gamma, open_generic,

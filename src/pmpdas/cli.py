@@ -247,16 +247,20 @@ def cmd_verify(args) -> int:
         region.rows_start, region.cols_start)), region, payload)
         for payload, region in zip(mcells, regions)]
     verdicts = dasnet.verify_round(ctx, ConfigMode.PMP, objects)
-    for (ok, _), (_, region, payload) in zip(verdicts, objects):
+    for (ok, _), lone in zip(verdicts, objects):
         if ok:
             continue
-        # the first group the round failed; decoding it again, with no
-        # second check, names its malformed bytes or foreign region
+        # the first group the round failed; decoding it again as a round
+        # of one, with no second check, names its malformed bytes or
+        # foreign region
+        _, region, payload = lone
         message = (f"verification failed at band "
                    f"{region.rows_start // rows_per_group}, "
                    f"group {region.cols_start // group_size}")
         try:
-            dasnet.object_terms(ctx, ConfigMode.PMP, region, payload)
+            dasnet.object_terms(ctx, ConfigMode.PMP, region, payload,
+                                weights=dasnet.round_weights(
+                                    ctx, ConfigMode.PMP, [lone]))
         except dasnet.DECODE_ERRORS as exc:
             message += f": {exc}"
         print(message, file=sys.stderr)

@@ -22,8 +22,8 @@ from decimal import Decimal
 from .curve import CurveError, G1Point
 from .field_poly import EvaluationDomain, scalar_to_bytes
 from .kzg import (
-    SRS, OpCounters, PairingTerms, batch_independent_terms, derive_rho, gen,
-    open_single, rho_powers, single_terms,
+    SRS, OpCounters, PairingTerms, batch_independent_terms, gen, open_single,
+    single_terms,
 )
 from .multiproof import (
     OpenedGroup, Transcript, derive_gamma, open_shared, shared_terms,
@@ -424,8 +424,8 @@ class VerificationCache:
 
 
 def object_terms(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
-                 obj: bytes, counters: OpCounters | None = None,
-                 weights=None) -> PairingTerms:
+                 obj: bytes, counters: OpCounters | None = None, *,
+                 weights) -> PairingTerms:
     """Pairing terms of the object stored for `location`, the region
     `object_location` gives.
 
@@ -437,9 +437,7 @@ def object_terms(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
 
     Each quotient check of the object (its one check for vanilla and
     pmp, one per opening for batched and grouped) takes the next weight
-    of the iterator `weights`, a round's `round_weights`. A lone object
-    (no `weights`) weights its one check by 1, or its openings by the
-    powers of its own `derive_rho`.
+    of the iterator `weights`, a round's `round_weights`.
     """
     corner = Coordinate(location.rows_start, location.cols_start)
     if location != object_location(ctx, mode, corner):
@@ -459,7 +457,7 @@ def object_terms(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
                             transcript.micro_domain)
         proof = G1Point.from_bytes(decoded.proof)
         return shared_terms(ctx.srs, group, proof, derive_gamma(transcript),
-                            counters, 1 if weights is None else next(weights))
+                            counters, next(weights))
     cells = decoded.cells if mode is ConfigMode.GROUPED_ONLY \
         else [BaselineCell.from_bytes(obj)]
     zs = ctx.grid.row_domain.points[location.cols_start:location.cols_end]
@@ -468,17 +466,20 @@ def object_terms(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
                  G1Point.from_bytes(cell.proof))
                 for (r, z), cell in zip(points, cells, strict=True)]
     if mode is ConfigMode.VANILLA:
-        return single_terms(ctx.srs, *openings[0], counters,
-                            1 if weights is None else next(weights))
-    if weights is None:
-        weights = rho_powers(derive_rho(ctx.srs, openings))
+        return single_terms(ctx.srs, *openings[0], counters, next(weights))
     return batch_independent_terms(ctx.srs, openings, weights, counters)
 
 
 def verify_object(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
                   obj: bytes, counters: OpCounters | None = None) -> bool:
-    """Full cryptographic verification of one object (see `object_terms`)."""
-    return object_terms(ctx, mode, location, obj, counters).check()
+    """Full cryptographic verification of one object (see `object_terms`):
+    a lone object is a round of one, weighted by `round_weights` over its
+    own (key, location, bytes) triple."""
+    key = object_key(ctx, mode,
+                     Coordinate(location.rows_start, location.cols_start))
+    weights = round_weights(ctx, mode, [(key, location, obj)])
+    return object_terms(ctx, mode, location, obj, counters,
+                        weights=weights).check()
 
 
 ROUND_CHALLENGE_TAG = b"PMP-DAS-round-v2"
@@ -527,9 +528,9 @@ def verify_round(ctx: BlockContext, mode: ConfigMode, objects) -> list:
     survives the sum only if its 128-bit weight hits one value: with
     probability at most 2^-128 (the small-exponent test). Unless every
     object checks, the sum fails but with that probability; then
-    `verify_object` decides each decodable object again, charging
-    nothing more, so a failed round of n decodable objects costs n + 1
-    checks.
+    `verify_object` decides each decodable object again as a round of
+    one, charging nothing more, so a failed round of n decodable objects
+    costs n + 1 checks.
     """
     weights = round_weights(ctx, mode, objects)
     batch = PairingTerms(ctx.srs)
@@ -667,6 +668,15 @@ class ExperimentConfig:
             raise DasNetError("retry_budget must be non-negative")
         if cfg.samples < 0:
             raise DasNetError("samples must be non-negative")
+        # the checks the runs would make, made before the session is built
+        if cfg.peers < 1 or cfg.replication < 1:
+            raise DasNetError("need at least one peer and one replica")
+        if not all(0 <= churn < 1 for churn in cfg.churn):
+            raise DasNetError("churn must lie in [0, 1)")
+        # a bad shape raises GridError, a ValueError like int()'s
+        dims = GridDims(cfg.rows, cfg.cols, cfg.extension)
+        if cfg.samples > dims.extended_cells:
+            raise DasNetError("cannot sample more coordinates than cells")
         # a repeated entry would repeat its runs and rows
         for name in ("modes", "churn", "seeds"):
             values = getattr(cfg, name)

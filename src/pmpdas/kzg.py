@@ -1,5 +1,8 @@
-"""KZG commitments: SRS, single-point openings, batched verification of
-independent openings, and the pairing terms every verifier reduces to.
+"""KZG commitments: SRS, single-point openings, weighted batch verification
+of independent openings, and the pairing terms every verifier reduces to.
+
+The module draws no verifier weights: each batch takes its weights from
+the caller (the light client's are `dasnet.round_weights`).
 
 The trusted setup here is test-grade on purpose: the caller supplies the
 secret, which lets test harnesses cross-check every group operation in the
@@ -17,11 +20,8 @@ from .curve import (
     g1_fixed_base_table, g1_msms, g2_msm, pairing_check,
 )
 from .field_poly import (
-    SCALAR_MODULUS, Polynomial, div_rem, hash_to_scalar, scalar_to_bytes,
-    vanishing_poly,
+    SCALAR_MODULUS, Polynomial, div_rem, vanishing_poly,
 )
-
-BATCH_CHALLENGE_TAG = b"PMP-DAS-batch-v1"
 
 
 class KzgError(ValueError):
@@ -199,9 +199,9 @@ class PairingTerms:
     The equation is prod_Q e(A_Q, Q) == 1. Each A_Q is held as G1 points
     with scalars, where repeated additions of the same point object (a row
     commitment, an SRS power) sum their scalars. `merge` adds another
-    equation's terms times a weight, so a random linear combination of
-    many equations checks them all with one `check`: one multi-row MSM,
-    a row per base, and one multi-pairing.
+    equation's terms, so a sum of many equations, each weighted as it
+    was added, checks them all with one `check`: one multi-row MSM, a
+    row per base, and one multi-pairing.
     """
 
     def __init__(self, srs: SRS):
@@ -220,9 +220,9 @@ class PairingTerms:
             else:
                 slot[1] = (slot[1] + weight * s) % SCALAR_MODULUS
 
-    def merge(self, other: "PairingTerms", weight: int = 1):
+    def merge(self, other: "PairingTerms"):
         for base, terms in other._bases.values():
-            self.add(base, terms.values(), weight)
+            self.add(base, terms.values())
 
     def check(self) -> bool:
         """True iff the product of the pairings is the identity.
@@ -288,28 +288,11 @@ def verify_single(srs: SRS, cm: G1Point, z: int, value: int,
     return single_terms(srs, cm, z, value, proof, counters).check()
 
 
-def derive_rho(srs: SRS, openings) -> int:
-    """Fiat-Shamir combiner for a batch of independent openings."""
-    parts = [BATCH_CHALLENGE_TAG, srs.srs_id, len(openings).to_bytes(4, "big")]
-    for cm, z, value, proof in openings:
-        parts += (cm.to_bytes(), scalar_to_bytes(z % SCALAR_MODULUS),
-                  scalar_to_bytes(value % SCALAR_MODULUS), proof.to_bytes())
-    return hash_to_scalar(b"".join(parts))
-
-
-def rho_powers(rho: int):
-    """The endless weights 1, rho, rho^2, .. mod r."""
-    weight = 1
-    while True:
-        yield weight
-        weight = weight * rho % SCALAR_MODULUS
-
-
 def batch_independent_terms(srs: SRS, openings, weights,
                             counters: OpCounters | None = None
                             ) -> PairingTerms:
     """Pairing terms of the weighted sum of independent openings: opening
-    i is weighted by the i-th of `weights`, for example `rho_powers`."""
+    i is weighted by the i-th of `weights`."""
     if not openings:
         raise KzgError("cannot batch-verify an empty opening list")
     terms = PairingTerms(srs)
@@ -322,10 +305,10 @@ def batch_independent_terms(srs: SRS, openings, weights,
     return terms
 
 
-def verify_batch_independent(srs: SRS, openings, rho: int,
+def verify_batch_independent(srs: SRS, openings, weights,
                              counters: OpCounters | None = None) -> bool:
     """Random-linear-combination check over independent single openings:
-    one two-pairing check for the whole batch, weighted by the powers of
-    rho."""
-    return batch_independent_terms(srs, openings, rho_powers(rho),
-                                   counters).check()
+    one two-pairing check for the whole batch, opening i weighted by the
+    i-th of `weights`. The check is sound only if the weights are
+    unpredictable to whoever made the openings."""
+    return batch_independent_terms(srs, openings, weights, counters).check()

@@ -36,6 +36,16 @@ def oracle_commit(p: Polynomial) -> G1Point:
     return g1_at(p.evaluate(ORACLE_SECRET))
 
 
+# some batch combiner, for tests that need one
+TEST_RHO = 0x5EED
+
+
+def rho_weights(n: int, rho: int = TEST_RHO) -> list:
+    """Explicit batch weights 1, rho, .., rho^(n-1) mod r: what the
+    oracle's `verify_batch_independent` gives n openings for `rho`."""
+    return [pow(rho, i, SCALAR_MODULUS) for i in range(n)]
+
+
 def rand_scalar(rng) -> int:
     return rng.randrange(SCALAR_MODULUS)
 

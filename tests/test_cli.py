@@ -100,7 +100,9 @@ def test_ablation_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     for text in ("rows=two\n", "seeds=5-3\n", "retry_budget=-1\n",
                  "samples=-1\n", "modes=vanilla,vanilla\n",
-                 "churn=0.1,0.10\n", "seeds=1-3,2\n"):
+                 "churn=0.1,0.10\n", "seeds=1-3,2\n", "churn=0.0,1.5\n",
+                 "samples=999\n", "peers=0\n", "replication=0\n",
+                 "rows=0\n"):
         bad.write_text(text)
         assert run_cli(["ablation", "--config", str(bad)]) == 2, text
         assert "bad config" in capsys.readouterr().err

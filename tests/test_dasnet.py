@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import shared_srs
+from helpers import TEST_RHO, shared_srs
 from pmpdas import dasnet, kzg, wire
 from pmpdas.curve import CurveError, G1Point, G2Point, g1_msms, pairing_check
 from pmpdas.dasnet import (
@@ -28,7 +28,7 @@ from pmpdas.field_poly import (
 from pmpdas.grid import (
     Coordinate, GridDims, GridError, build_grid, partition_micro_domains,
 )
-from pmpdas.kzg import KzgError, OpCounters, PairingTerms, derive_rho
+from pmpdas.kzg import KzgError, OpCounters, PairingTerms
 from pmpdas.multiproof import MultiproofError, OpenedGroup, derive_gamma
 from pmpdas.wire import (
     BASELINE_CELL_BYTES, GCELL_BLOCK_BYTES, PROOF_BYTES, SCALAR_BYTES,
@@ -378,7 +378,8 @@ def test_object_terms_parse_each_scalar_once(monkeypatch):
     monkeypatch.setattr(wire, "scalar_from_bytes", counted)
     for mode, (location, obj) in objects.items():
         parsed.clear()
-        assert object_terms(CTX, mode, location, obj).check()
+        assert object_terms(CTX, mode, location, obj,
+                            weights=itertools.repeat(1)).check()
         assert len(parsed) == location.n_rows * location.n_cols, mode
 
 
@@ -745,7 +746,7 @@ def test_round_rejects_damage_that_cancels_in_a_plain_sum(how):
         data = _damaged(mode, _published(CTX, mode)[key], how, shift=shift)
         _store_everywhere(dht, key, data)
         plain.merge(object_terms(CTX, mode, object_location(CTX, mode, coord),
-                                 data))
+                                 data, weights=itertools.repeat(1)))
     assert plain.check()
     outcome = sample_and_verify(SamplingPlan(0, pair), mode, dht, CTX)
     assert outcome.count(Status.VERIFY_FAILED) == 2
@@ -1015,6 +1016,47 @@ def test_failed_round_reduces_each_decodable_object_twice(monkeypatch):
                 (1 if region == truncated else 2), (mode, region)
 
 
+def _recorded_weight_streams(monkeypatch):
+    """The objects of each `round_weights` stream drawn, in call order."""
+    streams = []
+    real = dasnet.round_weights
+
+    def recorded(ctx, mode, objects):
+        streams.append(list(objects))
+        return real(ctx, mode, objects)
+
+    monkeypatch.setattr(dasnet, "round_weights", recorded)
+    return streams
+
+
+def test_a_lone_object_is_a_round_of_one(monkeypatch):
+    streams = _recorded_weight_streams(monkeypatch)
+    for mode in ConfigMode:
+        location, obj = _honest_object(mode)
+        corner = Coordinate(location.rows_start, location.cols_start)
+        streams.clear()
+        assert verify_object(CTX, mode, location, obj)
+        assert streams == [[(object_key(CTX, mode, corner), location, obj)]]
+
+
+def test_failed_round_draws_its_stream_then_one_per_object(monkeypatch):
+    streams = _recorded_weight_streams(monkeypatch)
+    plan = _every_cell(CTX)
+    bad = Coordinate(1, 2)
+    for mode in ConfigMode:
+        dht = _published_dht(CTX, mode)
+        key = object_key(CTX, mode, bad)
+        _store_everywhere(dht, key, _damaged(
+            mode, _published(CTX, mode)[key], "value"))
+        streams.clear()
+        outcome = sample_and_verify(plan, mode, dht, CTX)
+        assert outcome.count(Status.VERIFY_FAILED) == \
+            len(_cells(object_location(CTX, mode, bad))), mode
+        # the round's stream over all n objects, then n rounds of one
+        assert len(streams[0]) == len(object_regions(CTX, mode)), mode
+        assert streams[1:] == [[lone] for lone in streams[0]], mode
+
+
 def test_round_holds_no_terms_of_a_merged_object(monkeypatch):
     # each object's terms are merged into the round's sum as soon as they
     # are reduced; by the round's check none of them is alive
@@ -1129,8 +1171,7 @@ def _oracle_verdict(ctx, mode, coord, obj):
         return False
     if mode is ConfigMode.VANILLA:
         return oracles.verify_single(ctx.srs, *openings[0])
-    return oracles.verify_batch_independent(ctx.srs, openings,
-                                            derive_rho(ctx.srs, openings))
+    return oracles.verify_batch_independent(ctx.srs, openings, TEST_RHO)
 
 
 @pytest.mark.parametrize("geometry", ["default", "k2_g2"])

@@ -7,7 +7,8 @@ import threading
 import pytest
 
 from helpers import (
-    ORACLE_SECRET, g1_at, g2_at, oracle_commit, rand_poly, shared_srs,
+    ORACLE_SECRET, g1_at, g2_at, oracle_commit, rand_poly, rho_weights,
+    shared_srs,
 )
 from pmpdas import kzg
 from pmpdas.curve import CurveError, G1Point, G2Point, g1_msm
@@ -15,8 +16,8 @@ from pmpdas.field_poly import (
     SCALAR_MODULUS, EvaluationDomain, Polynomial, root_of_unity,
 )
 from pmpdas.kzg import (
-    KzgError, OpCounters, commit, derive_rho, gen, open_single,
-    verify_batch_independent, verify_single,
+    KzgError, OpCounters, commit, gen, open_single, verify_batch_independent,
+    verify_single,
 )
 from pmpdas.wire import decode_srs, encode_srs
 
@@ -141,32 +142,17 @@ def test_batch_verification():
         z = rng.randrange(SCALAR_MODULUS)
         value, proof = open_single(srs, p, z)
         openings.append((commit(srs, p), z, value, proof))
-    rho = derive_rho(srs, openings)
+    weights = rho_weights(len(openings))
     counters = OpCounters()
-    assert verify_batch_independent(srs, openings, rho, counters=counters)
+    assert verify_batch_independent(srs, openings, weights, counters=counters)
     assert counters.pairings == 2
     assert counters.g1_scalar_mults == 4 * len(openings)
 
     cm, z, value, proof = openings[2]
     openings[2] = (cm, z, (value + 1) % SCALAR_MODULUS, proof)
-    assert not verify_batch_independent(srs, openings, derive_rho(srs, openings))
+    assert not verify_batch_independent(srs, openings, weights)
     with pytest.raises(KzgError):
-        verify_batch_independent(srs, [], rho)
-
-
-def test_derive_rho_binds_every_component():
-    rng = random.Random(36)
-    srs = shared_srs(D)
-    p = rand_poly(rng, D)
-    value, proof = open_single(srs, p, 7)
-    opening = (commit(srs, p), 7, value, proof)
-    base = derive_rho(srs, [opening])
-    assert derive_rho(srs, [opening]) == base  # deterministic
-    cm, z, v, pi = opening
-    assert derive_rho(srs, [(cm, z + 1, v, pi)]) != base
-    assert derive_rho(srs, [(cm, z, v + 1, pi)]) != base
-    assert derive_rho(srs, [(commit(srs, p + Polynomial((1,))), z, v, pi)]) != base
-    assert derive_rho(shared_srs(D + 1), [opening]) != base
+        verify_batch_independent(srs, [], weights)
 
 
 def test_cached_z_commitment_cost():
