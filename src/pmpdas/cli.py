@@ -243,28 +243,16 @@ def cmd_verify(args) -> int:
         raise CliError(
             f"fixture holds {len(mcells)} proof objects for "
             f"{len(regions)} groups")
-    objects = [(dasnet.object_key(ctx, ConfigMode.PMP, grid_mod.Coordinate(
-        region.rows_start, region.cols_start)), region, payload)
-        for payload, region in zip(mcells, regions)]
-    verdicts = dasnet.verify_round(ctx, ConfigMode.PMP, objects)
-    for (ok, _), lone in zip(verdicts, objects):
-        if ok:
-            continue
-        # the first group the round failed; decoding it again as a round
-        # of one, with no second check, names its malformed bytes or
-        # foreign region
-        _, region, payload = lone
-        message = (f"verification failed at band "
-                   f"{region.rows_start // rows_per_group}, "
-                   f"group {region.cols_start // group_size}")
-        try:
-            dasnet.object_terms(ctx, ConfigMode.PMP, region, payload,
-                                weights=dasnet.round_weights(
-                                    ctx, ConfigMode.PMP, [lone]))
-        except dasnet.DECODE_ERRORS as exc:
-            message += f": {exc}"
-        print(message, file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+    verdicts = dasnet.verify_round(ctx, ConfigMode.PMP,
+                                   list(zip(regions, mcells)))
+    for (ok, _, error), region in zip(verdicts, regions):
+        if not ok:
+            reason = "" if error is None else f": {error}"
+            print(f"verification failed at band "
+                  f"{region.rows_start // rows_per_group}, "
+                  f"group {region.cols_start // group_size}{reason}",
+                  file=sys.stderr)
+            return EXIT_VERIFY_FAILED
     print(f"verified {len(regions)} groups")
     return EXIT_OK
 

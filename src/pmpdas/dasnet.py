@@ -387,12 +387,14 @@ class RetrievalOutcome:
 
 
 class VerificationCache:
-    """Content-addressed memo of verification outcomes for one block.
+    """Memo of verification outcomes for one block, keyed on (arm, DHT
+    key, object bytes).
 
     The DHT serves immutable byte strings, so verifying the same bytes
     against the same header twice is pure recomputation; the cache stores
     the decision together with the operation counters of the original
-    verification so metrics stay independent of cache warmth. A verdict
+    verification so metrics stay independent of cache warmth. Its keys
+    hold a reference to the bytes the DHT serves, not a copy. A verdict
     holds only for the header it was checked against, and the cache key
     holds nothing of the header, so a cache serves the one BlockContext
     it is first used with (`bind`).
@@ -474,10 +476,8 @@ def verify_object(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
                   obj: bytes, counters: OpCounters | None = None) -> bool:
     """Full cryptographic verification of one object (see `object_terms`):
     a lone object is a round of one, weighted by `round_weights` over its
-    own (key, location, bytes) triple."""
-    key = object_key(ctx, mode,
-                     Coordinate(location.rows_start, location.cols_start))
-    weights = round_weights(ctx, mode, [(key, location, obj)])
+    own (location, bytes) pair."""
+    weights = round_weights(ctx, mode, [(location, obj)])
     return object_terms(ctx, mode, location, obj, counters,
                         weights=weights).check()
 
@@ -494,18 +494,21 @@ def _prefixed(data: bytes) -> bytes:
 
 def round_weights(ctx: BlockContext, mode: ConfigMode, objects):
     """The endless Fiat-Shamir weights of one verification round over its
-    (key, location, bytes) objects, one per quotient check: 1, then for
+    (location, bytes) objects, one per quotient check: 1, then for
     j = 1, 2, .. the first 128 bits of SHA-256(seed || u32 j), never 0.
 
     The seed binds the SRS, the block and its header commitments, the
-    arm and every object's key and bytes in order.
+    arm and every object's DHT key (`object_key` of its location's
+    corner) and bytes in order.
     """
     parts = [ROUND_CHALLENGE_TAG, ctx.srs.srs_id, _prefixed(ctx.block_id),
              _prefixed(mode.value.encode()),
              len(ctx.commitments).to_bytes(4, "big")]
     parts += (cm.to_bytes() for cm in ctx.commitments)
     parts.append(len(objects).to_bytes(4, "big"))
-    for key, _, obj in objects:
+    for location, obj in objects:
+        key = object_key(ctx, mode, Coordinate(location.rows_start,
+                                               location.cols_start))
         parts += (_prefixed(key), _prefixed(obj))
     seed = hashlib.sha256(b"".join(parts)).digest()
     yield 1
@@ -517,13 +520,15 @@ def round_weights(ctx: BlockContext, mode: ConfigMode, objects):
 
 
 def verify_round(ctx: BlockContext, mode: ConfigMode, objects) -> list:
-    """(verdict, OpCounters) of each object, given as (key, location,
-    bytes) triples, all checked with one pairing check when all hold.
+    """(verdict, OpCounters, decode error or None) of each object, given
+    as (location, bytes) pairs, all checked with one pairing check when
+    all hold.
 
     Each object is reduced to its pairing terms, with the counters its
     own verification charges, and merged at once into one sum in which
     every quotient check carries its own weight from `round_weights`;
-    undecodable bytes or a foreign region fail that object alone. The
+    undecodable bytes or a foreign region fail that object alone, and
+    the DECODE_ERRORS exception that failed it is returned with it. The
     points are decoded into the prime-order subgroup, so a false check
     survives the sum only if its 128-bit weight hits one value: with
     probability at most 2^-128 (the small-exponent test). Unless every
@@ -535,20 +540,21 @@ def verify_round(ctx: BlockContext, mode: ConfigMode, objects) -> list:
     weights = round_weights(ctx, mode, objects)
     batch = PairingTerms(ctx.srs)
     verdicts = []
-    for _, location, obj in objects:
+    for location, obj in objects:
         counters = OpCounters()
         try:
             batch.merge(object_terms(ctx, mode, location, obj, counters,
                                      weights=weights))
-        except DECODE_ERRORS:
+        except DECODE_ERRORS as exc:
             # malformed bytes from an untrusted store fail verification
-            verdicts.append((False, counters))
+            verdicts.append((False, counters, exc))
             continue
-        verdicts.append((True, counters))
-    if not any(ok for ok, _ in verdicts) or batch.check():
+        verdicts.append((True, counters, None))
+    if not any(ok for ok, _, _ in verdicts) or batch.check():
         return verdicts
-    return [(ok and verify_object(ctx, mode, location, obj), counters)
-            for (ok, counters), (_, location, obj) in zip(verdicts, objects)]
+    return [(ok and verify_object(ctx, mode, location, obj), counters, error)
+            for (ok, counters, error), (location, obj)
+            in zip(verdicts, objects)]
 
 
 def _replay(ok: bool, used: OpCounters):
@@ -563,14 +569,15 @@ def _replay(ok: bool, used: OpCounters):
 def sample_and_verify(plan: SamplingPlan, mode: ConfigMode, dht: SimDht,
                       ctx: BlockContext, retry_budget: int = 3,
                       cache: VerificationCache | None = None) -> RetrievalOutcome:
-    """Fetch every planned coordinate, then verify the fetched objects the
-    cache has not seen in one round (`verify_round`); fetch and
-    verification failures are recorded, internal errors raised."""
+    """Fetch every planned coordinate, then verify the (location, bytes)
+    pairs the cache has not seen in one round (`verify_round`); fetch and
+    verification failures are recorded, a decode error as VERIFY_FAILED
+    like a pairing reject, and internal errors raised."""
     if cache is None:
         cache = VerificationCache()
     cache.bind(ctx)
     fetched = []  # (coordinate, cache key, or None for a failed fetch)
-    misses = {}  # cache key -> (key, location, bytes), in first-seen order
+    misses = {}  # cache key -> (location, bytes), in first-seen order
     arm = mode.value  # hashes in C, unlike the enum member
     for coord in plan.coordinates:
         location = object_location(ctx, mode, coord)
@@ -579,14 +586,13 @@ def sample_and_verify(plan: SamplingPlan, mode: ConfigMode, dht: SimDht,
         if obj is None:
             fetched.append((coord, None))
             continue
-        cache_key = (arm, key, hashlib.sha256(obj).digest())
+        cache_key = (arm, key, obj)
         fetched.append((coord, cache_key))
         if cache_key not in cache and cache_key not in misses:
-            misses[cache_key] = (key, location, obj)
-    replays = {}
-    if misses:
-        replays = {cache_key: _replay(*verdict) for cache_key, verdict in
-                   zip(misses, verify_round(ctx, mode, list(misses.values())))}
+            misses[cache_key] = (location, obj)
+    verdicts = verify_round(ctx, mode, list(misses.values()))
+    replays = {cache_key: _replay(ok, used)
+               for cache_key, (ok, used, _) in zip(misses, verdicts)}
     statuses = {}
     counters = OpCounters()
     for coord, cache_key in fetched:
@@ -675,6 +681,9 @@ class ExperimentConfig:
             raise DasNetError("churn must lie in [0, 1)")
         # a bad shape raises GridError, a ValueError like int()'s
         dims = GridDims(cfg.rows, cfg.cols, cfg.extension)
+        if dims.extended_cols % cfg.group_size:
+            raise DasNetError(f"group size {cfg.group_size} does not divide "
+                              f"domain size {dims.extended_cols}")
         if cfg.samples > dims.extended_cells:
             raise DasNetError("cannot sample more coordinates than cells")
         # a repeated entry would repeat its runs and rows
@@ -768,8 +777,5 @@ class ExperimentSession:
             "verified": outcome.count(Status.VERIFIED),
             "verify_failures": outcome.count(Status.VERIFY_FAILED),
             "fetch_failures": outcome.count(Status.FETCH_FAILED),
-            "g1_mults": outcome.counters.g1_scalar_mults,
-            "g2_mults": outcome.counters.g2_scalar_mults,
-            "pairings": outcome.counters.pairings,
-            "interpolations": outcome.counters.interpolations,
+            **outcome.counters.as_dict(),
         }

@@ -102,7 +102,7 @@ def test_ablation_bad_config(tmp_path, capsys):
                  "samples=-1\n", "modes=vanilla,vanilla\n",
                  "churn=0.1,0.10\n", "seeds=1-3,2\n", "churn=0.0,1.5\n",
                  "samples=999\n", "peers=0\n", "replication=0\n",
-                 "rows=0\n"):
+                 "rows=0\n", "group_size=3\n", "cols=3\n"):
         bad.write_text(text)
         assert run_cli(["ablation", "--config", str(bad)]) == 2, text
         assert "bad config" in capsys.readouterr().err
@@ -273,13 +273,25 @@ def test_default_ablation_bytes_are_pinned(tmp_path, monkeypatch):
     assert _sha256(out) == DEFAULT_ABLATION_SEED_1_CSV_SHA256
 
 
-def test_verify_reports_undecodable_object(tmp_path, capsys):
+def test_verify_reports_undecodable_object(tmp_path, capsys, monkeypatch):
     blob = bytearray(open(_proved_fixture(tmp_path), "rb").read())
     blob[-1] = 0xFF  # top byte of the last scalar: above the field modulus
     bad = tmp_path / "bad.bin"
     bad.write_bytes(bytes(blob))
+    reduced = []
+    real = dasnet.object_terms
+
+    def counted(*args, **kwargs):
+        reduced.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dasnet, "object_terms", counted)
     assert run_cli(["verify", "--fixture", str(bad)]) == 1
-    assert "band 1, group 1: scalar encoding" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "verification failed at band 1, group 1: "
+        "scalar encoding exceeds the field modulus\n")
+    # the round names the reason: each of the 4 groups is decoded once
+    assert len(reduced) == len(set(reduced)) == 4
 
 
 def test_verify_internal_error_raises_instead_of_failing(tmp_path,

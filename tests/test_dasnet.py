@@ -20,7 +20,7 @@ from pmpdas.dasnet import (
     Status, VerificationCache, build_objects, effective_samples,
     make_sampling_plan, object_key, object_location, object_regions,
     object_terms, publish, required_samples, round_weights,
-    sample_and_verify, verify_object,
+    sample_and_verify, verify_object, verify_round,
 )
 from pmpdas.field_poly import (
     SCALAR_MODULUS, scalar_from_bytes, scalar_to_bytes,
@@ -783,8 +783,7 @@ def test_round_weights_are_pinned():
     # weights are the same for the same round and change with any byte of
     # any object
     mode = ConfigMode.GROUPED_ONLY
-    objects = [(object_key(CTX, mode, c), object_location(CTX, mode, c),
-                _published(CTX, mode)[object_key(CTX, mode, c)])
+    objects = [_honest_object(mode, coord=c)
                for c in (Coordinate(0, 0), Coordinate(1, 4))]
     count = 2 * CTX.group_size + 1
 
@@ -799,11 +798,11 @@ def test_round_weights_are_pinned():
     # the first 16 bytes of SHA-256(seed || u32 1) for this round; a change
     # to the tag, the seed's encoding or the draw shows here
     assert first[1] == int("d09f4474d73f9e3b07524244046273fa", 16)
-    for i, (key, location, obj) in enumerate(objects):
+    for i, (location, obj) in enumerate(objects):
         for b in range(len(obj)):
             flipped = obj[:b] + bytes([obj[b] ^ 0x80]) + obj[b + 1:]
             changed = list(objects)
-            changed[i] = (key, location, flipped)
+            changed[i] = (location, flipped)
             again = weights(changed)
             assert again[0] == 1
             assert all(a != w for a, w in zip(again[1:], first[1:])), (i, b)
@@ -1033,10 +1032,28 @@ def test_a_lone_object_is_a_round_of_one(monkeypatch):
     streams = _recorded_weight_streams(monkeypatch)
     for mode in ConfigMode:
         location, obj = _honest_object(mode)
-        corner = Coordinate(location.rows_start, location.cols_start)
         streams.clear()
         assert verify_object(CTX, mode, location, obj)
-        assert streams == [[(object_key(CTX, mode, corner), location, obj)]]
+        assert streams == [[(location, obj)]]
+
+
+def test_round_returns_each_decode_error():
+    for mode in ConfigMode:
+        honest = _honest_object(mode)
+        location, obj = _honest_object(mode, coord=Coordinate(1, 6))
+        objects = [honest, (location, obj[:-1])]
+        if mode in GROUPED_MODES:
+            # the honest object's bytes, stored for another group
+            objects.append((location, honest[1]))
+        verdicts = verify_round(CTX, mode, objects)
+        assert [ok for ok, _, _ in verdicts] == \
+            [True] + [False] * (len(objects) - 1), mode
+        errors = [error for _, _, error in verdicts]
+        assert errors[0] is None, mode
+        assert isinstance(errors[1], wire.TruncatedInput), mode
+        if mode in GROUPED_MODES:
+            assert type(errors[2]) is WireError, mode
+            assert "stored for" in str(errors[2]), mode
 
 
 def test_failed_round_draws_its_stream_then_one_per_object(monkeypatch):
