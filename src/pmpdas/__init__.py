@@ -3,8 +3,8 @@
 The package layers, bottom up: BLS12-381 arithmetic (`fields`, `curve`),
 scalar-field polynomials (`field_poly`), KZG commitments (`kzg`),
 shared-point aggregated openings (`multiproof`), the erasure-coded grid
-(`grid`), wire formats and storage accounting (`wire`), the simulated
-sampling workflow (`dasnet`), and the CLI (`cli`).
+(`grid`), wire formats, the fixture file and storage accounting
+(`wire`), the simulated sampling workflow (`dasnet`), and the CLI (`cli`).
 """
 
 from .curve import CurveError, G1Point, G2Point, g1_msm, g2_msm, pairing_check
@@ -27,9 +27,9 @@ from .grid import (
     partition_micro_domains,
 )
 from .wire import (
-    BaselineCell, CountMismatch, GCellBlock, GroupedCells, MCell,
-    NonCanonicalScalarEncoding, StorageReport, TruncatedInput, WireError,
-    storage_report,
+    DECODE_ERRORS, BaselineCell, CountMismatch, Fixture, GCellBlock,
+    GroupedCells, MCell, NonCanonicalScalarEncoding, StorageReport,
+    TruncatedInput, WireError, storage_report,
 )
 from .dasnet import (
     BlockContext, ConfigMode, DasNetError, ExperimentConfig,

@@ -28,11 +28,7 @@ from .dasnet import (
     BlockContext, ConfigMode, ExperimentConfig, ExperimentSession,
 )
 from .kzg import gen
-from .wire import (
-    WireError, decode_fixture, decode_grid, decode_prove_params, decode_srs,
-    encode_fixture, encode_grid, encode_prove_params, encode_srs,
-    storage_report,
-)
+from .wire import DECODE_ERRORS, Fixture, WireError, storage_report
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -133,39 +129,14 @@ def cmd_ablation(args) -> int:
 # ---------------------------------------------------------------------------
 # fixtures
 
-def _load_fixture(path: str):
+def _load_fixture(path: str) -> Fixture:
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
-        return decode_fixture(data)
-    except (OSError, WireError) as exc:
+            return Fixture.from_bytes(fh.read())
+    except OSError as exc:
         raise CliError(f"cannot read fixture {path}: {exc}")
-
-
-def _fixture_sections(sections) -> dict:
-    """Payloads by tag; only MCEL, one per proof object, may repeat among
-    the sections the CLI reads."""
-    out = {}
-    for tag, payload in sections:
-        if tag in out and tag in ("SRS1", "GRID", "PRMS"):
-            raise CliError(f"malformed fixture: repeated {tag!r} section")
-        out.setdefault(tag, []).append(payload)
-    return out
-
-
-def _require_section(by_tag: dict, tag: str) -> bytes:
-    if tag not in by_tag:
-        raise CliError(f"fixture is missing its {tag!r} section")
-    return by_tag[tag][0]
-
-
-def _decode_context(by_tag: dict):
-    try:
-        srs = decode_srs(_require_section(by_tag, "SRS1"))
-        grid = decode_grid(_require_section(by_tag, "GRID"), srs)
-    except dasnet.DECODE_ERRORS as exc:
+    except DECODE_ERRORS as exc:
         raise CliError(f"malformed fixture: {exc}")
-    return srs, grid
 
 
 def cmd_gen_fixture(args) -> int:
@@ -190,67 +161,49 @@ def cmd_gen_fixture(args) -> int:
         grid = grid_mod.build_grid(data, dims, srs)
     except grid_mod.GridError as exc:
         raise CliError(str(exc))
-    _write_output(encode_fixture([("SRS1", encode_srs(srs)),
-                                  ("GRID", encode_grid(grid))]), args.output)
+    _write_output(Fixture(srs, grid).to_bytes(), args.output)
     return EXIT_OK
 
 
-def _prove_params(args) -> bytes:
+def cmd_prove(args) -> int:
     for flag, value in (("--group", args.group),
                         ("--rows-per-group", args.rows_per_group)):
         if not 1 <= value < 1 << 32:
             raise CliError(f"{flag} must be between 1 and 2^32 - 1")
-    return encode_prove_params(args.group, args.rows_per_group)
-
-
-def cmd_prove(args) -> int:
-    params = _prove_params(args)
-    by_tag = _fixture_sections(_load_fixture(args.fixture))
-    srs, grid = _decode_context(by_tag)
+    fixture = _load_fixture(args.fixture)
+    srs, grid = fixture.srs, fixture.grid
     if args.group > srs.degree_bound:
         raise CliError(f"--group {args.group} exceeds the SRS degree bound "
                        f"{srs.degree_bound}")
-    ctx = BlockContext(b"fixture", grid, srs, args.group, args.rows_per_group)
-    sections = [("SRS1", _require_section(by_tag, "SRS1")),
-                ("GRID", _require_section(by_tag, "GRID")),
-                ("PRMS", params)]
+    params = (args.group, args.rows_per_group)
     try:
-        objects = dasnet.build_objects(ctx, ConfigMode.PMP)
+        objects = dasnet.build_objects(
+            BlockContext(b"fixture", grid, srs, *params), ConfigMode.PMP)
     except grid_mod.GridError as exc:
         raise CliError(str(exc))
-    sections.extend(("MCEL", obj) for obj in objects.values())
-    _write_output(encode_fixture(sections), args.output)
+    proved = Fixture(srs, grid, params, tuple(objects.values()))
+    _write_output(proved.to_bytes(), args.output)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    by_tag = _fixture_sections(_load_fixture(args.fixture))
-    srs, grid = _decode_context(by_tag)
-    try:
-        group_size, rows_per_group = decode_prove_params(
-            _require_section(by_tag, "PRMS"))
-        if group_size > srs.degree_bound:
-            raise WireError("group size exceeds the SRS degree bound")
-    except WireError as exc:
-        raise CliError(f"malformed fixture: {exc}")
-    mcells = by_tag.get("MCEL", [])
-    ctx = BlockContext(b"fixture", grid, srs, group_size, rows_per_group)
-    try:
-        regions = dasnet.object_regions(ctx, ConfigMode.PMP)
-    except grid_mod.GridError as exc:
-        raise CliError(str(exc))
-    if len(mcells) != len(regions):
+    fixture = _load_fixture(args.fixture)
+    if fixture.params is None:
+        raise CliError("fixture is missing its 'PRMS' section")
+    ctx = BlockContext(b"fixture", fixture.grid, fixture.srs, *fixture.params)
+    regions = dasnet.object_regions(ctx, ConfigMode.PMP)
+    if len(fixture.mcells) != len(regions):
         raise CliError(
-            f"fixture holds {len(mcells)} proof objects for "
+            f"fixture holds {len(fixture.mcells)} proof objects for "
             f"{len(regions)} groups")
     verdicts = dasnet.verify_round(ctx, ConfigMode.PMP,
-                                   list(zip(regions, mcells)))
+                                   list(zip(regions, fixture.mcells)))
     for (ok, _, error), region in zip(verdicts, regions):
         if not ok:
             reason = "" if error is None else f": {error}"
             print(f"verification failed at band "
-                  f"{region.rows_start // rows_per_group}, "
-                  f"group {region.cols_start // group_size}{reason}",
+                  f"{region.rows_start // ctx.rows_per_group}, "
+                  f"group {region.cols_start // ctx.group_size}{reason}",
                   file=sys.stderr)
             return EXIT_VERIFY_FAILED
     print(f"verified {len(regions)} groups")

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from decimal import Decimal
 
-from .curve import CurveError, G1Point
+from .curve import G1Point
 from .field_poly import EvaluationDomain, scalar_to_bytes
 from .kzg import (
     SRS, OpCounters, PairingTerms, batch_independent_terms, gen, open_single,
@@ -33,7 +33,8 @@ from .grid import (
     iter_groups, partition_micro_domains,
 )
 from .wire import (
-    PROOF_BYTES, BaselineCell, GCellBlock, GroupedCells, MCell, WireError,
+    DECODE_ERRORS, PROOF_BYTES, BaselineCell, GCellBlock, GroupedCells, MCell,
+    WireError,
 )
 
 
@@ -62,10 +63,6 @@ class Status(enum.Enum):
 
 
 GROUPED_MODES = (ConfigMode.GROUPED_ONLY, ConfigMode.PMP)
-
-# What malformed object bytes from an untrusted store raise; every other
-# exception out of verification is a bug and propagates.
-DECODE_ERRORS = (WireError, CurveError)
 
 
 # ---------------------------------------------------------------------------

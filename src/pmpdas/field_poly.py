@@ -143,12 +143,6 @@ class Polynomial:
             acc = (acc * z + c) % SCALAR_MODULUS
         return acc
 
-    def padded(self, length: int) -> tuple:
-        """Coefficients padded with zeros up to `length` entries."""
-        if len(self.coeffs) > length:
-            raise FieldPolyError("polynomial longer than padding target")
-        return self.coeffs + (0,) * (length - len(self.coeffs))
-
 
 def div_rem(num: Polynomial, den: Polynomial):
     """Quotient and remainder with num = q*den + r and deg r < deg den."""

@@ -33,10 +33,11 @@ class OpCounters:
     """Per-call operation counts, for cost accounting.
 
     Accounting rules: a G1/G2 "scalar multiplication" is one coefficient
-    slot of a dense multi-scalar multiplication (padded slots included when
-    an operation commits against an explicit degree bound), or one explicit
-    scalar-point product. An interpolation is one full interpolation pass
-    regardless of point count.
+    slot of a dense multi-scalar multiplication, or one explicit
+    scalar-point product; an aggregated opening charges the d + 1 - g
+    slots of its quotient's degree bound, whatever the quotient's length.
+    An interpolation is one full interpolation pass regardless of point
+    count.
     """
 
     g1_scalar_mults: int = 0
@@ -164,23 +165,15 @@ def gen(d: int, secret: int) -> SRS:
                fixed_base_muls(G2Point.generator(), powers))
 
 
-def commit(srs: SRS, p: Polynomial, counters: OpCounters | None = None,
-           slots: int | None = None) -> G1Point:
-    """Commit to p via multi-scalar multiplication over the SRS powers.
-
-    `slots` fixes the dense coefficient count used for cost accounting
-    (and zero-pads the MSM input up to it).
-    """
+def commit(srs: SRS, p: Polynomial,
+           counters: OpCounters | None = None) -> G1Point:
+    """Commit to p via multi-scalar multiplication over the SRS powers."""
     if p.degree > srs.degree_bound:
         raise KzgError("polynomial degree exceeds the SRS bound")
-    n = len(p.coeffs) if slots is None else slots
-    if n > srs.degree_bound + 1:
-        raise KzgError("commitment slot count exceeds the SRS size")
-    coeffs = p.padded(n)
+    n = len(p.coeffs)
     if counters is not None:
         counters.g1_scalar_mults += n
-    # the zero padding up to `slots` adds nothing, so it needs no tables
-    return g1_fixed_base_msm(srs.g1_tables(len(p.coeffs)), coeffs)
+    return g1_fixed_base_msm(srs.g1_tables(n), p.coeffs)
 
 
 def open_single(srs: SRS, p: Polynomial, z: int,

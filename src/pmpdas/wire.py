@@ -1,5 +1,5 @@
 """Bit-exact wire formats for retrieval objects, the storage-accounting
-calculator, and the fixture file container.
+calculator, and the fixture file.
 
 All integers are little-endian. Layouts:
 
@@ -10,8 +10,9 @@ All integers are little-endian. Layouts:
 * GroupedCells: GCellBlock[16] || count u32 || count * BaselineCell[80]
 
 Fixture files: magic "PMPD", version 0x01, then tagged sections
-(4-byte ASCII tag, u32 length, payload). The PRMS section is the group
-size and the rows per group as two u32s.
+(4-byte ASCII tag, u32 length, payload). `Fixture` writes SRS1 (the
+setup) and GRID (the grid), then, once proved, PRMS (the group size and
+the rows per group as two u32s) and one MCEL (an MCell) per group.
 
 Every decoder reads through one bounds-checked cursor, `_Reader`: input
 too short for its layout raises `TruncatedInput`, bytes after a complete
@@ -25,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import field_poly
-from .curve import G1Point, G2Point
+from .curve import CurveError, G1Point, G2Point
 from .field_poly import (
     SCALAR_BYTES, EvaluationDomain, scalar_from_bytes, scalar_to_bytes,
 )
@@ -54,6 +55,11 @@ class CountMismatch(WireError):
 
 class NonCanonicalScalarEncoding(WireError):
     pass
+
+
+# What the decoders raise on malformed untrusted bytes; any other exception
+# out of a decoder is a bug and propagates.
+DECODE_ERRORS = (WireError, CurveError)
 
 
 def _read_scalar(data: bytes) -> int:
@@ -293,20 +299,16 @@ def storage_report(entries: int, g: int) -> StorageReport:
 
 
 # ---------------------------------------------------------------------------
-# Fixture container
+# Fixture files
 
 def encode_fixture(sections) -> bytes:
     """sections: iterable of (4-byte ascii tag, payload bytes)."""
-    out = bytearray()
-    out += FIXTURE_MAGIC
-    out.append(FIXTURE_VERSION)
+    out = bytearray(FIXTURE_MAGIC + bytes([FIXTURE_VERSION]))
     for tag, payload in sections:
         tag_b = tag.encode("ascii") if isinstance(tag, str) else tag
         if len(tag_b) != 4:
             raise WireError("section tags must be 4 bytes")
-        out += tag_b
-        out += len(payload).to_bytes(4, "little")
-        out += payload
+        out += tag_b + len(payload).to_bytes(4, "little") + payload
     return bytes(out)
 
 
@@ -406,3 +408,57 @@ def decode_grid(data: bytes, srs):
     if [commit(srs, poly) for poly in polys] != commitments:
         raise WireError("grid header commitments are not those of its rows")
     return DataGrid(dims, cells, row_domain, polys, commitments)
+
+
+@dataclass(frozen=True)
+class Fixture:
+    """A setup, a grid committed under it and, once proved, the proof
+    parameters (group size g, rows per group k) with one MCell encoding
+    per group, in publication order and left undecoded.
+
+    Decoding rejects a repeated SRS1, GRID or PRMS section, a missing SRS1
+    or GRID, and parameters that do not fit the setup and the grid; it
+    skips sections of other tags.
+    """
+
+    srs: SRS
+    grid: DataGrid
+    params: tuple | None = None
+    mcells: tuple = ()
+
+    def __post_init__(self):
+        if self.params is None:
+            return
+        (g, k), d = self.params, self.srs.degree_bound
+        width = self.grid.dims.extended_cols
+        if not 1 <= g <= d or width % g:
+            raise WireError(f"group size {g} must be between 1 and the SRS "
+                            f"degree bound {d} and divide the {width} "
+                            f"extended columns")
+        if k < 1:
+            raise WireError("rows per group must be positive")
+
+    def to_bytes(self) -> bytes:
+        sections = [("SRS1", encode_srs(self.srs)),
+                    ("GRID", encode_grid(self.grid))]
+        if self.params is not None:
+            sections.append(("PRMS", encode_prove_params(*self.params)))
+        return encode_fixture(sections + [("MCEL", m) for m in self.mcells])
+
+    @staticmethod
+    def from_bytes(data: bytes) -> "Fixture":
+        single, mcells = {}, []
+        for tag, payload in decode_fixture(data):
+            if tag in single:
+                raise WireError(f"repeated {tag!r} section")
+            if tag in ("SRS1", "GRID", "PRMS"):
+                single[tag] = payload
+            elif tag == "MCEL":
+                mcells.append(payload)
+        for tag in ("SRS1", "GRID"):
+            if tag not in single:
+                raise WireError(f"fixture is missing its {tag!r} section")
+        srs, prms = decode_srs(single["SRS1"]), single.get("PRMS")
+        return Fixture(srs, decode_grid(single["GRID"], srs),
+                       prms if prms is None else decode_prove_params(prms),
+                       tuple(mcells))

@@ -322,7 +322,19 @@ def test_verify_missing_sections(tmp_path, capsys):
     path = tmp_path / "empty.bin"
     path.write_bytes(encode_fixture([]))
     assert run_cli(["verify", "--fixture", str(path)]) == 2
+    assert "malformed fixture: fixture is missing its 'SRS1' section" in \
+        capsys.readouterr().err
+    # a container cut inside its 5-byte header
+    path.write_bytes(b"PMPD")
+    assert run_cli(["verify", "--fixture", str(path)]) == 2
+    assert "malformed fixture" in capsys.readouterr().err
+    fx = str(tmp_path / "fx.bin")
+    assert run_cli(["gen-fixture", "--output", fx,
+                    "--rows", "2", "--cols", "4"]) == 0
+    assert run_cli(["verify", "--fixture", fx]) == 2
+    assert "fixture is missing its 'PRMS' section" in capsys.readouterr().err
     assert run_cli(["verify", "--fixture", str(tmp_path / "nope.bin")]) == 2
+    assert "cannot read fixture" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["prove", "verify"])
@@ -404,6 +416,11 @@ FIXTURE_DAMAGE = {
     "extension-1": ("GRID", lambda payload: payload[:8]
                     + (1).to_bytes(4, "little") + payload[12:]),
     "repeated-domain-point": ("GRID", _repeated_domain_point),
+    # proof parameters the 8 columns and the degree-7 SRS cannot take
+    "prms-0-1": ("PRMS", lambda payload: encode_prove_params(0, 1)),
+    "prms-3-1": ("PRMS", lambda payload: encode_prove_params(3, 1)),
+    "prms-4-0": ("PRMS", lambda payload: encode_prove_params(4, 0)),
+    "prms-8-1": ("PRMS", lambda payload: encode_prove_params(8, 1)),
 }
 
 
@@ -449,17 +466,6 @@ def test_prove_rejects_rows_per_group_below_one(tmp_path, capsys, value):
                     str(tmp_path / "fxp.bin"), "--group", "4",
                     "--rows-per-group", value]) == 2
     assert "error: --rows-per-group" in capsys.readouterr().err
-
-
-def test_verify_rejects_zero_rows_per_group(tmp_path, capsys):
-    sections = decode_fixture(open(_proved_fixture(tmp_path), "rb").read())
-    sections = [(tag, (4).to_bytes(4, "little") + bytes(4))
-                if tag == "PRMS" else (tag, payload)
-                for tag, payload in sections]
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(encode_fixture(sections))
-    assert run_cli(["verify", "--fixture", str(bad)]) == 2
-    assert "error: rows-per-group" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["storage-report", "ablation",

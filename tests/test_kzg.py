@@ -69,8 +69,6 @@ def test_commit_degree_bound():
     srs = shared_srs(D)
     with pytest.raises(KzgError):
         commit(srs, rand_poly(random.Random(31), D + 1))
-    with pytest.raises(KzgError):
-        commit(srs, Polynomial((1,)), slots=D + 2)
 
 
 def test_open_and_verify_single():
@@ -121,16 +119,6 @@ def test_verify_single_rejects_non_g1_elements():
     for bad in ((g2_at(1), proof), (cm, g2_at(1)), (cm, proof.to_bytes())):
         with pytest.raises(CurveError):
             verify_single(srs, bad[0], 5, value, bad[1])
-
-
-def test_commit_slot_accounting():
-    srs = shared_srs(D)
-    counters = OpCounters()
-    commit(srs, Polynomial((1, 2)), counters=counters)
-    assert counters.g1_scalar_mults == 2
-    counters = OpCounters()
-    commit(srs, Polynomial((1, 2)), counters=counters, slots=D + 1)
-    assert counters.g1_scalar_mults == D + 1
 
 
 def test_batch_verification():
@@ -240,7 +228,6 @@ def test_fixed_base_tables_cover_only_the_prefix_used(monkeypatch):
     assert built == list(srs.g1_powers[:3])
     assert len(srs.g1_tables(0)) == 3
     assert commit(srs, p) == first
-    commit(srs, Polynomial((4, 5)), slots=D + 1)  # zero padding needs none
     open_single(srs, p, 11)
     assert len(built) == 3
     commit(srs, rand_poly(random.Random(38), 5))

@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import shared_srs
-from pmpdas.dasnet import DECODE_ERRORS
+from pmpdas import cli
 from pmpdas.field_poly import SCALAR_MODULUS, scalar_to_bytes
 from pmpdas.grid import GridDims, build_grid
 from pmpdas.wire import (
-    BASELINE_CELL_BYTES, BaselineCell, CountMismatch, GCellBlock, GroupedCells,
-    MCell, NonCanonicalScalarEncoding, TruncatedInput, WireError,
-    decode_fixture, decode_grid, decode_prove_params, decode_srs,
-    encode_fixture, encode_grid, encode_prove_params, encode_srs,
-    storage_report,
+    BASELINE_CELL_BYTES, DECODE_ERRORS, BaselineCell, CountMismatch, Fixture,
+    GCellBlock, GroupedCells, MCell, NonCanonicalScalarEncoding,
+    TruncatedInput, WireError, decode_fixture, decode_grid,
+    decode_prove_params, decode_srs, encode_fixture, encode_grid,
+    encode_prove_params, encode_srs, storage_report,
 )
 
 
@@ -235,6 +235,52 @@ def test_srs_and_grid_codecs():
     assert restored.row_domain.points == grid.row_domain.points
     with pytest.raises(TruncatedInput):
         decode_grid(grid_blob[:-1], srs)
+
+
+@pytest.fixture(scope="module")
+def fixture_files(tmp_path_factory):
+    """A `gen-fixture` output with a 1x2 grid, and that file proved with
+    g = 2: two proof objects."""
+    out = tmp_path_factory.mktemp("fixtures")
+    fx, fxp = str(out / "fx.bin"), str(out / "fxp.bin")
+    assert cli.main(["gen-fixture", "--output", fx,
+                     "--rows", "1", "--cols", "2"]) == 0
+    assert cli.main(["prove", "--fixture", fx, "--output", fxp,
+                     "--group", "2"]) == 0
+    return [open(path, "rb").read() for path in (fx, fxp)]
+
+
+def test_fixture_file_round_trips(fixture_files):
+    plain, proved = (Fixture.from_bytes(blob) for blob in fixture_files)
+    assert [plain.to_bytes(), proved.to_bytes()] == fixture_files
+    assert plain.params is None and plain.mcells == ()
+    assert proved.params == (2, 1)
+    assert [MCell.from_bytes(obj).block for obj in proved.mcells] == \
+        [GCellBlock(0, 1, 0, 2), GCellBlock(0, 1, 2, 4)]
+    # a section of another tag is skipped
+    note = encode_fixture([("NOTE", b"x")])[5:]
+    assert Fixture.from_bytes(fixture_files[1] + note).to_bytes() == \
+        fixture_files[1]
+
+
+def test_cut_or_extended_fixture_file_raises_only_decode_errors(
+        fixture_files):
+    # a cut at a section boundary after the grid leaves a shorter valid
+    # file; every other cut, and every append short of a section header,
+    # is a decode error
+    for blob, valid_cuts in zip(fixture_files, (0, 3)):
+        decoded = 0
+        for n in range(len(blob)):
+            try:
+                value = Fixture.from_bytes(blob[:n])
+            except DECODE_ERRORS:
+                continue
+            decoded += 1
+            assert value.to_bytes() == blob[:n]
+        assert decoded == valid_cuts
+        for extra in range(1, 8):
+            with pytest.raises(TruncatedInput):
+                Fixture.from_bytes(blob + bytes(extra))
 
 
 def test_grid_commitments_must_be_those_of_its_rows():
