@@ -15,7 +15,8 @@ from .field_poly import (
 )
 from .kzg import (
     SRS, KzgError, OpCounters, PairingTerms, batch_independent_terms, commit,
-    gen, open_single, single_terms, verify_batch_independent, verify_single,
+    gen, open_many, open_single, single_terms, verify_batch_independent,
+    verify_single,
 )
 from .multiproof import (
     MultiproofError, OpenedGroup, Transcript, derive_gamma, open_generic,

@@ -189,14 +189,21 @@ def _g2_to_affine(pt):
 # each costs about 6 multiplications, against 11 for a mixed Jacobian +
 # affine addition. G2 tables and sums stay Jacobian.
 #
-# The fixed-base walk (the SRS powers, the generator) uses 8-bit windows
-# over tables built once; the variable-base walk builds 4-bit tables per
-# call. One builder per group, `_g1_affine_multiples` and `_g2_multiples`,
-# makes every table of that group. The variable-base walk takes several
-# rows of scalars over one point list (the G2 bases of a round check):
-# each point gets one table, its digits for every row go into one vector
-# of window sums, row after row, so one addition of a term (one inversion
-# on G1) serves every row, and each row then takes its own Horner pass.
+# The fixed-base walk (the SRS powers) uses 8-bit windows over tables
+# built once, and splits each scalar k as t + q*x^2 with t, q < 2^128
+# (Gallant, Lambert and Vanstone, CRYPTO 2001): on the points of order r,
+# x^2 * P is -phi(P) = (beta*x, -y), so each point's table carries the
+# phi images of its multiples, which share their y-coordinates, and -q
+# walks them. Each output's Horner pass then takes about 136 doublings
+# instead of 256. The variable-base walk builds
+# 4-bit tables per call and does not split: a round check has only a few
+# Horner passes, and the additions dominate. One builder per group,
+# `_g1_affine_multiples` and `_g2_multiples`, makes every table of that
+# group. Both walks take several rows of scalars over one list of tables
+# (the openings of one polynomial, the G2 bases of a round check): each
+# table's digits for every row go into one vector of window sums, row
+# after row, so one addition of a term (one inversion on G1) serves every
+# row, and each row then takes its own Horner pass.
 #
 # Many multiples of one point (the SRS powers in the trusted setup) take a
 # fixed-base comb instead (Lim and Lee, CRYPTO 1994), with the 4-bit
@@ -359,22 +366,29 @@ def _signed_digits(k, window):
     return digits
 
 
-def _signed_window_msm(group, terms, window, width, rows=1):
-    """Row b's sum over the (table, digits) terms of sum_i digits[b*W + i]
-    * 2^(w*i) * base, for each of the `rows` rows, where table[j] is
-    (j+1) * base in the group's table form, w = `window`, W = `width`
-    and each row of a term's digits is `_signed_digits(k, w)` zero-padded
-    to W digits.
+def _signed_window_msm(group, terms, window, rows):
+    """Row b's sum of ks[b] * base over the (table, ks) terms, for each of
+    the `rows` rows, where table[j] is (j+1) * base in the group's table
+    form and ks holds one scalar per row, negative or not: |k| is walked
+    in signed w-bit digits (`_signed_digits`, w = `window`), negated for
+    a negative k.
 
     All rows share one vector of window sums, row b holding windows
-    b*W .. b*W+W-1, so one `_add_to_window_sums` call adds a term into
-    every row; then each row takes its own Horner pass. `terms` may be
-    an iterator: each term is added as it comes.
+    b*W .. b*W+W-1 for the W digits of the longest scalar, so one
+    `_add_to_window_sums` call adds a term into every row; then each row
+    takes its own Horner pass. A term's digits are made as the walk
+    reaches it.
     """
+    terms = list(terms)
+    # a k of L bits has at most ceil(L/w) + 1 signed digits; windows above
+    # a row's top digit only double the identity
+    bits = max((abs(k).bit_length() for _, ks in terms for k in ks),
+               default=0)
+    width = -(-bits // window) + 1
     sums = [None] * (rows * width)
     add_term = group._add_to_window_sums
-    for tbl, digits in terms:
-        add_term(sums, tbl, digits)
+    for tbl, ks in terms:
+        add_term(sums, tbl, _row_digits(ks, window, width))
     add, double = group._add_window_sum, group._double
     out = []
     for b in range(rows):
@@ -386,6 +400,20 @@ def _signed_window_msm(group, terms, window, width, rows=1):
                 acc = add(acc, s)
         out.append(group(acc))
     return out
+
+
+def _row_digits(scalars, window, width):
+    """The `_signed_digits` of each scalar for w = `window`, negated for a
+    negative scalar k (the digits of -k), each row zero-padded to `width`,
+    in one list."""
+    digits = []
+    for k in scalars:
+        if k < 0:
+            row = [-d for d in _signed_digits(-k, window)]
+        else:
+            row = _signed_digits(k, window)
+        digits += row + [0] * (width - len(row))
+    return digits
 
 
 def _msm(group, points, rows):
@@ -406,29 +434,9 @@ def _msm(group, points, rows):
         if any(ks) and not p.is_identity():
             kept.append(p.raw)
             scalars.append([k - R if k > _HALF_R else k for k in ks])
-    # a k of L bits has at most ceil(L/w) + 1 signed digits; windows above
-    # a row's top digit only double the identity
-    bits = max((abs(k).bit_length() for ks in scalars for k in ks),
-               default=0)
-    width = -(-bits // _WINDOW) + 1
     tables = group._multiples(kept, 1 << (_WINDOW - 1))
-    # each term's digits are made as the walk reaches it
-    terms = ((tbl, _row_digits(ks, width)) for tbl, ks in zip(tables, scalars))
-    return _signed_window_msm(group, terms, _WINDOW, width, len(rows))
-
-
-def _row_digits(scalars, width):
-    """The `_signed_digits` of each scalar for w = `_WINDOW`, negated for a
-    negative scalar k (the digits of -k), each row zero-padded to `width`,
-    in one list."""
-    digits = []
-    for k in scalars:
-        if k < 0:
-            row = [-d for d in _signed_digits(-k, _WINDOW)]
-        else:
-            row = _signed_digits(k, _WINDOW)
-        digits += row + [0] * (width - len(row))
-    return digits
+    return _signed_window_msm(group, zip(tables, scalars), _WINDOW,
+                              len(rows))
 
 
 def fixed_base_muls(point, scalars) -> list:
@@ -457,23 +465,37 @@ def fixed_base_muls(point, scalars) -> list:
 
 
 def g1_fixed_base_table(point) -> tuple:
-    """Affine multiples 1*point .. 2^(w-1)*point for `g1_fixed_base_msm`;
-    empty for the identity, whose terms the MSM skips."""
+    """The table of a point P of the prime-order subgroup for
+    `g1_fixed_base_msms`: the affine multiples j*P and their phi images
+    -j*x^2*P = (beta*x, y), for j = 1 .. 2^(w-1); empty for the
+    identity, whose terms the MSM skips."""
     if point.is_identity():
         return ()
-    return _g1_affine_multiples([point.raw], 1 << (_FB_WINDOW - 1))[0]
+    tbl = _g1_affine_multiples([point.raw], 1 << (_FB_WINDOW - 1))[0]
+    return tbl, tuple((_BETA * x % P, y) for x, y in tbl)
 
 
-def g1_fixed_base_msm(tables, scalars) -> "G1Point":
-    """Sum of scalar*point over the points whose `g1_fixed_base_table`s are
-    given; scalars are reduced mod r and zip stops at the shorter input."""
+def g1_fixed_base_msms(tables, rows) -> list:
+    """For each row of scalars, the sum of scalar*point over the points
+    whose `g1_fixed_base_table`s are given, as a G1Point; scalars are
+    reduced mod r, and a row pairs with the tables as zip does, a missing
+    scalar counting as zero.
+
+    Every point must lie in the prime-order subgroup, where x^2 * P is
+    -phi(P): a scalar k is split as t + q*x^2 with 0 <= t < x^2, so
+    t, q < 2^128, and t walks the point's multiples, -q their phi images.
+    One walk serves all rows (`_signed_window_msm`): each half of each
+    point adds into every row with one shared inversion.
+    """
     terms = []
-    for tbl, s in zip(tables, scalars):
-        s %= R
-        if s and tbl:
-            terms.append((tbl, _signed_digits(s, _FB_WINDOW)))
-    width = max((len(digits) for _, digits in terms), default=0)
-    return _signed_window_msm(G1Point, terms, _FB_WINDOW, width)[0]
+    for j, tbl in enumerate(tables):
+        ks = [row[j] % R if j < len(row) else 0 for row in rows]
+        if tbl and any(ks):
+            qs, ts = zip(*(divmod(k, _X_SQUARED) for k in ks))
+            for half, scalars in zip(tbl, (ts, [-q for q in qs])):
+                if any(scalars):
+                    terms.append((half, scalars))
+    return _signed_window_msm(G1Point, terms, _FB_WINDOW, len(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from decimal import Decimal
 from .curve import G1Point
 from .field_poly import EvaluationDomain, scalar_to_bytes
 from .kzg import (
-    SRS, OpCounters, PairingTerms, batch_independent_terms, gen, open_single,
+    SRS, OpCounters, PairingTerms, batch_independent_terms, gen, open_many,
     single_terms,
 )
 from .multiproof import (
@@ -253,16 +253,15 @@ class PublishResult:
 
 def open_cells(ctx: BlockContext) -> list:
     """Each cell's own opening, as rows of BaselineCells: the proofs the
-    three per-cell arms (vanilla, batched, grouped) publish."""
+    three per-cell arms (vanilla, batched, grouped) publish. A row's
+    cells are opened together, in one walk over the SRS tables."""
     grid = ctx.grid
     cells = []
-    for r, poly in enumerate(grid.row_polys):
-        row = []
-        for c, z in enumerate(grid.row_domain.points):
-            value, proof = open_single(ctx.srs, poly, z)
-            assert value == grid.cells[r][c]
-            row.append(BaselineCell(proof.to_bytes(), scalar_to_bytes(value)))
-        cells.append(row)
+    for poly, values in zip(grid.row_polys, grid.cells):
+        openings = open_many(ctx.srs, poly, grid.row_domain.points)
+        assert [value for value, _ in openings] == list(values)
+        cells.append([BaselineCell(proof.to_bytes(), scalar_to_bytes(value))
+                      for value, proof in openings])
     return cells
 
 

@@ -16,7 +16,7 @@ import threading
 from dataclasses import dataclass
 
 from .curve import (
-    CurveError, G1Point, G2Point, fixed_base_muls, g1_fixed_base_msm,
+    CurveError, G1Point, G2Point, fixed_base_muls, g1_fixed_base_msms,
     g1_fixed_base_table, g1_msms, g2_msm, pairing_check,
 )
 from .field_poly import (
@@ -165,25 +165,45 @@ def gen(d: int, secret: int) -> SRS:
                fixed_base_muls(G2Point.generator(), powers))
 
 
+def _commit_all(srs: SRS, polys, counters: OpCounters | None) -> list:
+    """The commitment to each polynomial, from one fixed-base walk over
+    the SRS powers (`curve.g1_fixed_base_msms`)."""
+    rows = [p.coeffs for p in polys]
+    n = max(map(len, rows), default=0)
+    if n > srs.degree_bound + 1:
+        raise KzgError("polynomial degree exceeds the SRS bound")
+    if counters is not None:
+        counters.g1_scalar_mults += sum(map(len, rows))
+    return g1_fixed_base_msms(srs.g1_tables(n), rows)
+
+
 def commit(srs: SRS, p: Polynomial,
            counters: OpCounters | None = None) -> G1Point:
     """Commit to p via multi-scalar multiplication over the SRS powers."""
-    if p.degree > srs.degree_bound:
-        raise KzgError("polynomial degree exceeds the SRS bound")
-    n = len(p.coeffs)
-    if counters is not None:
-        counters.g1_scalar_mults += n
-    return g1_fixed_base_msm(srs.g1_tables(n), p.coeffs)
+    return _commit_all(srs, [p], counters)[0]
+
+
+def open_many(srs: SRS, p: Polynomial, zs,
+              counters: OpCounters | None = None) -> list:
+    """(p(z), proof) for each z in `zs`, with the standard quotient
+    witness of each: all the quotients are committed in one walk, so the
+    SRS tables are read once for every point."""
+    values, quotients = [], []
+    for z in zs:
+        value = p.evaluate(z)
+        quotient, rem = div_rem(p - Polynomial.constant(value),
+                                Polynomial((-z % SCALAR_MODULUS, 1)))
+        assert rem.is_zero()
+        values.append(value)
+        quotients.append(quotient)
+    return list(zip(values, _commit_all(srs, quotients, counters)))
 
 
 def open_single(srs: SRS, p: Polynomial, z: int,
                 counters: OpCounters | None = None):
-    """Evaluate p at z and produce the standard quotient witness."""
-    value = p.evaluate(z)
-    quotient, rem = div_rem(p - Polynomial.constant(value),
-                            Polynomial((-z % SCALAR_MODULUS, 1)))
-    assert rem.is_zero()
-    return value, commit(srs, quotient, counters=counters)
+    """Evaluate p at z and produce the standard quotient witness: the
+    one-point case of `open_many`."""
+    return open_many(srs, p, [z], counters)[0]
 
 
 class PairingTerms:

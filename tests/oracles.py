@@ -391,10 +391,16 @@ def g1_window_msm(points, scalars) -> G1Point:
 
 
 def g1_window_fixed_base_msm(tables, scalars) -> G1Point:
-    """The 8-bit signed-window walk over given fixed-base tables."""
-    return g1_window_walk([(tbl, _signed_digits(s % R, 8))
-                           for tbl, s in zip(tables, scalars)
-                           if s % R and tbl], 8)
+    """The 8-bit signed-window walk over given fixed-base tables, each a
+    pair (multiples of P, multiples of -x^2 * P): a scalar k, taken mod r,
+    is t = k mod x^2 on the first and -(k // x^2) on the second."""
+    terms = []
+    for tables_k, s in zip(tables, scalars):
+        if s % R and tables_k:
+            q, t = divmod(s % R, BLS_X * BLS_X)
+            terms += [(tables_k[0], _signed_digits(t, 8)),
+                      (tables_k[1], [-d for d in _signed_digits(q, 8)])]
+    return g1_window_walk(terms, 8)
 
 
 # ---------------------------------------------------------------------------

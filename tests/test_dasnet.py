@@ -519,15 +519,16 @@ PER_CELL_MODES = (ConfigMode.VANILLA, ConfigMode.BATCHED_SINGLE,
 
 
 def _count_openings(monkeypatch):
-    """Wrap dasnet.open_single; the returned list grows by one per call."""
+    """Wrap dasnet.open_many; the returned list grows by one (polynomial,
+    point) per point opened."""
     calls = []
-    original = dasnet.open_single
+    original = dasnet.open_many
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(srs, p, zs, *args):
+        calls.extend((p, z) for z in zs)
+        return original(srs, p, zs, *args)
 
-    monkeypatch.setattr(dasnet, "open_single", counted)
+    monkeypatch.setattr(dasnet, "open_many", counted)
     return calls
 
 
@@ -555,6 +556,7 @@ def test_session_opens_each_cell_once(monkeypatch, order):
     for mode in order:
         session.objects_for(mode)
         assert len(calls) == dims.rows * dims.extended_cols
+    assert len(set(calls)) == len(calls)
 
 
 def test_build_objects_opens_every_cell_on_each_call(monkeypatch):
@@ -887,7 +889,7 @@ def test_round_check_is_one_g1_msms_row_per_g2_base(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("g1_msms", "g1_fixed_base_msm", "pairing_check"):
+    for name in ("g1_msms", "g1_fixed_base_msms", "pairing_check"):
         monkeypatch.setattr(kzg, name, logged(name, getattr(kzg, name)))
     monkeypatch.setattr(G1Point, "_multiples",
                         staticmethod(logged("tables", G1Point._multiples)))

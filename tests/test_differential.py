@@ -10,11 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import ORACLE_SECRET, rand_poly, rho_weights, shared_srs
+from helpers import (
+    ORACLE_SECRET, g1_at, rand_poly, rho_weights, shared_srs,
+)
 from pmpdas import fields as F
 from pmpdas.curve import (
     G1Point, G2Point, _g1_add, _g1_affine_multiples, _g1_to_affine,
-    _g2_to_affine, _miller_loop, fixed_base_muls, g1_fixed_base_msm,
+    _g2_to_affine, _miller_loop, fixed_base_muls, g1_fixed_base_msms,
     g1_fixed_base_table, g1_msm, g1_msms, g2_msm, multi_pairing,
 )
 from pmpdas.dasnet import SimDht
@@ -23,8 +25,8 @@ from pmpdas.field_poly import (
 )
 from pmpdas.grid import default_row_domain, partition_micro_domains
 from pmpdas.kzg import (
-    OpCounters, PairingTerms, commit, open_single, verify_batch_independent,
-    verify_single,
+    OpCounters, PairingTerms, commit, open_many, open_single,
+    verify_batch_independent, verify_single,
 )
 from pmpdas.multiproof import OpenedGroup, open_shared, verify_shared
 
@@ -232,23 +234,39 @@ def test_batch_verifier_matches_oracle():
 # Fixed-base MSM
 
 MSM_SRS_DEGREE = 31  # 32 powers, the publish SRS
+X2 = F.BLS_X * F.BLS_X
+
+# The edges of the split k = t + q*x^2 that the fixed-base walk makes
+# (t = 0 leaves q alone, t = x^2 - 1 is the longest t, the last multiple
+# of x^2 below r the longest q), scalars that reduce mod r into them, and
+# negative ones.
+SPLIT_EDGES = (0, 1, X2 - 1, X2, X2 + 1, 2 * X2, 7 * X2 + 5,
+               (F.R // X2) * X2, F.R - 1, F.R, F.R + X2, 3 * F.R + 1, -1,
+               -X2, -(F.R + 5))
 
 # Reduction edge cases, and scalars whose every window is all ones, which
 # recode to a negative digit and carry into the window above the top one.
 special_scalars = st.one_of(
     st.sampled_from([0, 1, 2, F.R - 1, F.R, F.R + 1, 5 * F.R + 3, -1, -F.R,
-                     -(F.R + 2), 1 << 254]),
+                     -(F.R + 2), 1 << 254, *SPLIT_EDGES]),
     st.integers(1, 256).map(lambda bits: (1 << bits) - 1),
     st.integers(1, 256).map(lambda bits: F.R - (1 << bits) + 1),
 )
 scalars = st.one_of(special_scalars, st.integers(-2 * F.R, 3 * F.R))
 
 
+def _assert_fixed_msms_match(points, tables, rows):
+    got = g1_fixed_base_msms(tables, rows)
+    assert len(got) == len(rows)
+    for row, pt in zip(rows, got):
+        expected = oracles.g1_msm(points, row)
+        assert pt == expected
+        assert pt.to_bytes() == expected.to_bytes()
+        assert pt.to_bytes() == g1_msm(points, row).to_bytes()
+
+
 def _assert_msm_matches(points, tables, ks):
-    got = g1_fixed_base_msm(tables, ks)
-    assert got == g1_msm(points, ks)
-    assert got == oracles.g1_msm(points, ks)
-    assert got.to_bytes() == oracles.g1_msm(points, ks).to_bytes()
+    _assert_fixed_msms_match(points, tables, [ks])
 
 
 @given(st.lists(scalars, min_size=1, max_size=MSM_SRS_DEGREE + 1))
@@ -294,11 +312,49 @@ def test_fixed_base_msm_edge_cases():
         ([g * 5, g * 5], [five, five], [1, 1]),
         ([g, g], [tg, tg], [3, F.R - 3]),
         ([g], [tg], [(1 << 8) - 1]),
+        ([g, g], [tg, tg], [1, X2]),  # P and -phi(P) in one window sum
+        ([g, -g], [tg, tneg], [X2, X2]),  # phi(P) + phi(-P)
     ]
     for points, tables, ks in cases:
         _assert_msm_matches(points, tables, ks)
-    assert g1_fixed_base_msm([tg, tg], [1, 1]) == g * 2
-    assert g1_fixed_base_msm([tg, tneg], [1, 1]).is_identity()
+    assert g1_fixed_base_msms([tg, tg], [[1, 1]]) == [g * 2]
+    assert g1_fixed_base_msms([tg, tneg], [[1, 1]])[0].is_identity()
+    assert g1_fixed_base_msms([tg], [[X2]]) == [g * X2]
+
+
+def test_fixed_base_msms_split_edges():
+    # each edge alone on every pool base, then all of them as rows of one
+    # walk over the SRS powers
+    pool = _base_pool()
+    for k in SPLIT_EDGES:
+        for pt, tbl in pool:
+            _assert_msm_matches([pt], [tbl], [k])
+    srs = shared_srs(MSM_SRS_DEGREE)
+    n = len(SPLIT_EDGES)
+    rows = [list(SPLIT_EDGES), list(reversed(SPLIT_EDGES)),
+            [X2] * n, [-1] * n]
+    _assert_fixed_msms_match(srs.g1_powers[:n], srs.g1_tables(n), rows)
+
+
+# pinned: no row; an empty row; a lone row; rows shorter and longer than
+# the tables; P + (-P) and phi(P) + phi(-P) on every row; the identity's
+# empty table with nonzero scalars; a base repeated with the split edges
+@given(st.lists(st.integers(0, 3), max_size=6).flatmap(
+    lambda idx: st.tuples(st.just(idx), st.lists(
+        st.lists(scalars, max_size=len(idx) + 1), max_size=4))))
+@example(([0, 1], []))
+@example(([0, 1], [[]]))
+@example(([1], [[X2 + 1]]))
+@example(([0, 1, 2], [[5], [1, 2, 3, 4], [], [0, X2]]))
+@example(([0, 2], [[1, 1], [X2, X2], [F.R - 1, F.R - 1]]))
+@example(([3, 0], [[7, 1], [0, X2]]))
+@example(([0, 0, 1], [[X2 - 1, X2 + 1, F.R - 1], [X2], [-1, -X2, 5 * F.R]]))
+@settings(max_examples=30, deadline=None)
+def test_fixed_base_msms_match_one_oracle_msm_per_row(case):
+    pool = _base_pool()
+    idx, rows = case
+    _assert_fixed_msms_match([pool[i][0] for i in idx],
+                             [pool[i][1] for i in idx], rows)
 
 
 @given(st.lists(st.integers(0, F.R - 1), max_size=MSM_SRS_DEGREE + 1))
@@ -312,6 +368,44 @@ def test_commit_matches_variable_base_msm(coeffs):
     assert cm == expected
     assert cm.to_bytes() == expected.to_bytes()
     assert counters.g1_scalar_mults == len(p.coeffs)
+
+
+def _assert_openings_match(srs, p, zs):
+    counters = OpCounters()
+    openings = open_many(srs, p, zs, counters=counters)
+    assert len(openings) == len(zs)
+    single_counters = OpCounters()
+    for z, (value, proof) in zip(zs, openings):
+        assert (value, proof) == open_single(srs, p, z,
+                                             counters=single_counters)
+        assert value == p.evaluate(z)
+        # the witness is [q(secret)] for q = (p - value) / (X - z)
+        num = (p.evaluate(ORACLE_SECRET) - value) % F.R
+        den = pow(ORACLE_SECRET - z, -1, F.R)
+        assert proof.to_bytes() == g1_at(num * den).to_bytes()
+    assert counters == single_counters
+
+
+# pinned: no point; one point; the same point twice; a constant and the
+# zero polynomial, whose quotients are zero
+@given(st.integers(-1, 7), st.integers(0, 2 ** 32),
+       st.lists(st.one_of(st.sampled_from([0, 1, F.R - 1, X2, F.R + 3]),
+                          st.integers(0, F.R - 1)), max_size=5))
+@example(3, 1, [])
+@example(3, 2, [7])
+@example(7, 3, [X2, X2])
+@example(0, 5, [2, 3])
+@example(-1, 6, [2, 3])
+@settings(max_examples=25, deadline=None)
+def test_open_many_matches_open_single_and_the_oracle(degree, seed, zs):
+    _assert_openings_match(shared_srs(7), rand_poly(random.Random(seed),
+                                                    degree), zs)
+
+
+def test_open_many_at_a_root():
+    p = rand_poly(random.Random(7), 6) * Polynomial((-9 % F.R, 1))
+    _assert_openings_match(shared_srs(7), p, [9, 4, 9])
+    assert open_many(shared_srs(7), p, [9])[0][0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +520,12 @@ def test_g1_msms_rows_pair_with_points_as_zip_does():
 def test_fixed_base_msm_matches_jacobian_walk(terms):
     pool = _base_pool()
     tables = [pool[i][1] for i, _ in terms]
-    sequential = [oracles.g1_multiples(pool[i][0], 128) if pool[i][1] else ()
-                  for i, _ in terms]
+    # the phi half built as the multiples of -x^2 * P, not from the table
+    sequential = [(oracles.g1_multiples(pool[i][0], 128),
+                   oracles.g1_multiples(pool[i][0] * -X2, 128))
+                  if pool[i][1] else () for i, _ in terms]
     ks = [k for _, k in terms]
-    got = g1_fixed_base_msm(tables, ks)
+    got = g1_fixed_base_msms(tables, [ks])[0]
     assert got == oracles.g1_window_fixed_base_msm(tables, ks)
     assert got.to_bytes() == \
         oracles.g1_window_fixed_base_msm(sequential, ks).to_bytes()
@@ -449,7 +545,9 @@ def test_level_built_tables_match_sequential_multiples():
         assert _g1_affine_multiples([points[3].raw, points[0].raw], m) == \
             [seventeen[:m], oracles.g1_multiples(g, 17)[:m]]
     for pt in points:
-        assert g1_fixed_base_table(pt) == oracles.g1_multiples(pt, 128)
+        assert g1_fixed_base_table(pt) == (
+            oracles.g1_multiples(pt, 128),
+            oracles.g1_multiples(pt * -X2, 128))
 
 
 # ---------------------------------------------------------------------------
