@@ -29,7 +29,8 @@ group = build_opened_group(grid, range(dims.rows), md)
 print(f"group covers columns {md.offset}..{md.offset + g - 1} of every row: "
       f"{sum(len(v) for v in group.values)} scalars")
 
-# the challenge binds the commitments, the points, and the block region
+# the challenge binds the commitments, the points, the claimed values and
+# the block region
 transcript = Transcript(
     srs_id=srs.srs_id,
     commitments=tuple(group.commitments),
@@ -37,6 +38,7 @@ transcript = Transcript(
     coords=tuple((r, c) for r in range(dims.rows)
                  for c in range(md.offset, md.offset + g)),
     gcell_block=GCellBlock(0, dims.rows, md.offset, md.offset + g),
+    values=tuple(v for row in group.values for v in row),
 )
 gamma = derive_gamma(transcript)
 

@@ -175,12 +175,12 @@ def cmd_prove(args) -> int:
     if args.group > srs.degree_bound:
         raise CliError(f"--group {args.group} exceeds the SRS degree bound "
                        f"{srs.degree_bound}")
+    if grid.dims.extended_cols % args.group:
+        raise CliError(f"--group {args.group} does not divide the "
+                       f"{grid.dims.extended_cols} extended columns")
     params = (args.group, args.rows_per_group)
-    try:
-        objects = dasnet.build_objects(
-            BlockContext(b"fixture", grid, srs, *params), ConfigMode.PMP)
-    except grid_mod.GridError as exc:
-        raise CliError(str(exc))
+    objects = dasnet.build_objects(
+        BlockContext(b"fixture", grid, srs, *params), ConfigMode.PMP)
     proved = Fixture(srs, grid, params, tuple(objects.values()))
     _write_output(proved.to_bytes(), args.output)
     return EXIT_OK

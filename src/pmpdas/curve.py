@@ -195,11 +195,11 @@ def _g2_to_affine(pt):
 # x^2 * P is -phi(P) = (beta*x, -y), so each point's table carries the
 # phi images of its multiples, which share their y-coordinates, and -q
 # walks them. Each output's Horner pass then takes about 136 doublings
-# instead of 256. The variable-base walk builds
-# 4-bit tables per call and does not split: a round check has only a few
-# Horner passes, and the additions dominate. One builder per group,
-# `_g1_affine_multiples` and `_g2_multiples`, makes every table of that
-# group. Both walks take several rows of scalars over one list of tables
+# instead of 256. The variable-base walk builds 4-bit tables per call and
+# does not split: a round check has only a few Horner passes, and the
+# additions dominate. One builder per group, `_g1_affine_multiples` and
+# `_g2_multiples`, makes every table of that group. Both walks take
+# several rows of scalars over one list of tables
 # (the openings of one polynomial, the G2 bases of a round check): each
 # table's digits for every row go into one vector of window sums, row
 # after row, so one addition of a term (one inversion on G1) serves every

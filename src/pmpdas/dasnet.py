@@ -229,8 +229,10 @@ def object_key(ctx: BlockContext, mode: ConfigMode,
         + (coord.col // g).to_bytes(4, "big")).digest()
 
 
-def group_transcript(ctx: BlockContext, region: GCellBlock) -> Transcript:
-    """Transcript of a grouped object, with its commitments and domain."""
+def group_transcript(ctx: BlockContext, region: GCellBlock,
+                     values) -> Transcript:
+    """Transcript of a grouped object, with its commitments and domain and
+    its claimed values, one per cell in row-major order."""
     band = range(region.rows_start, region.rows_end)
     return Transcript(
         srs_id=ctx.srs.srs_id,
@@ -241,6 +243,7 @@ def group_transcript(ctx: BlockContext, region: GCellBlock) -> Transcript:
         coords=tuple((r, c) for r in band
                      for c in range(region.cols_start, region.cols_end)),
         gcell_block=region,
+        values=tuple(values),
     )
 
 
@@ -277,11 +280,11 @@ def assemble_objects(ctx: BlockContext, mode: ConfigMode, cells) -> dict:
         band = range(region.rows_start, region.rows_end)
         cols = range(region.cols_start, region.cols_end)
         if mode is ConfigMode.PMP:
-            transcript = group_transcript(ctx, region)
+            scalars = tuple(grid.cells[r][c] for r in band for c in cols)
+            transcript = group_transcript(ctx, region, scalars)
             proof = open_shared(ctx.srs, [grid.row_polys[r] for r in band],
                                 transcript.micro_domain,
                                 derive_gamma(transcript))
-            scalars = tuple(grid.cells[r][c] for r in band for c in cols)
             objects[key] = MCell(proof.to_bytes(), region, scalars).to_bytes()
         elif mode is ConfigMode.GROUPED_ONLY:
             objects[key] = GroupedCells(
@@ -450,7 +453,7 @@ def object_terms(ctx: BlockContext, mode: ConfigMode, location: GCellBlock,
     if mode is ConfigMode.PMP:
         g = location.n_cols
         values = [decoded.scalars[i * g:(i + 1) * g] for i in range(len(band))]
-        transcript = group_transcript(ctx, location)
+        transcript = group_transcript(ctx, location, decoded.scalars)
         group = OpenedGroup(transcript.commitments, values,
                             transcript.micro_domain)
         proof = G1Point.from_bytes(decoded.proof)

@@ -4,7 +4,7 @@ One aggregated proof attests to the evaluations of k committed polynomials
 over a single shared micro-domain. The challenge that weights the
 polynomials is always derived from a canonical transcript binding the SRS,
 the ordered commitment list, the micro-domain, the covered coordinates,
-and the block-region metadata.
+the claimed values and the block-region metadata.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .field_poly import (
 )
 from .kzg import SRS, OpCounters, PairingTerms, add_quotient_check, commit
 
-TRANSCRIPT_TAG = b"PMP-DAS-v1"
+TRANSCRIPT_TAG = b"PMP-DAS-v2"
 
 
 class MultiproofError(ValueError):
@@ -54,13 +54,19 @@ class OpenedGroup:
 @dataclass(frozen=True)
 class Transcript:
     """Challenge-derivation context; serialization is injective by fixed
-    widths and length prefixes."""
+    widths and length prefixes.
+
+    With k >= 2 rows, the challenge must bind the claimed values: gamma
+    is public, so values shifted between rows in a way its combination
+    cancels would otherwise keep the check, and the proof, unchanged.
+    """
 
     srs_id: bytes
     commitments: tuple
     micro_domain: EvaluationDomain
     coords: tuple  # ((row, col), ...) as 32-bit pairs
     gcell_block: "GCellBlock"
+    values: tuple = ()  # the claimed scalar of each coordinate, in order
 
     def serialize(self) -> bytes:
         out = bytearray()
@@ -76,6 +82,9 @@ class Transcript:
         for row, col in self.coords:
             out += int(row).to_bytes(4, "big")
             out += int(col).to_bytes(4, "big")
+        out += len(self.values).to_bytes(4, "big")
+        for v in self.values:
+            out += scalar_to_bytes(v)
         out += self.gcell_block.to_bytes()
         return bytes(out)
 

@@ -4,8 +4,11 @@ so every group-element result can be recomputed in the scalar field."""
 import hashlib
 
 from pmpdas.curve import G1Point, G2Point
+from pmpdas.dasnet import group_transcript
 from pmpdas.field_poly import SCALAR_MODULUS, Polynomial
 from pmpdas.kzg import SRS, gen
+from pmpdas.multiproof import derive_gamma
+from pmpdas.wire import MCell
 
 # The whole point of the oracle: tests know the setup secret, production
 # callers never do.
@@ -56,3 +59,21 @@ def rand_poly(rng, degree: int) -> Polynomial:
     coeffs = [rand_scalar(rng) for _ in range(degree + 1)]
     coeffs[-1] = coeffs[-1] or 1
     return Polynomial(coeffs)
+
+
+def shift_between_rows(ctx, location, obj: bytes, row: int, col: int,
+                       delta: int) -> bytes:
+    """The pmp object `obj` stored for `location` with delta*gamma added
+    to the value of its band row `row` and delta taken from row `row` + 1
+    at its column `col`, for gamma the challenge of `obj`'s own values:
+    the gamma-combination of the rows, which the proof opens, does not
+    move."""
+    mcell = MCell.from_bytes(obj)
+    gamma = derive_gamma(group_transcript(ctx, location, mcell.scalars))
+    g = location.n_cols
+    scalars = list(mcell.scalars)
+    scalars[row * g + col] = (scalars[row * g + col] + delta * gamma) \
+        % SCALAR_MODULUS
+    scalars[(row + 1) * g + col] = (scalars[(row + 1) * g + col] - delta) \
+        % SCALAR_MODULUS
+    return MCell(mcell.proof, mcell.block, scalars).to_bytes()

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from helpers import shift_between_rows
 from pmpdas import cli, dasnet, field_poly, grid, kzg, wire
 from pmpdas.curve import G1Point, G2Point
 from pmpdas.kzg import KzgError, PairingTerms, gen
@@ -240,6 +241,28 @@ def _sha256(path):
 
 def test_proved_fixture_bytes_are_pinned(tmp_path):
     assert _sha256(_proved_fixture(tmp_path)) == PROVED_FIXTURE_SHA256
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_verify_rejects_values_shifted_between_rows(tmp_path, capsys, k):
+    fx, fxp = str(tmp_path / "fx.bin"), str(tmp_path / "fxp.bin")
+    assert run_cli(["gen-fixture", "--output", fx,
+                    "--rows", str(k), "--cols", "4"]) == 0
+    assert run_cli(["prove", "--fixture", fx, "--output", fxp, "--group",
+                    "4", "--rows-per-group", str(k)]) == 0
+    proved = wire.Fixture.from_bytes(open(fxp, "rb").read())
+    ctx = dasnet.BlockContext(b"fixture", proved.grid, proved.srs, 4, k)
+    first, *rest = proved.mcells
+    region = dasnet.object_regions(ctx, dasnet.ConfigMode.PMP)[0]
+    shifted = tmp_path / "shifted.bin"
+    shifted.write_bytes(wire.Fixture(
+        proved.srs, proved.grid, proved.params,
+        (shift_between_rows(ctx, region, first, 0, 1, 7), *rest)).to_bytes())
+    assert run_cli(["verify", "--fixture", fxp]) == 0
+    capsys.readouterr()
+    assert run_cli(["verify", "--fixture", str(shifted)]) == 1
+    assert capsys.readouterr().err == \
+        "verification failed at band 0, group 0\n"
 
 
 def test_natural_order_fixture_verifies_through_the_general_check(
@@ -537,6 +560,21 @@ def test_prove_rejects_group_above_the_srs_bound(tmp_path, capsys):
                     str(tmp_path / "fxp.bin"), "--group", "8"]) == 2
     assert "error: --group 8 exceeds the SRS degree bound 7" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group", ["3", "5", "6"])
+def test_prove_rejects_a_group_that_does_not_divide_the_columns(
+        tmp_path, capsys, group):
+    # the 2x4 fixture has 8 extended columns and SRS degree bound 7
+    fx = str(tmp_path / "fx.bin")
+    assert run_cli(["gen-fixture", "--output", fx,
+                    "--rows", "2", "--cols", "4"]) == 0
+    out = tmp_path / "fxp.bin"
+    assert run_cli(["prove", "--fixture", fx, "--output", str(out),
+                    "--group", group]) == 2
+    assert capsys.readouterr().err == \
+        f"error: --group {group} does not divide the 8 extended columns\n"
+    assert not out.exists()
 
 
 def test_prove_internal_error_raises(tmp_path, monkeypatch):

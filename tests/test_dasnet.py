@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import TEST_RHO, shared_srs
+from helpers import TEST_RHO, shared_srs, shift_between_rows
 from pmpdas import dasnet, kzg, wire
 from pmpdas.curve import CurveError, G1Point, G2Point, g1_msms, pairing_check
 from pmpdas.dasnet import (
@@ -29,7 +29,9 @@ from pmpdas.grid import (
     Coordinate, GridDims, GridError, build_grid, partition_micro_domains,
 )
 from pmpdas.kzg import KzgError, OpCounters, PairingTerms
-from pmpdas.multiproof import MultiproofError, OpenedGroup, derive_gamma
+from pmpdas.multiproof import (
+    MultiproofError, OpenedGroup, derive_gamma, verify_shared,
+)
 from pmpdas.wire import (
     BASELINE_CELL_BYTES, GCELL_BLOCK_BYTES, PROOF_BYTES, SCALAR_BYTES,
     BaselineCell, GCellBlock, GroupedCells, MCell, WireError,
@@ -780,6 +782,49 @@ def test_round_rejects_damage_that_cancels_inside_a_grouped_object(how):
     assert outcome.count(Status.VERIFIED) == len(plan.coordinates) - 4
 
 
+# one band of k rows, two groups of 4 columns
+BANDS = {k: _context(rows=k, rows_per_group=k) for k in (2, 3)}
+
+
+def _assert_shift_rejected(ctx, row, col, delta):
+    mode = ConfigMode.PMP
+    location, obj = _honest_object(mode, ctx)
+    other = _honest_object(mode, ctx, Coordinate(0, 4))
+    bad = shift_between_rows(ctx, location, obj, row, col, delta)
+    k, g = location.n_rows, location.n_cols
+    honest = dasnet.group_transcript(ctx, location,
+                                     MCell.from_bytes(obj).scalars)
+    shifted = MCell.from_bytes(bad).scalars
+    group = OpenedGroup(honest.commitments,
+                        [shifted[i * g:(i + 1) * g] for i in range(k)],
+                        honest.micro_domain)
+    proof = G1Point.from_bytes(MCell.from_bytes(bad).proof)
+    # under the honest values' challenge the shift cancels; the shifted
+    # values bring their own
+    assert verify_shared(ctx.srs, group, proof, derive_gamma(honest))
+    gamma = derive_gamma(dasnet.group_transcript(ctx, location, shifted))
+    assert not verify_shared(ctx.srs, group, proof, gamma)
+    assert not verify_object(ctx, mode, location, bad)
+    verdicts = verify_round(ctx, mode, [(location, bad), other])
+    assert [(ok, error) for ok, _, error in verdicts] == \
+        [(False, None), (True, None)]
+
+
+@pytest.mark.parametrize("k", sorted(BANDS))
+def test_values_shifted_between_rows_are_rejected(k):
+    _assert_shift_rejected(BANDS[k], 0, 1, 7)
+    _assert_shift_rejected(BANDS[k], k - 2, 3, SCALAR_MODULUS - 1)
+
+
+@given(st.sampled_from(sorted(BANDS)).flatmap(lambda k: st.tuples(
+    st.just(k), st.integers(0, k - 2), st.integers(0, 3),
+    st.integers(1, SCALAR_MODULUS - 1))))
+@settings(max_examples=8, deadline=None)
+def test_no_shift_between_rows_passes(case):
+    k, row, col, delta = case
+    _assert_shift_rejected(BANDS[k], row, col, delta)
+
+
 def test_round_weights_are_pinned():
     # the first weight is 1 and every later one is 128 bits, never 0; the
     # weights are the same for the same round and change with any byte of
@@ -1166,7 +1211,8 @@ def _oracle_verdict(ctx, mode, coord, obj):
             if mcell.block != location:
                 return False
             g = location.n_cols
-            transcript = dasnet.group_transcript(ctx, location)
+            transcript = dasnet.group_transcript(ctx, location,
+                                                 mcell.scalars)
             group = OpenedGroup(
                 transcript.commitments,
                 [mcell.scalars[i * g:(i + 1) * g] for i in range(len(band))],

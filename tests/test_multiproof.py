@@ -1,5 +1,6 @@
 """Shared-point aggregated openings: transcript, proving, verification."""
 
+import dataclasses
 import random
 
 import pytest
@@ -40,6 +41,7 @@ def _instance(rng, k, g, d=D):
         micro_domain=md,
         coords=tuple((0, j) for j in range(g * k)),
         gcell_block=GCellBlock(0, k, 0, g),
+        values=tuple(v for row in group.values for v in row),
     )
     return srs, polys, md, group, transcript
 
@@ -121,7 +123,14 @@ def test_transcript_binds_every_component(monkeypatch):
                    transcript.coords[:-1] + ((9, 9),),
                    transcript.gcell_block),
         Transcript(srs.srs_id, transcript.commitments, md,
-                   transcript.coords, GCellBlock(0, 2, 4, 8)),
+                   transcript.coords, GCellBlock(0, 2, 4, 8),
+                   transcript.values),
+        # the claimed values: one moved, the two rows swapped, none
+        dataclasses.replace(transcript, values=(
+            transcript.values[0] + 1, *transcript.values[1:])),
+        dataclasses.replace(transcript, values=(
+            *transcript.values[4:], *transcript.values[:4])),
+        dataclasses.replace(transcript, values=()),
     ]
     seen = {base}
     for variant in variants:
@@ -247,4 +256,7 @@ def test_challenges_are_pinned():
         gcell_block=GCellBlock(0, 3, 0, 3),
     )
     assert derive_gamma(transcript) == int(
-        "5d12f2c6082828b903cd2e6c1a4f781ea19b187f45f974741d8ea2c9be8c95c3", 16)
+        "5c516cfd5428d0f776f01618ed73dedf9255ae31b835612c8c5f3b13fcefa013", 16)
+    assert derive_gamma(dataclasses.replace(transcript, values=(11, 13))) \
+        == int("1c7e499a248213102499794716add58e"
+               "eccd545e62c971b369f94bcf75037099", 16)
