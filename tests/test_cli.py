@@ -246,13 +246,16 @@ def test_proved_fixture_bytes_are_pinned(tmp_path):
 @pytest.mark.parametrize("k", [2, 3])
 def test_verify_rejects_values_shifted_between_rows(tmp_path, capsys, k):
     fx, fxp = str(tmp_path / "fx.bin"), str(tmp_path / "fxp.bin")
+    # rows of degree 7 in groups of 4, so that no proof is the identity
     assert run_cli(["gen-fixture", "--output", fx,
-                    "--rows", str(k), "--cols", "4"]) == 0
+                    "--rows", str(k), "--cols", "8"]) == 0
     assert run_cli(["prove", "--fixture", fx, "--output", fxp, "--group",
                     "4", "--rows-per-group", str(k)]) == 0
     proved = wire.Fixture.from_bytes(open(fxp, "rb").read())
     ctx = dasnet.BlockContext(b"fixture", proved.grid, proved.srs, 4, k)
     first, *rest = proved.mcells
+    assert not G1Point.from_bytes(wire.MCell.from_bytes(first).proof) \
+        .is_identity()
     region = dasnet.object_regions(ctx, dasnet.ConfigMode.PMP)[0]
     shifted = tmp_path / "shifted.bin"
     shifted.write_bytes(wire.Fixture(

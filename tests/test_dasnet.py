@@ -782,8 +782,9 @@ def test_round_rejects_damage_that_cancels_inside_a_grouped_object(how):
     assert outcome.count(Status.VERIFIED) == len(plan.coordinates) - 4
 
 
-# one band of k rows, two groups of 4 columns
-BANDS = {k: _context(rows=k, rows_per_group=k) for k in (2, 3)}
+# one band of k rows of degree 7, four groups of 4 columns, so that no
+# proof is the identity
+BANDS = {k: _context(rows=k, rows_per_group=k, cols=8) for k in (2, 3)}
 
 
 def _assert_shift_rejected(ctx, row, col, delta):
@@ -799,6 +800,7 @@ def _assert_shift_rejected(ctx, row, col, delta):
                         [shifted[i * g:(i + 1) * g] for i in range(k)],
                         honest.micro_domain)
     proof = G1Point.from_bytes(MCell.from_bytes(bad).proof)
+    assert not proof.is_identity()
     # under the honest values' challenge the shift cancels; the shifted
     # values bring their own
     assert verify_shared(ctx.srs, group, proof, derive_gamma(honest))
