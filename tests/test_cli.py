@@ -23,6 +23,13 @@ PROVED_FIXTURE_SHA256 = \
     "f8306c99676d5b63dcd90ad870458e86b1d6be1de2377c97e7134fbdbdb62b33"
 NATURAL_ORDER_PROVED_FIXTURE_SHA256 = \
     "0a80e7892bd172ba0284351684f3ad4f00a68f074333438689026c74e193e132"
+# 2 x 8 fixtures proved with --group 4, whose rows have degree 7, so that
+# no aggregated proof is the identity: recorded at commit c600d97, keyed
+# by --rows-per-group
+NONTRIVIAL_PROVED_FIXTURE_SHA256 = {
+    1: "c137ac4de9e411491191be1d1e6f68938bef618fc1bd4418c05bdcb07e1b103f",
+    2: "2497066611315456bb637b67516c0ff066599409b0c7e3778a498f9fd1354f0a",
+}
 DEFAULT_ABLATION_SEED_1_CSV_SHA256 = \
     "b977a717f3736b610c7fe29e69e5f8a16c9e27e890040fa57f4961745b9d16f0"
 
@@ -241,6 +248,24 @@ def _sha256(path):
 
 def test_proved_fixture_bytes_are_pinned(tmp_path):
     assert _sha256(_proved_fixture(tmp_path)) == PROVED_FIXTURE_SHA256
+
+
+@pytest.mark.parametrize("k, groups", [(1, 8), (2, 4)])
+def test_nontrivial_proved_fixture_bytes_are_pinned(tmp_path, capsys, k,
+                                                    groups):
+    fx, fxp = str(tmp_path / "fx.bin"), str(tmp_path / "fxp.bin")
+    assert run_cli(["gen-fixture", "--output", fx,
+                    "--rows", "2", "--cols", "8"]) == 0
+    assert run_cli(["prove", "--fixture", fx, "--output", fxp, "--group",
+                    "4", "--rows-per-group", str(k)]) == 0
+    assert _sha256(fxp) == NONTRIVIAL_PROVED_FIXTURE_SHA256[k]
+    mcells = wire.Fixture.from_bytes(open(fxp, "rb").read()).mcells
+    assert len(mcells) == groups
+    for payload in mcells:
+        proof = G1Point.from_bytes(wire.MCell.from_bytes(payload).proof)
+        assert not proof.is_identity()
+    assert run_cli(["verify", "--fixture", fxp]) == 0
+    assert f"verified {groups} groups" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("k", [2, 3])
