@@ -14,7 +14,9 @@ from pmpdas import (
 )
 
 rng = random.Random(7)
-dims = GridDims(rows=2, cols=4, extension_factor=2)
+# rows of degree 7: a group of g = 4 cells leaves a quotient of degree 3,
+# so the proof is not the identity point
+dims = GridDims(rows=2, cols=8, extension_factor=2)
 srs = gen(dims.extended_cols - 1, secret=rng.randrange(2 ** 128))
 data = bytes(rng.randrange(256) for _ in range(dims.data_capacity_bytes))
 grid = build_grid(data, dims, srs)
@@ -45,6 +47,7 @@ gamma = derive_gamma(transcript)
 prover = OpCounters()
 proof = open_shared(srs, grid.row_polys, md, gamma, counters=prover)
 print(f"\nprover:   {prover.as_dict()}  (48-byte proof)")
+print(f"proof is the identity point: {proof.is_identity()}")
 
 verifier = OpCounters()
 ok = verify_shared(srs, group, proof, gamma, counters=verifier)

@@ -15,12 +15,12 @@ from .field_poly import (
 )
 from .kzg import (
     SRS, KzgError, OpCounters, PairingTerms, batch_independent_terms, commit,
-    gen, open_many, open_single, single_terms, verify_batch_independent,
-    verify_single,
+    commit_many, gen, open_many, open_single, single_terms,
+    verify_batch_independent, verify_single,
 )
 from .multiproof import (
     MultiproofError, OpenedGroup, Transcript, derive_gamma, open_generic,
-    open_shared, shared_terms, verify_shared,
+    open_groups, open_shared, shared_terms, verify_shared,
 )
 from .grid import (
     Coordinate, DataGrid, GridDims, GridError, build_grid, build_opened_group,

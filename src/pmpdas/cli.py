@@ -206,7 +206,7 @@ def cmd_verify(args) -> int:
                   f"group {region.cols_start // ctx.group_size}{reason}",
                   file=sys.stderr)
             return EXIT_VERIFY_FAILED
-    print(f"verified {len(regions)} groups")
+    print(f"verified {len(regions)} group{'' if len(regions) == 1 else 's'}")
     return EXIT_OK
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import enum
 import hashlib
+import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 from decimal import Decimal
@@ -26,7 +27,7 @@ from .kzg import (
     single_terms,
 )
 from .multiproof import (
-    OpenedGroup, Transcript, derive_gamma, open_shared, shared_terms,
+    OpenedGroup, Transcript, derive_gamma, open_groups, shared_terms,
 )
 from .grid import (
     Coordinate, DataGrid, GridDims, build_grid, coordinate_to_group,
@@ -272,26 +273,47 @@ def assemble_objects(ctx: BlockContext, mode: ConfigMode, cells) -> dict:
     """The arm's key->bytes object set. The per-cell arms take their
     proofs from `cells` (`open_cells`); pmp opens each group itself and
     reads no cells."""
-    grid = ctx.grid
+    if mode is ConfigMode.PMP:
+        return _open_pmp_groups(ctx)
     objects = {}
     for region in object_regions(ctx, mode):
         key = object_key(ctx, mode,
                          Coordinate(region.rows_start, region.cols_start))
         band = range(region.rows_start, region.rows_end)
         cols = range(region.cols_start, region.cols_end)
-        if mode is ConfigMode.PMP:
-            scalars = tuple(grid.cells[r][c] for r in band for c in cols)
-            transcript = group_transcript(ctx, region, scalars)
-            proof = open_shared(ctx.srs, [grid.row_polys[r] for r in band],
-                                transcript.micro_domain,
-                                derive_gamma(transcript))
-            objects[key] = MCell(proof.to_bytes(), region, scalars).to_bytes()
-        elif mode is ConfigMode.GROUPED_ONLY:
+        if mode is ConfigMode.GROUPED_ONLY:
             objects[key] = GroupedCells(
                 region, [cells[r][c] for r in band for c in cols]).to_bytes()
         else:
             objects[key] = cells[region.rows_start][
                 region.cols_start].to_bytes()
+    return objects
+
+
+def _open_pmp_groups(ctx: BlockContext) -> dict:
+    """pmp's key->bytes object set: a band's groups are opened in one
+    `open_groups` call, so their proofs share one fixed-base walk."""
+    grid = ctx.grid
+    objects = {}
+    for start, regions in itertools.groupby(
+            object_regions(ctx, ConfigMode.PMP),
+            key=lambda region: region.rows_start):
+        regions = list(regions)
+        band = range(start, regions[0].rows_end)
+        polys = [grid.row_polys[r] for r in band]
+        claims, groups = [], []
+        for region in regions:
+            scalars = tuple(grid.cells[r][c] for r in band
+                            for c in range(region.cols_start, region.cols_end))
+            transcript = group_transcript(ctx, region, scalars)
+            claims.append((region, scalars))
+            groups.append((polys, transcript.micro_domain,
+                           derive_gamma(transcript)))
+        for (region, scalars), proof in zip(claims,
+                                            open_groups(ctx.srs, groups)):
+            key = object_key(ctx, ConfigMode.PMP,
+                             Coordinate(region.rows_start, region.cols_start))
+            objects[key] = MCell(proof.to_bytes(), region, scalars).to_bytes()
     return objects
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .field_poly import (
     EvaluationDomain, evaluate_on_domain, interpolate, roots_of_unity_domain,
 )
-from .kzg import SRS, commit
+from .kzg import SRS, commit_many
 from .multiproof import OpenedGroup
 
 CHUNK_BYTES = 31
@@ -124,7 +124,7 @@ def build_grid(data: bytes, dims: GridDims, srs: SRS) -> DataGrid:
     polys, cells = extend_rows(
         row_domain, dims.cols,
         [scalars[r * dims.cols:(r + 1) * dims.cols] for r in range(dims.rows)])
-    commitments = [commit(srs, poly) for poly in polys]
+    commitments = commit_many(srs, polys)
     return DataGrid(dims, cells, row_domain, polys, commitments)
 
 

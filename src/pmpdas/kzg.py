@@ -165,9 +165,11 @@ def gen(d: int, secret: int) -> SRS:
                fixed_base_muls(G2Point.generator(), powers))
 
 
-def _commit_all(srs: SRS, polys, counters: OpCounters | None) -> list:
+def commit_many(srs: SRS, polys,
+                counters: OpCounters | None = None) -> list:
     """The commitment to each polynomial, from one fixed-base walk over
-    the SRS powers (`curve.g1_fixed_base_msms`)."""
+    the SRS powers (`curve.g1_fixed_base_msms`): each table half pays one
+    inversion for all of them."""
     rows = [p.coeffs for p in polys]
     n = max(map(len, rows), default=0)
     if n > srs.degree_bound + 1:
@@ -179,8 +181,9 @@ def _commit_all(srs: SRS, polys, counters: OpCounters | None) -> list:
 
 def commit(srs: SRS, p: Polynomial,
            counters: OpCounters | None = None) -> G1Point:
-    """Commit to p via multi-scalar multiplication over the SRS powers."""
-    return _commit_all(srs, [p], counters)[0]
+    """Commit to p via multi-scalar multiplication over the SRS powers:
+    the one-polynomial case of `commit_many`."""
+    return commit_many(srs, [p], counters)[0]
 
 
 def open_many(srs: SRS, p: Polynomial, zs,
@@ -196,7 +199,7 @@ def open_many(srs: SRS, p: Polynomial, zs,
         assert rem.is_zero()
         values.append(value)
         quotients.append(quotient)
-    return list(zip(values, _commit_all(srs, quotients, counters)))
+    return list(zip(values, commit_many(srs, quotients, counters)))
 
 
 def open_single(srs: SRS, p: Polynomial, z: int,

@@ -16,7 +16,9 @@ from .field_poly import (
     SCALAR_MODULUS, EvaluationDomain, Polynomial, div_rem, hash_to_scalar,
     interpolate, scalar_to_bytes, vanishing_poly,
 )
-from .kzg import SRS, OpCounters, PairingTerms, add_quotient_check, commit
+from .kzg import (
+    SRS, OpCounters, PairingTerms, add_quotient_check, commit, commit_many,
+)
 
 TRANSCRIPT_TAG = b"PMP-DAS-v2"
 
@@ -103,36 +105,50 @@ def _gamma_powers(gamma: int, k: int):
     return powers
 
 
+def open_groups(srs: SRS, groups, counters: OpCounters | None = None) -> list:
+    """Aggregated openings of several groups, each (polys, micro_domain,
+    gamma), with their proofs committed in one fixed-base walk
+    (`kzg.commit_many`), so each SRS table half pays one inversion for
+    all of them.
+
+    A group's proof commits the quotient of its gamma-weighted polynomial
+    sum by its micro-domain's vanishing polynomial, discarding the
+    remainder. The remainder is exactly the gamma-combined interpolant
+    (its degree is below the micro-domain size), so no interpolation
+    happens here.
+    """
+    d = srs.degree_bound
+    quotients = []
+    for polys, micro_domain, gamma in groups:
+        polys = list(polys)
+        if not polys:
+            raise MultiproofError("need at least one polynomial")
+        gamma %= SCALAR_MODULUS
+        if gamma == 0:
+            raise MultiproofError("challenge must be nonzero")
+        g = micro_domain.size
+        if g > d:
+            raise MultiproofError("micro-domain larger than the SRS bound")
+        combined = Polynomial()
+        for w, p in zip(_gamma_powers(gamma, len(polys)), polys):
+            if p.degree > d:
+                raise MultiproofError(
+                    "polynomial degree exceeds the SRS bound")
+            combined = combined + p.scale(w)
+        quotient, _ = div_rem(combined, vanishing_poly(micro_domain))
+        quotients.append(quotient)
+        # the cost model charges the d + 1 - g slots of the quotient's
+        # degree bound, whatever its length
+        if counters is not None:
+            counters.g1_scalar_mults += d + 1 - g
+    return commit_many(srs, quotients)
+
+
 def open_shared(srs: SRS, polys, micro_domain: EvaluationDomain, gamma: int,
                 counters: OpCounters | None = None) -> G1Point:
-    """Aggregated opening over one shared micro-domain.
-
-    Commits the quotient of the gamma-weighted polynomial sum by the
-    micro-domain's vanishing polynomial, discarding the remainder. The
-    remainder is exactly the gamma-combined interpolant (its degree is
-    below the micro-domain size), so no interpolation happens here.
-    """
-    polys = list(polys)
-    if not polys:
-        raise MultiproofError("need at least one polynomial")
-    gamma %= SCALAR_MODULUS
-    if gamma == 0:
-        raise MultiproofError("challenge must be nonzero")
-    d = srs.degree_bound
-    g = micro_domain.size
-    if g > d:
-        raise MultiproofError("micro-domain larger than the SRS bound")
-    combined = Polynomial()
-    for w, p in zip(_gamma_powers(gamma, len(polys)), polys):
-        if p.degree > d:
-            raise MultiproofError("polynomial degree exceeds the SRS bound")
-        combined = combined + p.scale(w)
-    quotient, _ = div_rem(combined, vanishing_poly(micro_domain))
-    # the cost model charges the d + 1 - g slots of the quotient's degree
-    # bound, whatever its length
-    if counters is not None:
-        counters.g1_scalar_mults += d + 1 - g
-    return commit(srs, quotient)
+    """Aggregated opening over one shared micro-domain: the one-group
+    case of `open_groups`."""
+    return open_groups(srs, [(polys, micro_domain, gamma)], counters)[0]
 
 
 def shared_terms(srs: SRS, group: OpenedGroup, proof: G1Point,

@@ -31,7 +31,7 @@ from .field_poly import (
     SCALAR_BYTES, EvaluationDomain, scalar_from_bytes, scalar_to_bytes,
 )
 from .grid import DataGrid, GridDims, GridError, extend_rows
-from .kzg import SRS, commit
+from .kzg import SRS, commit_many
 
 PROOF_BYTES = 48
 GCELL_BLOCK_BYTES = 16
@@ -405,7 +405,7 @@ def decode_grid(data: bytes, srs):
     if extended != cells:
         raise WireError("grid rows are not Reed-Solomon codewords of their "
                         "first columns")
-    if [commit(srs, poly) for poly in polys] != commitments:
+    if commit_many(srs, polys) != commitments:
         raise WireError("grid header commitments are not those of its rows")
     return DataGrid(dims, cells, row_domain, polys, commitments)
 

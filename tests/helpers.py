@@ -39,6 +39,29 @@ def oracle_commit(p: Polynomial) -> G1Point:
     return g1_at(p.evaluate(ORACLE_SECRET))
 
 
+def oracle_group_witness(polys, points, gamma: int) -> G1Point:
+    """What an aggregated proof over the micro-domain `points` must equal:
+    [h(secret)] in G1 for h = sum_i gamma^i (p_i - r_i) / Z, r_i the
+    interpolant of p_i on the points and Z their vanishing polynomial,
+    each evaluated at the secret by its own formula (Lagrange for r_i)."""
+    s, r = ORACLE_SECRET, SCALAR_MODULUS
+    z_s = 1
+    for z in points:
+        z_s = z_s * (s - z) % r
+    num, w = 0, 1
+    for p in polys:
+        r_s = 0
+        for j, zj in enumerate(points):
+            basis = 1
+            for m, zm in enumerate(points):
+                if m != j:
+                    basis = basis * (s - zm) * pow(zj - zm, -1, r) % r
+            r_s += p.evaluate(zj) * basis
+        num = (num + w * (p.evaluate(s) - r_s)) % r
+        w = w * gamma % r
+    return g1_at(num * pow(z_s, -1, r))
+
+
 # some batch combiner, for tests that need one
 TEST_RHO = 0x5EED
 

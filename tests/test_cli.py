@@ -161,6 +161,16 @@ def test_fixture_prove_verify_round_trip(tmp_path, capsys):
     assert "verified 4 groups" in capsys.readouterr().out
 
 
+def test_verify_counts_one_group_in_the_singular(tmp_path, capsys):
+    fx, fxp = str(tmp_path / "fx.bin"), str(tmp_path / "fxp.bin")
+    assert run_cli(["gen-fixture", "--output", fx,
+                    "--rows", "1", "--cols", "1"]) == 0
+    assert run_cli(["prove", "--fixture", fx, "--output", fxp,
+                    "--group", "2"]) == 0
+    assert run_cli(["verify", "--fixture", fxp]) == 0
+    assert capsys.readouterr().out == "verified 1 group\n"
+
+
 def test_verify_detects_tampered_scalar(tmp_path, capsys):
     fx, fxp = str(tmp_path / "fx.bin"), str(tmp_path / "fxp.bin")
     run_cli(["gen-fixture", "--output", fx, "--rows", "2", "--cols", "4"])
@@ -613,7 +623,7 @@ def test_prove_internal_error_raises(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise KzgError("internal fault")
 
-    monkeypatch.setattr(dasnet, "open_shared", broken)
+    monkeypatch.setattr(dasnet, "open_groups", broken)
     with pytest.raises(KzgError):
         run_cli(["prove", "--fixture", fx, "--output",
                  str(tmp_path / "fxp.bin")])

@@ -553,7 +553,7 @@ def test_session_opens_each_cell_once(monkeypatch, order):
     session = ExperimentSession(_small_config())
     assert calls == []  # construction opens nothing
     session.objects_for(ConfigMode.PMP)
-    assert calls == []  # pmp opens its groups with open_shared
+    assert calls == []  # pmp opens its groups with open_groups
     dims = session.ctx.grid.dims
     for mode in order:
         session.objects_for(mode)
@@ -570,6 +570,30 @@ def test_build_objects_opens_every_cell_on_each_call(monkeypatch):
     assert len(calls) == cells
     assert build_objects(CTX, ConfigMode.BATCHED_SINGLE) == first
     assert len(calls) == 2 * cells
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_pmp_opens_each_band_in_one_walk(monkeypatch, k):
+    # the publish workload's grid shape (2 x 16, extension 2, groups of 4):
+    # the groups of a band are the rows of one fixed-base walk
+    dims = GridDims(2, 16, 2)
+    srs = shared_srs(31)
+    rng = random.Random(81)
+    data = bytes(rng.randrange(256) for _ in range(dims.data_capacity_bytes))
+    ctx = BlockContext(b"publish-shape", build_grid(data, dims, srs), srs,
+                       4, k)
+    walks = []
+    real = kzg.g1_fixed_base_msms
+
+    def counted(tables, rows):
+        walks.append(len(rows))
+        return real(tables, rows)
+
+    monkeypatch.setattr(kzg, "g1_fixed_base_msms", counted)
+    objects = build_objects(ctx, ConfigMode.PMP)
+    groups = dims.extended_cols // 4
+    assert walks == [groups] * (dims.rows // k)
+    assert len(objects) == groups * dims.rows // k
 
 
 def test_grouped_proof_bytes_count_the_proofs_of_a_short_band():

@@ -10,7 +10,8 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 # A line each demo's output must contain.
 EXPECTED = {
-    "aggregated_opening.py": ("-> accepted: True",
+    "aggregated_opening.py": ("proof is the identity point: False",
+                              "-> accepted: True",
                               "tampered value accepted: False"),
     "churn_ablation.py": ("   vanilla ", "   batched ", "   grouped ",
                           "       pmp "),

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import (
-    ORACLE_SECRET, g1_at, rand_poly, rho_weights, shared_srs,
+    ORACLE_SECRET, g1_at, oracle_group_witness, rand_poly, rho_weights,
+    shared_srs,
 )
 from pmpdas import fields as F
 from pmpdas.curve import (
@@ -21,14 +22,17 @@ from pmpdas.curve import (
 )
 from pmpdas.dasnet import SimDht
 from pmpdas.field_poly import (
-    SCALAR_MODULUS, EvaluationDomain, Polynomial, vanishing_poly,
+    SCALAR_MODULUS, EvaluationDomain, Polynomial, roots_of_unity_domain,
+    vanishing_poly,
 )
 from pmpdas.grid import default_row_domain, partition_micro_domains
 from pmpdas.kzg import (
     OpCounters, PairingTerms, commit, open_many, open_single,
     verify_batch_independent, verify_single,
 )
-from pmpdas.multiproof import OpenedGroup, open_shared, verify_shared
+from pmpdas.multiproof import (
+    OpenedGroup, open_generic, open_groups, open_shared, verify_shared,
+)
 
 # G1 cofactor: #E(Fp) = H1 * r
 H1 = 0x396C8C005555E1568C00AAAB0000AAAB
@@ -406,6 +410,55 @@ def test_open_many_at_a_root():
     p = rand_poly(random.Random(7), 6) * Polynomial((-9 % F.R, 1))
     _assert_openings_match(shared_srs(7), p, [9, 4, 9])
     assert open_many(shared_srs(7), p, [9])[0][0] == 0
+
+
+# the micro-domains of each group size: blocks of the bit-reversed roots
+# of unity (cosets), of the roots in natural order and of 6 consecutive
+# integers (neither)
+GROUP_DOMAINS = {
+    "coset": (default_row_domain(8), (1, 2, 4)),
+    "natural": (roots_of_unity_domain(8), (2, 4)),
+    "width6": (default_row_domain(6), (1, 2, 3)),
+}
+
+
+# pinned: a short last band, quotients of degree below g (their proofs are
+# the identity) and the zero polynomial
+@given(st.sampled_from(sorted(GROUP_DOMAINS)), st.integers(0, 2),
+       st.integers(1, 3), st.integers(1, 4), st.integers(-1, 7),
+       st.integers(0, 2 ** 32))
+@example("coset", 2, 2, 3, 7, 1)
+@example("width6", 1, 3, 2, 2, 2)
+@example("natural", 1, 3, 3, 7, 3)
+@example("coset", 1, 1, 1, -1, 4)
+@settings(max_examples=20, deadline=None)
+def test_open_groups_matches_open_generic_and_the_oracle(
+        layout, size, k, rows, degree, seed):
+    # a band's groups opened in one walk: each proof is the generic
+    # prover's and the known-secret witness, and the counters are those of
+    # one open_shared call per group
+    srs = shared_srs(7)
+    domain, sizes = GROUP_DOMAINS[layout]
+    g = sizes[min(size, len(sizes) - 1)]
+    rng = random.Random(seed)
+    polys = [rand_poly(rng, degree) for _ in range(rows)]
+    for start in range(0, rows, k):
+        band = polys[start:start + k]
+        groups = [(band, md, rng.randrange(1, F.R))
+                  for md in partition_micro_domains(domain, g)]
+        counters, shared = OpCounters(), OpCounters()
+        proofs = open_groups(srs, groups, counters)
+        assert len(proofs) == len(groups)
+        for (band, md, gamma), proof in zip(groups, proofs):
+            assert proof == open_shared(srs, band, md, gamma, shared)
+            values = [[p.evaluate(z) for z in md] for p in band]
+            assert proof == open_generic(srs, band, [md.points] * len(band),
+                                         values, gamma)
+            assert proof.to_bytes() == \
+                oracle_group_witness(band, md.points, gamma).to_bytes()
+            if degree < g:
+                assert proof.is_identity()
+        assert counters == shared
 
 
 # ---------------------------------------------------------------------------
