@@ -1,6 +1,7 @@
 """Simulated store, sampling plans, publication arms, and experiments."""
 
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -38,12 +39,13 @@ from pmpdas.wire import (
 )
 
 
-def _context(rows=2, group_size=4, rows_per_group=1, seed=80, cols=4):
+def _context(rows=2, group_size=4, rows_per_group=1, seed=80, cols=4,
+             degree=7):
     rng = random.Random(seed)
     dims = GridDims(rows, cols, 2)
     data = bytes(rng.randrange(256) for _ in range(dims.data_capacity_bytes))
-    grid = build_grid(data, dims, shared_srs(7))
-    return BlockContext(b"test-block", grid, shared_srs(7), group_size,
+    grid = build_grid(data, dims, shared_srs(degree))
+    return BlockContext(b"test-block", grid, shared_srs(degree), group_size,
                         rows_per_group)
 
 
@@ -570,6 +572,81 @@ def test_build_objects_opens_every_cell_on_each_call(monkeypatch):
     assert len(calls) == cells
     assert build_objects(CTX, ConfigMode.BATCHED_SINGLE) == first
     assert len(calls) == 2 * cells
+
+
+# sha256 over each arm's objects (sorted keys, each key followed by its
+# object's length and bytes), keyed by (rows, cols, g, k) and then by arm:
+# recorded at commit d72585e, before the per-cell proofs became one-point
+# `open_groups` proofs. The vanilla and batched objects are the same bytes.
+PINNED_OBJECTS_SHA256 = {
+    (2, 16, 4, 1): {
+        "vanilla":
+            "008639225b768fcdb608c6c289dec4697c413bd91e1c7a3e732d5e71bf96b1d6",
+        "batched":
+            "008639225b768fcdb608c6c289dec4697c413bd91e1c7a3e732d5e71bf96b1d6",
+        "grouped":
+            "5a8931cbe784df2bbc3fd954d6c3b072bf7c18e48a9b3c4e9f5490a607d721f9",
+        "pmp":
+            "ff501adbc3eabd4d2e3c3b322931ee5de00ff2d0c37cff8ac79dd83c4db83693",
+    },
+    (3, 4, 4, 2): {
+        "vanilla":
+            "94b658cf22cb63ade4ebfb7cffcdb578c0f6167741571d7f40215b4193c32911",
+        "batched":
+            "94b658cf22cb63ade4ebfb7cffcdb578c0f6167741571d7f40215b4193c32911",
+        "grouped":
+            "70722de6f549a14f8f263db26df95331620f59c76f386afcbc669c7926be0672",
+        "pmp":
+            "49e042e80bbbd9444945dc415f745a4cdabb451939012249680c8d3bf9eaff25",
+    },
+    (4, 8, 2, 2): {
+        "vanilla":
+            "70b0a7493e945d83b787bb7d03adb0bc13c410f4ff3794313f079c8c48e003d6",
+        "batched":
+            "70b0a7493e945d83b787bb7d03adb0bc13c410f4ff3794313f079c8c48e003d6",
+        "grouped":
+            "b75aba6a18d11b08eb9a4dfc34c6fc97a84a157d8c42e930f111f7dc4c34e26c",
+        "pmp":
+            "5d3bd55741bd8ccd91eac204feb88af93740ac5ee3bf747d777bbeebc57312f4",
+    },
+    (2, 3, 3, 1): {
+        "vanilla":
+            "7d96bb8d9de09992ec6697606d228740e413c5416049eae45a458d7342d7bdf7",
+        "batched":
+            "7d96bb8d9de09992ec6697606d228740e413c5416049eae45a458d7342d7bdf7",
+        "grouped":
+            "5ad388d6fd2a224287b0dc9ebcda4d1bbbc827516c6f73754b6a42290df485d0",
+        "pmp":
+            "053f36e9499521255db72a3b2e0245a452360a2076867d36254ace1f83edcde3",
+    },
+    (4, 8, 4, 1): {
+        "vanilla":
+            "70b0a7493e945d83b787bb7d03adb0bc13c410f4ff3794313f079c8c48e003d6",
+        "batched":
+            "70b0a7493e945d83b787bb7d03adb0bc13c410f4ff3794313f079c8c48e003d6",
+        "grouped":
+            "05465fb217ae8411813a278fa3e8d2a764edc29c129d460ac63415db91ff8ec2",
+        "pmp":
+            "92c70f105080df644ae994e09a4a178236ce68052ed2a282a0d0663cdbc912da",
+    },
+}
+
+
+def _objects_sha256(objects: dict) -> str:
+    h = hashlib.sha256()
+    for key in sorted(objects):
+        h.update(key + len(objects[key]).to_bytes(4, "big") + objects[key])
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("shape", list(PINNED_OBJECTS_SHA256),
+                         ids=lambda s: "{}x{}_g{}_k{}".format(*s))
+def test_every_arm_objects_are_pinned(shape):
+    rows, cols, g, k = shape
+    # the SRS covers the extended row length, as a publisher's would
+    ctx = _context(rows, g, k, cols=cols, degree=2 * cols - 1)
+    assert {mode.value: _objects_sha256(build_objects(ctx, mode))
+            for mode in ConfigMode} == PINNED_OBJECTS_SHA256[shape]
 
 
 @pytest.mark.parametrize("k", [1, 2])
