@@ -15,7 +15,7 @@ from .field_poly import (
 )
 from .kzg import (
     SRS, KzgError, OpCounters, PairingTerms, batch_independent_terms, commit,
-    commit_many, gen, open_many, open_single, single_terms,
+    commit_many, gen, open_single, single_terms,
     verify_batch_independent, verify_single,
 )
 from .multiproof import (

@@ -23,8 +23,7 @@ from decimal import Decimal
 from .curve import G1Point
 from .field_poly import EvaluationDomain, scalar_to_bytes
 from .kzg import (
-    SRS, OpCounters, PairingTerms, batch_independent_terms, gen, open_many,
-    single_terms,
+    SRS, OpCounters, PairingTerms, batch_independent_terms, gen, single_terms,
 )
 from .multiproof import (
     OpenedGroup, Transcript, derive_gamma, open_groups, shared_terms,
@@ -257,15 +256,17 @@ class PublishResult:
 
 def open_cells(ctx: BlockContext) -> list:
     """Each cell's own opening, as rows of BaselineCells: the proofs the
-    three per-cell arms (vanilla, batched, grouped) publish. A row's
-    cells are opened together, in one walk over the SRS tables."""
+    three per-cell arms (vanilla, batched, grouped) publish. A cell's
+    proof is an aggregated opening of its row on the cell's one-point
+    micro-domain, and a row's cells are one `open_groups` call, so they
+    share one walk over the SRS tables."""
     grid = ctx.grid
+    points = [EvaluationDomain((z,)) for z in grid.row_domain.points]
     cells = []
     for poly, values in zip(grid.row_polys, grid.cells):
-        openings = open_many(ctx.srs, poly, grid.row_domain.points)
-        assert [value for value, _ in openings] == list(values)
+        proofs = open_groups(ctx.srs, [([poly], md, 1) for md in points])
         cells.append([BaselineCell(proof.to_bytes(), scalar_to_bytes(value))
-                      for value, proof in openings])
+                      for proof, value in zip(proofs, values)])
     return cells
 
 

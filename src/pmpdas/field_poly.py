@@ -80,10 +80,6 @@ class Polynomial:
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
 
-    @staticmethod
-    def constant(c: int) -> "Polynomial":
-        return Polynomial((c,))
-
     @property
     def degree(self):
         """Degree of the polynomial; -inf for the zero polynomial."""

@@ -186,27 +186,14 @@ def commit(srs: SRS, p: Polynomial,
     return commit_many(srs, [p], counters)[0]
 
 
-def open_many(srs: SRS, p: Polynomial, zs,
-              counters: OpCounters | None = None) -> list:
-    """(p(z), proof) for each z in `zs`, with the standard quotient
-    witness of each: all the quotients are committed in one walk, so the
-    SRS tables are read once for every point."""
-    values, quotients = [], []
-    for z in zs:
-        value = p.evaluate(z)
-        quotient, rem = div_rem(p - Polynomial.constant(value),
-                                Polynomial((-z % SCALAR_MODULUS, 1)))
-        assert rem.is_zero()
-        values.append(value)
-        quotients.append(quotient)
-    return list(zip(values, commit_many(srs, quotients, counters)))
-
-
 def open_single(srs: SRS, p: Polynomial, z: int,
                 counters: OpCounters | None = None):
-    """Evaluate p at z and produce the standard quotient witness: the
-    one-point case of `open_many`."""
-    return open_many(srs, p, [z], counters)[0]
+    """(p(z), proof) with the standard quotient witness: dividing p by
+    X - z leaves the quotient the proof commits to and p(z) as the
+    remainder. The publisher's cell proofs are the same quotients, made
+    as one-point `multiproof.open_groups` proofs."""
+    quotient, rem = div_rem(p, Polynomial((-z % SCALAR_MODULUS, 1)))
+    return rem.coeffs[0] if rem.coeffs else 0, commit(srs, quotient, counters)
 
 
 class PairingTerms:

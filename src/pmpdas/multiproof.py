@@ -115,7 +115,8 @@ def open_groups(srs: SRS, groups, counters: OpCounters | None = None) -> list:
     sum by its micro-domain's vanishing polynomial, discarding the
     remainder. The remainder is exactly the gamma-combined interpolant
     (its degree is below the micro-domain size), so no interpolation
-    happens here.
+    happens here. A cell's own proof is the group of its row alone on
+    the cell's one-point micro-domain, with gamma 1.
     """
     d = srs.degree_bound
     quotients = []

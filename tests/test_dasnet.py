@@ -523,16 +523,17 @@ PER_CELL_MODES = (ConfigMode.VANILLA, ConfigMode.BATCHED_SINGLE,
 
 
 def _count_openings(monkeypatch):
-    """Wrap dasnet.open_many; the returned list grows by one (polynomial,
-    point) per point opened."""
+    """Wrap dasnet.open_groups; the returned list grows by one (polynomial,
+    point) per one-point group opened, the proof of one cell."""
     calls = []
-    original = dasnet.open_many
+    original = dasnet.open_groups
 
-    def counted(srs, p, zs, *args):
-        calls.extend((p, z) for z in zs)
-        return original(srs, p, zs, *args)
+    def counted(srs, groups, *args):
+        calls.extend((polys[0], md.points[0]) for polys, md, _ in groups
+                     if md.size == 1)
+        return original(srs, groups, *args)
 
-    monkeypatch.setattr(dasnet, "open_many", counted)
+    monkeypatch.setattr(dasnet, "open_groups", counted)
     return calls
 
 
@@ -555,7 +556,7 @@ def test_session_opens_each_cell_once(monkeypatch, order):
     session = ExperimentSession(_small_config())
     assert calls == []  # construction opens nothing
     session.objects_for(ConfigMode.PMP)
-    assert calls == []  # pmp opens its groups with open_groups
+    assert calls == []  # pmp's groups span g = 4 points
     dims = session.ctx.grid.dims
     for mode in order:
         session.objects_for(mode)
@@ -652,7 +653,9 @@ def test_every_arm_objects_are_pinned(shape):
 @pytest.mark.parametrize("k", [1, 2])
 def test_pmp_opens_each_band_in_one_walk(monkeypatch, k):
     # the publish workload's grid shape (2 x 16, extension 2, groups of 4):
-    # the groups of a band are the rows of one fixed-base walk
+    # the groups of a band are the rows of one fixed-base walk, and so are
+    # the one-point groups of a grid row, one per cell, for every per-cell
+    # arm
     dims = GridDims(2, 16, 2)
     srs = shared_srs(31)
     rng = random.Random(81)
@@ -671,6 +674,10 @@ def test_pmp_opens_each_band_in_one_walk(monkeypatch, k):
     groups = dims.extended_cols // 4
     assert walks == [groups] * (dims.rows // k)
     assert len(objects) == groups * dims.rows // k
+    for mode in PER_CELL_MODES:
+        walks.clear()
+        build_objects(ctx, mode)
+        assert walks == [dims.extended_cols] * dims.rows
 
 
 def test_grouped_proof_bytes_count_the_proofs_of_a_short_band():
