@@ -374,42 +374,46 @@ def test_commit_matches_variable_base_msm(coeffs):
     assert counters.g1_scalar_mults == len(p.coeffs)
 
 
-# pinned: no point; one point; the same point twice; a constant and the
-# zero polynomial, whose quotients are zero; a root of p (its first point)
-@given(st.integers(-1, 7), st.integers(0, 2 ** 32),
-       st.lists(st.one_of(st.sampled_from([0, 1, F.R - 1, X2, F.R + 3]),
-                          st.integers(0, F.R - 1)), max_size=5),
-       st.booleans())
-@example(3, 1, [], False)
-@example(3, 2, [7], False)
-@example(7, 3, [X2, X2], False)
-@example(0, 5, [2, 3], False)
-@example(-1, 6, [2, 3], False)
-@example(7, 7, [9, 4, 9], True)
-@settings(max_examples=25, deadline=None)
-def test_one_point_groups_match_open_single_and_the_oracle(degree, seed, zs,
-                                                           root):
-    # a cell's proof: p alone on the one-point micro-domain {z}, gamma 1
-    srs = shared_srs(7)
-    p = rand_poly(random.Random(seed), degree - root)
-    if root and zs:
-        p = p * Polynomial((-zs[0] % F.R, 1))
+def _assert_openings_match(srs, p, zs):
+    # opens p at many points in one call, as the per-cell arms do: p alone
+    # on each point's one-point micro-domain {z}, gamma 1
     proofs = open_groups(srs, [([p], EvaluationDomain((z,)), 1)
                                for z in zs])
     assert len(proofs) == len(zs)
+    single_counters = OpCounters()
     for z, proof in zip(zs, proofs):
-        counters = OpCounters()
-        value, single_proof = open_single(srs, p, z, counters)
+        value, single_proof = open_single(srs, p, z, single_counters)
         assert value == p.evaluate(z)
-        if root and z == zs[0]:
-            assert value == 0
         assert single_proof == proof
-        # the witness is [q(secret)] for q = (p - value) / (X - z), of
-        # deg p coefficients, one G1 slot each
+        # the witness is [q(secret)] for q = (p - value) / (X - z)
         num = (p.evaluate(ORACLE_SECRET) - value) % F.R
         den = pow(ORACLE_SECRET - z, -1, F.R)
         assert proof.to_bytes() == g1_at(num * den).to_bytes()
-        assert counters == OpCounters(g1_scalar_mults=max(p.degree, 0))
+    # q has deg p coefficients, one G1 slot each
+    assert single_counters == OpCounters(
+        g1_scalar_mults=len(zs) * max(p.degree, 0))
+
+
+# pinned: no point; one point; the same point twice; a constant and the
+# zero polynomial, whose quotients are zero
+@given(st.integers(-1, 7), st.integers(0, 2 ** 32),
+       st.lists(st.one_of(st.sampled_from([0, 1, F.R - 1, X2, F.R + 3]),
+                          st.integers(0, F.R - 1)), max_size=5))
+@example(3, 1, [])
+@example(3, 2, [7])
+@example(7, 3, [X2, X2])
+@example(0, 5, [2, 3])
+@example(-1, 6, [2, 3])
+@settings(max_examples=25, deadline=None)
+def test_open_many_matches_open_single_and_the_oracle(degree, seed, zs):
+    _assert_openings_match(shared_srs(7), rand_poly(random.Random(seed),
+                                                    degree), zs)
+
+
+def test_open_many_at_a_root():
+    p = rand_poly(random.Random(7), 6) * Polynomial((-9 % F.R, 1))
+    _assert_openings_match(shared_srs(7), p, [9, 4, 9])
+    assert open_single(shared_srs(7), p, 9)[0] == 0
 
 
 # the micro-domains of each group size: blocks of the bit-reversed roots
