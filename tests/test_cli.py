@@ -37,6 +37,11 @@ NONTRIVIAL_PROVED_FIXTURE_SHA256 = {
 }
 DEFAULT_ABLATION_SEED_1_CSV_SHA256 = \
     "b977a717f3736b610c7fe29e69e5f8a16c9e27e890040fa57f4961745b9d16f0"
+# the default config with seeds=1-20, recorded at commit aae281e: 20 seeds
+# in one session, so a draw that leaks from one seed's runs into another's
+# changes it
+ABLATION_SEEDS_1_TO_20_CSV_SHA256 = \
+    "eba926f1bdebb8831f8901ebc3285d5dedf5c693dc3da9fd74a15ea6ce94008d"
 
 
 def run_cli(args):
@@ -346,6 +351,15 @@ def test_default_ablation_bytes_are_pinned(tmp_path, monkeypatch):
     monkeypatch.setenv("PMP_SEED", "1")
     assert run_cli(["ablation", "--output", out]) == 0
     assert _sha256(out) == DEFAULT_ABLATION_SEED_1_CSV_SHA256
+
+
+def test_multi_seed_ablation_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.delenv("PMP_SEED", raising=False)
+    config = tmp_path / "seeds.cfg"
+    config.write_text("seeds=1-20\n", encoding="utf-8")
+    out = str(tmp_path / "ablation.csv")
+    assert run_cli(["ablation", "--config", str(config), "--output", out]) == 0
+    assert _sha256(out) == ABLATION_SEEDS_1_TO_20_CSV_SHA256
 
 
 def test_verify_reports_undecodable_object(tmp_path, capsys, monkeypatch):
