@@ -146,17 +146,27 @@ class SimDht:
 
         churn is taken as the decimal it prints as, so 0.14 of 50 peers
         kills 7, where the float product 0.14 * 50 would round up to 8."""
+        return self.kill_prefix(churn_order(self.n_peers, seed), churn)
+
+    def kill_prefix(self, order, churn: float) -> int:
+        """Kill the first ceil(churn * peers) peers of `order`, a
+        `churn_order`, counting churn as in `kill_fraction`."""
         if not 0 <= churn < 1:
             raise DasNetError("churn must lie in [0, 1)")
-        # string seeds feed random.Random's deterministic path; tuple or
-        # other hashed seeds would vary with per-process hash randomization
-        order = list(range(self.n_peers))
-        random.Random(f"churn|{seed}").shuffle(order)
         num, den = Decimal(str(churn)).as_integer_ratio()
         n_dead = -(-num * self.n_peers // den)
         for peer in order[:n_dead]:
             self.alive[peer] = False
         return n_dead
+
+
+def churn_order(n_peers: int, seed: int) -> tuple:
+    """The seed's permutation of the peers, killed as a prefix."""
+    # string seeds feed random.Random's deterministic path; tuple or
+    # other hashed seeds would vary with per-process hash randomization
+    order = list(range(n_peers))
+    random.Random(f"churn|{seed}").shuffle(order)
+    return tuple(order)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +182,7 @@ class BlockContext:
     srs: SRS
     group_size: int
     rows_per_group: int = 1
-    # (columns, rows, row, col) -> object region, filled by object_location
+    # (grouped, row, col) -> (object region, DHT key), filled by _locate
     _locations: dict = dc_field(default_factory=dict, init=False,
                                 repr=False, compare=False)
 
@@ -204,18 +214,26 @@ def object_regions(ctx: BlockContext, mode: ConfigMode) -> list:
 def object_location(ctx: BlockContext, mode: ConfigMode,
                     coord: Coordinate) -> GCellBlock:
     """Region of the object that covers `coord`: the cell itself for the
-    per-cell arms, its whole group for the grouped ones. It is worked out
-    and bounds-checked once per coordinate and kept in the context, as
-    the light client asks for it on every sample."""
-    g, k = _object_shape(ctx, mode)
-    memo_key = (g, k, coord.row, coord.col)
-    region = ctx._locations.get(memo_key)
-    if region is None:
+    per-cell arms, its whole group for the grouped ones."""
+    return _locate(ctx, mode, coord)[0]
+
+
+def _locate(ctx: BlockContext, mode: ConfigMode, coord: Coordinate):
+    """(`object_location`, `object_key`) of `coord`. Both are worked out,
+    and bounds-checked, once per coordinate and object shape and kept in
+    the context, as the light client asks for them on every sample."""
+    grouped = mode in GROUPED_MODES
+    memo_key = (grouped, coord.row, coord.col)
+    located = ctx._locations.get(memo_key)
+    if located is None:
+        g, k = _object_shape(ctx, mode)
         b, m = coordinate_to_group(coord, g, k)
         ctx.grid.check_bounds(Coordinate(coord.row, (m + 1) * g - 1))
-        region = ctx._locations[memo_key] = GCellBlock(
-            b * k, min(b * k + k, ctx.grid.dims.rows), m * g, (m + 1) * g)
-    return region
+        located = ctx._locations[memo_key] = (
+            GCellBlock(b * k, min(b * k + k, ctx.grid.dims.rows),
+                       m * g, (m + 1) * g),
+            object_key(ctx, mode, coord))
+    return located
 
 
 def object_key(ctx: BlockContext, mode: ConfigMode,
@@ -529,7 +547,7 @@ def round_weights(ctx: BlockContext, mode: ConfigMode, objects):
     parts += (cm.to_bytes() for cm in ctx.commitments)
     parts.append(len(objects).to_bytes(4, "big"))
     for location, obj in objects:
-        key = object_key(ctx, mode, Coordinate(location.rows_start,
+        _, key = _locate(ctx, mode, Coordinate(location.rows_start,
                                                location.cols_start))
         parts += (_prefixed(key), _prefixed(obj))
     seed = hashlib.sha256(b"".join(parts)).digest()
@@ -602,8 +620,7 @@ def sample_and_verify(plan: SamplingPlan, mode: ConfigMode, dht: SimDht,
     misses = {}  # cache key -> (location, bytes), in first-seen order
     arm = mode.value  # hashes in C, unlike the enum member
     for coord in plan.coordinates:
-        location = object_location(ctx, mode, coord)
-        key = object_key(ctx, mode, coord)
+        location, key = _locate(ctx, mode, coord)
         obj, _ = dht.get_with_retries(key, retry_budget)
         if obj is None:
             fetched.append((coord, None))
@@ -741,7 +758,8 @@ def _deterministic_block_data(cfg: ExperimentConfig) -> bytes:
 class ExperimentSession:
     """Shared state across ablation runs: one SRS, one grid per config,
     the verification cache, one opening per cell for the per-cell arms,
-    and each arm's objects, published once: churn changes only liveness,
+    each arm's objects, published once, and each seed's churn order and
+    sampling plan, drawn on its first run: churn changes only liveness,
     which each run gets afresh."""
 
     def __init__(self, cfg: ExperimentConfig, srs: SRS | None = None):
@@ -759,6 +777,7 @@ class ExperimentSession:
         self._cells = None  # open_cells, on the first per-cell arm
         self._objects = {}
         self._published = {}  # mode -> (DHT as published, PublishResult)
+        self._draws = {}  # seed -> (churn_order, SamplingPlan)
         self.cache = VerificationCache()
         # deterministic counter accounting: charge the first sight of each
         # micro-domain here, so verification cost never depends on run
@@ -781,9 +800,15 @@ class ExperimentSession:
             self._published[mode] = dht, publish(
                 self.ctx, mode, dht, objects=self.objects_for(mode))
         published, result = self._published[mode]
+        # the draws depend on the seed alone: every arm and churn level
+        # of a seed shares them
+        if seed not in self._draws:
+            self._draws[seed] = (
+                churn_order(cfg.peers, seed),
+                make_sampling_plan(seed, self.ctx.grid.dims, cfg.samples))
+        order, plan = self._draws[seed]
         dht = published.with_fresh_liveness()
-        dht.kill_fraction(churn, seed)
-        plan = make_sampling_plan(seed, self.ctx.grid.dims, cfg.samples)
+        dht.kill_prefix(order, churn)
         outcome = sample_and_verify(plan, mode, dht, self.ctx,
                                     retry_budget=cfg.retry_budget,
                                     cache=self.cache)

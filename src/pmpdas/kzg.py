@@ -192,6 +192,8 @@ def open_single(srs: SRS, p: Polynomial, z: int,
     X - z leaves the quotient the proof commits to and p(z) as the
     remainder. The publisher's cell proofs are the same quotients, made
     as one-point `multiproof.open_groups` proofs."""
+    if p.degree > srs.degree_bound:
+        raise KzgError("polynomial degree exceeds the SRS bound")
     quotient, rem = div_rem(p, Polynomial((-z % SCALAR_MODULUS, 1)))
     return rem.coeffs[0] if rem.coeffs else 0, commit(srs, quotient, counters)
 

@@ -10,15 +10,21 @@ multiplication by r, G1 and G2 multi-scalar multiplications as sums of
 ladders, the G1 signed-window walk with one Jacobian accumulator over
 tables of sequential multiples, single, batched and shared-point KZG
 verification with one scalar multiplication per term and one unbatched
-pairing check each, and the replicas of a DHT key found by scanning every
-peer's store in rendezvous order.
+pairing check each, the replicas of a DHT key found by scanning every
+peer's store in rendezvous order, and an ablation run that publishes,
+draws and verifies everything afresh.
 """
 
+import dataclasses
 import hashlib
 
 from pmpdas.curve import (
     G1Point, G2Point, _INF1, _g1_add_affine, _g1_double, _g1_to_affine,
     _g2_to_affine, _signed_digits,
+)
+from pmpdas.dasnet import (
+    SimDht, Status, VerificationCache, make_sampling_plan, publish,
+    sample_and_verify,
 )
 from pmpdas.field_poly import SCALAR_MODULUS, interpolate, vanishing_poly
 from pmpdas.fields import (
@@ -484,3 +490,38 @@ def get_with_retries(dht, key: bytes, retry_budget: int):
         if dht.alive[peer]:
             return dht.stores[peer][key], attempts
     return None, max(attempts, 1)
+
+
+# ---------------------------------------------------------------------------
+# Ablation runs
+
+def session_run(session, mode, churn: float, seed: int) -> dict:
+    """`ExperimentSession.run`'s row, with nothing shared between runs:
+    the arm is published into a DHT of its own, the seed's churn and
+    sampling plan are drawn for this run, and the plan is sampled with a
+    fresh verification cache through a copy of the session's block
+    context that has located no coordinate yet."""
+    cfg = session.cfg
+    ctx = dataclasses.replace(session.ctx)
+    published = SimDht(cfg.peers, cfg.replication, cfg.peer_capacity)
+    result = publish(ctx, mode, published, objects=session.objects_for(mode))
+    dht = published.with_fresh_liveness()
+    dht.kill_fraction(churn, seed)
+    plan = make_sampling_plan(seed, ctx.grid.dims, cfg.samples)
+    outcome = sample_and_verify(plan, mode, dht, ctx,
+                                retry_budget=cfg.retry_budget,
+                                cache=VerificationCache())
+    return {
+        "mode": mode.value,
+        "seed": seed,
+        "churn": churn,
+        "samples": outcome.sample_count,
+        "objects_stored": result.object_count,
+        "proof_bytes": result.proof_bytes,
+        "object_bytes": result.object_bytes,
+        "hit_rate": outcome.hit_rate,
+        "verified": outcome.count(Status.VERIFIED),
+        "verify_failures": outcome.count(Status.VERIFY_FAILED),
+        "fetch_failures": outcome.count(Status.FETCH_FAILED),
+        **outcome.counters.as_dict(),
+    }

@@ -3,6 +3,10 @@
 import hashlib
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -55,6 +59,20 @@ def test_storage_report_reference_row(capsys):
 
     assert run_cli(["storage-report", "--entries", "64", "--group", "1"]) == 0
     assert "5120" in capsys.readouterr().out
+
+
+def test_module_entry_point_runs_the_cli(capsys):
+    # `python -m pmpdas` works from a checkout that is not installed
+    args = ["storage-report", "--entries", "64", "--group", "4"]
+    src = str(pathlib.Path(cli.__file__).parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    done = subprocess.run([sys.executable, "-m", "pmpdas", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert run_cli(args) == 0
+    assert done.stdout == capsys.readouterr().out
 
 
 def test_storage_report_json(capsys):

@@ -518,6 +518,53 @@ def test_session_runs_do_not_leak_liveness(capacity):
         assert all(published.alive)
 
 
+def test_session_draws_once_per_seed_and_keys_once_per_cell(monkeypatch):
+    # every arm and churn level of a seed shares its churn order and plan,
+    # and the light client derives a sampled cell's key once per context
+    cfg = _small_config()
+    cfg.churn = (0.0, 0.1, 0.3)
+    cfg.seeds = (1, 2, 3)
+    session = ExperimentSession(cfg)
+    for mode in cfg.modes:
+        session.objects_for(mode)  # publication derives every key itself
+    plans = [make_sampling_plan(seed, session.ctx.grid.dims, cfg.samples)
+             for seed in cfg.seeds]
+    drawn = {}
+
+    def counted(name, pick):
+        real = getattr(dasnet, name)
+
+        def logged(*args):
+            drawn.setdefault(name, []).append(pick(*args))
+            return real(*args)
+
+        monkeypatch.setattr(dasnet, name, logged)
+
+    counted("churn_order", lambda n_peers, seed: seed)
+    counted("make_sampling_plan", lambda seed, dims, s: seed)
+    counted("cell_key", lambda block_id, row, col: (row, col))
+    for mode in cfg.modes:
+        for churn in cfg.churn:
+            for seed in cfg.seeds:
+                session.run(mode, churn, seed)
+    assert sorted(drawn["churn_order"]) == list(cfg.seeds)
+    assert sorted(drawn["make_sampling_plan"]) == list(cfg.seeds)
+    sampled = {(c.row, c.col) for plan in plans for c in plan.coordinates}
+    keyed = drawn["cell_key"]
+    assert keyed and len(set(keyed)) == len(keyed) and set(keyed) <= sampled
+
+
+def test_one_cell_groups_keep_their_group_keys():
+    # with g = k = 1 a group's region is its cell's, but the grouped arms
+    # store it under a group key: a located cell keeps its arm's key
+    cfg = _small_config()
+    cfg.group_size = 1
+    session = ExperimentSession(cfg)
+    for mode in cfg.modes:
+        row = session.run(mode, 0.0, 1)
+        assert row["verified"] == cfg.samples, mode
+
+
 PER_CELL_MODES = (ConfigMode.VANILLA, ConfigMode.BATCHED_SINGLE,
                   ConfigMode.GROUPED_ONLY)
 

@@ -20,7 +20,9 @@ from pmpdas.curve import (
     _g2_to_affine, _miller_loop, fixed_base_muls, g1_fixed_base_msms,
     g1_fixed_base_table, g1_msm, g1_msms, g2_msm, multi_pairing,
 )
-from pmpdas.dasnet import SimDht
+from pmpdas.dasnet import (
+    ConfigMode, ExperimentConfig, ExperimentSession, SimDht,
+)
 from pmpdas.field_poly import (
     SCALAR_MODULUS, EvaluationDomain, Polynomial, roots_of_unity_domain,
     vanishing_poly,
@@ -976,3 +978,21 @@ def test_recorded_placement_of_full_peers_and_re_puts():
         assert dht.put(b"k", b"v") == 3
         assert dht.replicas[b"k"] == tuple(oracles.ranked_peers(b"k", 3))
         _check_placement(dht, [b"k"])
+
+
+def test_session_rows_match_runs_made_afresh():
+    # the session draws each seed's churn order and sampling plan once and
+    # locates each coordinate once; in any run order its rows are those of
+    # runs that share nothing. 0.14 of 50 peers kills 7 (the decimal
+    # ceiling), where the float product would kill 8
+    cfg = ExperimentConfig(rows=2, cols=4, peers=50, replication=3,
+                           peer_capacity=3, samples=8,
+                           seeds=tuple(range(1, 7)), churn=(0.0, 0.14, 0.3))
+    assert SimDht(cfg.peers).kill_fraction(0.14, 1) == 7
+    runs = [(mode, churn, seed) for mode in ConfigMode
+            for churn in cfg.churn for seed in cfg.seeds]
+    random.Random(29).shuffle(runs)
+    session = ExperimentSession(cfg)
+    rows = [session.run(*run) for run in runs]
+    assert rows == [oracles.session_run(session, *run) for run in runs]
+    assert any(row["fetch_failures"] for row in rows)

@@ -71,6 +71,18 @@ def test_commit_degree_bound():
         commit(srs, rand_poly(random.Random(31), D + 1))
 
 
+def test_open_single_degree_bound():
+    # the bound commit and open_groups keep: degree d opens, d + 1 does not
+    srs = gen(2, 5)
+    rng = random.Random(39)
+    with pytest.raises(KzgError, match="exceeds the SRS bound"):
+        open_single(srs, rand_poly(rng, 3), 7)
+    p = rand_poly(rng, 2)
+    value, proof = open_single(srs, p, 7)
+    assert value == p.evaluate(7)
+    assert verify_single(srs, commit(srs, p), 7, value, proof)
+
+
 def test_open_and_verify_single():
     rng = random.Random(32)
     srs = shared_srs(D)
