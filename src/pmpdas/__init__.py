@@ -24,8 +24,7 @@ from .multiproof import (
 )
 from .grid import (
     Coordinate, DataGrid, GridDims, GridError, build_grid, build_opened_group,
-    coordinate_to_group, default_row_domain, iter_groups,
-    partition_micro_domains,
+    default_row_domain, iter_groups, partition_micro_domains,
 )
 from .wire import (
     DECODE_ERRORS, BaselineCell, CountMismatch, Fixture, GCellBlock,

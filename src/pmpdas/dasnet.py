@@ -29,8 +29,8 @@ from .multiproof import (
     OpenedGroup, Transcript, derive_gamma, open_groups, shared_terms,
 )
 from .grid import (
-    Coordinate, DataGrid, GridDims, build_grid, coordinate_to_group,
-    iter_groups, partition_micro_domains,
+    Coordinate, DataGrid, GridDims, GridError, build_grid, iter_groups,
+    partition_micro_domains,
 )
 from .wire import (
     DECODE_ERRORS, PROOF_BYTES, BaselineCell, GCellBlock, GroupedCells, MCell,
@@ -175,7 +175,8 @@ def churn_order(n_peers: int, seed: int) -> tuple:
 @dataclass(frozen=True)
 class BlockContext:
     """Everything a client needs out of band: the header commitments plus
-    the public grid geometry and grouping parameters."""
+    the public grid geometry and grouping parameters. A group is g >= 1
+    columns, g dividing the extended width, by k >= 1 rows."""
 
     block_id: bytes
     grid: DataGrid
@@ -185,6 +186,14 @@ class BlockContext:
     # (grouped, row, col) -> (object region, DHT key), filled by _locate
     _locations: dict = dc_field(default_factory=dict, init=False,
                                 repr=False, compare=False)
+
+    def __post_init__(self):
+        g, width = self.group_size, self.grid.dims.extended_cols
+        if g < 1 or width % g:
+            raise GridError(f"group size {g} does not divide the {width} "
+                            f"extended columns")
+        if self.rows_per_group < 1:
+            raise GridError("rows per group must be positive")
 
     @property
     def commitments(self):
@@ -226,12 +235,11 @@ def _locate(ctx: BlockContext, mode: ConfigMode, coord: Coordinate):
     memo_key = (grouped, coord.row, coord.col)
     located = ctx._locations.get(memo_key)
     if located is None:
+        ctx.grid.check_bounds(coord)
         g, k = _object_shape(ctx, mode)
-        b, m = coordinate_to_group(coord, g, k)
-        ctx.grid.check_bounds(Coordinate(coord.row, (m + 1) * g - 1))
+        row, col = coord.row - coord.row % k, coord.col - coord.col % g
         located = ctx._locations[memo_key] = (
-            GCellBlock(b * k, min(b * k + k, ctx.grid.dims.rows),
-                       m * g, (m + 1) * g),
+            GCellBlock(row, min(row + k, ctx.grid.dims.rows), col, col + g),
             object_key(ctx, mode, coord))
     return located
 
@@ -351,7 +359,8 @@ def publish(ctx: BlockContext, mode: ConfigMode, dht: SimDht,
         objects = build_objects(ctx, mode)
     proofs = len(objects)
     if mode is ConfigMode.GROUPED_ONLY:
-        proofs = sum(map(GroupedCells.encoded_count, objects.values()))
+        proofs = sum(len(GroupedCells.from_bytes(obj).cells)
+                     for obj in objects.values())
     for key in sorted(objects):
         dht.put(key, objects[key])
     return PublishResult(
@@ -749,10 +758,10 @@ def _parse_seeds(value: str) -> tuple:
     return tuple(out)
 
 
-def _deterministic_block_data(cfg: ExperimentConfig) -> bytes:
-    capacity = cfg.rows * cfg.cols * 31
+def _deterministic_block_data(cfg: ExperimentConfig,
+                              dims: GridDims) -> bytes:
     rng = random.Random(f"data|{cfg.data_seed}")
-    return bytes(rng.randrange(256) for _ in range(capacity))
+    return bytes(rng.randrange(256) for _ in range(dims.data_capacity_bytes))
 
 
 class ExperimentSession:
@@ -771,7 +780,7 @@ class ExperimentSession:
             srs = gen(d, secret)
         self.srs = srs
         dims = GridDims(cfg.rows, cfg.cols, cfg.extension)
-        grid = build_grid(_deterministic_block_data(cfg), dims, srs)
+        grid = build_grid(_deterministic_block_data(cfg, dims), dims, srs)
         self.ctx = BlockContext(cfg.block_id, grid, srs, cfg.group_size,
                                 cfg.rows_per_group)
         self._cells = None  # open_cells, on the first per-cell arm

@@ -48,7 +48,7 @@ class GridDims:
         return self.rows * self.cols * CHUNK_BYTES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Coordinate:
     """Position in the extended grid."""
 
@@ -145,14 +145,6 @@ def partition_micro_domains(row_domain: EvaluationDomain, g: int):
     return [EvaluationDomain(row_domain.points[j * g:(j + 1) * g],
                              offset=j * g)
             for j in range(n // g)]
-
-
-def coordinate_to_group(coord: Coordinate, g: int, rows_per_group: int = 1):
-    """(row-band index, micro-domain index) containing the coordinate (not
-    bounds-checked)."""
-    if g < 1 or rows_per_group < 1:
-        raise GridError("group size and rows-per-group must be positive")
-    return (coord.row // rows_per_group, coord.col // g)
 
 
 def build_opened_group(grid: DataGrid, band: range,

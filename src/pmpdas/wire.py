@@ -227,14 +227,6 @@ class GroupedCells:
             + b"".join(cell.to_bytes() for cell in self.cells)
 
     @staticmethod
-    def encoded_count(data: bytes) -> int:
-        """The cell count an encoding declares, read without decoding the
-        cells."""
-        r = _Reader(data, "grouped cells")
-        r.take(GCELL_BLOCK_BYTES)
-        return r.u32()
-
-    @staticmethod
     def from_bytes(data: bytes) -> "GroupedCells":
         r = _Reader(data, "grouped cells")
         block_bytes, count = r.take(GCELL_BLOCK_BYTES), r.u32()

@@ -1,5 +1,7 @@
 """Command-line driver: exit codes, determinism, and fixture round trips."""
 
+import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -93,6 +95,28 @@ def test_unknown_flags_rejected():
         run_cli(["storage-report", "--entries", "64", "--group", "4",
                  "--bogus", "1"])
     assert exc.value.code == 2
+
+
+def test_settable_values_are_pinned():
+    # a new config field or command-line option shows up here as a diff
+    assert [f.name for f in dataclasses.fields(dasnet.ExperimentConfig)] == [
+        "rows", "cols", "extension", "group_size", "rows_per_group", "peers",
+        "replication", "peer_capacity", "retry_budget", "samples",
+        "data_seed", "block_id", "churn", "seeds", "modes"]
+    subcommands, = (action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {name: [option for action in parser._actions
+                      if action.dest != "help"
+                      for option in action.option_strings]
+               for name, parser in subcommands.items()}
+    assert options == {
+        "storage-report": ["--entries", "--group", "--format", "--output"],
+        "ablation": ["--config", "--format", "--output"],
+        "gen-fixture": ["--output", "--rows", "--cols", "--extension",
+                        "--seed"],
+        "prove": ["--fixture", "--output", "--group", "--rows-per-group"],
+        "verify": ["--fixture"],
+    }
 
 
 def _tiny_config(tmp_path):

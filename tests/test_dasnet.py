@@ -403,6 +403,13 @@ def _cells(region):
             for c in range(region.cols_start, region.cols_end)]
 
 
+@pytest.mark.parametrize("g, k", [(3, 1), (0, 1), (4, 0)])
+def test_block_context_rejects_a_layout_that_does_not_tile(g, k):
+    # CTX's grid has 8 extended columns
+    with pytest.raises(GridError):
+        BlockContext(b"test-block", CTX.grid, CTX.srs, g, k)
+
+
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_object_regions_tile_the_grid_once(geometry):
     ctx = GEOMETRIES[geometry]
@@ -415,10 +422,23 @@ def test_object_regions_tile_the_grid_once(geometry):
         assert set(covered) == set(grid_cells), mode
 
 
-@pytest.mark.parametrize("geometry", GEOMETRIES)
+LOCATION_GEOMETRIES = {**GEOMETRIES, "rows_3": _context(rows=3),
+                       "k2_rows_4": _context(rows=4, rows_per_group=2)}
+# (coordinate, region of its group) pinned per geometry, all with g = 4
+GROUP_LOCATIONS = {
+    "default": [(Coordinate(0, 0), GCellBlock(0, 1, 0, 4))],
+    "rows_3": [(Coordinate(2, 7), GCellBlock(2, 3, 4, 8))],
+    "k2_rows_4": [(Coordinate(3, 5), GCellBlock(2, 4, 4, 8))],
+}
+
+
+@pytest.mark.parametrize("geometry", LOCATION_GEOMETRIES)
 def test_object_location_and_key_agree_with_the_regions(geometry):
-    ctx = GEOMETRIES[geometry]
+    ctx = LOCATION_GEOMETRIES[geometry]
     dims = ctx.grid.dims
+    for coord, region in GROUP_LOCATIONS.get(geometry, ()):
+        for mode in GROUPED_MODES:
+            assert object_location(ctx, mode, coord) == region
     for mode in ConfigMode:
         regions = object_regions(ctx, mode)
         for coord in _cells(GCellBlock(0, dims.rows, 0, dims.extended_cols)):

@@ -11,8 +11,8 @@ from pmpdas.field_poly import (
 )
 from pmpdas.grid import (
     CHUNK_BYTES, Coordinate, GridDims, GridError, build_grid,
-    build_opened_group, bytes_to_scalars, coordinate_to_group,
-    default_row_domain, iter_groups, partition_micro_domains,
+    build_opened_group, bytes_to_scalars, default_row_domain, iter_groups,
+    partition_micro_domains,
 )
 
 
@@ -118,12 +118,6 @@ def test_partition_micro_domains():
     assert mds[1].points == grid.row_domain.points[4:]
     with pytest.raises(GridError):
         partition_micro_domains(grid.row_domain, 3)
-
-
-def test_coordinate_to_group():
-    assert coordinate_to_group(Coordinate(0, 0), 4) == (0, 0)
-    assert coordinate_to_group(Coordinate(2, 7), 4) == (2, 1)
-    assert coordinate_to_group(Coordinate(3, 5), 4, rows_per_group=2) == (1, 1)
 
 
 def test_build_opened_group():

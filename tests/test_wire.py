@@ -128,18 +128,6 @@ def test_grouped_cells_round_trip():
         GroupedCells(grouped.block, grouped.cells[:-1])
 
 
-def test_grouped_cells_encoded_count_reads_through_the_bounds_check():
-    grouped = _rand_grouped(random.Random(75), 2, 3)
-    blob = grouped.to_bytes()
-    assert GroupedCells.encoded_count(blob) == 6
-    # only the block and the count are read: the cells may be cut
-    assert GroupedCells.encoded_count(blob[:20]) == 6
-    assert GroupedCells.encoded_count(bytes(20)) == 0
-    for short in (b"", blob[:16], bytes(16) + b"\x05", blob[:19]):
-        with pytest.raises(TruncatedInput):
-            GroupedCells.encoded_count(short)
-
-
 def test_grouped_cells_short_count_rejected():
     grouped = _rand_grouped(random.Random(73))
     # a consistent encoding of one cell fewer than the block region holds
