@@ -8,7 +8,8 @@ Subcommands:
 * prove           append one aggregated proof object per group to a fixture
 * verify          recheck every proof object in a fixture against its header
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error;
+any other exception is an internal fault and propagates.
 The PMP_SEED environment variable overrides the configured seed list.
 """
 
@@ -112,14 +113,13 @@ def cmd_ablation(args) -> int:
         # create (or empty) the output now: an unwritable path fails
         # before the runs, not after them
         _write_output("", args.output)
-    try:
-        session = ExperimentSession(cfg)
-        rows = [session.run(mode, churn, seed)
-                for mode in cfg.modes
-                for churn in cfg.churn
-                for seed in cfg.seeds]
-    except (dasnet.DasNetError, grid_mod.GridError) as exc:
-        raise CliError(str(exc))
+    # from_pairs makes every check the session and its runs would make,
+    # so an error they raise is an internal fault and propagates
+    session = ExperimentSession(cfg)
+    rows = [session.run(mode, churn, seed)
+            for mode in cfg.modes
+            for churn in cfg.churn
+            for seed in cfg.seeds]
     rows.sort(key=lambda r: (r["mode"], r["churn"], r["seed"]))
     render = _rows_to_csv if args.format == "csv" else _rows_to_json
     _write_output(render(rows, ABLATION_COLUMNS), args.output)
@@ -149,18 +149,17 @@ def cmd_gen_fixture(args) -> int:
         raise CliError(f"{source} must be between -2^63 and 2^63 - 1")
     try:
         dims = grid_mod.GridDims(args.rows, args.cols, args.extension)
-        degree = max(dims.extended_cols - 1, 2)
-        secret = int.from_bytes(
-            hashlib.sha256(b"pmpdas-fixture-srs|"
-                           + seed.to_bytes(8, "big", signed=True)).digest(),
-            "big")
-        srs = gen(degree, secret)
-        rng = random.Random(f"fixture-data|{seed}")
-        data = bytes(rng.randrange(256)
-                     for _ in range(dims.data_capacity_bytes))
-        grid = grid_mod.build_grid(data, dims, srs)
     except grid_mod.GridError as exc:
         raise CliError(str(exc))
+    degree = max(dims.extended_cols - 1, 2)
+    secret = int.from_bytes(
+        hashlib.sha256(b"pmpdas-fixture-srs|"
+                       + seed.to_bytes(8, "big", signed=True)).digest(),
+        "big")
+    srs = gen(degree, secret)
+    rng = random.Random(f"fixture-data|{seed}")
+    data = bytes(rng.randrange(256) for _ in range(dims.data_capacity_bytes))
+    grid = grid_mod.build_grid(data, dims, srs)
     _write_output(Fixture(srs, grid).to_bytes(), args.output)
     return EXIT_OK
 

@@ -17,7 +17,7 @@ import enum
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from decimal import Decimal
 
 from .curve import G1Point
@@ -694,25 +694,11 @@ class ExperimentConfig:
     @staticmethod
     def from_pairs(pairs: dict) -> "ExperimentConfig":
         cfg = ExperimentConfig()
-        ints = {"rows", "cols", "extension", "group_size", "rows_per_group",
-                "peers", "replication", "retry_budget", "samples",
-                "data_seed"}
+        keys = {f.name for f in fields(ExperimentConfig)}
         for key, value in pairs.items():
-            if key in ints:
-                setattr(cfg, key, int(value))
-            elif key == "peer_capacity":
-                cfg.peer_capacity = None if value in ("none", "") else int(value)
-            elif key == "block_id":
-                cfg.block_id = value.encode("utf-8")
-            elif key == "churn":
-                cfg.churn = tuple(float(v) for v in value.split(","))
-            elif key == "seeds":
-                cfg.seeds = _parse_seeds(value)
-            elif key == "modes":
-                cfg.modes = tuple(ConfigMode.parse(v)
-                                  for v in value.split(","))
-            else:
+            if key not in keys:
                 raise DasNetError(f"unknown config key {key!r}")
+            setattr(cfg, key, _CONFIG_PARSERS.get(key, int)(value))
         if cfg.peer_capacity is not None and cfg.peer_capacity < 1:
             raise DasNetError("peer_capacity must be positive or none")
         if cfg.group_size < 1 or cfg.rows_per_group < 1:
@@ -756,6 +742,18 @@ def _parse_seeds(value: str) -> tuple:
         else:
             out.append(int(part))
     return tuple(out)
+
+
+# each config value's parser; a key not listed here takes an int
+_CONFIG_PARSERS = {
+    "peer_capacity": lambda value:
+        None if value in ("none", "") else int(value),
+    "block_id": lambda value: value.encode("utf-8"),
+    "churn": lambda value: tuple(float(v) for v in value.split(",")),
+    "seeds": _parse_seeds,
+    "modes": lambda value:
+        tuple(ConfigMode.parse(v) for v in value.split(",")),
+}
 
 
 def _deterministic_block_data(cfg: ExperimentConfig,

@@ -112,9 +112,7 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c % SCALAR_MODULUS for c in self.coeffs))
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial()
@@ -125,8 +123,6 @@ class Polynomial:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
         return Polynomial(out)
-
-    __rmul__ = __mul__
 
     def scale(self, k: int) -> "Polynomial":
         k %= SCALAR_MODULUS

@@ -466,6 +466,13 @@ def test_verify_missing_sections(tmp_path, capsys):
     assert "fixture is missing its 'PRMS' section" in capsys.readouterr().err
     assert run_cli(["verify", "--fixture", str(tmp_path / "nope.bin")]) == 2
     assert "cannot read fixture" in capsys.readouterr().err
+    # one MCEL section of the four groups' too few
+    sections = decode_fixture(open(_proved_fixture(tmp_path), "rb").read())
+    assert [tag for tag, _ in sections].count("MCEL") == 4
+    path.write_bytes(encode_fixture(sections[:-1]))
+    assert run_cli(["verify", "--fixture", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: fixture holds 3 proof objects for 4 groups\n"
 
 
 @pytest.mark.parametrize("command", ["prove", "verify"])
@@ -576,6 +583,15 @@ def test_internal_error_while_decoding_grid_raises(tmp_path, monkeypatch):
     monkeypatch.setattr(wire, "extend_rows", broken)
     with pytest.raises(KzgError):
         run_cli(["verify", "--fixture", fxp])
+
+
+@pytest.mark.parametrize("flag, value", [("--rows", "0"), ("--cols", "0"),
+                                         ("--extension", "1")])
+def test_gen_fixture_rejects_a_bad_shape(tmp_path, capsys, flag, value):
+    out = tmp_path / "fx.bin"
+    assert run_cli(["gen-fixture", "--output", str(out), flag, value]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_verify_rejects_short_params_section(tmp_path, capsys):
@@ -697,6 +713,27 @@ def test_prove_internal_error_raises(tmp_path, monkeypatch):
     with pytest.raises(KzgError):
         run_cli(["prove", "--fixture", fx, "--output",
                  str(tmp_path / "fxp.bin")])
+
+
+def test_ablation_internal_error_raises(tmp_path, monkeypatch):
+    # no config reaches a DasNetError in the runs: from_pairs checks first
+    def broken(*args, **kwargs):
+        raise dasnet.DasNetError("internal fault")
+
+    monkeypatch.setattr(dasnet.ExperimentSession, "run", broken)
+    with pytest.raises(dasnet.DasNetError, match="internal fault"):
+        run_cli(["ablation", "--config", _tiny_config(tmp_path),
+                 "--output", str(tmp_path / "out.csv")])
+
+
+def test_gen_fixture_internal_grid_error_raises(tmp_path, monkeypatch):
+    # the shape was checked, so a GridError from the build is a fault
+    def broken(*args, **kwargs):
+        raise grid.GridError("internal fault")
+
+    monkeypatch.setattr(grid, "build_grid", broken)
+    with pytest.raises(grid.GridError, match="internal fault"):
+        run_cli(["gen-fixture", "--output", str(tmp_path / "fx.bin")])
 
 
 def test_gen_fixture_internal_error_raises(tmp_path, monkeypatch):

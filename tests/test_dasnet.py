@@ -820,6 +820,16 @@ def test_seed_range_ending_below_its_start_is_rejected(text):
         ExperimentConfig.from_pairs({"seeds": text})
 
 
+def test_block_id_key_names_the_block_its_objects_are_keyed_under():
+    shape = {"rows": "2", "cols": "4", "samples": "8"}
+    default = ExperimentConfig.from_pairs(shape)
+    cfg = ExperimentConfig.from_pairs(dict(shape, block_id="blk-\u00e9"))
+    assert cfg.block_id == "blk-\u00e9".encode("utf-8")
+    keys = [set(ExperimentSession(c).objects_for(ConfigMode.PMP))
+            for c in (default, cfg)]
+    assert len(keys[1]) == len(keys[0]) and not keys[0] & keys[1]
+
+
 # ---------------------------------------------------------------------------
 # Verification rounds
 

@@ -31,12 +31,20 @@ def test_fp2_field_axioms():
 
 def test_fp2_sqrt_of_squares():
     rng = random.Random(2)
-    for _ in range(20):
-        a = _rand_fp2(rng)
-        sq = F.fp2_sqr(a)
-        root = F.fp2_sqrt(sq)
-        assert root is not None
-        assert F.fp2_sqr(root) == sq
+    roots = [_rand_fp2(rng) for _ in range(20)]
+    b = rng.randrange(1, F.P)
+    # (0, b) squares to the real -b^2, whose root takes the alpha = -1
+    # branch; (b, 0) has a root with c1 = 0; (0, 0) has the root zero
+    largest = F.fp2_lexicographically_largest
+    for a in roots + [(0, b), (b, 0), F.FP2_ZERO]:
+        root = F.fp2_sqrt(F.fp2_sqr(a))
+        assert root in (a, F.fp2_neg(a))
+        # the sign bit of G2 compression: exactly one of a nonzero root
+        # and its negation is the lexicographically largest
+        assert largest(root) != largest(F.fp2_neg(root)) or a == F.FP2_ZERO
+    # (1, 1) has norm 2, a non-residue mod p (p = 3 mod 8)
+    assert F.P % 8 == 3
+    assert F.fp2_sqrt((1, 1)) is None
 
 
 def test_fp2_frobenius_is_conjugation():

@@ -223,6 +223,13 @@ def test_input_validation():
         OpenedGroup([], [], md)
     with pytest.raises(MultiproofError):
         OpenedGroup(group.commitments, [[1], [2]], md)  # short rows
+    # the D-bound SRS opens neither a wider micro-domain nor a polynomial
+    # of higher degree
+    wide = EvaluationDomain(list(range(1, D + 2)), offset=0)
+    with pytest.raises(MultiproofError, match="micro-domain larger"):
+        open_shared(srs, polys, wide, 5)
+    with pytest.raises(MultiproofError, match="degree exceeds"):
+        open_shared(srs, [rand_poly(rng, D + 1)], md, 5)
 
 
 def test_verify_shared_rejects_a_micro_domain_wider_than_the_srs():

@@ -1,4 +1,5 @@
-"""The runtime imports nothing outside the standard library."""
+"""Source-tree checks: the runtime imports nothing outside the standard
+library, and every function the package defines has a known caller."""
 
 import ast
 import pathlib
@@ -27,3 +28,38 @@ def test_runtime_imports_only_the_standard_library():
                    ast.parse(path.read_text(), str(path)))
                if name.split(".")[0] not in sys.stdlib_module_names]
     assert not outside, outside
+
+
+# module-level functions that no code in the package names outside their
+# own definition, and who calls them instead
+UNCALLED_IN_PACKAGE = {
+    "build_opened_group": "test_acceptance imports it",
+    "effective_samples": "test_acceptance imports it",
+    "required_samples": "test_acceptance imports it",
+    "open_generic": "test_acceptance imports it",
+    "open_shared": "test_acceptance imports it",
+    "open_single": "test_acceptance imports it",
+    "verify_single": "test_acceptance imports it",
+    "verify_shared": "test_acceptance imports it",
+    "verify_batch_independent": "bench/tracing.py wraps it",
+    "g1_msm": "bench/tracing.py wraps it",
+}
+
+
+def test_functions_without_a_caller_in_the_package_are_pinned():
+    # a function that nothing calls any more shows up here as a diff
+    defined, named = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined.update(node.name for node in tree.body
+                       if isinstance(node, ast.FunctionDef))
+        if path.name == "__init__.py":  # the exports name everything
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    assert defined - named == set(UNCALLED_IN_PACKAGE)

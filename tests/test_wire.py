@@ -51,6 +51,8 @@ def test_baseline_cell_is_80_bytes():
         BaselineCell.from_bytes(blob[:-1])
     with pytest.raises(WireError):
         BaselineCell(b"\x01" * 47, b"\x00" * 32)
+    with pytest.raises(WireError, match="data must be 32 bytes"):
+        BaselineCell(b"\x01" * 48, b"\x00" * 31)
     with pytest.raises(NonCanonicalScalarEncoding):
         BaselineCell.from_bytes(b"\x00" * 48 + b"\xff" * 32)
     # the scalar is parsed and checked once, on construction
@@ -95,6 +97,12 @@ def test_mcell_rejects_malformed_bytes():
         MCell.from_bytes(bad)
     with pytest.raises(WireError):
         MCell(b"\x00" * 48, GCellBlock(0, 0, 0, 0), ())
+    with pytest.raises(WireError, match="proof must be 48 bytes"):
+        MCell(b"\x00" * 47, mcell.block, mcell.scalars)
+    # a count of 0 on the bytes of an empty region
+    empty = b"\x00" * 48 + GCellBlock(0, 0, 0, 0).to_bytes() + bytes(4)
+    with pytest.raises(WireError, match="empty groups"):
+        MCell.from_bytes(empty)
 
 
 def _rand_grouped(rng, n_rows=2, n_cols=3):
