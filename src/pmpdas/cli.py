@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error;
 any other exception is an internal fault and propagates.
-The PMP_SEED environment variable overrides the configured seed list.
+The PMP_SEED environment variable replaces the configured seed list of
+`ablation` and the --seed of `gen-fixture`.
 """
 
 from __future__ import annotations

@@ -96,8 +96,9 @@ class SimDht:
         number of replicas actually placed.
 
         Capacity pressure only sheds extra replicas: the publisher keeps
-        trying down the rendezvous ranking until at least one peer accepts,
-        so every stored object has one replica or more.
+        trying down the rendezvous ranking until a peer accepts, and when
+        every peer is full the object goes to the top-ranked peer beyond
+        its capacity, so every stored object has one replica or more.
         """
         ranked = sorted(range(self.n_peers), key=lambda p: hashlib.sha256(
             key + p.to_bytes(4, "big")).digest())
@@ -280,76 +281,66 @@ class PublishResult:
     object_bytes: int
 
 
-def open_cells(ctx: BlockContext) -> list:
-    """Each cell's own opening, as rows of BaselineCells: the proofs the
-    three per-cell arms (vanilla, batched, grouped) publish. A cell's
-    proof is an aggregated opening of its row on the cell's one-point
-    micro-domain, and a row's cells are one `open_groups` call, so they
-    share one walk over the SRS tables."""
+def _open_bands(ctx: BlockContext, mode: ConfigMode):
+    """(region, values, proof) of each of the arm's object regions, the
+    values in row-major order. A row band's regions are one `open_groups`
+    call, so their proofs share one walk over the SRS tables. A pmp
+    group takes its challenge from its transcript; a cell's proof, on a
+    1 x 1 region, is its row alone on the cell's one-point micro-domain,
+    with gamma 1."""
     grid = ctx.grid
-    points = [EvaluationDomain((z,)) for z in grid.row_domain.points]
-    cells = []
-    for poly, values in zip(grid.row_polys, grid.cells):
-        proofs = open_groups(ctx.srs, [([poly], md, 1) for md in points])
-        cells.append([BaselineCell(proof.to_bytes(), scalar_to_bytes(value))
-                      for proof, value in zip(proofs, values)])
-    return cells
-
-
-def assemble_objects(ctx: BlockContext, mode: ConfigMode, cells) -> dict:
-    """The arm's key->bytes object set. The per-cell arms take their
-    proofs from `cells` (`open_cells`); pmp opens each group itself and
-    reads no cells."""
-    if mode is ConfigMode.PMP:
-        return _open_pmp_groups(ctx)
-    objects = {}
-    for region in object_regions(ctx, mode):
-        key = object_key(ctx, mode,
-                         Coordinate(region.rows_start, region.cols_start))
-        band = range(region.rows_start, region.rows_end)
-        cols = range(region.cols_start, region.cols_end)
-        if mode is ConfigMode.GROUPED_ONLY:
-            objects[key] = GroupedCells(
-                region, [cells[r][c] for r in band for c in cols]).to_bytes()
-        else:
-            objects[key] = cells[region.rows_start][
-                region.cols_start].to_bytes()
-    return objects
-
-
-def _open_pmp_groups(ctx: BlockContext) -> dict:
-    """pmp's key->bytes object set: a band's groups are opened in one
-    `open_groups` call, so their proofs share one fixed-base walk."""
-    grid = ctx.grid
-    objects = {}
     for start, regions in itertools.groupby(
-            object_regions(ctx, ConfigMode.PMP),
-            key=lambda region: region.rows_start):
+            object_regions(ctx, mode), key=lambda region: region.rows_start):
         regions = list(regions)
         band = range(start, regions[0].rows_end)
         polys = [grid.row_polys[r] for r in band]
         claims, groups = [], []
         for region in regions:
-            scalars = tuple(grid.cells[r][c] for r in band
-                            for c in range(region.cols_start, region.cols_end))
-            transcript = group_transcript(ctx, region, scalars)
-            claims.append((region, scalars))
-            groups.append((polys, transcript.micro_domain,
-                           derive_gamma(transcript)))
-        for (region, scalars), proof in zip(claims,
-                                            open_groups(ctx.srs, groups)):
-            key = object_key(ctx, ConfigMode.PMP,
+            values = tuple(grid.cells[r][c] for r in band
+                           for c in range(region.cols_start, region.cols_end))
+            transcript = group_transcript(ctx, region, values)
+            gamma = derive_gamma(transcript) if mode is ConfigMode.PMP else 1
+            claims.append((region, values))
+            groups.append((polys, transcript.micro_domain, gamma))
+        for (region, values), proof in zip(claims,
+                                           open_groups(ctx.srs, groups)):
+            yield region, values, proof
+
+
+def build_objects(ctx: BlockContext, mode: ConfigMode,
+                  cells: dict | None = None) -> dict:
+    """The key->bytes object set one fat client would publish.
+
+    The per-cell arms (vanilla, batched, grouped) take each cell's
+    BaselineCell from `cells`, keyed by (row, col). An empty dict is
+    filled with every cell's opening on first use, so callers that share
+    one dict open each cell once (`ExperimentSession`); with None, every
+    cell is opened afresh. pmp opens its own groups and reads no cells.
+    """
+    objects = {}
+    if mode is ConfigMode.PMP:
+        for region, values, proof in _open_bands(ctx, mode):
+            key = object_key(ctx, mode,
                              Coordinate(region.rows_start, region.cols_start))
-            objects[key] = MCell(proof.to_bytes(), region, scalars).to_bytes()
+            objects[key] = MCell(proof.to_bytes(), region, values).to_bytes()
+        return objects
+    if cells is None:
+        cells = {}
+    if not cells:
+        for region, values, proof in _open_bands(ctx, ConfigMode.VANILLA):
+            cells[region.rows_start, region.cols_start] = BaselineCell(
+                proof.to_bytes(), scalar_to_bytes(values[0]))
+    for region in object_regions(ctx, mode):
+        key = object_key(ctx, mode,
+                         Coordinate(region.rows_start, region.cols_start))
+        if mode is ConfigMode.GROUPED_ONLY:
+            objects[key] = GroupedCells(region, [
+                cells[r, c] for r in range(region.rows_start, region.rows_end)
+                for c in range(region.cols_start, region.cols_end)]).to_bytes()
+        else:
+            objects[key] = cells[region.rows_start,
+                                 region.cols_start].to_bytes()
     return objects
-
-
-def build_objects(ctx: BlockContext, mode: ConfigMode) -> dict:
-    """The key->bytes object set one fat client would publish. Every call
-    opens its cells afresh; `ExperimentSession` shares one opening per
-    cell across its per-cell arms."""
-    cells = None if mode is ConfigMode.PMP else open_cells(ctx)
-    return assemble_objects(ctx, mode, cells)
 
 
 def publish(ctx: BlockContext, mode: ConfigMode, dht: SimDht,
@@ -385,8 +376,9 @@ class SamplingPlan:
 
 def make_sampling_plan(seed: int, dims, s: int) -> SamplingPlan:
     total = dims.extended_cells
-    if s > total:
-        raise DasNetError("cannot sample more coordinates than cells")
+    if not 0 <= s <= total:
+        raise DasNetError("sample count must lie between 0 and the cell "
+                          "count")
     rng = random.Random(f"sample|{seed}")
     picks = rng.sample(range(total), s)
     coords = tuple(Coordinate(i // dims.extended_cols, i % dims.extended_cols)
@@ -781,7 +773,7 @@ class ExperimentSession:
         grid = build_grid(_deterministic_block_data(cfg, dims), dims, srs)
         self.ctx = BlockContext(cfg.block_id, grid, srs, cfg.group_size,
                                 cfg.rows_per_group)
-        self._cells = None  # open_cells, on the first per-cell arm
+        self._cells = {}  # (row, col) -> BaselineCell, for build_objects
         self._objects = {}
         self._published = {}  # mode -> (DHT as published, PublishResult)
         self._draws = {}  # seed -> (churn_order, SamplingPlan)
@@ -794,10 +786,7 @@ class ExperimentSession:
 
     def objects_for(self, mode: ConfigMode) -> dict:
         if mode not in self._objects:
-            if mode is not ConfigMode.PMP and self._cells is None:
-                self._cells = open_cells(self.ctx)
-            self._objects[mode] = assemble_objects(self.ctx, mode,
-                                                   self._cells)
+            self._objects[mode] = build_objects(self.ctx, mode, self._cells)
         return self._objects[mode]
 
     def run(self, mode: ConfigMode, churn: float, seed: int) -> dict:

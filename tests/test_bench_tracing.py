@@ -74,3 +74,23 @@ def test_traced_sample_round_per_arm(monkeypatch):
     assert metrics["dasnet.sample_and_verify.calls"] == 4
     assert metrics["dasnet.cache.misses"] == \
         metrics["dasnet.verify.calls"] > 0
+
+
+def test_traced_sample_setup_builds_each_arm_once(monkeypatch):
+    # the session builds every arm's objects through build_objects, so
+    # `dasnet.build_objects.ms.<arm>` times each arm's build on `sample`
+    monkeypatch.syspath_prepend(str(BENCH))
+    import hostspeed
+    import tracing
+    import workloads
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        workloads.Sample(0).setup(hostspeed.ScaledClock())
+    finally:
+        tracer.uninstall()
+    builds = [name for name, *_ in tracer.spans
+              if name.startswith("dasnet.build_objects.")]
+    assert sorted(builds) == sorted("dasnet.build_objects." + arm
+                                    for arm in tracing.ARMS)

@@ -157,8 +157,9 @@ def test_sampling_plan_is_reproducible_and_distinct():
     for coord in plan.coordinates:
         assert coord.row < dims.rows and coord.col < dims.extended_cols
     assert make_sampling_plan(8, dims, 6).coordinates != plan.coordinates
-    with pytest.raises(DasNetError):
-        make_sampling_plan(7, dims, dims.extended_cells + 1)
+    for bad in (dims.extended_cells + 1, -1):
+        with pytest.raises(DasNetError):
+            make_sampling_plan(7, dims, bad)
 
 
 def test_effective_and_required_samples():

@@ -1,16 +1,19 @@
 """Polynomial arithmetic, division, interpolation, and domains."""
 
+import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmpdas import field_poly
 from pmpdas.field_poly import (
     NEG_INF, SCALAR_MODULUS, EvaluationDomain, FieldPolyError,
-    NonCanonicalScalar, Polynomial, div_rem, evaluate_on_domain, interpolate,
-    root_of_unity, roots_of_unity_domain, scalar_from_bytes, scalar_inv,
-    scalar_to_bytes, vanishing_poly,
+    NonCanonicalScalar, Polynomial, div_rem, evaluate_on_domain,
+    hash_to_scalar, interpolate, root_of_unity, roots_of_unity_domain,
+    scalar_from_bytes, scalar_inv, scalar_to_bytes, vanishing_poly,
 )
 
 scalars = st.integers(min_value=0, max_value=SCALAR_MODULUS - 1)
@@ -43,6 +46,23 @@ def test_scalar_inverse():
     assert v * scalar_inv(v) % SCALAR_MODULUS == 1
     with pytest.raises(ZeroDivisionError):
         scalar_inv(0)
+
+
+def test_hash_to_scalar_rehashes_a_zero_digest(monkeypatch):
+    # a first digest that reduces to 0 is hashed again with the u32
+    # counter 1 appended
+    zero = SCALAR_MODULUS.to_bytes(64, "big")
+    digests = [zero]
+
+    def sha512(data):
+        if digests:
+            return SimpleNamespace(digest=digests.pop)
+        return hashlib.sha512(data)
+
+    monkeypatch.setattr(field_poly, "hashlib", SimpleNamespace(sha512=sha512))
+    expected = int.from_bytes(hashlib.sha512(
+        zero + (1).to_bytes(4, "big")).digest(), "big") % SCALAR_MODULUS
+    assert hash_to_scalar(b"any data") == expected != 0
 
 
 def test_polynomial_normalization_and_degree():
