@@ -3,9 +3,10 @@
 G1 lives on y^2 = x^3 + 4 over Fp, G2 on y^2 = x^3 + 4(1+u) over Fp2.
 Points are kept in Jacobian coordinates as plain tuples. One immutable
 point base holds the point API and the compressed-encoding frame;
-:class:`G1Point` and :class:`G2Point` supply only their Jacobian formulas,
-their x-coordinate codec and their subgroup test. Both groups share one
-double-and-add ladder and one signed-window MSM walk.
+:class:`G1Point` and :class:`G2Point` supply only their Jacobian and
+batch-affine formulas, their x-coordinate codec and their subgroup test.
+Both groups share one double-and-add ladder and one signed-window MSM
+walk over affine tables.
 
 Serialization follows the common 48/96-byte compressed convention:
 big-endian x with flag bits in the three high bits of the first byte
@@ -181,13 +182,17 @@ def _g2_to_affine(pt):
 # (Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992; Moeller, SAC
 # 2001). The walk first sums each window's digits over all terms,
 # S_i = sum_j d_ij * T_j, and then forms sum_i 2^(w*i) * S_i in one Horner
-# pass of w doublings and one addition per window. A group supplies how
-# its tables are built, how a term is added into the window sums and how a
-# sum is added to a Jacobian point. On G1 tables and window sums are
-# affine: a term's additions into the windows are independent of each
-# other, so they share one inversion (Montgomery, Math. Comp. 1987) and
-# each costs about 6 multiplications, against 11 for a mixed Jacobian +
-# affine addition. G2 tables and sums stay Jacobian.
+# pass of w doublings and one addition per window. Tables and window sums
+# are affine in both groups: a term's additions into the windows are
+# independent of each other, so they share one inversion (Montgomery,
+# Math. Comp. 1987) and each costs about 6 multiplications, against 11
+# for a mixed Jacobian + affine addition. On G2 the shared inversion is of
+# Fp2 denominators, 1/(a + b*u) = (a - b*u)/(a^2 + b^2), so only their
+# norms in Fp go through the one inversion. A group supplies only its
+# batch normalisation, its affine sums, its affine negation and its mixed
+# addition, which adds a sum to the Horner pass's Jacobian accumulator.
+# The r-ladder of the G2 subgroup check and the G2Point `+` and `*` stay
+# Jacobian.
 #
 # The fixed-base walk (the SRS powers) uses 8-bit windows over tables
 # built once, and splits each scalar k as t + q*x^2 with t, q < 2^128
@@ -197,13 +202,14 @@ def _g2_to_affine(pt):
 # walks them. Each output's Horner pass then takes about 136 doublings
 # instead of 256. The variable-base walk builds 4-bit tables per call and
 # does not split: a round check has only a few Horner passes, and the
-# additions dominate. One builder per group, `_g1_affine_multiples` and
-# `_g2_multiples`, makes every table of that group. Both walks take
-# several rows of scalars over one list of tables
-# (the openings of one polynomial, the G2 bases of a round check): each
+# additions dominate. One builder, `_affine_multiples`, makes every
+# table of both groups, and one adder, `_add_to_window_sums`, adds every
+# term into the window sums. Both walks take several rows of scalars over
+# one list of tables (the openings of one polynomial, the G2 bases of a
+# round check): each
 # table's digits for every row go into one vector of window sums, row
-# after row, so one addition of a term (one inversion on G1) serves every
-# row, and each row then takes its own Horner pass.
+# after row, so one addition of a term (one inversion) serves every row,
+# and each row then takes its own Horner pass.
 #
 # Many multiples of one point (the SRS powers in the trusted setup) take a
 # fixed-base comb instead (Lim and Lee, CRYPTO 1994), with the 4-bit
@@ -211,8 +217,8 @@ def _g2_to_affine(pt):
 # get a table of their multiples 1..8, and output j is
 # sum_i d_ji * 2^(4*i) * P. The roles of the MSM walk swap: the output
 # index takes the place of the window index, so a window's table adds
-# into every output's sum at once (on G1 with one shared inversion), and
-# each output costs one addition per non-zero digit and no doubling. The
+# into every output's sum at once with one shared inversion, and each
+# output costs one addition per non-zero digit and no doubling. The
 # tables cost about 256 doublings and 512 multiples, so a lone k * P
 # keeps the ladder.
 
@@ -242,6 +248,30 @@ def _g1_add_affine(pt, q):
     x3 = (r * r - j - 2 * v) % P
     y3 = (r * (v - x3) - 2 * y1 * j) % P
     z3 = 2 * z1 * h % P
+    return (x3, y3, z3)
+
+
+def _g2_add_affine(pt, q):
+    """pt + q for a Jacobian G2 pt and an affine q = (x, y), over Fp2
+    (madd-2007-bl, as `_g1_add_affine`)."""
+    x1, y1, z1 = pt
+    x2, y2 = q
+    if fp2_is_zero(z1):
+        return (x2, y2, FP2_ONE)
+    z1z1 = fp2_sqr(z1)
+    h = fp2_sub(fp2_mul(x2, z1z1), x1)
+    r = fp2_scalar_mul(fp2_sub(fp2_mul(fp2_mul(y2, z1), z1z1), y1), 2)
+    if fp2_is_zero(h):
+        if fp2_is_zero(r):
+            return _g2_double((x2, y2, FP2_ONE))
+        return _INF2
+    i = fp2_scalar_mul(fp2_sqr(h), 4)
+    j = fp2_mul(h, i)
+    v = fp2_mul(x1, i)
+    x3 = fp2_sub(fp2_sub(fp2_sqr(r), j), fp2_scalar_mul(v, 2))
+    y3 = fp2_sub(fp2_mul(r, fp2_sub(v, x3)),
+                 fp2_scalar_mul(fp2_mul(y1, j), 2))
+    z3 = fp2_scalar_mul(fp2_mul(z1, h), 2)
     return (x3, y3, z3)
 
 
@@ -278,43 +308,89 @@ def _g1_affine_sums(pairs):
     return out
 
 
-def _g1_affine_multiples(points, m):
+def _g1_normalize(points):
+    """The affine forms of non-identity Jacobian G1 points, with one
+    shared inversion."""
+    out = []
+    for (x, y, _), zi in zip(points, _batch_inverse([z for *_, z in points])):
+        zi2 = zi * zi % P
+        out.append((x * zi2 % P, y * zi2 * zi % P))
+    return out
+
+
+def _g1_affine_neg(q):
+    return (q[0], P - q[1])
+
+
+def _fp2_batch_inverse(values):
+    """Inverses in Fp2 of the values with one inversion: 1/(a + b*u) is
+    (a - b*u)/(a^2 + b^2), so only the norms a^2 + b^2 in Fp are
+    inverted, through `_batch_inverse`."""
+    norms = _batch_inverse([a * a + b * b for a, b in values])
+    return [(a * n % P, -b * n % P) for (a, b), n in zip(values, norms)]
+
+
+def _g2_affine_sums(pairs):
+    """p + q for each pair of affine G2 points with p != -q, with one
+    shared inversion; p == q is a doubling."""
+    dens = [fp2_sub(x2, x1) if x1 != x2 else fp2_add(y1, y1)
+            for (x1, y1), (x2, _) in pairs]
+    out = []
+    for ((x1, y1), (x2, y2)), inv in zip(pairs, _fp2_batch_inverse(dens)):
+        # the chord's slope, or the tangent's when the points are equal
+        num = fp2_sub(y2, y1) if x1 != x2 else fp2_scalar_mul(fp2_sqr(x1), 3)
+        lam = fp2_mul(num, inv)
+        x3 = fp2_sub(fp2_sub(fp2_sqr(lam), x1), x2)
+        out.append((x3, fp2_sub(fp2_mul(lam, fp2_sub(x1, x3)), y1)))
+    return out
+
+
+def _g2_normalize(points):
+    """The affine forms of non-identity Jacobian G2 points, with one
+    shared inversion."""
+    out = []
+    for (x, y, _), zi in zip(points,
+                             _fp2_batch_inverse([z for *_, z in points])):
+        zi2 = fp2_sqr(zi)
+        out.append((fp2_mul(x, zi2), fp2_mul(fp2_mul(y, zi2), zi)))
+    return out
+
+
+def _g2_affine_neg(q):
+    return (q[0], fp2_neg(q[1]))
+
+
+def _affine_multiples(group, points, m):
     """Affine multiples (1*q, .., m*q) of each non-identity Jacobian point
-    q, for m >= 1.
+    q of the group, for m >= 1.
 
     The points are normalised with one shared inversion, then built in
     ceil(log2 m) doubling levels: level h adds h*q to 1*q .. h*q of every
     point, the last of them a doubling, with one inversion shared by the
     whole level.
     """
-    tables = []
-    for (x, y, _), zi in zip(points, _batch_inverse([z for *_, z in points])):
-        zi2 = zi * zi % P
-        tables.append([(x * zi2 % P, y * zi2 * zi % P)])
+    tables = [[q] for q in group._normalize(points)]
     h = 1
     while h < m:
         n = min(h, m - h)
-        level = _g1_affine_sums([(q, tbl[h - 1]) for tbl in tables
-                                 for q in tbl[:n]])
+        level = group._affine_sums([(q, tbl[h - 1]) for tbl in tables
+                                    for q in tbl[:n]])
         for i, tbl in enumerate(tables):
             tbl += level[i * n:(i + 1) * n]
         h += n
     return [tuple(tbl) for tbl in tables]
 
 
-def _g1_add_to_window_sums(sums, tbl, digits):
+def _add_to_window_sums(group, sums, tbl, digits):
     """sums[i] += digits[i] * base for every window i, where tbl[j] is the
     affine (j+1) * base and a window sum is affine, or None for the
     identity; the additions share one inversion."""
+    neg = group._affine_neg
     windows, pairs = [], []
     for i, d in enumerate(digits):
         if not d:
             continue
-        if d > 0:
-            entry = tbl[d - 1]
-        else:
-            x, y = tbl[-d - 1]
-            entry = (x, P - y)
+        entry = tbl[d - 1] if d > 0 else neg(tbl[-d - 1])
         s = sums[i]
         if s is None:
             sums[i] = entry
@@ -324,30 +400,8 @@ def _g1_add_to_window_sums(sums, tbl, digits):
         else:
             windows.append(i)
             pairs.append((s, entry))
-    for i, s in zip(windows, _g1_affine_sums(pairs)):
+    for i, s in zip(windows, group._affine_sums(pairs)):
         sums[i] = s
-
-
-def _g2_multiples(points, m):
-    """Jacobian multiples [1*q, .., m*q] of each Jacobian point q, for
-    m >= 1."""
-    tables = []
-    for raw in points:
-        tbl = [raw, _g2_double(raw)][:m]
-        while len(tbl) < m:
-            tbl.append(_g2_add(tbl[-1], raw))
-        tables.append(tbl)
-    return tables
-
-
-def _g2_add_to_window_sums(sums, tbl, digits):
-    """sums[i] += digits[i] * base for every window i, where tbl[j] is the
-    Jacobian (j+1) * base and None is the identity sum."""
-    for i, d in enumerate(digits):
-        if d:
-            entry = tbl[d - 1] if d > 0 else _g2_neg(tbl[-d - 1])
-            s = sums[i]
-            sums[i] = entry if s is None else _g2_add(s, entry)
 
 
 def _signed_digits(k, window):
@@ -386,9 +440,8 @@ def _signed_window_msm(group, terms, window, rows):
                default=0)
     width = -(-bits // window) + 1
     sums = [None] * (rows * width)
-    add_term = group._add_to_window_sums
     for tbl, ks in terms:
-        add_term(sums, tbl, _row_digits(ks, window, width))
+        _add_to_window_sums(group, sums, tbl, _row_digits(ks, window, width))
     add, double = group._add_window_sum, group._double
     out = []
     for b in range(rows):
@@ -434,7 +487,7 @@ def _msm(group, points, rows):
         if any(ks) and not p.is_identity():
             kept.append(p.raw)
             scalars.append([k - R if k > _HALF_R else k for k in ks])
-    tables = group._multiples(kept, 1 << (_WINDOW - 1))
+    tables = _affine_multiples(group, kept, 1 << (_WINDOW - 1))
     return _signed_window_msm(group, zip(tables, scalars), _WINDOW,
                               len(rows))
 
@@ -457,27 +510,35 @@ def fixed_base_muls(point, scalars) -> list:
         bases.append(raw)
         for _ in range(_WINDOW):
             raw = group._double(raw)
-    add_term = group._add_to_window_sums
-    for i, tbl in enumerate(group._multiples(bases, 1 << (_WINDOW - 1))):
-        add_term(sums, tbl, [d[i] if i < len(d) else 0 for d in digits])
+    tables = _affine_multiples(group, bases, 1 << (_WINDOW - 1))
+    for i, tbl in enumerate(tables):
+        _add_to_window_sums(group, sums, tbl,
+                            [d[i] if i < len(d) else 0 for d in digits])
     return [group(group._INF if s is None else
                   group._add_window_sum(group._INF, s)) for s in sums]
 
 
-def g1_fixed_base_table(point) -> tuple:
-    """The table of a point P of the prime-order subgroup for
+def g1_fixed_base_tables(points) -> tuple:
+    """The table of each point P of the prime-order subgroup for
     `g1_fixed_base_msms`: the affine multiples j*P and their phi images
     -j*x^2*P = (beta*x, y), for j = 1 .. 2^(w-1); empty for the
-    identity, whose terms the MSM skips."""
-    if point.is_identity():
-        return ()
-    tbl = _g1_affine_multiples([point.raw], 1 << (_FB_WINDOW - 1))[0]
-    return tbl, tuple((_BETA * x % P, y) for x, y in tbl)
+    identity, whose terms the MSM skips. All tables are built in one
+    `_affine_multiples` call, so each level shares one inversion."""
+    kept = [pt.raw for pt in points if not pt.is_identity()]
+    built = iter(_affine_multiples(G1Point, kept, 1 << (_FB_WINDOW - 1)))
+    tables = []
+    for pt in points:
+        if pt.is_identity():
+            tables.append(())
+        else:
+            tbl = next(built)
+            tables.append((tbl, tuple((_BETA * x % P, y) for x, y in tbl)))
+    return tuple(tables)
 
 
 def g1_fixed_base_msms(tables, rows) -> list:
     """For each row of scalars, the sum of scalar*point over the points
-    whose `g1_fixed_base_table`s are given, as a G1Point; scalars are
+    whose `g1_fixed_base_tables` are given, as a G1Point; scalars are
     reduced mod r, and a row pairs with the tables as zip does, a missing
     scalar counting as zero.
 
@@ -616,10 +677,11 @@ class _Point:
     """Immutable point of a prime-order subgroup.
 
     A group subclass supplies its Jacobian formulas (`_add`, `_double`,
-    `_neg`, `_to_affine`, optionally a faster `_eq`), its MSM tables
-    (`_multiples` to build them, `_add_to_window_sums` to add a term into
-    the window sums and `_add_window_sum` to add a sum to a Jacobian
-    point), its x-coordinate codec (`_x_to_bytes`, `_x_from_bytes`,
+    `_neg`, `_to_affine`, optionally a faster `_eq`), its affine MSM
+    arithmetic (`_normalize` for many points with one inversion,
+    `_affine_sums` for many pairs with one inversion, `_affine_neg`, and
+    `_add_window_sum` to add an affine sum to a Jacobian point), its
+    x-coordinate codec (`_x_to_bytes`, `_x_from_bytes`,
     `_y_from_x`, `_y_is_largest`), optionally a faster `in_subgroup`, and
     the constants `_INF` (Jacobian infinity), `_ONE` (the coordinate
     field's one), `_BYTES` (the compressed length) and `_GEN`.
@@ -736,8 +798,9 @@ class G1Point(_Point):
     _neg = staticmethod(_g1_neg)
     _eq = staticmethod(_g1_eq)
     _to_affine = staticmethod(_g1_to_affine)
-    _multiples = staticmethod(_g1_affine_multiples)
-    _add_to_window_sums = staticmethod(_g1_add_to_window_sums)
+    _normalize = staticmethod(_g1_normalize)
+    _affine_sums = staticmethod(_g1_affine_sums)
+    _affine_neg = staticmethod(_g1_affine_neg)
     _add_window_sum = staticmethod(_g1_add_affine)
 
     @staticmethod
@@ -791,9 +854,10 @@ class G2Point(_Point):
     _double = staticmethod(_g2_double)
     _neg = staticmethod(_g2_neg)
     _to_affine = staticmethod(_g2_to_affine)
-    _multiples = staticmethod(_g2_multiples)
-    _add_to_window_sums = staticmethod(_g2_add_to_window_sums)
-    _add_window_sum = staticmethod(_g2_add)
+    _normalize = staticmethod(_g2_normalize)
+    _affine_sums = staticmethod(_g2_affine_sums)
+    _affine_neg = staticmethod(_g2_affine_neg)
+    _add_window_sum = staticmethod(_g2_add_affine)
 
     def _lines(self):
         """`_g2_lines` of this non-identity point, computed on first use."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .curve import (
     CurveError, G1Point, G2Point, fixed_base_muls, g1_fixed_base_msms,
-    g1_fixed_base_table, g1_msms, g2_msm, pairing_check,
+    g1_fixed_base_tables, g1_msms, g2_msm, pairing_check,
 )
 from .field_poly import (
     SCALAR_MODULUS, Polynomial, div_rem, vanishing_poly,
@@ -90,8 +90,8 @@ class SRS:
             with self._z_lock:
                 tables = self._g1_tables
                 if len(tables) < n:
-                    tables += tuple(g1_fixed_base_table(pt) for pt in
-                                    self.g1_powers[len(tables):n])
+                    tables += g1_fixed_base_tables(
+                        self.g1_powers[len(tables):n])
                     self._g1_tables = tables
         return tables
 

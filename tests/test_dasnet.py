@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import TEST_RHO, shared_srs, shift_between_rows
-from pmpdas import dasnet, kzg, wire
+from pmpdas import curve, dasnet, kzg, wire
 from pmpdas.curve import CurveError, G1Point, G2Point, g1_msms, pairing_check
 from pmpdas.dasnet import (
     DECODE_ERRORS, GROUPED_MODES, BlockContext, ConfigMode, DasNetError,
@@ -1124,8 +1124,8 @@ def test_round_check_is_one_g1_msms_row_per_g2_base(monkeypatch):
 
     for name in ("g1_msms", "g1_fixed_base_msms", "pairing_check"):
         monkeypatch.setattr(kzg, name, logged(name, getattr(kzg, name)))
-    monkeypatch.setattr(G1Point, "_multiples",
-                        staticmethod(logged("tables", G1Point._multiples)))
+    monkeypatch.setattr(curve, "_affine_multiples",
+                        logged("tables", curve._affine_multiples))
     check = PairingTerms.check
     inside = []
 
@@ -1146,7 +1146,9 @@ def test_round_check_is_one_g1_msms_row_per_g2_base(monkeypatch):
             n = bases[mode is ConfigMode.PMP]
             assert [[name for name, _ in ev] for ev in inside] == \
                 [["g1_msms", "tables", "pairing_check"]], (ctx, mode)
-            (_, (points, rows)), (_, (raws, _)), (_, (pairs,)) = inside[0]
+            (_, (points, rows)), (_, (group, raws, _)), (_, (pairs,)) = \
+                inside[0]
+            assert group is G1Point
             assert len(rows) == len(pairs) == n
             assert all(len(row) == len(points) for row in rows)
             assert len({id(pt) for pt in points}) == len(points)

@@ -16,9 +16,10 @@ from helpers import (
 )
 from pmpdas import fields as F
 from pmpdas.curve import (
-    G1Point, G2Point, _g1_add, _g1_affine_multiples, _g1_to_affine,
+    CurveError, G1Point, G2Point, _affine_multiples, _fp2_batch_inverse,
+    _g1_add, _g1_to_affine, _g2_add_affine, _g2_affine_sums, _g2_normalize,
     _g2_to_affine, _miller_loop, fixed_base_muls, g1_fixed_base_msms,
-    g1_fixed_base_table, g1_msm, g1_msms, g2_msm, multi_pairing,
+    g1_fixed_base_tables, g1_msm, g1_msms, g2_msm, multi_pairing,
 )
 from pmpdas.dasnet import (
     ConfigMode, ExperimentConfig, ExperimentSession, SimDht,
@@ -288,9 +289,9 @@ def _base_pool():
     """(point, table) for two SRS powers, the negated generator and the
     identity, so draws repeat bases and cancel terms."""
     g = G1Point.generator()
-    return tuple((pt, g1_fixed_base_table(pt)) for pt in
-                 (g, shared_srs(MSM_SRS_DEGREE).g1_powers[1], -g,
-                  G1Point.identity()))
+    points = (g, shared_srs(MSM_SRS_DEGREE).g1_powers[1], -g,
+              G1Point.identity())
+    return tuple(zip(points, g1_fixed_base_tables(points)))
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), scalars),
@@ -307,7 +308,7 @@ def test_fixed_base_msm_edge_cases():
     g = G1Point.generator()
     (_, tg), _, (_, tneg), (_, tinf) = _base_pool()
     assert tinf == ()
-    five = g1_fixed_base_table(g * 5)
+    (five,) = g1_fixed_base_tables([g * 5])
     cases = [
         ([], [], []),
         ([g], [tg], [0]),
@@ -596,17 +597,26 @@ def test_level_built_tables_match_sequential_multiples():
     points = [g, shared_srs(MSM_SRS_DEGREE).g1_powers[1], -g, g * 5,
               -(g * 5)]
     for m in (8, 128):
-        assert _g1_affine_multiples([pt.raw for pt in points], m) == \
+        assert _affine_multiples(G1Point, [pt.raw for pt in points], m) == \
             [oracles.g1_multiples(pt, m) for pt in points]
     # every m up to 17, so that some last levels stop short of a doubling
     seventeen = oracles.g1_multiples(points[3], 17)
     for m in range(1, 18):
-        assert _g1_affine_multiples([points[3].raw, points[0].raw], m) == \
+        assert _affine_multiples(G1Point, [points[3].raw, points[0].raw],
+                                 m) == \
             [seventeen[:m], oracles.g1_multiples(g, 17)[:m]]
-    for pt in points:
-        assert g1_fixed_base_table(pt) == (
-            oracles.g1_multiples(pt, 128),
-            oracles.g1_multiples(pt * -X2, 128))
+    # one call builds every table, the identity's empty
+    assert g1_fixed_base_tables(points + [G1Point.identity()]) == tuple(
+        (oracles.g1_multiples(pt, 128), oracles.g1_multiples(pt * -X2, 128))
+        for pt in points) + ((),)
+    # G2 from one shared walk, against sums of the points themselves
+    q = G2Point.generator()
+    g2_points = [q, shared_srs(MSM_SRS_DEGREE).g2_powers[1], -(q * 5)]
+    for m in (1, 2, 3, 5, 8):
+        assert _affine_multiples(G2Point, [pt.raw for pt in g2_points],
+                                 m) == \
+            [tuple(_g2_to_affine((pt * j).raw) for j in range(1, m + 1))
+             for pt in g2_points]
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +649,57 @@ def test_g2_msm_matches_sum_of_ladders(terms):
     expected = oracles.g2_msm(points, ks)
     assert got == expected
     assert got.to_bytes() == expected.to_bytes()
+
+
+def test_fp2_batch_inverse_matches_fp2_inv():
+    rng = random.Random(120)
+    drawn = [(rng.randrange(F.P), rng.randrange(F.P)) for _ in range(6)]
+    # a zero imaginary part, a zero real part, one, -1 and u, repeats
+    values = [(7, 0), (0, 7), F.FP2_ONE, (F.P - 1, 0), (0, 1), *drawn,
+              drawn[0], (0, 7)]
+    assert _fp2_batch_inverse(values) == [F.fp2_inv(v) for v in values]
+    assert _fp2_batch_inverse(values[:1]) == [F.fp2_inv(values[0])]
+    assert _fp2_batch_inverse([]) == []
+    for zeros in ([F.FP2_ZERO], [drawn[1], F.FP2_ZERO, drawn[2]]):
+        with pytest.raises(CurveError):
+            _fp2_batch_inverse(zeros)
+
+
+def _g2_affine(pt):
+    return _g2_to_affine(pt.raw)
+
+
+def test_g2_affine_sums_match_point_addition():
+    q = G2Point.generator()
+    # Z = 1 and Z != 1 points, normalised together
+    points = [q, shared_srs(MSM_SRS_DEGREE).g2_powers[1], q * 5, -(q * 5),
+              q * 2, -q]
+    assert all(pt.raw[2] != F.FP2_ONE for pt in points[2:5])
+    affine = _g2_normalize([pt.raw for pt in points])
+    assert affine == [_g2_affine(pt) for pt in points]
+    # every ordered pair but P + (-P), so P + P (the tangent) among them
+    pairs = [(a, b) for a in range(len(points)) for b in range(len(points))
+             if points[a] != -points[b]]
+    assert (0, 0) in pairs and (2, 2) in pairs
+    got = _g2_affine_sums([(affine[a], affine[b]) for a, b in pairs])
+    assert got == [_g2_affine(points[a] + points[b]) for a, b in pairs]
+    assert _g2_affine_sums([]) == []
+
+
+def test_g2_mixed_addition_matches_point_addition():
+    q = G2Point.generator()
+    # Jacobian left sides with Z = 1, with Z != 1, and the identity
+    lefts = [q, q * 5, -(q * 5), q * 7, G2Point.identity()]
+    assert all(pt.raw[2] != F.FP2_ONE for pt in lefts[1:4])
+    # a generic right side, the left side itself (a doubling) and its
+    # negation (the identity)
+    for left in lefts:
+        for right in (q * 3, left, -left):
+            if right.is_identity():
+                continue
+            got = G2Point(_g2_add_affine(left.raw, _g2_affine(right)))
+            assert got == left + right
+            assert got.to_bytes() == (left + right).to_bytes()
 
 
 # ---------------------------------------------------------------------------

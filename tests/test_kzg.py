@@ -225,36 +225,37 @@ def test_vanishing_base_of_a_coset_computes_nothing(monkeypatch):
 
 
 def test_fixed_base_tables_cover_only_the_prefix_used(monkeypatch):
-    built = []
-    real = kzg.g1_fixed_base_table
+    calls = []
+    real = kzg.g1_fixed_base_tables
 
-    def counting(pt):
-        built.append(pt)
-        return real(pt)
+    def counting(points):
+        calls.append(list(points))
+        return real(points)
 
-    monkeypatch.setattr(kzg, "g1_fixed_base_table", counting)
+    monkeypatch.setattr(kzg, "g1_fixed_base_tables", counting)
     srs = gen(D, 778)  # private SRS so no table exists yet
     assert srs.g1_tables(0) == ()
     p = rand_poly(random.Random(37), 2)
     first = commit(srs, p)
-    assert built == list(srs.g1_powers[:3])
+    # the missing powers are built in one call
+    assert calls == [list(srs.g1_powers[:3])]
     assert len(srs.g1_tables(0)) == 3
     assert commit(srs, p) == first
     open_single(srs, p, 11)
-    assert len(built) == 3
+    assert len(calls) == 1
     commit(srs, rand_poly(random.Random(38), 5))
-    assert built == list(srs.g1_powers[:6])
+    assert calls == [list(srs.g1_powers[:3]), list(srs.g1_powers[3:6])]
 
 
 def test_concurrent_commits_build_each_table_once(monkeypatch):
     built = []
-    real = kzg.g1_fixed_base_table
+    real = kzg.g1_fixed_base_tables
 
-    def counting(pt):
-        built.append(pt.to_bytes())
-        return real(pt)
+    def counting(points):
+        built.extend(pt.to_bytes() for pt in points)
+        return real(points)
 
-    monkeypatch.setattr(kzg, "g1_fixed_base_table", counting)
+    monkeypatch.setattr(kzg, "g1_fixed_base_tables", counting)
     rng = random.Random(40)
     srs = gen(D, 780)
     polys = [rand_poly(rng, degree) for degree in (1, 3, 5, D)] * 2
