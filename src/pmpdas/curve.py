@@ -3,10 +3,10 @@
 G1 lives on y^2 = x^3 + 4 over Fp, G2 on y^2 = x^3 + 4(1+u) over Fp2.
 Points are kept in Jacobian coordinates as plain tuples. One immutable
 point base holds the point API and the compressed-encoding frame;
-:class:`G1Point` and :class:`G2Point` supply only their Jacobian and
-batch-affine formulas, their x-coordinate codec and their subgroup test.
-Both groups share one double-and-add ladder and one signed-window MSM
-walk over affine tables.
+:class:`G1Point` and :class:`G2Point` supply only their doubling, their
+one mixed Jacobian + affine addition, their batch-affine formulas, their
+x-coordinate codec and their subgroup test. Both groups share one
+double-and-add ladder and one signed-window MSM walk over affine tables.
 
 Serialization follows the common 48/96-byte compressed convention:
 big-endian x with flag bits in the three high bits of the first byte
@@ -18,7 +18,7 @@ from __future__ import annotations
 from .fields import (
     P, R, BLS_X, BLS_X_BITS,
     FP2_ZERO, FP2_ONE, FP12_ONE,
-    fp2_add, fp2_sub, fp2_neg, fp2_mul, fp2_sqr, fp2_inv, fp2_scalar_mul,
+    fp2_add, fp2_sub, fp2_neg, fp2_mul, fp2_sqr, fp2_scalar_mul,
     fp2_is_zero, fp2_sqrt, fp2_lexicographically_largest,
     fp12_sqr, fp12_conj, fp12_mul_by_line, final_exponentiation,
 )
@@ -60,45 +60,8 @@ def _g1_double(pt):
     return (x3, y3, z3)
 
 
-def _g1_add(p1, p2):
-    if p1[2] == 0:
-        return p2
-    if p2[2] == 0:
-        return p1
-    x1, y1, z1 = p1
-    x2, y2, z2 = p2
-    z1z1 = z1 * z1 % P
-    z2z2 = z2 * z2 % P
-    u1 = x1 * z2z2 % P
-    u2 = x2 * z1z1 % P
-    s1 = y1 * z2z2 * z2 % P
-    s2 = y2 * z1z1 * z1 % P
-    if u1 == u2:
-        if s1 == s2:
-            return _g1_double(p1)
-        return _INF1
-    h = (u2 - u1) % P
-    i = 4 * h * h % P
-    j = h * i % P
-    r = 2 * (s2 - s1) % P
-    v = u1 * i % P
-    x3 = (r * r - j - 2 * v) % P
-    y3 = (r * (v - x3) - 2 * s1 * j) % P
-    z3 = ((z1 + z2) * (z1 + z2) - z1z1 - z2z2) * h % P
-    return (x3, y3, z3)
-
-
 def _g1_neg(pt):
     return (pt[0], -pt[1] % P, pt[2])
-
-
-def _g1_to_affine(pt):
-    x, y, z = pt
-    if z == 0:
-        return None
-    zi = pow(z, -1, P)
-    zi2 = zi * zi % P
-    return (x * zi2 % P, y * zi2 * zi % P)
 
 
 def _g1_eq(p1, p2):
@@ -131,46 +94,8 @@ def _g2_double(pt):
     return (x3, y3, z3)
 
 
-def _g2_add(p1, p2):
-    if fp2_is_zero(p1[2]):
-        return p2
-    if fp2_is_zero(p2[2]):
-        return p1
-    x1, y1, z1 = p1
-    x2, y2, z2 = p2
-    z1z1 = fp2_sqr(z1)
-    z2z2 = fp2_sqr(z2)
-    u1 = fp2_mul(x1, z2z2)
-    u2 = fp2_mul(x2, z1z1)
-    s1 = fp2_mul(fp2_mul(y1, z2z2), z2)
-    s2 = fp2_mul(fp2_mul(y2, z1z1), z1)
-    if u1 == u2:
-        if s1 == s2:
-            return _g2_double(p1)
-        return _INF2
-    h = fp2_sub(u2, u1)
-    i = fp2_scalar_mul(fp2_sqr(h), 4)
-    j = fp2_mul(h, i)
-    r = fp2_scalar_mul(fp2_sub(s2, s1), 2)
-    v = fp2_mul(u1, i)
-    x3 = fp2_sub(fp2_sub(fp2_sqr(r), j), fp2_scalar_mul(v, 2))
-    y3 = fp2_sub(fp2_mul(r, fp2_sub(v, x3)),
-                 fp2_scalar_mul(fp2_mul(s1, j), 2))
-    z3 = fp2_mul(fp2_sub(fp2_sub(fp2_sqr(fp2_add(z1, z2)), z1z1), z2z2), h)
-    return (x3, y3, z3)
-
-
 def _g2_neg(pt):
     return (pt[0], fp2_neg(pt[1]), pt[2])
-
-
-def _g2_to_affine(pt):
-    x, y, z = pt
-    if fp2_is_zero(z):
-        return None
-    zi = fp2_inv(z)
-    zi2 = fp2_sqr(zi)
-    return (fp2_mul(x, zi2), fp2_mul(fp2_mul(y, zi2), zi))
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +116,9 @@ def _g2_to_affine(pt):
 # norms in Fp go through the one inversion. A group supplies only its
 # batch normalisation, its affine sums, its affine negation and its mixed
 # addition, which adds a sum to the Horner pass's Jacobian accumulator.
-# The r-ladder of the G2 subgroup check and the G2Point `+` and `*` stay
-# Jacobian.
+# The mixed addition is each group's one addition of single points: the
+# ladder of `*` and of the subgroup checks, and `+`, add the affine form
+# of their right side with it too.
 #
 # The fixed-base walk (the SRS powers) uses 8-bit windows over tables
 # built once, and splits each scalar k as t + q*x^2 with t, q < 2^128
@@ -442,7 +368,7 @@ def _signed_window_msm(group, terms, window, rows):
     sums = [None] * (rows * width)
     for tbl, ks in terms:
         _add_to_window_sums(group, sums, tbl, _row_digits(ks, window, width))
-    add, double = group._add_window_sum, group._double
+    add, double = group._add_affine, group._double
     out = []
     for b in range(rows):
         acc = group._INF
@@ -515,7 +441,7 @@ def fixed_base_muls(point, scalars) -> list:
         _add_to_window_sums(group, sums, tbl,
                             [d[i] if i < len(d) else 0 for d in digits])
     return [group(group._INF if s is None else
-                  group._add_window_sum(group._INF, s)) for s in sums]
+                  group._add_affine(group._INF, s)) for s in sums]
 
 
 def g1_fixed_base_tables(points) -> tuple:
@@ -638,7 +564,7 @@ def _miller_loop(pairs):
     skipped, and with none left this is one."""
     prepared = []
     for g1pt, g2pt in pairs:
-        pa = _g1_to_affine(g1pt.raw)
+        pa = g1pt._to_affine(g1pt.raw)
         if pa is not None and not g2pt.is_identity():
             prepared.append((pa[0], -pa[1] % P, g2pt._lines()))
     if not prepared:
@@ -676,11 +602,11 @@ def pairing_check(pairs):
 class _Point:
     """Immutable point of a prime-order subgroup.
 
-    A group subclass supplies its Jacobian formulas (`_add`, `_double`,
-    `_neg`, `_to_affine`, optionally a faster `_eq`), its affine MSM
+    A group subclass supplies its Jacobian formulas (`_double`, `_neg`,
+    optionally a faster `_eq`), its one point addition (`_add_affine`,
+    which adds an affine point to a Jacobian one), its batch-affine
     arithmetic (`_normalize` for many points with one inversion,
-    `_affine_sums` for many pairs with one inversion, `_affine_neg`, and
-    `_add_window_sum` to add an affine sum to a Jacobian point), its
+    `_affine_sums` for many pairs with one inversion, `_affine_neg`), its
     x-coordinate codec (`_x_to_bytes`, `_x_from_bytes`,
     `_y_from_x`, `_y_is_largest`), optionally a faster `in_subgroup`, and
     the constants `_INF` (Jacobian infinity), `_ONE` (the coordinate
@@ -707,10 +633,13 @@ class _Point:
         return self.raw[2] == self._INF[2]
 
     def __add__(self, other):
-        return type(self)(self._add(self.raw, other.raw))
+        q = self._to_affine(other.raw)
+        if q is None:
+            return self
+        return type(self)(self._add_affine(self.raw, q))
 
     def __sub__(self, other):
-        return type(self)(self._add(self.raw, self._neg(other.raw)))
+        return self + -other
 
     def __neg__(self):
         return type(self)(self._neg(self.raw))
@@ -733,20 +662,28 @@ class _Point:
         return f"{type(self).__name__}({self.to_bytes().hex()})"
 
     @classmethod
+    def _to_affine(cls, raw):
+        """The affine (x, y) of a Jacobian tuple, or None for infinity."""
+        return None if raw[2] == cls._INF[2] else cls._normalize([raw])[0]
+
+    @classmethod
     def _eq(cls, p1, p2):
         return cls._to_affine(p1) == cls._to_affine(p2)
 
     @classmethod
     def _ladder(cls, raw, k):
-        """k * raw for a Jacobian tuple and any k >= 0, by double-and-add."""
-        add, double = cls._add, cls._double
-        result = cls._INF
-        while k:
-            if k & 1:
-                result = add(result, raw)
-            raw = double(raw)
-            k >>= 1
-        return result
+        """k * raw for a Jacobian tuple and any k >= 0, by left-to-right
+        double-and-add with mixed additions of raw's affine form."""
+        q = cls._to_affine(raw)
+        if q is None or not k:
+            return cls._INF
+        add, double = cls._add_affine, cls._double
+        acc = (*q, cls._ONE)
+        for bit in bin(k)[3:]:
+            acc = double(acc)
+            if bit == "1":
+                acc = add(acc, q)
+        return acc
 
     def in_subgroup(self) -> bool:
         """r * P == O, by the ladder over all 255 bits of r."""
@@ -793,15 +730,13 @@ class G1Point(_Point):
 
     __slots__ = ()
     _INF, _ONE, _BYTES = _INF1, 1, 48
-    _add = staticmethod(_g1_add)
     _double = staticmethod(_g1_double)
     _neg = staticmethod(_g1_neg)
     _eq = staticmethod(_g1_eq)
-    _to_affine = staticmethod(_g1_to_affine)
+    _add_affine = staticmethod(_g1_add_affine)
     _normalize = staticmethod(_g1_normalize)
     _affine_sums = staticmethod(_g1_affine_sums)
     _affine_neg = staticmethod(_g1_affine_neg)
-    _add_window_sum = staticmethod(_g1_add_affine)
 
     @staticmethod
     def _x_to_bytes(x):
@@ -850,21 +785,19 @@ class G2Point(_Point):
 
     __slots__ = ("_prepared",)
     _INF, _ONE, _BYTES = _INF2, FP2_ONE, 96
-    _add = staticmethod(_g2_add)
     _double = staticmethod(_g2_double)
     _neg = staticmethod(_g2_neg)
-    _to_affine = staticmethod(_g2_to_affine)
+    _add_affine = staticmethod(_g2_add_affine)
     _normalize = staticmethod(_g2_normalize)
     _affine_sums = staticmethod(_g2_affine_sums)
     _affine_neg = staticmethod(_g2_affine_neg)
-    _add_window_sum = staticmethod(_g2_add_affine)
 
     def _lines(self):
         """`_g2_lines` of this non-identity point, computed on first use."""
         try:
             return self._prepared
         except AttributeError:
-            lines = _g2_lines(_g2_to_affine(self.raw))
+            lines = _g2_lines(self._to_affine(self.raw))
             object.__setattr__(self, "_prepared", lines)
             return lines
 

@@ -5,22 +5,24 @@ Each function is the plain textbook form of a primitive that `pmpdas`
 computes faster: the Fp6 and Fp12 tower products with every Fp2 product
 and sum reduced, the affine Miller loop with one inversion per step, the
 projective Miller loop that computes every line afresh on each call, the
-final exponentiation with generic Fp12 squarings, the G1 subgroup check as
-multiplication by r, G1 and G2 multi-scalar multiplications as sums of
-ladders, the G1 signed-window walk with one Jacobian accumulator over
-tables of sequential multiples, single, batched and shared-point KZG
-verification with one scalar multiplication per term and one unbatched
-pairing check each, the replicas of a DHT key found by scanning every
-peer's store in rendezvous order, and an ablation run that publishes,
-draws and verifies everything afresh.
+final exponentiation with generic Fp12 squarings, full Jacobian +
+Jacobian point addition and the right-to-left double-and-add ladder over
+it in both groups, the G1 subgroup check as multiplication by r, G1 and
+G2 multi-scalar multiplications as sums of ladders, the G1 signed-window
+walk with one Jacobian accumulator over tables of sequential multiples,
+single, batched and shared-point KZG verification with one scalar
+multiplication per term and one unbatched pairing check each, the
+replicas of a DHT key found by scanning every peer's store in rendezvous
+order, and an ablation run that publishes, draws and verifies everything
+afresh.
 """
 
 import dataclasses
 import hashlib
 
 from pmpdas.curve import (
-    G1Point, G2Point, _INF1, _g1_add_affine, _g1_double, _g1_to_affine,
-    _g2_to_affine, _signed_digits,
+    G1Point, G2Point, _INF1, _INF2, _g1_add_affine, _g1_double, _g2_double,
+    _signed_digits,
 )
 from pmpdas.dasnet import (
     SimDht, Status, VerificationCache, make_sampling_plan, publish,
@@ -29,9 +31,9 @@ from pmpdas.dasnet import (
 from pmpdas.field_poly import SCALAR_MODULUS, interpolate, vanishing_poly
 from pmpdas.fields import (
     BLS_X, BLS_X_BITS, FP2_ONE, FP2_ZERO, FP12_ONE, P, R,
-    fp2_add, fp2_inv, fp2_mul, fp2_mul_by_xi, fp2_neg, fp2_scalar_mul,
-    fp2_sqr, fp2_sub, fp6_inv, fp6_neg, fp12_conj, fp12_frobenius,
-    fp12_frobenius_n,
+    fp2_add, fp2_inv, fp2_is_zero, fp2_mul, fp2_mul_by_xi, fp2_neg,
+    fp2_scalar_mul, fp2_sqr, fp2_sub, fp6_inv, fp6_neg, fp12_conj,
+    fp12_frobenius, fp12_frobenius_n,
 )
 from pmpdas.kzg import KzgError
 
@@ -303,8 +305,8 @@ def multi_pairing(pairs):
     """Product of pairings e(P_i, Q_i); identity pairs contribute one."""
     affine = []
     for g1pt, g2pt in pairs:
-        pa = _g1_to_affine(g1pt.raw)
-        qa = _g2_to_affine(g2pt.raw)
+        pa = G1Point._to_affine(g1pt.raw)
+        qa = G2Point._to_affine(g2pt.raw)
         if pa is None or qa is None:
             continue
         affine.append((pa, qa))
@@ -314,30 +316,119 @@ def multi_pairing(pairs):
 
 
 # ---------------------------------------------------------------------------
+# Jacobian + Jacobian addition and the ladder over it
+
+def _g1_add(p1, p2):
+    if p1[2] == 0:
+        return p2
+    if p2[2] == 0:
+        return p1
+    x1, y1, z1 = p1
+    x2, y2, z2 = p2
+    z1z1 = z1 * z1 % P
+    z2z2 = z2 * z2 % P
+    u1 = x1 * z2z2 % P
+    u2 = x2 * z1z1 % P
+    s1 = y1 * z2z2 * z2 % P
+    s2 = y2 * z1z1 * z1 % P
+    if u1 == u2:
+        if s1 == s2:
+            return _g1_double(p1)
+        return _INF1
+    h = (u2 - u1) % P
+    i = 4 * h * h % P
+    j = h * i % P
+    r = 2 * (s2 - s1) % P
+    v = u1 * i % P
+    x3 = (r * r - j - 2 * v) % P
+    y3 = (r * (v - x3) - 2 * s1 * j) % P
+    z3 = ((z1 + z2) * (z1 + z2) - z1z1 - z2z2) * h % P
+    return (x3, y3, z3)
+
+
+def _g2_add(p1, p2):
+    if fp2_is_zero(p1[2]):
+        return p2
+    if fp2_is_zero(p2[2]):
+        return p1
+    x1, y1, z1 = p1
+    x2, y2, z2 = p2
+    z1z1 = fp2_sqr(z1)
+    z2z2 = fp2_sqr(z2)
+    u1 = fp2_mul(x1, z2z2)
+    u2 = fp2_mul(x2, z1z1)
+    s1 = fp2_mul(fp2_mul(y1, z2z2), z2)
+    s2 = fp2_mul(fp2_mul(y2, z1z1), z1)
+    if u1 == u2:
+        if s1 == s2:
+            return _g2_double(p1)
+        return _INF2
+    h = fp2_sub(u2, u1)
+    i = fp2_scalar_mul(fp2_sqr(h), 4)
+    j = fp2_mul(h, i)
+    r = fp2_scalar_mul(fp2_sub(s2, s1), 2)
+    v = fp2_mul(u1, i)
+    x3 = fp2_sub(fp2_sub(fp2_sqr(r), j), fp2_scalar_mul(v, 2))
+    y3 = fp2_sub(fp2_mul(r, fp2_sub(v, x3)),
+                 fp2_scalar_mul(fp2_mul(s1, j), 2))
+    z3 = fp2_mul(fp2_sub(fp2_sub(fp2_sqr(fp2_add(z1, z2)), z1z1), z2z2), h)
+    return (x3, y3, z3)
+
+
+_JACOBIAN = {G1Point: (_g1_add, _g1_double), G2Point: (_g2_add, _g2_double)}
+
+
+def ladder(group, raw, k):
+    """k * raw for a Jacobian tuple of the group and any k >= 0, by
+    right-to-left double-and-add over the Jacobian + Jacobian addition."""
+    add, double = _JACOBIAN[group]
+    result = group._INF
+    while k:
+        if k & 1:
+            result = add(result, raw)
+        raw = double(raw)
+        k >>= 1
+    return result
+
+
+def point_add(p, q):
+    """p + q for two points of one group, by the Jacobian + Jacobian
+    addition."""
+    group = type(p)
+    return group(_JACOBIAN[group][0](p.raw, q.raw))
+
+
+def point_mul(pt, k):
+    """k * pt by the ladder, for any k >= 0; k is not reduced mod r."""
+    return type(pt)(ladder(type(pt), pt.raw, k))
+
+
+# ---------------------------------------------------------------------------
 # G1 subgroup membership
 
 def g1_in_subgroup(pt: G1Point) -> bool:
     """r * P == O by the unreduced 255-bit ladder."""
-    return G1Point._ladder(pt.raw, R)[2] == 0
+    return ladder(G1Point, pt.raw, R)[2] == 0
 
 
 # ---------------------------------------------------------------------------
 # Multi-scalar multiplication
 
+def _msm(group, points, scalars):
+    acc = group.identity()
+    for pt, s in zip(points, scalars):
+        acc = point_add(acc, point_mul(pt, s % R))
+    return acc
+
+
 def g1_msm(points, scalars) -> G1Point:
     """Sum of one double-and-add ladder per term."""
-    acc = G1Point.identity()
-    for pt, s in zip(points, scalars):
-        acc = acc + G1Point(G1Point._ladder(pt.raw, s % R))
-    return acc
+    return _msm(G1Point, points, scalars)
 
 
 def g2_msm(points, scalars) -> G2Point:
     """Sum of one double-and-add ladder per term."""
-    acc = G2Point.identity()
-    for pt, s in zip(points, scalars):
-        acc = acc + G2Point(G2Point._ladder(pt.raw, s % R))
-    return acc
+    return _msm(G2Point, points, scalars)
 
 
 def _batch_to_affine(points):
@@ -362,7 +453,7 @@ def _batch_to_affine(points):
 def g1_multiples(point: G1Point, m: int) -> tuple:
     """Affine 1*q .. m*q of a non-identity point q: one Jacobian + affine
     addition after another, normalised together at the end."""
-    aff = _g1_to_affine(point.raw)
+    aff = G1Point._to_affine(point.raw)
     multiples = [aff + (1,), _g1_double(aff + (1,))]
     for _ in range(m - 2):
         multiples.append(_g1_add_affine(multiples[-1], aff))

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import _g1_add
 from helpers import (
     ORACLE_SECRET, g1_at, oracle_group_witness, rand_poly, rho_weights,
     shared_srs,
@@ -17,9 +18,9 @@ from helpers import (
 from pmpdas import fields as F
 from pmpdas.curve import (
     CurveError, G1Point, G2Point, _affine_multiples, _fp2_batch_inverse,
-    _g1_add, _g1_to_affine, _g2_add_affine, _g2_affine_sums, _g2_normalize,
-    _g2_to_affine, _miller_loop, fixed_base_muls, g1_fixed_base_msms,
-    g1_fixed_base_tables, g1_msm, g1_msms, g2_msm, multi_pairing,
+    _g2_add_affine, _g2_affine_sums, _g2_normalize, _miller_loop,
+    fixed_base_muls, g1_fixed_base_msms, g1_fixed_base_tables, g1_msm,
+    g1_msms, g2_msm, multi_pairing,
 )
 from pmpdas.dasnet import (
     ConfigMode, ExperimentConfig, ExperimentSession, SimDht,
@@ -72,11 +73,11 @@ def _torsion_point(rng, ell):
     while cofactor % ell == 0:
         cofactor //= ell
     while True:
-        raw = G1Point._ladder(_rand_curve_point(rng).raw, cofactor)
+        raw = oracles.ladder(G1Point, _rand_curve_point(rng).raw, cofactor)
         if raw[2] == 0:
             continue
-        while G1Point._ladder(raw, ell)[2] != 0:
-            raw = G1Point._ladder(raw, ell)
+        while oracles.ladder(G1Point, raw, ell)[2] != 0:
+            raw = oracles.ladder(G1Point, raw, ell)
         return G1Point(raw)
 
 
@@ -139,7 +140,8 @@ def test_multi_pairing_matches_affine_oracle():
 
 
 def _assert_prepared_loop_matches(pairs):
-    affine = [(_g1_to_affine(p.raw), _g2_to_affine(q.raw)) for p, q in pairs
+    affine = [(G1Point._to_affine(p.raw), G2Point._to_affine(q.raw))
+              for p, q in pairs
               if not (p.is_identity() or q.is_identity())]
     assert _miller_loop(pairs) == oracles.projective_miller_loop(affine)
 
@@ -204,6 +206,75 @@ def test_g1_subgroup_check_matches_ladder():
             for pt in (t, mixed):
                 assert not oracles.g1_in_subgroup(pt)
                 assert not pt.in_subgroup(), ell
+
+
+# ---------------------------------------------------------------------------
+# Ladder and point addition against the Jacobian + Jacobian oracle
+
+def _non_subgroup_g2_point():
+    """The first on-curve point (x0 + u, y) outside G2, as
+    `test_curve.test_non_subgroup_point_rejected` finds one."""
+    for x0 in range(200):
+        x = (x0, 1)
+        y = F.fp2_sqrt(F.fp2_add(F.fp2_mul(F.fp2_sqr(x), x), (4, 4)))
+        if y is None:
+            continue
+        raw = (x, y, F.FP2_ONE)
+        if not F.fp2_is_zero(oracles.ladder(G2Point, raw, F.R)[2]):
+            return G2Point(raw)
+    raise AssertionError("no non-subgroup G2 point found in range")
+
+
+def _ladder_points(group):
+    """Subgroup points with Z = 1 and with Z != 1, the identity, and
+    points outside the subgroup: on G1 torsion points of order 3 and 11
+    and their sums with a subgroup point, on G2 an on-curve point and its
+    double."""
+    g = group.generator()
+    five = group(oracles.ladder(group, g.raw, 5))
+    points = [g, -g, five, -five, group.identity()]
+    if group is G1Point:
+        rng = random.Random(121)
+        for ell in (3, 11):
+            t = _torsion_point(rng, ell)
+            points += [t, G1Point(_g1_add(five.raw, t.raw))]
+    else:
+        q = _non_subgroup_g2_point()
+        points += [q, G2Point(oracles.ladder(G2Point, q.raw, 2))]
+    return points
+
+
+def _assert_same_point(got, expected):
+    assert got == expected
+    assert got.to_bytes() == expected.to_bytes()
+
+
+@pytest.mark.parametrize("group", [G1Point, G2Point], ids=["g1", "g2"])
+def test_ladder_and_addition_match_the_oracle(group):
+    points = _ladder_points(group)
+    members, outsiders = points[:5], points[5:]
+    assert points[2].raw[2] != group._ONE
+    assert not any(pt.in_subgroup() for pt in outsiders)
+    scalars = (0, 1, 2, 3, F.BLS_X * F.BLS_X, F.R - 1, F.R, F.R + 1,
+               random.Random(122).getrandbits(255) | 1 << 254)
+    for pt in points:
+        for k in scalars:
+            # unreduced, as the subgroup checks walk it
+            _assert_same_point(group(group._ladder(pt.raw, k)),
+                               oracles.point_mul(pt, k))
+            if pt in members:
+                _assert_same_point(pt * k, oracles.point_mul(pt, k % F.R))
+    identity = group.identity()
+    for p in points:
+        # every ordered pair: P + P, P + O, O + P and O + O among them
+        for q in points:
+            _assert_same_point(p + q, oracles.point_add(p, q))
+            _assert_same_point(p - q, oracles.point_add(p, -q))
+        for got in (p + -p, p - p):
+            _assert_same_point(got, oracles.point_add(p, -p))
+            assert got.is_identity()
+        assert (p + identity).raw == p.raw
+        _assert_same_point(identity + p, p)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +686,8 @@ def test_level_built_tables_match_sequential_multiples():
     for m in (1, 2, 3, 5, 8):
         assert _affine_multiples(G2Point, [pt.raw for pt in g2_points],
                                  m) == \
-            [tuple(_g2_to_affine((pt * j).raw) for j in range(1, m + 1))
+            [tuple(G2Point._to_affine((pt * j).raw)
+                   for j in range(1, m + 1))
              for pt in g2_points]
 
 
@@ -666,7 +738,7 @@ def test_fp2_batch_inverse_matches_fp2_inv():
 
 
 def _g2_affine(pt):
-    return _g2_to_affine(pt.raw)
+    return G2Point._to_affine(pt.raw)
 
 
 def test_g2_affine_sums_match_point_addition():
