@@ -3,9 +3,11 @@ so every group-element result can be recomputed in the scalar field."""
 
 import hashlib
 
+import oracles
 from pmpdas.curve import G1Point, G2Point
 from pmpdas.dasnet import group_transcript
 from pmpdas.field_poly import SCALAR_MODULUS, Polynomial
+from pmpdas.fields import P, R, fp2_add, fp2_mul, fp2_sqr, fp2_sqrt
 from pmpdas.kzg import SRS, gen
 from pmpdas.multiproof import derive_gamma
 from pmpdas.wire import MCell
@@ -32,6 +34,36 @@ def g1_at(value: int) -> G1Point:
 
 def g2_at(value: int) -> G2Point:
     return G2Point.generator() * (value % SCALAR_MODULUS)
+
+
+def small_xs(group):
+    """The x coordinates the curve tests try, smallest first: 1..199 on
+    G1, x0 + u for x0 in 0..199 on G2."""
+    return range(1, 200) if group is G1Point else \
+        ((x0, 1) for x0 in range(200))
+
+
+def curve_y(group, x):
+    """A y on the group's curve for x, or None."""
+    if group is G1Point:
+        y2 = (pow(x, 3, P) + 4) % P
+        y = pow(y2, (P + 1) // 4, P)
+        return y if y * y % P == y2 else None
+    return fp2_sqrt(fp2_add(fp2_mul(fp2_sqr(x), x), (4, 4)))
+
+
+def non_subgroup_point(group):
+    """The on-curve point (x, y, 1) at the first of `small_xs` with a y
+    whose multiple by r is not the identity by the oracle ladder: a point
+    outside the group's subgroup."""
+    for x in small_xs(group):
+        y = curve_y(group, x)
+        if y is None:
+            continue
+        pt = group((x, y, group._ONE))
+        if not oracles.point_mul(pt, R).is_identity():
+            return pt
+    raise AssertionError(f"no non-subgroup {group.__name__} found in range")
 
 
 def oracle_commit(p: Polynomial) -> G1Point:

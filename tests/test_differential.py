@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import oracles
 from oracles import _g1_add
 from helpers import (
-    ORACLE_SECRET, g1_at, oracle_group_witness, rand_poly, rho_weights,
-    shared_srs,
+    ORACLE_SECRET, g1_at, non_subgroup_point, oracle_group_witness,
+    rand_poly, rho_weights, shared_srs,
 )
 from pmpdas import fields as F
 from pmpdas.curve import (
@@ -211,20 +211,6 @@ def test_g1_subgroup_check_matches_ladder():
 # ---------------------------------------------------------------------------
 # Ladder and point addition against the Jacobian + Jacobian oracle
 
-def _non_subgroup_g2_point():
-    """The first on-curve point (x0 + u, y) outside G2, as
-    `test_curve.test_non_subgroup_point_rejected` finds one."""
-    for x0 in range(200):
-        x = (x0, 1)
-        y = F.fp2_sqrt(F.fp2_add(F.fp2_mul(F.fp2_sqr(x), x), (4, 4)))
-        if y is None:
-            continue
-        raw = (x, y, F.FP2_ONE)
-        if not F.fp2_is_zero(oracles.ladder(G2Point, raw, F.R)[2]):
-            return G2Point(raw)
-    raise AssertionError("no non-subgroup G2 point found in range")
-
-
 def _ladder_points(group):
     """Subgroup points with Z = 1 and with Z != 1, the identity, and
     points outside the subgroup: on G1 torsion points of order 3 and 11
@@ -239,7 +225,7 @@ def _ladder_points(group):
             t = _torsion_point(rng, ell)
             points += [t, G1Point(_g1_add(five.raw, t.raw))]
     else:
-        q = _non_subgroup_g2_point()
+        q = non_subgroup_point(G2Point)
         points += [q, G2Point(oracles.ladder(G2Point, q.raw, 2))]
     return points
 
@@ -754,7 +740,8 @@ def test_g2_affine_sums_match_point_addition():
              if points[a] != -points[b]]
     assert (0, 0) in pairs and (2, 2) in pairs
     got = _g2_affine_sums([(affine[a], affine[b]) for a, b in pairs])
-    assert got == [_g2_affine(points[a] + points[b]) for a, b in pairs]
+    assert got == [_g2_affine(oracles.point_add(points[a], points[b]))
+                   for a, b in pairs]
     assert _g2_affine_sums([]) == []
 
 
@@ -770,8 +757,9 @@ def test_g2_mixed_addition_matches_point_addition():
             if right.is_identity():
                 continue
             got = G2Point(_g2_add_affine(left.raw, _g2_affine(right)))
-            assert got == left + right
-            assert got.to_bytes() == (left + right).to_bytes()
+            expected = oracles.point_add(left, right)
+            assert got == expected
+            assert got.to_bytes() == expected.to_bytes()
 
 
 # ---------------------------------------------------------------------------
