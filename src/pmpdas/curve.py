@@ -1,12 +1,15 @@
 """BLS12-381 group arithmetic, compressed serialization, and the pairing.
 
 G1 lives on y^2 = x^3 + 4 over Fp, G2 on y^2 = x^3 + 4(1+u) over Fp2.
-Points are kept in Jacobian coordinates as plain tuples. One immutable
-point base holds the point API and the compressed-encoding frame;
-:class:`G1Point` and :class:`G2Point` supply only their doubling, their
-one mixed Jacobian + affine addition, their batch-affine formulas, their
-x-coordinate codec and their subgroup test. Both groups share one
-double-and-add ladder and one signed-window MSM walk over affine tables.
+A point is its affine coordinates (x, y) as a plain tuple, or None for
+the identity; Jacobian tuples live only inside the ladder, the MSM walks
+and the Miller loop, and each walk's results share one inversion on the
+way out. One immutable point base holds the point API and the
+compressed-encoding frame; :class:`G1Point` and :class:`G2Point` supply
+only their doubling, their one mixed Jacobian + affine addition, their
+batch-affine formulas, their x-coordinate codec and their subgroup test.
+Both groups share one double-and-add ladder and one signed-window MSM
+walk over affine tables.
 
 Serialization follows the common 48/96-byte compressed convention:
 big-endian x with flag bits in the three high bits of the first byte
@@ -60,21 +63,6 @@ def _g1_double(pt):
     return (x3, y3, z3)
 
 
-def _g1_neg(pt):
-    return (pt[0], -pt[1] % P, pt[2])
-
-
-def _g1_eq(p1, p2):
-    if p1[2] == 0 or p2[2] == 0:
-        return p1[2] == 0 and p2[2] == 0
-    x1, y1, z1 = p1
-    x2, y2, z2 = p2
-    z1z1 = z1 * z1 % P
-    z2z2 = z2 * z2 % P
-    return (x1 * z2z2 - x2 * z1z1) % P == 0 and \
-        (y1 * z2z2 * z2 - y2 * z1z1 * z1) % P == 0
-
-
 # ---------------------------------------------------------------------------
 # G2 Jacobian arithmetic over Fp2
 
@@ -92,10 +80,6 @@ def _g2_double(pt):
     y3 = fp2_sub(fp2_mul(e, fp2_sub(d, x3)), fp2_scalar_mul(c, 8))
     z3 = fp2_scalar_mul(fp2_mul(y, z), 2)
     return (x3, y3, z3)
-
-
-def _g2_neg(pt):
-    return (pt[0], fp2_neg(pt[1]), pt[2])
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +101,10 @@ def _g2_neg(pt):
 # batch normalisation, its affine sums, its affine negation and its mixed
 # addition, which adds a sum to the Horner pass's Jacobian accumulator.
 # The mixed addition is each group's one addition of single points: the
-# ladder of `*` and of the subgroup checks, and `+`, add the affine form
-# of their right side with it too.
+# ladder of `*` and of the subgroup checks, and `+`, add their affine
+# right side with it too. The Horner passes of one walk end in Jacobian
+# tuples, and `_Point._from_jacobian` normalises them all with one
+# inversion.
 #
 # The fixed-base walk (the SRS powers) uses 8-bit windows over tables
 # built once, and splits each scalar k as t + q*x^2 with t, q < 2^128
@@ -244,10 +230,6 @@ def _g1_normalize(points):
     return out
 
 
-def _g1_affine_neg(q):
-    return (q[0], P - q[1])
-
-
 def _fp2_batch_inverse(values):
     """Inverses in Fp2 of the values with one inversion: 1/(a + b*u) is
     (a - b*u)/(a^2 + b^2), so only the norms a^2 + b^2 in Fp are
@@ -282,20 +264,15 @@ def _g2_normalize(points):
     return out
 
 
-def _g2_affine_neg(q):
-    return (q[0], fp2_neg(q[1]))
-
-
 def _affine_multiples(group, points, m):
-    """Affine multiples (1*q, .., m*q) of each non-identity Jacobian point
-    q of the group, for m >= 1.
+    """Affine multiples (1*q, .., m*q) of each non-identity affine point q
+    of the group, for m >= 1.
 
-    The points are normalised with one shared inversion, then built in
-    ceil(log2 m) doubling levels: level h adds h*q to 1*q .. h*q of every
-    point, the last of them a doubling, with one inversion shared by the
-    whole level.
+    They are built in ceil(log2 m) doubling levels: level h adds h*q to
+    1*q .. h*q of every point, the last of them a doubling, with one
+    inversion shared by the whole level.
     """
-    tables = [[q] for q in group._normalize(points)]
+    tables = [[q] for q in points]
     h = 1
     while h < m:
         n = min(h, m - h)
@@ -377,8 +354,8 @@ def _signed_window_msm(group, terms, window, rows):
                 acc = double(acc)
             if s is not None:
                 acc = add(acc, s)
-        out.append(group(acc))
-    return out
+        out.append(acc)
+    return group._from_jacobian(out)
 
 
 def _row_digits(scalars, window, width):
@@ -431,17 +408,19 @@ def fixed_base_muls(point, scalars) -> list:
     digits = [_signed_digits(k % R, _WINDOW) for k in scalars]
     sums = [None] * len(digits)
     windows = 0 if point.is_identity() else max(map(len, digits), default=0)
-    bases, raw = [], point.raw
-    for _ in range(windows):
-        bases.append(raw)
-        for _ in range(_WINDOW):
-            raw = group._double(raw)
-    tables = _affine_multiples(group, bases, 1 << (_WINDOW - 1))
+    bases = []
+    if windows:
+        raw = (*point.raw, group._ONE)
+        for _ in range(windows):
+            bases.append(raw)
+            for _ in range(_WINDOW):
+                raw = group._double(raw)
+    tables = _affine_multiples(group, group._normalize(bases),
+                               1 << (_WINDOW - 1))
     for i, tbl in enumerate(tables):
         _add_to_window_sums(group, sums, tbl,
                             [d[i] if i < len(d) else 0 for d in digits])
-    return [group(group._INF if s is None else
-                  group._add_affine(group._INF, s)) for s in sums]
+    return [group(s) for s in sums]
 
 
 def g1_fixed_base_tables(points) -> tuple:
@@ -564,9 +543,9 @@ def _miller_loop(pairs):
     skipped, and with none left this is one."""
     prepared = []
     for g1pt, g2pt in pairs:
-        pa = g1pt._to_affine(g1pt.raw)
-        if pa is not None and not g2pt.is_identity():
-            prepared.append((pa[0], -pa[1] % P, g2pt._lines()))
+        if not (g1pt.is_identity() or g2pt.is_identity()):
+            xp, yp = g1pt.raw
+            prepared.append((xp, -yp % P, g2pt._lines()))
     if not prepared:
         return FP12_ONE
     f = FP12_ONE
@@ -602,15 +581,17 @@ def pairing_check(pairs):
 class _Point:
     """Immutable point of a prime-order subgroup.
 
-    A group subclass supplies its Jacobian formulas (`_double`, `_neg`,
-    optionally a faster `_eq`), its one point addition (`_add_affine`,
-    which adds an affine point to a Jacobian one), its batch-affine
-    arithmetic (`_normalize` for many points with one inversion,
-    `_affine_sums` for many pairs with one inversion, `_affine_neg`), its
-    x-coordinate codec (`_x_to_bytes`, `_x_from_bytes`,
-    `_y_from_x`, `_y_is_largest`), optionally a faster `in_subgroup`, and
-    the constants `_INF` (Jacobian infinity), `_ONE` (the coordinate
-    field's one), `_BYTES` (the compressed length) and `_GEN`.
+    `raw` is None for the identity, or the point's affine coordinates
+    (x, y), reduced, so equal points have equal `raw`. A group subclass
+    supplies its Jacobian doubling (`_double`), its one point addition
+    (`_add_affine`, which adds an affine point to a Jacobian one), its
+    batch-affine arithmetic (`_normalize` for many Jacobian points with
+    one inversion, `_affine_sums` for many pairs with one inversion,
+    `_affine_neg`), its x-coordinate codec (`_x_to_bytes`,
+    `_x_from_bytes`, `_y_from_x`, `_y_is_largest`), optionally a faster
+    `in_subgroup`, and the constants `_INF` (Jacobian infinity, where the
+    walks start), `_ONE` (the coordinate field's one), `_BYTES` (the
+    compressed length) and `_GEN`.
     """
 
     __slots__ = ("raw",)
@@ -623,37 +604,45 @@ class _Point:
 
     @classmethod
     def identity(cls):
-        return cls(cls._INF)
+        return cls(None)
 
     @classmethod
     def generator(cls):
         return cls._GEN
 
     def is_identity(self) -> bool:
-        return self.raw[2] == self._INF[2]
+        return self.raw is None
+
+    @classmethod
+    def _from_jacobian(cls, raws):
+        """The points of Jacobian tuples, the non-identity ones normalised
+        with one shared inversion."""
+        zero = cls._INF[2]
+        affine = iter(cls._normalize([raw for raw in raws if raw[2] != zero]))
+        return [cls(None if raw[2] == zero else next(affine)) for raw in raws]
 
     def __add__(self, other):
-        q = self._to_affine(other.raw)
-        if q is None:
+        if other.is_identity():
             return self
-        return type(self)(self._add_affine(self.raw, q))
+        acc = self._INF if self.is_identity() else (*self.raw, self._ONE)
+        return self._from_jacobian([self._add_affine(acc, other.raw)])[0]
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return type(self)(self._neg(self.raw))
+        return self if self.is_identity() else \
+            type(self)(self._affine_neg(self.raw))
 
     def __mul__(self, k: int):
         # reducing mod r assumes a subgroup point; membership tests call
         # the unreduced `_ladder` instead
-        return type(self)(self._ladder(self.raw, k % R))
+        return self._from_jacobian([self._ladder(self.raw, k % R)])[0]
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, type(self)) and \
-            self._eq(self.raw, other.raw)
+        return isinstance(other, type(self)) and self.raw == other.raw
 
     def __hash__(self):
         return hash(self.to_bytes())
@@ -662,19 +651,10 @@ class _Point:
         return f"{type(self).__name__}({self.to_bytes().hex()})"
 
     @classmethod
-    def _to_affine(cls, raw):
-        """The affine (x, y) of a Jacobian tuple, or None for infinity."""
-        return None if raw[2] == cls._INF[2] else cls._normalize([raw])[0]
-
-    @classmethod
-    def _eq(cls, p1, p2):
-        return cls._to_affine(p1) == cls._to_affine(p2)
-
-    @classmethod
-    def _ladder(cls, raw, k):
-        """k * raw for a Jacobian tuple and any k >= 0, by left-to-right
-        double-and-add with mixed additions of raw's affine form."""
-        q = cls._to_affine(raw)
+    def _ladder(cls, q, k):
+        """k * q as a Jacobian tuple, for an affine q or None and any
+        k >= 0, by left-to-right double-and-add with mixed additions of
+        q."""
         if q is None or not k:
             return cls._INF
         add, double = cls._add_affine, cls._double
@@ -687,13 +667,12 @@ class _Point:
 
     def in_subgroup(self) -> bool:
         """r * P == O, by the ladder over all 255 bits of r."""
-        return type(self)(self._ladder(self.raw, R)).is_identity()
+        return self._ladder(self.raw, R)[2] == self._INF[2]
 
     def to_bytes(self) -> bytes:
-        aff = self._to_affine(self.raw)
-        if aff is None:
+        if self.is_identity():
             return b"\xc0" + bytes(self._BYTES - 1)
-        x, y = aff
+        x, y = self.raw
         out = bytearray(self._x_to_bytes(x))
         out[0] |= 0xA0 if self._y_is_largest(y) else 0x80
         return bytes(out)
@@ -717,7 +696,7 @@ class _Point:
         y = cls._y_from_x(x)
         if y is None:
             raise CurveError(f"{name} x coordinate is not on the curve")
-        pt = cls((x, y, cls._ONE))
+        pt = cls((x, y))
         if cls._y_is_largest(y) != bool(flags & 0x20):
             pt = -pt
         if not pt.in_subgroup():
@@ -731,12 +710,13 @@ class G1Point(_Point):
     __slots__ = ()
     _INF, _ONE, _BYTES = _INF1, 1, 48
     _double = staticmethod(_g1_double)
-    _neg = staticmethod(_g1_neg)
-    _eq = staticmethod(_g1_eq)
     _add_affine = staticmethod(_g1_add_affine)
     _normalize = staticmethod(_g1_normalize)
     _affine_sums = staticmethod(_g1_affine_sums)
-    _affine_neg = staticmethod(_g1_affine_neg)
+
+    @staticmethod
+    def _affine_neg(q):
+        return (q[0], P - q[1])
 
     @staticmethod
     def _x_to_bytes(x):
@@ -770,9 +750,14 @@ class G1Point(_Point):
         On BLS12-381 this holds exactly for the points of order r (Scott,
         ePrint 2021/1130), so a 128-bit ladder replaces multiplication by r.
         """
-        x, y, z = self.raw
-        return _g1_eq((x * _BETA % P, y, z),
-                      _g1_neg(self._ladder(self.raw, _X_SQUARED)))
+        if self.is_identity():
+            return True
+        # (beta*x, -y) == (X/Z^2, Y/Z^3), cross-multiplied; a Z = 0
+        # result fails, since X and Y of Jacobian infinity are nonzero
+        x, y = self.raw
+        x2, y2, z2 = self._ladder(self.raw, _X_SQUARED)
+        zz = z2 * z2 % P
+        return (_BETA * x * zz - x2) % P == 0 and (y * zz * z2 + y2) % P == 0
 
 
 class G2Point(_Point):
@@ -786,18 +771,20 @@ class G2Point(_Point):
     __slots__ = ("_prepared",)
     _INF, _ONE, _BYTES = _INF2, FP2_ONE, 96
     _double = staticmethod(_g2_double)
-    _neg = staticmethod(_g2_neg)
     _add_affine = staticmethod(_g2_add_affine)
     _normalize = staticmethod(_g2_normalize)
     _affine_sums = staticmethod(_g2_affine_sums)
-    _affine_neg = staticmethod(_g2_affine_neg)
+
+    @staticmethod
+    def _affine_neg(q):
+        return (q[0], fp2_neg(q[1]))
 
     def _lines(self):
         """`_g2_lines` of this non-identity point, computed on first use."""
         try:
             return self._prepared
         except AttributeError:
-            lines = _g2_lines(self._to_affine(self.raw))
+            lines = _g2_lines(self.raw)
             object.__setattr__(self, "_prepared", lines)
             return lines
 
@@ -840,7 +827,6 @@ def g2_msm(points, scalars) -> G2Point:
 G1Point._GEN = G1Point((
     0x17F1D3A73197D7942695638C4FA9AC0FC3688C4F9774B905A14E3A3F171BAC586C55E83FF97A1AEFFB3AF00ADB22C6BB,
     0x08B3F481E3AAA0F1A09E30ED741D8AE4FCF5E095D5D00AF600DB18CB2C04B3EDD03CC744A2888AE40CAA232946C5E7E1,
-    1,
 ))
 
 G2Point._GEN = G2Point((
@@ -848,5 +834,4 @@ G2Point._GEN = G2Point((
      0x13E02B6052719F607DACD3A088274F65596BD0D09920B61AB5DA61BBDC7F5049334CF11213945D57E5AC7D055D042B7E),
     (0x0CE5D527727D6E118CC9CDC6DA2E351AADFD9BAA8CBDD3A76D429A695160D12C923AC9CC3BACA289E193548608B82801,
      0x0606C4A02EA734CC32ACD2B02BC28B99CB3E287E85A763AF267492AB572E99AB3F370D275CEC1DA1AAA9075FF05F79BE),
-    FP2_ONE,
 ))

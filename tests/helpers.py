@@ -53,14 +53,14 @@ def curve_y(group, x):
 
 
 def non_subgroup_point(group):
-    """The on-curve point (x, y, 1) at the first of `small_xs` with a y
+    """The on-curve point (x, y) at the first of `small_xs` with a y
     whose multiple by r is not the identity by the oracle ladder: a point
     outside the group's subgroup."""
     for x in small_xs(group):
         y = curve_y(group, x)
         if y is None:
             continue
-        pt = group((x, y, group._ONE))
+        pt = group((x, y))
         if not oracles.point_mul(pt, R).is_identity():
             return pt
     raise AssertionError(f"no non-subgroup {group.__name__} found in range")

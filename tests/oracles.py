@@ -7,14 +7,15 @@ and sum reduced, the affine Miller loop with one inversion per step, the
 projective Miller loop that computes every line afresh on each call, the
 final exponentiation with generic Fp12 squarings, full Jacobian +
 Jacobian point addition and the right-to-left double-and-add ladder over
-it in both groups, the G1 subgroup check as multiplication by r, G1 and
-G2 multi-scalar multiplications as sums of ladders, the G1 signed-window
-walk with one Jacobian accumulator over tables of sequential multiples,
-single, batched and shared-point KZG verification with one scalar
-multiplication per term and one unbatched pairing check each, the
-replicas of a DHT key found by scanning every peer's store in rendezvous
-order, and an ablation run that publishes, draws and verifies everything
-afresh.
+it in both groups (each lifts a point's affine coordinates to Jacobian
+and inverts its result's Z on its own), the G1 subgroup check as
+multiplication by r, G1 and G2 multi-scalar multiplications as sums of
+ladders, the G1 signed-window walk with one Jacobian accumulator over
+tables of sequential multiples, single, batched and shared-point KZG
+verification with one scalar multiplication per term and one unbatched
+pairing check each, the replicas of a DHT key found by scanning every
+peer's store in rendezvous order, and an ablation run that publishes,
+draws and verifies everything afresh.
 """
 
 import dataclasses
@@ -305,11 +306,9 @@ def multi_pairing(pairs):
     """Product of pairings e(P_i, Q_i); identity pairs contribute one."""
     affine = []
     for g1pt, g2pt in pairs:
-        pa = G1Point._to_affine(g1pt.raw)
-        qa = G2Point._to_affine(g2pt.raw)
-        if pa is None or qa is None:
+        if g1pt.raw is None or g2pt.raw is None:
             continue
-        affine.append((pa, qa))
+        affine.append((g1pt.raw, g2pt.raw))
     if not affine:
         return FP12_ONE
     return final_exponentiation(miller_loop(affine))
@@ -378,6 +377,28 @@ def _g2_add(p1, p2):
 _JACOBIAN = {G1Point: (_g1_add, _g1_double), G2Point: (_g2_add, _g2_double)}
 
 
+def jacobian(pt):
+    """The Jacobian tuple (x, y, 1) of a point, or its group's infinity."""
+    group = type(pt)
+    return group._INF if pt.raw is None else (*pt.raw, group._ONE)
+
+
+def from_jacobian(group, raw):
+    """The point of a Jacobian tuple of the group, by its own inversion of
+    Z."""
+    x, y, z = raw
+    if group is G1Point:
+        if z == 0:
+            return G1Point(None)
+        zi = pow(z, -1, P)
+        return G1Point((x * zi * zi % P, y * zi * zi * zi % P))
+    if fp2_is_zero(z):
+        return G2Point(None)
+    zi = fp2_inv(z)
+    zi2 = fp2_sqr(zi)
+    return G2Point((fp2_mul(x, zi2), fp2_mul(fp2_mul(y, zi2), zi)))
+
+
 def ladder(group, raw, k):
     """k * raw for a Jacobian tuple of the group and any k >= 0, by
     right-to-left double-and-add over the Jacobian + Jacobian addition."""
@@ -395,12 +416,12 @@ def point_add(p, q):
     """p + q for two points of one group, by the Jacobian + Jacobian
     addition."""
     group = type(p)
-    return group(_JACOBIAN[group][0](p.raw, q.raw))
+    return from_jacobian(group, _JACOBIAN[group][0](jacobian(p), jacobian(q)))
 
 
 def point_mul(pt, k):
     """k * pt by the ladder, for any k >= 0; k is not reduced mod r."""
-    return type(pt)(ladder(type(pt), pt.raw, k))
+    return from_jacobian(type(pt), ladder(type(pt), jacobian(pt), k))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +429,7 @@ def point_mul(pt, k):
 
 def g1_in_subgroup(pt: G1Point) -> bool:
     """r * P == O by the unreduced 255-bit ladder."""
-    return ladder(G1Point, pt.raw, R)[2] == 0
+    return ladder(G1Point, jacobian(pt), R)[2] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +474,7 @@ def _batch_to_affine(points):
 def g1_multiples(point: G1Point, m: int) -> tuple:
     """Affine 1*q .. m*q of a non-identity point q: one Jacobian + affine
     addition after another, normalised together at the end."""
-    aff = G1Point._to_affine(point.raw)
+    aff = point.raw
     multiples = [aff + (1,), _g1_double(aff + (1,))]
     for _ in range(m - 2):
         multiples.append(_g1_add_affine(multiples[-1], aff))
@@ -476,7 +497,7 @@ def g1_window_walk(terms, window: int) -> G1Point:
             elif d < 0:
                 x, y = tbl[-d - 1]
                 acc = _g1_add_affine(acc, (x, P - y))
-    return G1Point(acc)
+    return from_jacobian(G1Point, acc)
 
 
 def g1_window_msm(points, scalars) -> G1Point:

@@ -7,11 +7,14 @@ import pytest
 import oracles
 from helpers import curve_y, non_subgroup_point, small_xs
 from oracles import fp12_pow
+from pmpdas import curve
 from pmpdas.curve import (
-    CurveError, G1Point, G2Point, g1_msm, g2_msm, multi_pairing,
+    CurveError, G1Point, G2Point, fixed_base_muls, g1_fixed_base_msms,
+    g1_fixed_base_tables, g1_msm, g1_msms, g2_msm, multi_pairing,
     pairing_check,
 )
-from pmpdas.fields import FP12_ONE, P, R
+from pmpdas.fields import FP12_ONE, P, R, fp2_add, fp2_mul, fp2_sqr
+from pmpdas.kzg import gen
 
 # Standard compressed encodings of the subgroup generators.
 G1_GEN_HEX = (
@@ -115,7 +118,7 @@ def test_non_subgroup_point_rejected():
     # subgroup, then check deserialization refuses it
     for group in (G1Point, G2Point):
         candidate = non_subgroup_point(group)
-        x, y = candidate.raw[:2]
+        x, y = candidate.raw
         blob = _encode(group, x, 0xA0 if _largest(group, y) else 0x80)
         assert candidate.to_bytes() == blob
         assert not candidate.in_subgroup()
@@ -155,3 +158,75 @@ def test_multi_pairing_skips_identity_pairs():
     g1, g2 = G1Point.generator(), G2Point.generator()
     assert multi_pairing([(G1Point.identity(), g2)]) == FP12_ONE
     assert multi_pairing([(g1, G2Point.identity())]) == FP12_ONE
+
+
+# ---------------------------------------------------------------------------
+# A point is its affine coordinates
+
+def _assert_affine(group, pt):
+    """pt is a point of the group whose raw is None, or an on-curve pair
+    of coordinates reduced mod p."""
+    assert type(pt) is group
+    if pt.raw is None:
+        return
+    x, y = pt.raw
+    if group is G1Point:
+        coords = (x, y)
+        on_curve = (y * y - x * x * x - 4) % P == 0
+    else:
+        coords = x + y
+        on_curve = fp2_sqr(y) == fp2_add(fp2_mul(fp2_sqr(x), x), (4, 4))
+    assert len(coords) == (2 if group is G1Point else 4)
+    assert all(type(c) is int and 0 <= c < P for c in coords)
+    assert on_curve
+
+
+@pytest.mark.parametrize("group", [G1Point, G2Point], ids=["g1", "g2"])
+def test_public_apis_return_affine_points(group):
+    g, o = group.generator(), group.identity()
+    k = random.Random(16).randrange(R)
+    five = g * 5
+    results = [o, g, group.from_bytes(five.to_bytes()),
+               group.from_bytes(o.to_bytes()), -five, -o, five - g,
+               five - five, five + g, five + five, five + -five, o + five,
+               five + o, o + o, g * 0, g * k, g * R, k * g]
+    results += fixed_base_muls(five, [0, 1, k, R - 1])
+    results += fixed_base_muls(o, [0, k])
+    srs = gen(3, 12345)
+    results += srs.g1_powers if group is G1Point else srs.g2_powers
+    # the first row cancels to the identity, the second does not
+    points, rows = [g, five, -g], [[k, 0, k], [k, 1, 0]]
+    if group is G1Point:
+        msms = [*g1_msms(points, rows), *(g1_msm(points, r) for r in rows),
+                *g1_fixed_base_msms(g1_fixed_base_tables(points), rows)]
+    else:
+        msms = [g2_msm(points, r) for r in rows]
+    assert [pt.is_identity() for pt in msms] == [True, False] * \
+        (len(msms) // 2)
+    for pt in results + msms:
+        _assert_affine(group, pt)
+
+
+@pytest.mark.parametrize("group", [G1Point, G2Point], ids=["g1", "g2"])
+def test_reading_a_point_inverts_nothing(monkeypatch, group):
+    g = group.generator()
+    points = [g * 5, -(g * 7), group.identity()]
+    if group is G1Point:
+        pairs = [(pt, G2Point.generator()) for pt in points]
+    else:
+        pairs = [(G1Point.generator(), pt) for pt in points]
+    calls = []
+    real = curve._batch_inverse
+
+    def counted(values):
+        calls.append(values)
+        return real(values)
+
+    monkeypatch.setattr(curve, "_batch_inverse", counted)
+    for pt in points:
+        pt.to_bytes()
+        assert (pt == points[0]) == (pt is points[0])
+        hash(pt)
+        -pt
+    curve._miller_loop(pairs)
+    assert calls == []

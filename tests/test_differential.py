@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import _g1_add
 from helpers import (
     ORACLE_SECRET, g1_at, non_subgroup_point, oracle_group_witness,
     rand_poly, rho_weights, shared_srs,
@@ -59,7 +58,7 @@ def _rand_curve_point(rng):
         y2 = (x * x * x + 4) % F.P
         y = pow(y2, (F.P + 1) // 4, F.P)
         if y * y % F.P == y2:
-            return G1Point((x, y, 1))
+            return G1Point((x, y))
 
 
 def _torsion_point(rng, ell):
@@ -73,12 +72,13 @@ def _torsion_point(rng, ell):
     while cofactor % ell == 0:
         cofactor //= ell
     while True:
-        raw = oracles.ladder(G1Point, _rand_curve_point(rng).raw, cofactor)
+        raw = oracles.ladder(G1Point, oracles.jacobian(_rand_curve_point(rng)),
+                             cofactor)
         if raw[2] == 0:
             continue
         while oracles.ladder(G1Point, raw, ell)[2] != 0:
             raw = oracles.ladder(G1Point, raw, ell)
-        return G1Point(raw)
+        return oracles.from_jacobian(G1Point, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +140,7 @@ def test_multi_pairing_matches_affine_oracle():
 
 
 def _assert_prepared_loop_matches(pairs):
-    affine = [(G1Point._to_affine(p.raw), G2Point._to_affine(q.raw))
-              for p, q in pairs
+    affine = [(p.raw, q.raw) for p, q in pairs
               if not (p.is_identity() or q.is_identity())]
     assert _miller_loop(pairs) == oracles.projective_miller_loop(affine)
 
@@ -202,7 +201,7 @@ def test_g1_subgroup_check_matches_ladder():
     for ell in (3, 11):
         for member in members[:3]:
             t = _torsion_point(rng, ell)
-            mixed = G1Point(_g1_add(member.raw, t.raw))
+            mixed = oracles.point_add(member, t)
             for pt in (t, mixed):
                 assert not oracles.g1_in_subgroup(pt)
                 assert not pt.in_subgroup(), ell
@@ -212,21 +211,20 @@ def test_g1_subgroup_check_matches_ladder():
 # Ladder and point addition against the Jacobian + Jacobian oracle
 
 def _ladder_points(group):
-    """Subgroup points with Z = 1 and with Z != 1, the identity, and
-    points outside the subgroup: on G1 torsion points of order 3 and 11
-    and their sums with a subgroup point, on G2 an on-curve point and its
-    double."""
+    """Subgroup points, the identity, and points outside the subgroup: on
+    G1 torsion points of order 3 and 11 and their sums with a subgroup
+    point, on G2 an on-curve point and its double."""
     g = group.generator()
-    five = group(oracles.ladder(group, g.raw, 5))
+    five = oracles.point_mul(g, 5)
     points = [g, -g, five, -five, group.identity()]
     if group is G1Point:
         rng = random.Random(121)
         for ell in (3, 11):
             t = _torsion_point(rng, ell)
-            points += [t, G1Point(_g1_add(five.raw, t.raw))]
+            points += [t, oracles.point_add(five, t)]
     else:
         q = non_subgroup_point(G2Point)
-        points += [q, G2Point(oracles.ladder(G2Point, q.raw, 2))]
+        points += [q, oracles.point_mul(q, 2)]
     return points
 
 
@@ -239,15 +237,19 @@ def _assert_same_point(got, expected):
 def test_ladder_and_addition_match_the_oracle(group):
     points = _ladder_points(group)
     members, outsiders = points[:5], points[5:]
-    assert points[2].raw[2] != group._ONE
+    # Jacobian tuples with Z != 1 and infinity, normalised together
+    raws = [oracles.ladder(group, oracles.jacobian(pt), 5) for pt in points]
+    assert raws[2][2] != group._ONE and raws[4] == group._INF
+    assert group._from_jacobian(raws) == \
+        [oracles.point_mul(pt, 5) for pt in points]
     assert not any(pt.in_subgroup() for pt in outsiders)
     scalars = (0, 1, 2, 3, F.BLS_X * F.BLS_X, F.R - 1, F.R, F.R + 1,
                random.Random(122).getrandbits(255) | 1 << 254)
     for pt in points:
         for k in scalars:
             # unreduced, as the subgroup checks walk it
-            _assert_same_point(group(group._ladder(pt.raw, k)),
-                               oracles.point_mul(pt, k))
+            got = group._from_jacobian([group._ladder(pt.raw, k)])[0]
+            _assert_same_point(got, oracles.point_mul(pt, k))
             if pt in members:
                 _assert_same_point(pt * k, oracles.point_mul(pt, k % F.R))
     identity = group.identity()
@@ -531,8 +533,8 @@ def test_open_groups_matches_open_generic_and_the_oracle(
 @functools.cache
 def _g1_base_pool():
     """The generator, an SRS power, the negated generator, the identity
-    and a multiple of the generator with Z != 1 and its negation, so
-    draws repeat bases and cancel terms."""
+    and a multiple of the generator and its negation, so draws repeat
+    bases and cancel terms."""
     g = G1Point.generator()
     five = g * 5
     return (g, shared_srs(MSM_SRS_DEGREE).g1_powers[1], -g,
@@ -568,7 +570,7 @@ _K = F.R // 3
 # pinned: a lone term and a short scalar next to a full one, so that
 # windows hold a single entry; the same point with the same scalar twice
 # and three times, so that a window sum meets its own entry (a doubling);
-# P and -P with equal scalars, with Z = 1 and Z != 1, so that every
+# P and -P with equal scalars, for two points P, so that every
 # window sum cancels
 @given(st.lists(st.tuples(st.integers(0, 5), scalars), max_size=8))
 @example([(0, _K)])
@@ -650,7 +652,7 @@ def test_fixed_base_msm_matches_jacobian_walk(terms):
 
 def test_level_built_tables_match_sequential_multiples():
     g = G1Point.generator()
-    # Z = 1 and Z != 1 points, negated ones among them
+    # the generator, an SRS power and multiples, negated ones among them
     points = [g, shared_srs(MSM_SRS_DEGREE).g1_powers[1], -g, g * 5,
               -(g * 5)]
     for m in (8, 128):
@@ -672,8 +674,7 @@ def test_level_built_tables_match_sequential_multiples():
     for m in (1, 2, 3, 5, 8):
         assert _affine_multiples(G2Point, [pt.raw for pt in g2_points],
                                  m) == \
-            [tuple(G2Point._to_affine((pt * j).raw)
-                   for j in range(1, m + 1))
+            [tuple((pt * j).raw for j in range(1, m + 1))
              for pt in g2_points]
 
 
@@ -723,24 +724,27 @@ def test_fp2_batch_inverse_matches_fp2_inv():
             _fp2_batch_inverse(zeros)
 
 
-def _g2_affine(pt):
-    return G2Point._to_affine(pt.raw)
+def _g2_ladders(pairs):
+    """The Jacobian oracle ladder of each (point, k) pair, k * point."""
+    return [oracles.ladder(G2Point, oracles.jacobian(pt), k)
+            for pt, k in pairs]
 
 
 def test_g2_affine_sums_match_point_addition():
     q = G2Point.generator()
-    # Z = 1 and Z != 1 points, normalised together
-    points = [q, shared_srs(MSM_SRS_DEGREE).g2_powers[1], q * 5, -(q * 5),
-              q * 2, -q]
-    assert all(pt.raw[2] != F.FP2_ONE for pt in points[2:5])
-    affine = _g2_normalize([pt.raw for pt in points])
-    assert affine == [_g2_affine(pt) for pt in points]
+    # Jacobian tuples with Z = 1 and with Z != 1, normalised together
+    raws = _g2_ladders([(q, 1), (shared_srs(MSM_SRS_DEGREE).g2_powers[1], 1),
+                        (q, 5), (-q, 5), (q, 2), (-q, 1)])
+    points = [oracles.from_jacobian(G2Point, raw) for raw in raws]
+    assert all(raw[2] != F.FP2_ONE for raw in raws[2:5])
+    affine = _g2_normalize(raws)
+    assert affine == [pt.raw for pt in points]
     # every ordered pair but P + (-P), so P + P (the tangent) among them
     pairs = [(a, b) for a in range(len(points)) for b in range(len(points))
              if points[a] != -points[b]]
     assert (0, 0) in pairs and (2, 2) in pairs
     got = _g2_affine_sums([(affine[a], affine[b]) for a, b in pairs])
-    assert got == [_g2_affine(oracles.point_add(points[a], points[b]))
+    assert got == [oracles.point_add(points[a], points[b]).raw
                    for a, b in pairs]
     assert _g2_affine_sums([]) == []
 
@@ -748,15 +752,16 @@ def test_g2_affine_sums_match_point_addition():
 def test_g2_mixed_addition_matches_point_addition():
     q = G2Point.generator()
     # Jacobian left sides with Z = 1, with Z != 1, and the identity
-    lefts = [q, q * 5, -(q * 5), q * 7, G2Point.identity()]
-    assert all(pt.raw[2] != F.FP2_ONE for pt in lefts[1:4])
+    raws = _g2_ladders([(q, 1), (q, 5), (-q, 5), (q, 7), (q, 0)])
+    assert all(raw[2] != F.FP2_ONE for raw in raws[1:4])
     # a generic right side, the left side itself (a doubling) and its
     # negation (the identity)
-    for left in lefts:
+    for raw in raws:
+        left = oracles.from_jacobian(G2Point, raw)
         for right in (q * 3, left, -left):
             if right.is_identity():
                 continue
-            got = G2Point(_g2_add_affine(left.raw, _g2_affine(right)))
+            got = G2Point._from_jacobian([_g2_add_affine(raw, right.raw)])[0]
             expected = oracles.point_add(left, right)
             assert got == expected
             assert got.to_bytes() == expected.to_bytes()
@@ -812,7 +817,7 @@ def test_g2_msm_fold_matches_oracle(terms):
 # ---------------------------------------------------------------------------
 # Fixed-base comb
 
-# the generators, with Z = 1, and a negated multiple of each, with Z != 1
+# the generators and a negated multiple of each
 _COMB_BASES = {
     "g1": G1Point.generator(),
     "g1_z": -(G1Point.generator() * 5),

@@ -10,13 +10,13 @@ from helpers import (
     ORACLE_SECRET, g1_at, g2_at, oracle_commit, rand_poly, rho_weights,
     shared_srs,
 )
-from pmpdas import kzg
+from pmpdas import curve, kzg
 from pmpdas.curve import CurveError, G1Point, G2Point, g1_msm
 from pmpdas.field_poly import (
     SCALAR_MODULUS, EvaluationDomain, Polynomial, root_of_unity,
 )
 from pmpdas.kzg import (
-    KzgError, OpCounters, commit, gen, open_single, verify_batch_independent,
+    SRS, KzgError, OpCounters, commit, gen, open_single, verify_batch_independent,
     verify_single,
 )
 from pmpdas.wire import decode_srs, encode_srs
@@ -54,6 +54,22 @@ def test_srs_structure():
     assert len(srs.srs_id) == 32
     for d, srs_id in GEN_SRS_IDS.items():
         assert gen(d, 12345).srs_id.hex() == srs_id
+
+
+def test_srs_construction_inverts_nothing(monkeypatch):
+    # the powers are affine, so hashing their encodings into the id reads
+    # them as they are
+    srs = shared_srs(D)
+    calls = []
+    real = curve._batch_inverse
+
+    def counted(values):
+        calls.append(values)
+        return real(values)
+
+    monkeypatch.setattr(curve, "_batch_inverse", counted)
+    assert SRS(srs.g1_powers, srs.g2_powers).srs_id == srs.srs_id
+    assert calls == []
 
 
 def test_commit_matches_known_secret_oracle():
