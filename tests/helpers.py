@@ -4,6 +4,7 @@ so every group-element result can be recomputed in the scalar field."""
 import hashlib
 
 import oracles
+from pmpdas import curve
 from pmpdas.curve import G1Point, G2Point
 from pmpdas.dasnet import group_transcript
 from pmpdas.field_poly import SCALAR_MODULUS, Polynomial
@@ -64,6 +65,21 @@ def non_subgroup_point(group):
         if not oracles.point_mul(pt, R).is_identity():
             return pt
     raise AssertionError(f"no non-subgroup {group.__name__} found in range")
+
+
+def batch_inverse_calls(monkeypatch) -> list:
+    """A list that records the values of every later
+    `curve._batch_inverse` call, the one inversion behind every
+    normalisation."""
+    calls = []
+    real = curve._batch_inverse
+
+    def counted(values):
+        calls.append(values)
+        return real(values)
+
+    monkeypatch.setattr(curve, "_batch_inverse", counted)
+    return calls
 
 
 def oracle_commit(p: Polynomial) -> G1Point:

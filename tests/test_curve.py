@@ -5,13 +5,14 @@ import random
 import pytest
 
 import oracles
-from helpers import curve_y, non_subgroup_point, small_xs
+from helpers import (
+    batch_inverse_calls, curve_y, non_subgroup_point, small_xs,
+)
 from oracles import fp12_pow
-from pmpdas import curve
 from pmpdas.curve import (
-    CurveError, G1Point, G2Point, fixed_base_muls, g1_fixed_base_msms,
-    g1_fixed_base_tables, g1_msm, g1_msms, g2_msm, multi_pairing,
-    pairing_check,
+    CurveError, G1Point, G2Point, _miller_loop, fixed_base_muls,
+    g1_fixed_base_msms, g1_fixed_base_tables, g1_msm, g1_msms, g2_msm,
+    multi_pairing, pairing_check,
 )
 from pmpdas.fields import FP12_ONE, P, R, fp2_add, fp2_mul, fp2_sqr
 from pmpdas.kzg import gen
@@ -215,18 +216,11 @@ def test_reading_a_point_inverts_nothing(monkeypatch, group):
         pairs = [(pt, G2Point.generator()) for pt in points]
     else:
         pairs = [(G1Point.generator(), pt) for pt in points]
-    calls = []
-    real = curve._batch_inverse
-
-    def counted(values):
-        calls.append(values)
-        return real(values)
-
-    monkeypatch.setattr(curve, "_batch_inverse", counted)
+    calls = batch_inverse_calls(monkeypatch)
     for pt in points:
         pt.to_bytes()
         assert (pt == points[0]) == (pt is points[0])
         hash(pt)
         -pt
-    curve._miller_loop(pairs)
+    _miller_loop(pairs)
     assert calls == []

@@ -7,17 +7,17 @@ import threading
 import pytest
 
 from helpers import (
-    ORACLE_SECRET, g1_at, g2_at, oracle_commit, rand_poly, rho_weights,
-    shared_srs,
+    ORACLE_SECRET, batch_inverse_calls, g1_at, g2_at, oracle_commit,
+    rand_poly, rho_weights, shared_srs,
 )
-from pmpdas import curve, kzg
+from pmpdas import kzg
 from pmpdas.curve import CurveError, G1Point, G2Point, g1_msm
 from pmpdas.field_poly import (
     SCALAR_MODULUS, EvaluationDomain, Polynomial, root_of_unity,
 )
 from pmpdas.kzg import (
-    SRS, KzgError, OpCounters, commit, gen, open_single, verify_batch_independent,
-    verify_single,
+    SRS, KzgError, OpCounters, commit, gen, open_single,
+    verify_batch_independent, verify_single,
 )
 from pmpdas.wire import decode_srs, encode_srs
 
@@ -60,14 +60,7 @@ def test_srs_construction_inverts_nothing(monkeypatch):
     # the powers are affine, so hashing their encodings into the id reads
     # them as they are
     srs = shared_srs(D)
-    calls = []
-    real = curve._batch_inverse
-
-    def counted(values):
-        calls.append(values)
-        return real(values)
-
-    monkeypatch.setattr(curve, "_batch_inverse", counted)
+    calls = batch_inverse_calls(monkeypatch)
     assert SRS(srs.g1_powers, srs.g2_powers).srs_id == srs.srs_id
     assert calls == []
 
