@@ -7,7 +7,9 @@ import oracles
 from pmpdas import curve
 from pmpdas.curve import G1Point, G2Point
 from pmpdas.dasnet import group_transcript
-from pmpdas.field_poly import SCALAR_MODULUS, Polynomial
+from pmpdas.field_poly import (
+    SCALAR_MODULUS, Polynomial, div_rem, vanishing_poly,
+)
 from pmpdas.fields import P, R, fp2_add, fp2_mul, fp2_sqr, fp2_sqrt
 from pmpdas.kzg import SRS, gen
 from pmpdas.multiproof import derive_gamma
@@ -67,24 +69,55 @@ def non_subgroup_point(group):
     raise AssertionError(f"no non-subgroup {group.__name__} found in range")
 
 
+def record_calls(monkeypatch, owner, name, view) -> list:
+    """Replace `owner.name` with a recorder and return the list it fills:
+    each later call appends `view(*args, **kwargs)` of its arguments, then
+    runs the replaced function and returns its result. A recorder never
+    stands in for the code it watches, so a test that counts calls through
+    one still checks the real results."""
+    calls = []
+    real = getattr(owner, name)
+
+    def recorder(*args, **kwargs):
+        calls.append(view(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorder)
+    return calls
+
+
+def inject_fault(monkeypatch, owner, name, error: Exception) -> None:
+    """Make every later call of `owner.name` raise `error`."""
+    def faulty(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(owner, name, faulty)
+
+
 def batch_inverse_calls(monkeypatch) -> list:
     """A list that records the values of every later
     `curve._batch_inverse` call, the one inversion behind every
     normalisation."""
-    calls = []
-    real = curve._batch_inverse
-
-    def counted(values):
-        calls.append(values)
-        return real(values)
-
-    monkeypatch.setattr(curve, "_batch_inverse", counted)
-    return calls
+    return record_calls(monkeypatch, curve, "_batch_inverse",
+                        lambda values: values)
 
 
 def oracle_commit(p: Polynomial) -> G1Point:
     """What a commitment to p must equal: [p(secret)] in G1."""
     return g1_at(p.evaluate(ORACLE_SECRET))
+
+
+def oracle_witness(polys, md, gamma: int) -> G1Point:
+    """[h(secret)] in G1 for h the quotient of sum_i gamma^i p_i by the
+    vanishing polynomial of the micro-domain `md`, computed entirely in
+    the scalar field by polynomial division."""
+    combined = Polynomial()
+    w = 1
+    for p in polys:
+        combined = combined + p.scale(w)
+        w = w * gamma % SCALAR_MODULUS
+    h, _ = div_rem(combined, vanishing_poly(md))
+    return g1_at(h.evaluate(ORACLE_SECRET))
 
 
 def oracle_group_witness(polys, points, gamma: int) -> G1Point:
@@ -122,6 +155,14 @@ def rho_weights(n: int, rho: int = TEST_RHO) -> list:
 
 def rand_scalar(rng) -> int:
     return rng.randrange(SCALAR_MODULUS)
+
+
+def rand_fp2(rng):
+    return (rng.randrange(P), rng.randrange(P))
+
+
+def rand_fp12(rng):
+    return tuple(tuple(rand_fp2(rng) for _ in range(3)) for _ in range(2))
 
 
 def rand_poly(rng, degree: int) -> Polynomial:

@@ -9,15 +9,13 @@ import random
 import statistics
 import time
 
-from helpers import ORACLE_SECRET, g1_at, rand_poly, rand_scalar, shared_srs
+from helpers import oracle_witness, rand_poly, rand_scalar, shared_srs
 from pmpdas.curve import G1Point
 from pmpdas.dasnet import (
     ConfigMode, ExperimentConfig, ExperimentSession, effective_samples,
     make_sampling_plan, required_samples,
 )
-from pmpdas.field_poly import (
-    SCALAR_MODULUS, EvaluationDomain, Polynomial, div_rem, vanishing_poly,
-)
+from pmpdas.field_poly import SCALAR_MODULUS, EvaluationDomain
 from pmpdas.grid import (
     GridDims, build_grid, build_opened_group, partition_micro_domains,
 )
@@ -50,16 +48,6 @@ def _random_micro_domain(rng, g):
     return EvaluationDomain(sorted(points), offset=0)
 
 
-def _oracle_witness(polys, md, gamma):
-    combined = Polynomial()
-    w = 1
-    for p in polys:
-        combined = combined + p.scale(w)
-        w = w * gamma % SCALAR_MODULUS
-    h, _ = div_rem(combined, vanishing_poly(md))
-    return g1_at(h.evaluate(ORACLE_SECRET))
-
-
 def test_criterion_02_multiproof_correctness_100_instances():
     """>= 100 random instances over k in {1,2,4,8}, g in {1,4,8,16},
     d <= 64: open_shared passes verify_shared and matches both the generic
@@ -86,7 +74,7 @@ def test_criterion_02_multiproof_correctness_100_instances():
             assert verify_shared(srs, group, proof, gamma)
             generic = open_generic(srs, polys, [md.points] * k, values, gamma)
             assert proof == generic
-            assert proof == _oracle_witness(polys, md, gamma)
+            assert proof == oracle_witness(polys, md, gamma)
             instances += 1
     assert instances >= 100
     assert time.monotonic() - start < 60.0

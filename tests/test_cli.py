@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from helpers import shift_between_rows
+from helpers import inject_fault, record_calls, shift_between_rows
 from pmpdas import cli, dasnet, field_poly, grid, kzg, wire
 from pmpdas.curve import G1Point, G2Point
 from pmpdas.kzg import KzgError, PairingTerms, gen
@@ -203,31 +203,18 @@ def test_ablation_rejects_a_peer_capacity_below_one(tmp_path, capsys,
 
 
 def test_fixture_prove_verify_round_trip(tmp_path, capsys):
-    fx = str(tmp_path / "fx.bin")
-    fxp = str(tmp_path / "fxp.bin")
-    assert run_cli(["gen-fixture", "--output", fx,
-                    "--rows", "2", "--cols", "4"]) == 0
-    assert run_cli(["prove", "--fixture", fx, "--output", fxp,
-                    "--group", "4"]) == 0
-    assert run_cli(["verify", "--fixture", fxp]) == 0
+    assert run_cli(["verify", "--fixture", _fixture(tmp_path)]) == 0
     assert "verified 4 groups" in capsys.readouterr().out
 
 
 def test_verify_counts_one_group_in_the_singular(tmp_path, capsys):
-    fx, fxp = str(tmp_path / "fx.bin"), str(tmp_path / "fxp.bin")
-    assert run_cli(["gen-fixture", "--output", fx,
-                    "--rows", "1", "--cols", "1"]) == 0
-    assert run_cli(["prove", "--fixture", fx, "--output", fxp,
-                    "--group", "2"]) == 0
+    fxp = _fixture(tmp_path, rows=1, cols=1, group=2)
     assert run_cli(["verify", "--fixture", fxp]) == 0
     assert capsys.readouterr().out == "verified 1 group\n"
 
 
 def test_verify_detects_tampered_scalar(tmp_path, capsys):
-    fx, fxp = str(tmp_path / "fx.bin"), str(tmp_path / "fxp.bin")
-    run_cli(["gen-fixture", "--output", fx, "--rows", "2", "--cols", "4"])
-    run_cli(["prove", "--fixture", fx, "--output", fxp, "--group", "4"])
-    blob = bytearray(open(fxp, "rb").read())
+    blob = bytearray(open(_fixture(tmp_path), "rb").read())
     blob[-5] ^= 0x01  # a byte inside the last proof object's scalars
     tampered = str(tmp_path / "tampered.bin")
     open(tampered, "wb").write(bytes(blob))
@@ -237,21 +224,11 @@ def test_verify_detects_tampered_scalar(tmp_path, capsys):
 
 def test_verify_checks_a_failed_group_only_in_the_round(tmp_path, capsys,
                                                         monkeypatch):
-    fx, fxp = str(tmp_path / "fx.bin"), str(tmp_path / "fxp.bin")
-    run_cli(["gen-fixture", "--output", fx, "--rows", "2", "--cols", "8"])
-    run_cli(["prove", "--fixture", fx, "--output", fxp, "--group", "4"])
-    blob = bytearray(open(fxp, "rb").read())
+    blob = bytearray(open(_fixture(tmp_path, cols=8), "rb").read())
     blob[-5] ^= 0x01  # a scalar bit of the last of 8 groups
     tampered = tmp_path / "tampered.bin"
     tampered.write_bytes(bytes(blob))
-    checks = []
-    real = kzg.pairing_check
-
-    def counting(pairs):
-        checks.append(len(pairs))
-        return real(pairs)
-
-    monkeypatch.setattr(kzg, "pairing_check", counting)
+    checks = record_calls(monkeypatch, kzg, "pairing_check", len)
     assert run_cli(["verify", "--fixture", str(tampered)]) == 1
     assert capsys.readouterr().err == \
         "verification failed at band 1, group 3\n"
@@ -262,7 +239,7 @@ def test_verify_checks_a_failed_group_only_in_the_round(tmp_path, capsys,
 def test_verify_names_the_region_of_a_swapped_object(tmp_path, capsys):
     # two well-formed proof objects in each other's place: each names its
     # own region, so the first one fails to decode, with both regions
-    sections = decode_fixture(open(_proved_fixture(tmp_path), "rb").read())
+    sections = decode_fixture(open(_fixture(tmp_path), "rb").read())
     first = next(i for i, (tag, _) in enumerate(sections) if tag == "MCEL")
     (_, a), (_, b) = sections[first:first + 2]
     sections[first:first + 2] = [("MCEL", b), ("MCEL", a)]
@@ -276,10 +253,7 @@ def test_verify_names_the_region_of_a_swapped_object(tmp_path, capsys):
 
 
 def test_verify_detects_permuted_header_commitments(tmp_path, capsys):
-    fx, fxp = str(tmp_path / "fx.bin"), str(tmp_path / "fxp.bin")
-    run_cli(["gen-fixture", "--output", fx, "--rows", "2", "--cols", "4"])
-    run_cli(["prove", "--fixture", fx, "--output", fxp, "--group", "4"])
-    sections = decode_fixture(open(fxp, "rb").read())
+    sections = decode_fixture(open(_fixture(tmp_path), "rb").read())
     swapped = []
     for tag, payload in sections:
         if tag == "GRID":
@@ -294,12 +268,19 @@ def test_verify_detects_permuted_header_commitments(tmp_path, capsys):
         capsys.readouterr().err
 
 
-def _proved_fixture(tmp_path):
-    fx, fxp = str(tmp_path / "fx.bin"), str(tmp_path / "fxp.bin")
+def _fixture(tmp_path, rows=2, cols=4, group=4, rows_per_group=1):
+    """The path of a `gen-fixture` file of rows x cols data in `tmp_path`,
+    or, unless `group` is None, of that file proved by `prove` in groups
+    of `group` columns by `rows_per_group` rows."""
+    fx = str(tmp_path / "fx.bin")
     assert run_cli(["gen-fixture", "--output", fx,
-                    "--rows", "2", "--cols", "4"]) == 0
+                    "--rows", str(rows), "--cols", str(cols)]) == 0
+    if group is None:
+        return fx
+    fxp = str(tmp_path / "fxp.bin")
     assert run_cli(["prove", "--fixture", fx, "--output", fxp,
-                    "--group", "4"]) == 0
+                    "--group", str(group),
+                    "--rows-per-group", str(rows_per_group)]) == 0
     return fxp
 
 
@@ -309,7 +290,7 @@ def _sha256(path):
 
 
 def test_proved_fixture_bytes_are_pinned(tmp_path):
-    assert _sha256(_proved_fixture(tmp_path)) == PROVED_FIXTURE_SHA256
+    assert _sha256(_fixture(tmp_path)) == PROVED_FIXTURE_SHA256
 
 
 @pytest.mark.parametrize("k, groups", [(1, 8), (2, 4), (1, 16)])
@@ -317,11 +298,7 @@ def test_nontrivial_proved_fixture_bytes_are_pinned(tmp_path, capsys, k,
                                                     groups):
     # 2 rows of 2 * cols extended columns, in groups of 4 by k rows
     cols = groups * k
-    fx, fxp = str(tmp_path / "fx.bin"), str(tmp_path / "fxp.bin")
-    assert run_cli(["gen-fixture", "--output", fx,
-                    "--rows", "2", "--cols", str(cols)]) == 0
-    assert run_cli(["prove", "--fixture", fx, "--output", fxp, "--group",
-                    "4", "--rows-per-group", str(k)]) == 0
+    fxp = _fixture(tmp_path, cols=cols, rows_per_group=k)
     assert _sha256(fxp) == NONTRIVIAL_PROVED_FIXTURE_SHA256[k, cols]
     mcells = [wire.MCell.from_bytes(payload) for payload in
               wire.Fixture.from_bytes(open(fxp, "rb").read()).mcells]
@@ -341,12 +318,8 @@ def test_nontrivial_proved_fixture_bytes_are_pinned(tmp_path, capsys, k,
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_verify_rejects_values_shifted_between_rows(tmp_path, capsys, k):
-    fx, fxp = str(tmp_path / "fx.bin"), str(tmp_path / "fxp.bin")
     # rows of degree 7 in groups of 4, so that no proof is the identity
-    assert run_cli(["gen-fixture", "--output", fx,
-                    "--rows", str(k), "--cols", "8"]) == 0
-    assert run_cli(["prove", "--fixture", fx, "--output", fxp, "--group",
-                    "4", "--rows-per-group", str(k)]) == 0
+    fxp = _fixture(tmp_path, rows=k, cols=8, rows_per_group=k)
     proved = wire.Fixture.from_bytes(open(fxp, "rb").read())
     ctx = dasnet.BlockContext(b"fixture", proved.grid, proved.srs, 4, k)
     first, *rest = proved.mcells
@@ -373,16 +346,9 @@ def test_natural_order_fixture_verifies_through_the_general_check(
     with monkeypatch.context() as patch:
         patch.setattr(grid, "default_row_domain",
                       field_poly.roots_of_unity_domain)
-        fxp = _proved_fixture(tmp_path)
+        fxp = _fixture(tmp_path)
     assert _sha256(fxp) == NATURAL_ORDER_PROVED_FIXTURE_SHA256
-    checks = []
-    real = kzg.pairing_check
-
-    def counting(pairs):
-        checks.append(len(pairs))
-        return real(pairs)
-
-    monkeypatch.setattr(kzg, "pairing_check", counting)
+    checks = record_calls(monkeypatch, kzg, "pairing_check", len)
     assert run_cli(["verify", "--fixture", fxp]) == 0
     assert "verified 4 groups" in capsys.readouterr().out
     assert checks == [3]
@@ -405,18 +371,12 @@ def test_multi_seed_ablation_bytes_are_pinned(tmp_path, monkeypatch):
 
 
 def test_verify_reports_undecodable_object(tmp_path, capsys, monkeypatch):
-    blob = bytearray(open(_proved_fixture(tmp_path), "rb").read())
+    blob = bytearray(open(_fixture(tmp_path), "rb").read())
     blob[-1] = 0xFF  # top byte of the last scalar: above the field modulus
     bad = tmp_path / "bad.bin"
     bad.write_bytes(bytes(blob))
-    reduced = []
-    real = dasnet.object_terms
-
-    def counted(*args, **kwargs):
-        reduced.append(args[2])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(dasnet, "object_terms", counted)
+    reduced = record_calls(monkeypatch, dasnet, "object_terms",
+                           lambda ctx, mode, location, *rest, **kw: location)
     assert run_cli(["verify", "--fixture", str(bad)]) == 1
     assert capsys.readouterr().err == (
         "verification failed at band 1, group 1: "
@@ -427,24 +387,18 @@ def test_verify_reports_undecodable_object(tmp_path, capsys, monkeypatch):
 
 def test_verify_internal_error_raises_instead_of_failing(tmp_path,
                                                          monkeypatch):
-    fxp = _proved_fixture(tmp_path)
-
-    def broken(*args, **kwargs):
-        raise MultiproofError("internal fault")
-
-    monkeypatch.setattr(dasnet, "shared_terms", broken)
+    fxp = _fixture(tmp_path)
+    inject_fault(monkeypatch, dasnet, "shared_terms",
+                 MultiproofError("internal fault"))
     with pytest.raises(MultiproofError):
         run_cli(["verify", "--fixture", fxp])
 
 
 def test_verify_internal_error_in_the_round_check_raises(tmp_path,
                                                         monkeypatch):
-    fxp = _proved_fixture(tmp_path)
-
-    def broken(self):
-        raise KzgError("internal fault")
-
-    monkeypatch.setattr(PairingTerms, "check", broken)
+    fxp = _fixture(tmp_path)
+    inject_fault(monkeypatch, PairingTerms, "check",
+                 KzgError("internal fault"))
     with pytest.raises(KzgError):
         run_cli(["verify", "--fixture", fxp])
 
@@ -459,15 +413,13 @@ def test_verify_missing_sections(tmp_path, capsys):
     path.write_bytes(b"PMPD")
     assert run_cli(["verify", "--fixture", str(path)]) == 2
     assert "malformed fixture" in capsys.readouterr().err
-    fx = str(tmp_path / "fx.bin")
-    assert run_cli(["gen-fixture", "--output", fx,
-                    "--rows", "2", "--cols", "4"]) == 0
-    assert run_cli(["verify", "--fixture", fx]) == 2
+    assert run_cli(["verify", "--fixture", _fixture(tmp_path, group=None)]) \
+        == 2
     assert "fixture is missing its 'PRMS' section" in capsys.readouterr().err
     assert run_cli(["verify", "--fixture", str(tmp_path / "nope.bin")]) == 2
     assert "cannot read fixture" in capsys.readouterr().err
     # one MCEL section of the four groups' too few
-    sections = decode_fixture(open(_proved_fixture(tmp_path), "rb").read())
+    sections = decode_fixture(open(_fixture(tmp_path), "rb").read())
     assert [tag for tag, _ in sections].count("MCEL") == 4
     path.write_bytes(encode_fixture(sections[:-1]))
     assert run_cli(["verify", "--fixture", str(path)]) == 2
@@ -477,7 +429,7 @@ def test_verify_missing_sections(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["prove", "verify"])
 def test_grid_that_is_not_a_codeword_is_malformed(tmp_path, capsys, command):
-    sections = decode_fixture(open(_proved_fixture(tmp_path), "rb").read())
+    sections = decode_fixture(open(_fixture(tmp_path), "rb").read())
     damaged = []
     for tag, payload in sections:
         if tag == "GRID":
@@ -500,7 +452,7 @@ def test_grid_that_is_not_a_codeword_is_malformed(tmp_path, capsys, command):
 @pytest.mark.parametrize("tag", ["SRS1", "GRID", "PRMS"])
 def test_repeated_single_valued_section_is_malformed(tmp_path, capsys,
                                                      command, tag):
-    sections = decode_fixture(open(_proved_fixture(tmp_path), "rb").read())
+    sections = decode_fixture(open(_fixture(tmp_path), "rb").read())
     other = str(tmp_path / "other.bin")
     assert run_cli(["gen-fixture", "--output", other, "--rows", "2",
                     "--cols", "4", "--seed", "1"]) == 0
@@ -565,7 +517,7 @@ FIXTURE_DAMAGE = {
 @pytest.mark.parametrize("damage", sorted(FIXTURE_DAMAGE))
 def test_undecodable_srs_or_grid_is_malformed(tmp_path, capsys, damage):
     target, edit = FIXTURE_DAMAGE[damage]
-    sections = decode_fixture(open(_proved_fixture(tmp_path), "rb").read())
+    sections = decode_fixture(open(_fixture(tmp_path), "rb").read())
     bad = tmp_path / "bad.bin"
     bad.write_bytes(encode_fixture(
         [(tag, edit(payload) if tag == target else payload)
@@ -575,12 +527,8 @@ def test_undecodable_srs_or_grid_is_malformed(tmp_path, capsys, damage):
 
 
 def test_internal_error_while_decoding_grid_raises(tmp_path, monkeypatch):
-    fxp = _proved_fixture(tmp_path)
-
-    def broken(*args, **kwargs):
-        raise KzgError("internal fault")
-
-    monkeypatch.setattr(wire, "extend_rows", broken)
+    fxp = _fixture(tmp_path)
+    inject_fault(monkeypatch, wire, "extend_rows", KzgError("internal fault"))
     with pytest.raises(KzgError):
         run_cli(["verify", "--fixture", fxp])
 
@@ -595,7 +543,7 @@ def test_gen_fixture_rejects_a_bad_shape(tmp_path, capsys, flag, value):
 
 
 def test_verify_rejects_short_params_section(tmp_path, capsys):
-    sections = decode_fixture(open(_proved_fixture(tmp_path), "rb").read())
+    sections = decode_fixture(open(_fixture(tmp_path), "rb").read())
     bad = tmp_path / "bad.bin"
     bad.write_bytes(encode_fixture(
         [(tag, payload[:7] if tag == "PRMS" else payload)
@@ -606,9 +554,7 @@ def test_verify_rejects_short_params_section(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_prove_rejects_rows_per_group_below_one(tmp_path, capsys, value):
-    fx = str(tmp_path / "fx.bin")
-    assert run_cli(["gen-fixture", "--output", fx,
-                    "--rows", "2", "--cols", "4"]) == 0
+    fx = _fixture(tmp_path, group=None)
     assert run_cli(["prove", "--fixture", fx, "--output",
                     str(tmp_path / "fxp.bin"), "--group", "4",
                     "--rows-per-group", value]) == 2
@@ -618,9 +564,7 @@ def test_prove_rejects_rows_per_group_below_one(tmp_path, capsys, value):
 @pytest.mark.parametrize("command", ["storage-report", "ablation",
                                      "gen-fixture", "prove"])
 def test_unwritable_output_exits_2(tmp_path, capsys, command):
-    fx = str(tmp_path / "fx.bin")
-    assert run_cli(["gen-fixture", "--output", fx,
-                    "--rows", "2", "--cols", "4"]) == 0
+    fx = _fixture(tmp_path, group=None)
     args = {
         "storage-report": ["--entries", "64", "--group", "4"],
         "ablation": ["--config", _tiny_config(tmp_path)],
@@ -634,12 +578,9 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command):
 
 def test_ablation_checks_its_output_before_the_runs(tmp_path, capsys,
                                                    monkeypatch):
-    def no_session(*args):
-        raise AssertionError("the session was built before the output "
-                             "was checked")
-
     # no session, so no `ExperimentSession.run` either
-    monkeypatch.setattr(cli, "ExperimentSession", no_session)
+    inject_fault(monkeypatch, cli, "ExperimentSession", AssertionError(
+        "the session was built before the output was checked"))
     out = str(tmp_path / "missing-dir" / "out.csv")
     assert run_cli(["ablation", "--config", _tiny_config(tmp_path),
                     "--output", out]) == 2
@@ -677,9 +618,7 @@ def test_gen_fixture_accepts_the_extreme_seeds(tmp_path):
 
 def test_prove_rejects_group_above_the_srs_bound(tmp_path, capsys):
     # the 2x4 fixture's SRS has degree bound 7; 8 divides its 8 columns
-    fx = str(tmp_path / "fx.bin")
-    assert run_cli(["gen-fixture", "--output", fx,
-                    "--rows", "2", "--cols", "4"]) == 0
+    fx = _fixture(tmp_path, group=None)
     assert run_cli(["prove", "--fixture", fx, "--output",
                     str(tmp_path / "fxp.bin"), "--group", "8"]) == 2
     assert "error: --group 8 exceeds the SRS degree bound 7" in \
@@ -690,9 +629,7 @@ def test_prove_rejects_group_above_the_srs_bound(tmp_path, capsys):
 def test_prove_rejects_a_group_that_does_not_divide_the_columns(
         tmp_path, capsys, group):
     # the 2x4 fixture has 8 extended columns and SRS degree bound 7
-    fx = str(tmp_path / "fx.bin")
-    assert run_cli(["gen-fixture", "--output", fx,
-                    "--rows", "2", "--cols", "4"]) == 0
+    fx = _fixture(tmp_path, group=None)
     out = tmp_path / "fxp.bin"
     assert run_cli(["prove", "--fixture", fx, "--output", str(out),
                     "--group", group]) == 2
@@ -702,14 +639,9 @@ def test_prove_rejects_a_group_that_does_not_divide_the_columns(
 
 
 def test_prove_internal_error_raises(tmp_path, monkeypatch):
-    fx = str(tmp_path / "fx.bin")
-    assert run_cli(["gen-fixture", "--output", fx,
-                    "--rows", "2", "--cols", "4"]) == 0
-
-    def broken(*args, **kwargs):
-        raise KzgError("internal fault")
-
-    monkeypatch.setattr(dasnet, "open_groups", broken)
+    fx = _fixture(tmp_path, group=None)
+    inject_fault(monkeypatch, dasnet, "open_groups",
+                 KzgError("internal fault"))
     with pytest.raises(KzgError):
         run_cli(["prove", "--fixture", fx, "--output",
                  str(tmp_path / "fxp.bin")])
@@ -717,10 +649,8 @@ def test_prove_internal_error_raises(tmp_path, monkeypatch):
 
 def test_ablation_internal_error_raises(tmp_path, monkeypatch):
     # no config reaches a DasNetError in the runs: from_pairs checks first
-    def broken(*args, **kwargs):
-        raise dasnet.DasNetError("internal fault")
-
-    monkeypatch.setattr(dasnet.ExperimentSession, "run", broken)
+    inject_fault(monkeypatch, dasnet.ExperimentSession, "run",
+                 dasnet.DasNetError("internal fault"))
     with pytest.raises(dasnet.DasNetError, match="internal fault"):
         run_cli(["ablation", "--config", _tiny_config(tmp_path),
                  "--output", str(tmp_path / "out.csv")])
@@ -728,18 +658,13 @@ def test_ablation_internal_error_raises(tmp_path, monkeypatch):
 
 def test_gen_fixture_internal_grid_error_raises(tmp_path, monkeypatch):
     # the shape was checked, so a GridError from the build is a fault
-    def broken(*args, **kwargs):
-        raise grid.GridError("internal fault")
-
-    monkeypatch.setattr(grid, "build_grid", broken)
+    inject_fault(monkeypatch, grid, "build_grid",
+                 grid.GridError("internal fault"))
     with pytest.raises(grid.GridError, match="internal fault"):
         run_cli(["gen-fixture", "--output", str(tmp_path / "fx.bin")])
 
 
 def test_gen_fixture_internal_error_raises(tmp_path, monkeypatch):
-    def broken(*args, **kwargs):
-        raise KzgError("internal fault")
-
-    monkeypatch.setattr(cli, "gen", broken)
+    inject_fault(monkeypatch, cli, "gen", KzgError("internal fault"))
     with pytest.raises(KzgError):
         run_cli(["gen-fixture", "--output", str(tmp_path / "fx.bin")])

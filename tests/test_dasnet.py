@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import TEST_RHO, shared_srs, shift_between_rows
+from helpers import (
+    TEST_RHO, inject_fault, record_calls, shared_srs, shift_between_rows,
+)
 from pmpdas import curve, dasnet, kzg, wire
 from pmpdas.curve import CurveError, G1Point, G2Point, g1_msms, pairing_check
 from pmpdas.dasnet import (
@@ -308,18 +310,13 @@ def _assert_internal_error_raises(error, modes):
 ])
 def test_internal_error_raises_instead_of_failing_verification(
         monkeypatch, name, error, modes):
-    def broken(*args, **kwargs):
-        raise error("internal fault")
-
-    monkeypatch.setattr(dasnet, name, broken)
+    inject_fault(monkeypatch, dasnet, name, error("internal fault"))
     _assert_internal_error_raises(error, modes)
 
 
 def test_internal_error_in_the_round_check_raises(monkeypatch):
-    def broken(self):
-        raise KzgError("internal fault")
-
-    monkeypatch.setattr(PairingTerms, "check", broken)
+    inject_fault(monkeypatch, PairingTerms, "check",
+                 KzgError("internal fault"))
     _assert_internal_error_raises(KzgError, tuple(ConfigMode))
 
 
@@ -374,13 +371,8 @@ def test_object_terms_parse_each_scalar_once(monkeypatch):
     # the decoders parse and check every scalar of an object once; the
     # pairing terms reuse those values and parse nothing again
     objects = {mode: _honest_object(mode) for mode in ConfigMode}
-    parsed = []
-
-    def counted(data):
-        parsed.append(data)
-        return scalar_from_bytes(data)
-
-    monkeypatch.setattr(wire, "scalar_from_bytes", counted)
+    parsed = record_calls(monkeypatch, wire, "scalar_from_bytes",
+                          lambda data: data)
     for mode, (location, obj) in objects.items():
         parsed.clear()
         assert object_terms(CTX, mode, location, obj,
@@ -550,28 +542,19 @@ def test_session_draws_once_per_seed_and_keys_once_per_cell(monkeypatch):
         session.objects_for(mode)  # publication derives every key itself
     plans = [make_sampling_plan(seed, session.ctx.grid.dims, cfg.samples)
              for seed in cfg.seeds]
-    drawn = {}
-
-    def counted(name, pick):
-        real = getattr(dasnet, name)
-
-        def logged(*args):
-            drawn.setdefault(name, []).append(pick(*args))
-            return real(*args)
-
-        monkeypatch.setattr(dasnet, name, logged)
-
-    counted("churn_order", lambda n_peers, seed: seed)
-    counted("make_sampling_plan", lambda seed, dims, s: seed)
-    counted("cell_key", lambda block_id, row, col: (row, col))
+    churned = record_calls(monkeypatch, dasnet, "churn_order",
+                           lambda n_peers, seed: seed)
+    planned = record_calls(monkeypatch, dasnet, "make_sampling_plan",
+                           lambda seed, dims, s: seed)
+    keyed = record_calls(monkeypatch, dasnet, "cell_key",
+                         lambda block_id, row, col: (row, col))
     for mode in cfg.modes:
         for churn in cfg.churn:
             for seed in cfg.seeds:
                 session.run(mode, churn, seed)
-    assert sorted(drawn["churn_order"]) == list(cfg.seeds)
-    assert sorted(drawn["make_sampling_plan"]) == list(cfg.seeds)
+    assert sorted(churned) == list(cfg.seeds)
+    assert sorted(planned) == list(cfg.seeds)
     sampled = {(c.row, c.col) for plan in plans for c in plan.coordinates}
-    keyed = drawn["cell_key"]
     assert keyed and len(set(keyed)) == len(keyed) and set(keyed) <= sampled
 
 
@@ -591,18 +574,14 @@ PER_CELL_MODES = (ConfigMode.VANILLA, ConfigMode.BATCHED_SINGLE,
 
 
 def _count_openings(monkeypatch):
-    """Wrap dasnet.open_groups; the returned list grows by one (polynomial,
-    point) per one-point group opened, the proof of one cell."""
-    calls = []
-    original = dasnet.open_groups
-
-    def counted(srs, groups, *args):
-        calls.extend((polys[0], md.points[0]) for polys, md, _ in groups
-                     if md.size == 1)
-        return original(srs, groups, *args)
-
-    monkeypatch.setattr(dasnet, "open_groups", counted)
-    return calls
+    """Record dasnet.open_groups; the returned list gets, per call, the
+    list of one (polynomial, point) per one-point group opened, the proof
+    of one cell."""
+    return record_calls(
+        monkeypatch, dasnet, "open_groups",
+        lambda srs, groups, *args: [(polys[0], md.points[0])
+                                    for polys, md, _ in groups
+                                    if md.size == 1])
 
 
 @pytest.mark.parametrize("overrides", [
@@ -624,12 +603,13 @@ def test_session_opens_each_cell_once(monkeypatch, order):
     session = ExperimentSession(_small_config())
     assert calls == []  # construction opens nothing
     session.objects_for(ConfigMode.PMP)
-    assert calls == []  # pmp's groups span g = 4 points
+    assert not any(calls)  # pmp's groups span g = 4 points
     dims = session.ctx.grid.dims
     for mode in order:
         session.objects_for(mode)
-        assert len(calls) == dims.rows * dims.extended_cols
-    assert len(set(calls)) == len(calls)
+        opened = [cell for call in calls for cell in call]
+        assert len(opened) == dims.rows * dims.extended_cols
+    assert len(set(opened)) == len(opened)
 
 
 def test_build_objects_opens_every_cell_on_each_call(monkeypatch):
@@ -638,9 +618,9 @@ def test_build_objects_opens_every_cell_on_each_call(monkeypatch):
     calls = _count_openings(monkeypatch)
     cells = CTX.grid.dims.extended_cells
     first = build_objects(CTX, ConfigMode.BATCHED_SINGLE)
-    assert len(calls) == cells
+    assert sum(map(len, calls)) == cells
     assert build_objects(CTX, ConfigMode.BATCHED_SINGLE) == first
-    assert len(calls) == 2 * cells
+    assert sum(map(len, calls)) == 2 * cells
 
 
 # sha256 over each arm's objects (sorted keys, each key followed by its
@@ -730,14 +710,8 @@ def test_pmp_opens_each_band_in_one_walk(monkeypatch, k):
     data = bytes(rng.randrange(256) for _ in range(dims.data_capacity_bytes))
     ctx = BlockContext(b"publish-shape", build_grid(data, dims, srs), srs,
                        4, k)
-    walks = []
-    real = kzg.g1_fixed_base_msms
-
-    def counted(tables, rows):
-        walks.append(len(rows))
-        return real(tables, rows)
-
-    monkeypatch.setattr(kzg, "g1_fixed_base_msms", counted)
+    walks = record_calls(monkeypatch, kzg, "g1_fixed_base_msms",
+                         lambda tables, rows: len(rows))
     objects = build_objects(ctx, ConfigMode.PMP)
     groups = dims.extended_cols // 4
     assert walks == [groups] * (dims.rows // k)
@@ -1092,13 +1066,7 @@ ROUND_BASES = [
 
 
 def test_honest_round_makes_one_pairing_check(monkeypatch):
-    calls = []
-
-    def counted(pairs):
-        calls.append(len(pairs))
-        return pairing_check(pairs)
-
-    monkeypatch.setattr(kzg, "pairing_check", counted)
+    calls = record_calls(monkeypatch, kzg, "pairing_check", len)
     for ctx, bases in ROUND_BASES:
         plan = _every_cell(ctx)
         for mode in ConfigMode:
@@ -1168,13 +1136,7 @@ def test_round_check_is_one_g1_msms_row_per_g2_base(monkeypatch):
     (Coordinate(0, 1), Coordinate(1, 6)), "every",
 ])
 def test_failed_round_checks_each_object_alone(monkeypatch, bad):
-    calls = []
-
-    def counted(pairs):
-        calls.append(len(pairs))
-        return pairing_check(pairs)
-
-    monkeypatch.setattr(kzg, "pairing_check", counted)
+    calls = record_calls(monkeypatch, kzg, "pairing_check", len)
     _warm(CTX)
     plan = _every_cell(CTX)
     assert len(plan.coordinates) == 16
@@ -1206,15 +1168,8 @@ def test_failed_round_checks_each_object_alone(monkeypatch, bad):
 
 def _counted_reductions(monkeypatch):
     """Locations `object_terms` is called for, in call order."""
-    reduced = []
-    real = dasnet.object_terms
-
-    def counted(ctx, mode, location, obj, *args, **kwargs):
-        reduced.append(location)
-        return real(ctx, mode, location, obj, *args, **kwargs)
-
-    monkeypatch.setattr(dasnet, "object_terms", counted)
-    return reduced
+    return record_calls(monkeypatch, dasnet, "object_terms",
+                        lambda ctx, mode, location, *rest, **kw: location)
 
 
 def test_honest_round_reduces_each_object_once(monkeypatch):
@@ -1254,15 +1209,8 @@ def test_failed_round_reduces_each_decodable_object_twice(monkeypatch):
 
 def _recorded_weight_streams(monkeypatch):
     """The objects of each `round_weights` stream drawn, in call order."""
-    streams = []
-    real = dasnet.round_weights
-
-    def recorded(ctx, mode, objects):
-        streams.append(list(objects))
-        return real(ctx, mode, objects)
-
-    monkeypatch.setattr(dasnet, "round_weights", recorded)
-    return streams
+    return record_calls(monkeypatch, dasnet, "round_weights",
+                        lambda ctx, mode, objects: list(objects))
 
 
 def test_a_lone_object_is_a_round_of_one(monkeypatch):
@@ -1343,13 +1291,7 @@ def test_round_holds_no_terms_of_a_merged_object(monkeypatch):
 
 
 def test_round_with_nothing_decodable_makes_no_pairing_call(monkeypatch):
-    calls = []
-
-    def counted(pairs):
-        calls.append(len(pairs))
-        return pairing_check(pairs)
-
-    monkeypatch.setattr(kzg, "pairing_check", counted)
+    calls = record_calls(monkeypatch, kzg, "pairing_check", len)
     plan = _every_cell(CTX)
     for mode in ConfigMode:
         dht = _published_dht(CTX, mode)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from helpers import (
     ORACLE_SECRET, g1_at, non_subgroup_point, oracle_group_witness,
-    rand_poly, rho_weights, shared_srs,
+    rand_fp12, rand_poly, rho_weights, shared_srs,
 )
 from pmpdas import fields as F
 from pmpdas.curve import (
@@ -39,11 +39,6 @@ from pmpdas.multiproof import (
 
 # G1 cofactor: #E(Fp) = H1 * r
 H1 = 0x396C8C005555E1568C00AAAB0000AAAB
-
-
-def _rand_fp12(rng):
-    return tuple(tuple((rng.randrange(F.P), rng.randrange(F.P))
-                       for _ in range(3)) for _ in range(2))
 
 
 def _easy_part(f):
@@ -109,8 +104,8 @@ def test_fp12_kernels_match_tower_oracle():
     rng = random.Random(110)
     edges = [_fp12_from([c] * 12) for c in (0, 1, F.P - 1)]
     edges += [F.FP12_ONE, _fp12_from([F.P - 1, 0] * 6)]
-    for a in edges + [_rand_fp12(rng) for _ in range(20)]:
-        for b in edges[:3] + [_rand_fp12(rng)]:
+    for a in edges + [rand_fp12(rng) for _ in range(20)]:
+        for b in edges[:3] + [rand_fp12(rng)]:
             line = tuple(b[0])
             _assert_kernels_match(a, b, line)
             _assert_kernels_match(a, b, (line[0], line[1], (F.P - 1,) * 2))
@@ -174,14 +169,14 @@ def test_prepared_miller_loop_matches_projective_oracle():
 def test_final_exponentiation_matches_oracle():
     rng = random.Random(102)
     for _ in range(3):
-        f = _rand_fp12(rng)
+        f = rand_fp12(rng)
         assert F.final_exponentiation(f) == oracles.final_exponentiation(f)
 
 
 def test_cyclotomic_sqr_matches_fp12_sqr():
     rng = random.Random(103)
     for _ in range(20):
-        f = _easy_part(_rand_fp12(rng))
+        f = _easy_part(rand_fp12(rng))
         assert F.fp12_cyclotomic_sqr(f) == F.fp12_sqr(f)
 
 

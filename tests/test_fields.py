@@ -4,22 +4,15 @@ import random
 
 import pytest
 
+from helpers import rand_fp2, rand_fp12
 from oracles import fp12_pow
 from pmpdas import fields as F
-
-
-def _rand_fp2(rng):
-    return (rng.randrange(F.P), rng.randrange(F.P))
-
-
-def _rand_fp12(rng):
-    return tuple(tuple(_rand_fp2(rng) for _ in range(3)) for _ in range(2))
 
 
 def test_fp2_field_axioms():
     rng = random.Random(1)
     for _ in range(20):
-        a, b, c = (_rand_fp2(rng) for _ in range(3))
+        a, b, c = (rand_fp2(rng) for _ in range(3))
         assert F.fp2_mul(a, b) == F.fp2_mul(b, a)
         assert F.fp2_mul(F.fp2_mul(a, b), c) == F.fp2_mul(a, F.fp2_mul(b, c))
         assert F.fp2_mul(a, F.fp2_add(b, c)) == \
@@ -31,7 +24,7 @@ def test_fp2_field_axioms():
 
 def test_fp2_sqrt_of_squares():
     rng = random.Random(2)
-    roots = [_rand_fp2(rng) for _ in range(20)]
+    roots = [rand_fp2(rng) for _ in range(20)]
     b = rng.randrange(1, F.P)
     # (0, b) squares to the real -b^2, whose root takes the alpha = -1
     # branch; (b, 0) has a root with c1 = 0; (0, 0) has the root zero
@@ -50,28 +43,28 @@ def test_fp2_sqrt_of_squares():
 def test_fp2_frobenius_is_conjugation():
     rng = random.Random(3)
     for _ in range(10):
-        a = _rand_fp2(rng)
+        a = rand_fp2(rng)
         assert F.fp2_pow(a, F.P) == F.fp2_conj(a)
 
 
 def test_fp12_inverse_and_square():
     rng = random.Random(4)
     for _ in range(5):
-        a = _rand_fp12(rng)
+        a = rand_fp12(rng)
         assert F.fp12_mul(a, F.fp12_inv(a)) == F.FP12_ONE
         assert F.fp12_sqr(a) == F.fp12_mul(a, a)
 
 
 def test_fp12_frobenius_matches_pth_power():
     rng = random.Random(5)
-    a = _rand_fp12(rng)
+    a = rand_fp12(rng)
     assert F.fp12_frobenius(a) == fp12_pow(a, F.P)
 
 
 def test_final_exponentiation_lands_in_r_torsion():
     rng = random.Random(6)
     for _ in range(3):
-        y = F.final_exponentiation(_rand_fp12(rng))
+        y = F.final_exponentiation(rand_fp12(rng))
         assert fp12_pow(y, F.R) == F.FP12_ONE
         assert y != F.FP12_ONE  # random input is not in the kernel
 
@@ -99,7 +92,7 @@ def test_tower_matches_polynomial_quotient_ring():
 
     rng = random.Random(7)
     for _ in range(5):
-        a, b = _rand_fp12(rng), _rand_fp12(rng)
+        a, b = rand_fp12(rng), rand_fp12(rng)
         assert image(F.fp12_mul(a, b)) == (image(a) * image(b)).rem(modulus)
         # a unitary element: the easy part of the final exponentiation
         f = F.fp12_mul(F.fp12_conj(a), F.fp12_inv(a))

@@ -7,8 +7,8 @@ import threading
 import pytest
 
 from helpers import (
-    ORACLE_SECRET, batch_inverse_calls, g1_at, g2_at, oracle_commit,
-    rand_poly, rho_weights, shared_srs,
+    ORACLE_SECRET, batch_inverse_calls, g1_at, g2_at, inject_fault,
+    oracle_commit, rand_poly, record_calls, rho_weights, shared_srs,
 )
 from pmpdas import kzg
 from pmpdas.curve import CurveError, G1Point, G2Point, g1_msm
@@ -199,11 +199,8 @@ def test_vanishing_base_of_a_coset_computes_nothing(monkeypatch):
     h = random.Random(40).randrange(1, SCALAR_MODULUS)
     coset = [h * pow(w, j, SCALAR_MODULUS) for j in range(8)]
     general = (1, 2, 3)
-
-    def no_g2_msm(*args):
-        raise AssertionError("a coset needs no [Z_md(x)]_2")
-
-    monkeypatch.setattr(kzg, "g2_msm", no_g2_msm)
+    inject_fault(monkeypatch, kzg, "g2_msm",
+                 AssertionError("a coset needs no [Z_md(x)]_2"))
     for points, g in ((coset, 8), (coset[::2], 4), ((5,), 1)):
         counters = OpCounters()
         base, c = srs.vanishing_base(points, counters=counters)
@@ -234,14 +231,7 @@ def test_vanishing_base_of_a_coset_computes_nothing(monkeypatch):
 
 
 def test_fixed_base_tables_cover_only_the_prefix_used(monkeypatch):
-    calls = []
-    real = kzg.g1_fixed_base_tables
-
-    def counting(points):
-        calls.append(list(points))
-        return real(points)
-
-    monkeypatch.setattr(kzg, "g1_fixed_base_tables", counting)
+    calls = record_calls(monkeypatch, kzg, "g1_fixed_base_tables", list)
     srs = gen(D, 778)  # private SRS so no table exists yet
     assert srs.g1_tables(0) == ()
     p = rand_poly(random.Random(37), 2)
@@ -257,14 +247,8 @@ def test_fixed_base_tables_cover_only_the_prefix_used(monkeypatch):
 
 
 def test_concurrent_commits_build_each_table_once(monkeypatch):
-    built = []
-    real = kzg.g1_fixed_base_tables
-
-    def counting(points):
-        built.extend(pt.to_bytes() for pt in points)
-        return real(points)
-
-    monkeypatch.setattr(kzg, "g1_fixed_base_tables", counting)
+    built = record_calls(monkeypatch, kzg, "g1_fixed_base_tables",
+                         lambda points: [pt.to_bytes() for pt in points])
     rng = random.Random(40)
     srs = gen(D, 780)
     polys = [rand_poly(rng, degree) for degree in (1, 3, 5, D)] * 2
@@ -287,7 +271,8 @@ def test_concurrent_commits_build_each_table_once(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == expected
-    assert sorted(built) == sorted(pt.to_bytes() for pt in srs.g1_powers)
+    assert sorted(pt for call in built for pt in call) == \
+        sorted(pt.to_bytes() for pt in srs.g1_powers)
 
 
 def test_concurrent_first_sights_charge_each_point_set_once():

@@ -6,13 +6,11 @@ import random
 import pytest
 
 from helpers import (
-    ORACLE_SECRET, g1_at, g2_at, rand_poly, rand_scalar, shared_srs,
+    g1_at, g2_at, oracle_witness, rand_poly, rand_scalar, shared_srs,
 )
 from pmpdas import multiproof
 from pmpdas.curve import G1Point
-from pmpdas.field_poly import (
-    SCALAR_MODULUS, EvaluationDomain, Polynomial, div_rem, vanishing_poly,
-)
+from pmpdas.field_poly import SCALAR_MODULUS, EvaluationDomain, Polynomial
 from pmpdas.kzg import (
     KzgError, OpCounters, commit, gen, open_single, verify_single,
 )
@@ -46,17 +44,6 @@ def _instance(rng, k, g, d=D):
     return srs, polys, md, group, transcript
 
 
-def _oracle_witness(polys, md, gamma):
-    """[h(secret)] computed entirely in the scalar field."""
-    combined = Polynomial()
-    w = 1
-    for p in polys:
-        combined = combined + p.scale(w)
-        w = w * gamma % SCALAR_MODULUS
-    h, _ = div_rem(combined, vanishing_poly(md))
-    return g1_at(h.evaluate(ORACLE_SECRET))
-
-
 def test_honest_round_trip():
     rng = random.Random(40)
     srs, polys, md, group, transcript = _instance(rng, k=3, g=4)
@@ -75,7 +62,7 @@ def test_witness_matches_generic_prover_and_oracle():
             srs, polys, [md.points] * k,
             [[p.evaluate(z) for z in md] for p in polys], gamma)
         assert proof == generic
-        assert proof == _oracle_witness(polys, md, gamma)
+        assert proof == oracle_witness(polys, md, gamma)
 
 
 def test_single_poly_witness_is_challenge_independent():
