@@ -148,6 +148,11 @@ def cmd_gen_fixture(args) -> int:
     # the seed enters the SRS secret as 8 signed big-endian bytes
     if not -(1 << 63) <= seed < 1 << 63:
         raise CliError(f"{source} must be between -2^63 and 2^63 - 1")
+    # the grid section writes each dimension as a u32
+    for flag, value in (("--rows", args.rows), ("--cols", args.cols),
+                        ("--extension", args.extension)):
+        if value >= 1 << 32:
+            raise CliError(f"{flag} must be below 2^32")
     try:
         dims = grid_mod.GridDims(args.rows, args.cols, args.extension)
     except grid_mod.GridError as exc:

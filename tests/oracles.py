@@ -14,12 +14,15 @@ ladders, the G1 signed-window walk with one Jacobian accumulator over
 tables of sequential multiples, single, batched and shared-point KZG
 verification with one scalar multiplication per term and one unbatched
 pairing check each, the replicas of a DHT key found by scanning every
-peer's store in rendezvous order, and an ablation run that publishes,
-draws and verifies everything afresh.
+peer's store in rendezvous order, the exact hit rate of a DHT whose
+dead peers are a uniform subset of a given size, and an ablation run that
+publishes, draws and verifies everything afresh.
 """
 
 import dataclasses
 import hashlib
+import math
+from fractions import Fraction
 
 from pmpdas.curve import (
     G1Point, G2Point, _INF1, _INF2, _g1_add_affine, _g1_double, _g2_double,
@@ -602,6 +605,18 @@ def get_with_retries(dht, key: bytes, retry_budget: int):
         if dht.alive[peer]:
             return dht.stores[peer][key], attempts
     return None, max(attempts, 1)
+
+
+def exact_hit_rate(dht, n_dead: int, retry_budget: int) -> Fraction:
+    """The hit rate of `get_with_retries` over the keys `dht` placed, in
+    expectation over a uniform `n_dead`-subset of dead peers: a lookup
+    tries the first m = min(replicas, retry_budget + 1) replicas of its
+    key, all dead with probability K(K-1)..(K-m+1) / (N(N-1)..(N-m+1))
+    for K = n_dead of the N peers."""
+    misses = sum(Fraction(math.perm(n_dead, m), math.perm(dht.n_peers, m))
+                 for m in (min(len(holders), retry_budget + 1)
+                           for holders in dht.replicas.values()))
+    return 1 - misses / len(dht.replicas)
 
 
 # ---------------------------------------------------------------------------

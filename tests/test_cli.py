@@ -413,8 +413,8 @@ def test_verify_missing_sections(tmp_path, capsys):
     path.write_bytes(b"PMPD")
     assert run_cli(["verify", "--fixture", str(path)]) == 2
     assert "malformed fixture" in capsys.readouterr().err
-    assert run_cli(["verify", "--fixture", _fixture(tmp_path, group=None)]) \
-        == 2
+    fx = _fixture(tmp_path, group=None)
+    assert run_cli(["verify", "--fixture", fx]) == 2
     assert "fixture is missing its 'PRMS' section" in capsys.readouterr().err
     assert run_cli(["verify", "--fixture", str(tmp_path / "nope.bin")]) == 2
     assert "cannot read fixture" in capsys.readouterr().err
@@ -533,9 +533,18 @@ def test_internal_error_while_decoding_grid_raises(tmp_path, monkeypatch):
         run_cli(["verify", "--fixture", fxp])
 
 
-@pytest.mark.parametrize("flag, value", [("--rows", "0"), ("--cols", "0"),
-                                         ("--extension", "1")])
-def test_gen_fixture_rejects_a_bad_shape(tmp_path, capsys, flag, value):
+@pytest.mark.parametrize("flag, value", [
+    ("--rows", "0"), ("--cols", "0"), ("--extension", "1"),
+    # the grid section writes each dimension as a u32
+    ("--rows", str(1 << 32)), ("--cols", str(1 << 32)),
+    ("--extension", str(1 << 32)),
+])
+def test_gen_fixture_rejects_a_bad_shape(tmp_path, capsys, monkeypatch,
+                                         flag, value):
+    # the shape is checked before the SRS and the data are built, which
+    # for a dimension of 2^32 would take about 133 GB
+    inject_fault(monkeypatch, cli, "gen",
+                 AssertionError("the SRS was built before the shape check"))
     out = tmp_path / "fx.bin"
     assert run_cli(["gen-fixture", "--output", str(out), flag, value]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -559,6 +568,16 @@ def test_prove_rejects_rows_per_group_below_one(tmp_path, capsys, value):
                     str(tmp_path / "fxp.bin"), "--group", "4",
                     "--rows-per-group", value]) == 2
     assert "error: --rows-per-group" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--group", "--rows-per-group"])
+def test_prove_rejects_a_u32_flag_of_2_to_the_32(tmp_path, capsys, flag):
+    out = tmp_path / "fxp.bin"
+    assert run_cli(["prove", "--fixture", _fixture(tmp_path, group=None),
+                    "--output", str(out), flag, str(1 << 32)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {flag} must be between 1 and 2^32 - 1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["storage-report", "ablation",

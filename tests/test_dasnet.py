@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,29 @@ def test_churn_kill_count_is_exact_for_decimal_churn():
             assert dht.alive.count(False) == dead
             counts.append(dead)
         assert counts == sorted(counts)  # monotone in churn
+
+
+@pytest.mark.parametrize("capacity", [2, None])
+def test_hit_rate_over_every_kill_set_is_the_exact_one(capacity):
+    # 8 peers are few enough to kill every subset of each size in turn, so
+    # the mean hit rate over the subsets is the exact one, not an estimate;
+    # at capacity 2, three objects keep 5 replicas and five keep 1
+    dht = SimDht(8, 5, capacity)
+    for i in range(8):
+        dht.put(b"object-%d" % i, bytes([i]))
+    for retry_budget in (0, 1, 2, 5):
+        for n_dead in range(8):
+            hits = kill_sets = 0
+            for dead in itertools.combinations(range(8), n_dead):
+                run = dht.with_fresh_liveness()
+                order = dead + tuple(p for p in range(8) if p not in dead)
+                assert run.kill_prefix(order, n_dead / 8) == n_dead
+                hits += sum(run.get_with_retries(key, retry_budget)[0]
+                            is not None for key in run.replicas)
+                kill_sets += 1
+            assert Fraction(hits, kill_sets * len(dht.replicas)) == \
+                oracles.exact_hit_rate(dht, n_dead, retry_budget), \
+                (retry_budget, n_dead)
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +479,13 @@ def test_region_corner_keys_are_the_published_keys(geometry):
         assert keys == list(_published(ctx, mode)), mode
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(mode=st.sampled_from(ConfigMode), data=st.binary(max_size=400))
 def test_verify_object_rejects_arbitrary_bytes(mode, data):
     _assert_rejected(mode, data)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(mode=st.sampled_from(ConfigMode), position=st.integers(0, 10 ** 6),
        flip=st.integers(1, 255), truncate=st.booleans())
 def test_verify_object_rejects_damaged_objects(mode, position, flip,
@@ -981,7 +1005,7 @@ def test_values_shifted_between_rows_are_rejected(k):
 @given(st.sampled_from(sorted(BANDS)).flatmap(lambda k: st.tuples(
     st.just(k), st.integers(0, k - 2), st.integers(0, 3),
     st.integers(1, SCALAR_MODULUS - 1))))
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8)
 def test_no_shift_between_rows_passes(case):
     k, row, col, delta = case
     _assert_shift_rejected(BANDS[k], row, col, delta)

@@ -115,7 +115,7 @@ def test_fp12_kernels_match_tower_oracle():
 @example(_fp12_from([F.P - 1] * 12), _fp12_from([F.P - 1] * 12),
          ((F.P - 1, F.P - 1),) * 3)
 @example(_fp12_from([0] * 12), _fp12_from([1] * 12), ((1, 0),) * 3)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_fp12_kernels_match_tower_oracle_on_drawn_elements(a, b, line):
     _assert_kernels_match(a, b, line)
 
@@ -331,7 +331,7 @@ def _assert_msm_matches(points, tables, ks):
 
 
 @given(st.lists(scalars, min_size=1, max_size=MSM_SRS_DEGREE + 1))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_fixed_base_msm_over_srs_prefixes(ks):
     srs = shared_srs(MSM_SRS_DEGREE)
     n = len(ks)
@@ -350,7 +350,7 @@ def _base_pool():
 
 @given(st.lists(st.tuples(st.integers(0, 3), scalars),
                 min_size=1, max_size=8))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_fixed_base_msm_with_repeated_and_identity_bases(terms):
     pool = _base_pool()
     points = [pool[i][0] for i, _ in terms]
@@ -410,7 +410,7 @@ def test_fixed_base_msms_split_edges():
 @example(([0, 2], [[1, 1], [X2, X2], [F.R - 1, F.R - 1]]))
 @example(([3, 0], [[7, 1], [0, X2]]))
 @example(([0, 0, 1], [[X2 - 1, X2 + 1, F.R - 1], [X2], [-1, -X2, 5 * F.R]]))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_fixed_base_msms_match_one_oracle_msm_per_row(case):
     pool = _base_pool()
     idx, rows = case
@@ -419,7 +419,7 @@ def test_fixed_base_msms_match_one_oracle_msm_per_row(case):
 
 
 @given(st.lists(st.integers(0, F.R - 1), max_size=MSM_SRS_DEGREE + 1))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 def test_commit_matches_variable_base_msm(coeffs):
     srs = shared_srs(MSM_SRS_DEGREE)
     p = Polynomial(coeffs)
@@ -461,7 +461,7 @@ def _assert_openings_match(srs, p, zs):
 @example(7, 3, [X2, X2])
 @example(0, 5, [2, 3])
 @example(-1, 6, [2, 3])
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_open_many_matches_open_single_and_the_oracle(degree, seed, zs):
     _assert_openings_match(shared_srs(7), rand_poly(random.Random(seed),
                                                     degree), zs)
@@ -492,7 +492,7 @@ GROUP_DOMAINS = {
 @example("width6", 1, 3, 2, 2, 2)
 @example("natural", 1, 3, 3, 7, 3)
 @example("coset", 1, 1, 1, -1, 4)
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 def test_open_groups_matches_open_generic_and_the_oracle(
         layout, size, k, rows, degree, seed):
     # a band's groups opened in one walk: each proof is the generic
@@ -546,7 +546,7 @@ def _g1_base_pool():
 @example([(0, 1), (0, 1)])
 @example([(4, 7), (5, 7)])
 @example([(0, 1), (2, 1), (1, 5)])
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_g1_msm_matches_sum_of_ladders(terms):
     pool = _g1_base_pool()
     points = [pool[i] for i, _ in terms]
@@ -574,7 +574,7 @@ _K = F.R // 3
 @example([(4, _K), (4, _K), (4, _K)])
 @example([(0, _K), (2, _K)])
 @example([(4, _K), (5, _K), (1, _K)])
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_g1_msm_matches_jacobian_walk(terms):
     pool = _g1_base_pool()
     points = [pool[i] for i, _ in terms]
@@ -609,7 +609,7 @@ def _assert_msms_match(points, rows):
 @example(([3, 0], [[7, 1], [9, 0]]))
 @example(([4, 5, 0], [[7, 7, 1], [7, F.R - 7, 2]]))
 @example(([1], [[_K]]))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_g1_msms_match_one_oracle_msm_per_row(case):
     pool = _g1_base_pool()
     idx, rows = case
@@ -630,7 +630,7 @@ def test_g1_msms_rows_pair_with_points_as_zip_does():
 @example([(1, _K)])
 @example([(0, _K), (0, _K)])
 @example([(0, _K), (2, _K)])
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 def test_fixed_base_msm_matches_jacobian_walk(terms):
     pool = _base_pool()
     tables = [pool[i][1] for i, _ in terms]
@@ -694,7 +694,7 @@ def _g2_base_pool():
 @example([(0, 1), (0, 1)])
 @example([(0, 1), (2, 1)])
 @example([(0, 3), (0, F.R - 3), (1, -1)])
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 def test_g2_msm_matches_sum_of_ladders(terms):
     pool = _g2_base_pool()
     points = [pool[i] for i, _ in terms]
@@ -844,7 +844,7 @@ def _comb_example(k):
 @example(ks=_comb_example(31))
 @example(ks=_comb_example(63))
 @example(ks=[_K, 5, _K, F.R + 5, 5])
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8)
 def test_fixed_base_muls_match_ladders(base, ks):
     point = _COMB_BASES[base]
     got = fixed_base_muls(point, ks)
@@ -1002,7 +1002,7 @@ _equations = st.lists(
 @example([(2, [(1, [(4, 5), (5, 1)])]), (1, [(1, [(4, -10)])])], True)
 @example([(1, [(0, [(0, 1), (3, 1)])])], False)
 @example([(1, [(0, [(0, _K), (3, -_K)])])], False)
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 def test_pairing_terms_check_matches_multi_pairing(equations, balance):
     srs, points, bases = _terms_pool()
     terms = PairingTerms(srs)
@@ -1035,7 +1035,7 @@ def test_pairing_terms_check_matches_multi_pairing(equations, balance):
 
 @given(st.integers(1, 64),
        st.lists(st.binary(max_size=40), min_size=1, max_size=6, unique=True))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_rendezvous_matches_sorted_oracle(n_peers, keys):
     # a replication factor of the peer count records each key's whole
     # order, at up to 64 peers where the placement tests below use 8
@@ -1064,7 +1064,7 @@ def _check_placement(dht, keys):
 @given(st.integers(1, 8), st.integers(1, 10), st.sampled_from([None, 1, 3]),
        st.lists(st.binary(max_size=6), min_size=1, max_size=8, unique=True),
        st.data())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_recorded_placement_matches_store_scan(n_peers, replication,
                                                capacity, pool, data):
     # keys repeat in random order, so some puts re-put a stored key

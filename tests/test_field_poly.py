@@ -74,7 +74,7 @@ def test_polynomial_normalization_and_degree():
 
 
 @given(polys, polys, polys)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_ring_axioms(a, b, c):
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
@@ -83,7 +83,7 @@ def test_ring_axioms(a, b, c):
 
 
 @given(polys, polys)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_div_rem_reconstructs(num, den):
     if den.is_zero():
         with pytest.raises(ZeroDivisionError):
@@ -95,7 +95,7 @@ def test_div_rem_reconstructs(num, den):
 
 
 @given(polys, scalars)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_evaluation_is_ring_homomorphism(p, z):
     q = Polynomial((3, 1))
     assert (p + q).evaluate(z) == (p.evaluate(z) + q.evaluate(z)) % SCALAR_MODULUS

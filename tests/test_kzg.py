@@ -273,6 +273,9 @@ def test_concurrent_commits_build_each_table_once(monkeypatch):
     assert got == expected
     assert sorted(pt for call in built for pt in call) == \
         sorted(pt.to_bytes() for pt in srs.g1_powers)
+    # whatever the threads' interleaving, a later commit builds nothing
+    assert commit(srs, polys[-1]) == expected[-1]
+    assert sum(map(len, built)) == len(srs.g1_powers)
 
 
 def test_concurrent_first_sights_charge_each_point_set_once():

@@ -358,7 +358,7 @@ def _damaged(draw, values, encode):
 
 @pytest.mark.parametrize("codec", sorted(CODECS))
 @given(data=st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_codec_round_trips(codec, data):
     decode, encode, values = CODECS[codec]
     value = data.draw(values)
@@ -369,7 +369,7 @@ def test_codec_round_trips(codec, data):
 
 @pytest.mark.parametrize("codec", sorted(CODECS))
 @given(data=st.data())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_decoders_raise_only_wire_errors(codec, data):
     decode, encode, values = CODECS[codec]
     blob = data.draw(st.one_of(st.binary(max_size=200),
@@ -442,7 +442,7 @@ POINT_CODECS = {
 
 @pytest.mark.parametrize("codec", sorted(POINT_CODECS))
 @given(data=st.data())
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 def test_point_codec_round_trips(codec, data):
     decode, encode, values, _ = POINT_CODECS[codec]
     blob = encode(data.draw(values))
@@ -451,7 +451,7 @@ def test_point_codec_round_trips(codec, data):
 
 @pytest.mark.parametrize("codec", sorted(POINT_CODECS))
 @given(data=st.data())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_point_decoders_raise_only_decode_errors(codec, data):
     decode, encode, values, arbitrary = POINT_CODECS[codec]
     blob = data.draw(st.one_of(st.binary(max_size=200), arbitrary,
@@ -470,7 +470,7 @@ def test_point_decoders_raise_only_decode_errors(codec, data):
 
 @pytest.mark.parametrize("codec", sorted(CODECS) + sorted(POINT_CODECS))
 @given(data=st.data())
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 def test_short_input_is_truncated_and_long_input_trailing(codec, data):
     decode, encode, values = {**CODECS, **POINT_CODECS}[codec][:3]
     blob = encode(data.draw(values))
