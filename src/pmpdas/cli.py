@@ -171,19 +171,13 @@ def cmd_gen_fixture(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    for flag, value in (("--group", args.group),
-                        ("--rows-per-group", args.rows_per_group)):
-        if not 1 <= value < 1 << 32:
-            raise CliError(f"{flag} must be between 1 and 2^32 - 1")
     fixture = _load_fixture(args.fixture)
     srs, grid = fixture.srs, fixture.grid
-    if args.group > srs.degree_bound:
-        raise CliError(f"--group {args.group} exceeds the SRS degree bound "
-                       f"{srs.degree_bound}")
-    if grid.dims.extended_cols % args.group:
-        raise CliError(f"--group {args.group} does not divide the "
-                       f"{grid.dims.extended_cols} extended columns")
     params = (args.group, args.rows_per_group)
+    try:
+        Fixture(srs, grid, params)
+    except WireError as exc:
+        raise CliError(str(exc))
     objects = dasnet.build_objects(
         BlockContext(b"fixture", grid, srs, *params), ConfigMode.PMP)
     proved = Fixture(srs, grid, params, tuple(objects.values()))

@@ -29,7 +29,7 @@ from .multiproof import (
     OpenedGroup, Transcript, derive_gamma, open_groups, shared_terms,
 )
 from .grid import (
-    Coordinate, DataGrid, GridDims, GridError, build_grid, iter_groups,
+    Coordinate, DataGrid, GridDims, build_grid, check_layout, iter_groups,
     partition_micro_domains,
 )
 from .wire import (
@@ -176,8 +176,7 @@ def churn_order(n_peers: int, seed: int) -> tuple:
 @dataclass(frozen=True)
 class BlockContext:
     """Everything a client needs out of band: the header commitments plus
-    the public grid geometry and grouping parameters. A group is g >= 1
-    columns, g dividing the extended width, by k >= 1 rows."""
+    the public grid geometry and grouping parameters (`check_layout`)."""
 
     block_id: bytes
     grid: DataGrid
@@ -189,12 +188,8 @@ class BlockContext:
                                 repr=False, compare=False)
 
     def __post_init__(self):
-        g, width = self.group_size, self.grid.dims.extended_cols
-        if g < 1 or width % g:
-            raise GridError(f"group size {g} does not divide the {width} "
-                            f"extended columns")
-        if self.rows_per_group < 1:
-            raise GridError("rows per group must be positive")
+        check_layout(self.grid.dims, self.srs.degree_bound, self.group_size,
+                     self.rows_per_group)
 
     @property
     def commitments(self):
@@ -667,6 +662,10 @@ class ExperimentConfig:
     seeds: tuple = tuple(range(1, 51))
     modes: tuple = tuple(ConfigMode)
 
+    @property
+    def srs_degree(self) -> int:
+        return max(self.cols * self.extension - 1, self.group_size + 1, 2)
+
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
         pairs = {}
@@ -693,9 +692,6 @@ class ExperimentConfig:
             setattr(cfg, key, _CONFIG_PARSERS.get(key, int)(value))
         if cfg.peer_capacity is not None and cfg.peer_capacity < 1:
             raise DasNetError("peer_capacity must be positive or none")
-        if cfg.group_size < 1 or cfg.rows_per_group < 1:
-            raise DasNetError("group_size and rows_per_group must be "
-                              "positive")
         if cfg.retry_budget < 0:
             raise DasNetError("retry_budget must be non-negative")
         if cfg.samples < 0:
@@ -705,11 +701,9 @@ class ExperimentConfig:
             raise DasNetError("need at least one peer and one replica")
         if not all(0 <= churn < 1 for churn in cfg.churn):
             raise DasNetError("churn must lie in [0, 1)")
-        # a bad shape raises GridError, a ValueError like int()'s
+        # a bad shape or layout raises GridError, a ValueError like int()'s
         dims = GridDims(cfg.rows, cfg.cols, cfg.extension)
-        if dims.extended_cols % cfg.group_size:
-            raise DasNetError(f"group size {cfg.group_size} does not divide "
-                              f"domain size {dims.extended_cols}")
+        check_layout(dims, cfg.srs_degree, cfg.group_size, cfg.rows_per_group)
         if cfg.samples > dims.extended_cells:
             raise DasNetError("cannot sample more coordinates than cells")
         # a repeated entry would repeat its runs and rows
@@ -763,11 +757,10 @@ class ExperimentSession:
 
     def __init__(self, cfg: ExperimentConfig, srs: SRS | None = None):
         self.cfg = cfg
-        d = max(cfg.cols * cfg.extension - 1, cfg.group_size + 1, 2)
         if srs is None:
             secret = int.from_bytes(
                 hashlib.sha256(b"pmpdas-simulation-srs").digest(), "big")
-            srs = gen(d, secret)
+            srs = gen(cfg.srs_degree, secret)
         self.srs = srs
         dims = GridDims(cfg.rows, cfg.cols, cfg.extension)
         grid = build_grid(_deterministic_block_data(cfg, dims), dims, srs)

@@ -48,6 +48,20 @@ class GridDims:
         return self.rows * self.cols * CHUNK_BYTES
 
 
+def check_layout(dims: GridDims, d: int, g: int, k: int) -> None:
+    """Raises GridError unless g-column, k-row groups tile the extended grid
+    and g, a micro-domain's size, is at most the SRS degree bound d."""
+    if g < 1:
+        raise GridError(f"group size {g} must be positive")
+    if g > d:
+        raise GridError(f"group size {g} exceeds the SRS degree bound {d}")
+    if dims.extended_cols % g:
+        raise GridError(f"group size {g} does not divide the "
+                        f"{dims.extended_cols} extended columns")
+    if k < 1:
+        raise GridError(f"rows per group {k} must be positive")
+
+
 @dataclass(frozen=True, slots=True)
 class Coordinate:
     """Position in the extended grid."""

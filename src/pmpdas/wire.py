@@ -30,7 +30,7 @@ from .curve import CurveError, G1Point, G2Point
 from .field_poly import (
     SCALAR_BYTES, EvaluationDomain, scalar_from_bytes, scalar_to_bytes,
 )
-from .grid import DataGrid, GridDims, GridError, extend_rows
+from .grid import DataGrid, GridDims, GridError, check_layout, extend_rows
 from .kzg import SRS, commit_many
 
 PROOF_BYTES = 48
@@ -421,14 +421,12 @@ class Fixture:
     def __post_init__(self):
         if self.params is None:
             return
-        (g, k), d = self.params, self.srs.degree_bound
-        width = self.grid.dims.extended_cols
-        if not 1 <= g <= d or width % g:
-            raise WireError(f"group size {g} must be between 1 and the SRS "
-                            f"degree bound {d} and divide the {width} "
-                            f"extended columns")
-        if k < 1:
-            raise WireError("rows per group must be positive")
+        try:
+            check_layout(self.grid.dims, self.srs.degree_bound, *self.params)
+        except GridError as exc:
+            raise WireError(str(exc)) from exc
+        if self.params[1] >= 1 << 32:  # PRMS writes k as a u32; g <= d is one
+            raise WireError("rows per group must be below 2^32")
 
     def to_bytes(self) -> bytes:
         sections = [("SRS1", encode_srs(self.srs)),

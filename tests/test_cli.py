@@ -564,10 +564,12 @@ def test_verify_rejects_short_params_section(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_prove_rejects_rows_per_group_below_one(tmp_path, capsys, value):
     fx = _fixture(tmp_path, group=None)
-    assert run_cli(["prove", "--fixture", fx, "--output",
-                    str(tmp_path / "fxp.bin"), "--group", "4",
-                    "--rows-per-group", value]) == 2
-    assert "error: --rows-per-group" in capsys.readouterr().err
+    out = tmp_path / "fxp.bin"
+    assert run_cli(["prove", "--fixture", fx, "--output", str(out),
+                    "--group", "4", "--rows-per-group", value]) == 2
+    assert capsys.readouterr().err == \
+        f"error: rows per group {value} must be positive\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--group", "--rows-per-group"])
@@ -575,8 +577,12 @@ def test_prove_rejects_a_u32_flag_of_2_to_the_32(tmp_path, capsys, flag):
     out = tmp_path / "fxp.bin"
     assert run_cli(["prove", "--fixture", _fixture(tmp_path, group=None),
                     "--output", str(out), flag, str(1 << 32)]) == 2
-    assert capsys.readouterr().err == \
-        f"error: {flag} must be between 1 and 2^32 - 1\n"
+    # a group size is bounded by the SRS degree bound 7, itself a u32
+    assert capsys.readouterr().err == {
+        "--group": "error: group size 4294967296 exceeds the SRS degree "
+                   "bound 7\n",
+        "--rows-per-group": "error: rows per group must be below 2^32\n",
+    }[flag]
     assert not out.exists()
 
 
@@ -638,22 +644,26 @@ def test_gen_fixture_accepts_the_extreme_seeds(tmp_path):
 def test_prove_rejects_group_above_the_srs_bound(tmp_path, capsys):
     # the 2x4 fixture's SRS has degree bound 7; 8 divides its 8 columns
     fx = _fixture(tmp_path, group=None)
-    assert run_cli(["prove", "--fixture", fx, "--output",
-                    str(tmp_path / "fxp.bin"), "--group", "8"]) == 2
-    assert "error: --group 8 exceeds the SRS degree bound 7" in \
-        capsys.readouterr().err
+    out = tmp_path / "fxp.bin"
+    assert run_cli(["prove", "--fixture", fx, "--output", str(out),
+                    "--group", "8"]) == 2
+    assert capsys.readouterr().err == \
+        "error: group size 8 exceeds the SRS degree bound 7\n"
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("group", ["3", "5", "6"])
+@pytest.mark.parametrize("group", ["0", "3", "5", "6"])
 def test_prove_rejects_a_group_that_does_not_divide_the_columns(
         tmp_path, capsys, group):
-    # the 2x4 fixture has 8 extended columns and SRS degree bound 7
+    # the 2x4 fixture has 8 extended columns and SRS degree bound 7; no
+    # column count is a multiple of 0, which is rejected as not positive
     fx = _fixture(tmp_path, group=None)
     out = tmp_path / "fxp.bin"
     assert run_cli(["prove", "--fixture", fx, "--output", str(out),
                     "--group", group]) == 2
-    assert capsys.readouterr().err == \
-        f"error: --group {group} does not divide the 8 extended columns\n"
+    reason = "must be positive" if group == "0" else \
+        "does not divide the 8 extended columns"
+    assert capsys.readouterr().err == f"error: group size {group} {reason}\n"
     assert not out.exists()
 
 

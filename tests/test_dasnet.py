@@ -420,9 +420,10 @@ def _cells(region):
             for c in range(region.cols_start, region.cols_end)]
 
 
-@pytest.mark.parametrize("g, k", [(3, 1), (0, 1), (4, 0)])
+@pytest.mark.parametrize("g, k", [(3, 1), (0, 1), (4, 0), (8, 1)])
 def test_block_context_rejects_a_layout_that_does_not_tile(g, k):
-    # CTX's grid has 8 extended columns
+    # CTX's grid has 8 extended columns and its SRS degree bound 7, so
+    # groups of 8 tile the grid but their micro-domains exceed the SRS
     with pytest.raises(GridError):
         BlockContext(b"test-block", CTX.grid, CTX.srs, g, k)
 
@@ -798,11 +799,20 @@ def test_config_parsing(tmp_path):
     with pytest.raises(DasNetError):
         ConfigMode.parse("bogus")
     for pairs in ({"seeds": "5-3"}, {"retry_budget": "-1"},
-                  {"group_size": "0"}, {"rows_per_group": "0"},
                   {"modes": "vanilla,vanilla"}, {"churn": "0.1,0.10"},
                   {"seeds": "1-3,2"}):
         with pytest.raises(DasNetError):
             ExperimentConfig.from_pairs(pairs)
+    # the layout rule of a block context, on the default 16 extended
+    # columns; the session's SRS always covers the group size
+    for pairs, message in (
+            ({"group_size": "0"}, "group size 0 must be positive"),
+            ({"group_size": "3"},
+             "group size 3 does not divide the 16 extended columns"),
+            ({"rows_per_group": "0"}, "rows per group 0 must be positive")):
+        with pytest.raises(GridError) as err:
+            ExperimentConfig.from_pairs(pairs)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("text, seeds", [

@@ -257,6 +257,11 @@ def test_fixture_file_round_trips(fixture_files):
     note = encode_fixture([("NOTE", b"x")])[5:]
     assert Fixture.from_bytes(fixture_files[1] + note).to_bytes() == \
         fixture_files[1]
+    # parameters the 4 extended columns and the degree-3 SRS cannot take,
+    # and a k that PRMS cannot write
+    for params in ((0, 1), (3, 1), (2, 0), (4, 1), (2, 1 << 32)):
+        with pytest.raises(WireError):
+            Fixture(plain.srs, plain.grid, params)
 
 
 def test_cut_or_extended_fixture_file_raises_only_decode_errors(
