@@ -30,7 +30,9 @@ from .dasnet import (
     BlockContext, ConfigMode, ExperimentConfig, ExperimentSession,
 )
 from .kzg import gen
-from .wire import DECODE_ERRORS, Fixture, WireError, storage_report
+from .wire import (
+    DECODE_ERRORS, Fixture, WireError, check_fixture_size, storage_report,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -148,16 +150,12 @@ def cmd_gen_fixture(args) -> int:
     # the seed enters the SRS secret as 8 signed big-endian bytes
     if not -(1 << 63) <= seed < 1 << 63:
         raise CliError(f"{source} must be between -2^63 and 2^63 - 1")
-    # the grid section writes each dimension as a u32
-    for flag, value in (("--rows", args.rows), ("--cols", args.cols),
-                        ("--extension", args.extension)):
-        if value >= 1 << 32:
-            raise CliError(f"{flag} must be below 2^32")
     try:
         dims = grid_mod.GridDims(args.rows, args.cols, args.extension)
-    except grid_mod.GridError as exc:
+        degree = max(dims.extended_cols - 1, 2)
+        check_fixture_size(degree, dims)
+    except (grid_mod.GridError, WireError) as exc:
         raise CliError(str(exc))
-    degree = max(dims.extended_cols - 1, 2)
     secret = int.from_bytes(
         hashlib.sha256(b"pmpdas-fixture-srs|"
                        + seed.to_bytes(8, "big", signed=True)).digest(),

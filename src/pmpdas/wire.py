@@ -334,6 +334,19 @@ def decode_prove_params(data: bytes):
     return r.u32(), r.u32()
 
 
+def check_fixture_size(d: int, dims: GridDims) -> None:
+    """Raises WireError unless the SRS1 section of a degree-d setup and the
+    GRID section of a `dims` grid each fit the u32 length `encode_fixture`
+    writes, which also bounds every grid dimension below 2^32."""
+    width = dims.extended_cols
+    for tag, size in (
+            ("SRS1", 4 + (48 + 96) * (d + 1)),
+            ("GRID", 12 + 32 * width + dims.rows * (32 * width + 48))):
+        if size >= 1 << 32:
+            raise WireError(f"the {tag} section would take {size} bytes; a "
+                            f"fixture section holds at most 2^32 - 1")
+
+
 def encode_srs(srs) -> bytes:
     out = bytearray()
     out += srs.degree_bound.to_bytes(4, "little")

@@ -533,20 +533,22 @@ def test_internal_error_while_decoding_grid_raises(tmp_path, monkeypatch):
         run_cli(["verify", "--fixture", fxp])
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--rows", "0"), ("--cols", "0"), ("--extension", "1"),
-    # the grid section writes each dimension as a u32
-    ("--rows", str(1 << 32)), ("--cols", str(1 << 32)),
-    ("--extension", str(1 << 32)),
-])
+@pytest.mark.parametrize("shape", [
+    ["--rows", "0"], ["--cols", "0"], ["--extension", "1"],
+    # a section's length is a u32: each of these needs a longer SRS1 or
+    # GRID section
+    ["--rows", str(1 << 32)], ["--cols", str(1 << 32)],
+    ["--extension", str(1 << 32)], ["--cols", str(1 << 31)],
+    ["--rows", str(1 << 16), "--cols", str(1 << 16)],
+], ids="-".join)
 def test_gen_fixture_rejects_a_bad_shape(tmp_path, capsys, monkeypatch,
-                                         flag, value):
+                                         shape):
     # the shape is checked before the SRS and the data are built, which
-    # for a dimension of 2^32 would take about 133 GB
+    # for a shape of a u32-overflowing section would take over 100 GB
     inject_fault(monkeypatch, cli, "gen",
                  AssertionError("the SRS was built before the shape check"))
     out = tmp_path / "fx.bin"
-    assert run_cli(["gen-fixture", "--output", str(out), flag, value]) == 2
+    assert run_cli(["gen-fixture", "--output", str(out), *shape]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
