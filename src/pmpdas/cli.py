@@ -173,7 +173,7 @@ def cmd_prove(args) -> int:
     srs, grid = fixture.srs, fixture.grid
     params = (args.group, args.rows_per_group)
     try:
-        Fixture(srs, grid, params)
+        Fixture(srs, grid, params)  # checks the layout before proving
     except WireError as exc:
         raise CliError(str(exc))
     objects = dasnet.build_objects(
